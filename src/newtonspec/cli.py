@@ -62,9 +62,8 @@ def _build_parser() -> _ArgumentParser:
         s.add_argument("--vars", default=None,
                        help="comma-separated variable order, e.g. --vars u,v")
         s.add_argument("--max-truncation", type=int, default=None,
-                       help="cap for the generating-series truncation (default 8n)")
-        s.add_argument("--threads", type=int, default=1,
-                       help="reserved; evaluation is sequential and deterministic")
+                       help="cap on the generating-series scan height n+1 "
+                            "(default: no cap); a lower cap exits 2")
         if name == "product-table":
             s.add_argument("--basis", default=None,
                            help="comma-separated monomial basis hint, e.g. "

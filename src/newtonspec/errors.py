@@ -49,7 +49,7 @@ class HintError(InputError):
 
 
 class TruncationError(InternalCheckError):
-    """The truncated generating series never reached the expected mass."""
+    """A truncated series failed its mass check or a truncation cap stopped it."""
 
 
 class MismatchError(InternalCheckError):

@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import ceil
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import linalg
 from .errors import (
     DimensionMismatchError,
     HintError,
@@ -62,9 +63,6 @@ class GradedClass:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def as_dict(self) -> Dict[Vec, Fraction]:
-        return dict(self.terms)
 
     def render(self, names: Sequence[str]) -> str:
         if not self.terms:
@@ -173,34 +171,6 @@ def _relation_rows(model, leading, prev_monomials, index, width):
     return rows
 
 
-def _rref(rows, ncols):
-    # local elimination keeping full rows; mirrors linalg.rref but avoids
-    # re-wrapping entries that are already Fractions
-    work = [list(r) for r in rows]
-    pivots: List[int] = []
-    row_at = 0
-    for col in range(ncols):
-        pr = None
-        for i in range(row_at, len(work)):
-            if work[i][col] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        work[row_at], work[pr] = work[pr], work[row_at]
-        inv = 1 / work[row_at][col]
-        work[row_at] = [x * inv for x in work[row_at]]
-        for i in range(len(work)):
-            if i != row_at and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[row_at])]
-        pivots.append(col)
-        row_at += 1
-        if row_at == len(work):
-            break
-    return work[:row_at], pivots
-
-
 def _build_block(model, leading, degree, monomials_here, monomials_prev, hint=None):
     if hint is None:
         ordered = sorted(monomials_here, key=lambda m: (sum(m), m))
@@ -211,7 +181,7 @@ def _build_block(model, leading, degree, monomials_here, monomials_prev, hint=No
         ) + list(hint)
     index = {m: i for i, m in enumerate(ordered)}
     raw = _relation_rows(model, leading, monomials_prev, index, len(ordered))
-    rows, pivots = _rref(raw, len(ordered))
+    rows, pivots = linalg.rref(raw, len(ordered))
     pivot_set = set(pivots)
     basis = [m for i, m in enumerate(ordered) if i not in pivot_set]
     return DegreeBlock(
@@ -239,9 +209,6 @@ class GradedBasis:
     blocks: Dict[Fraction, DegreeBlock]
     elements: List[Vec]                  # basis monomials in table order
 
-    def degree_of(self, vec: Vec) -> Fraction:
-        return self.model.newton_value(vec)
-
     def total_dimension(self) -> int:
         return sum(b.dim for b in self.blocks.values())
 
@@ -268,8 +235,7 @@ def quotient_basis(
         spectrum = toric_spectrum(model)[0]
     leading = leading_classes(p, model)
     max_degree = spectrum.max_exponent()
-    buckets = model.points_by_value(int(ceil(max_degree)))
-    monomials = {deg: [tuple(v) for v in pts] for deg, pts in buckets.items()}
+    monomials = model.points_by_value(int(ceil(max_degree)))
 
     hint_by_degree: Dict[Fraction, List[Vec]] = {}
     if basis_hint is not None:
@@ -381,15 +347,14 @@ def koszul_hilbert_series(
     leading = leading_classes(p, model)
     bound = n
     while bound <= cap:
-        buckets = model.points_by_value(bound)
-        monomials = {deg: [tuple(v) for v in pts] for deg, pts in buckets.items()}
+        monomials = model.points_by_value(bound)
         dims: Dict[Fraction, int] = {}
         for degree in sorted(monomials):
             here = monomials[degree]
             prev = monomials.get(degree - 1, [])
             index = {m: i for i, m in enumerate(here)}
             raw = _relation_rows(model, leading, prev, index, len(here))
-            _, pivots = _rref(raw, len(here))
+            _, pivots = linalg.rref(raw, len(here))
             dim = len(here) - len(pivots)
             if dim:
                 dims[degree] = dim

@@ -58,7 +58,6 @@ class Face:
     vertex_indices: Tuple[int, ...]
     dim: int
     in_coordinate_hyperplane: bool
-    containing_facets: Tuple[int, ...]
     is_simplex: bool
 
     @property
@@ -74,7 +73,6 @@ class BoxPoint:
     point: Vec
     q: Tuple[Fraction, ...]
     nu: Fraction
-    host: Face
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +194,7 @@ class PolytopeModel:
     """
 
     def __init__(self, mode, n, vertices, facets, faces, zero_cone,
-                 hull_points, hull_facets, hull_to_model, support):
+                 hull_points, hull_facets, hull_to_model):
         self.mode = mode
         self.n = n
         self.vertices: Tuple[Vec, ...] = vertices
@@ -210,7 +208,6 @@ class PolytopeModel:
         self._hull_points = hull_points
         self._hull_facets = hull_facets
         self._hull_to_model = hull_to_model
-        self._support = support
         self._face_index = {frozenset(f.vertex_indices): i for i, f in enumerate(faces)}
         self._face_vsets = [frozenset(f.vertex_indices) for f in faces]
         # integer presentation of the facet forms for fast lattice scans
@@ -222,6 +219,8 @@ class PolytopeModel:
             self._int_forms.append((tuple(int(x * den) for x in ff.normal), den))
         self._max_coord = max((c for v in vertices for c in v), default=0)
         self._box_cache: dict = {}
+        self._census_height = -1
+        self._census_groups: dict = {}
         self._volume: Optional[int] = None
 
     # -- Newton function ----------------------------------------------
@@ -305,15 +304,6 @@ class PolytopeModel:
             if f.dim == face.dim - 1 and frozenset(f.vertex_indices) <= vset
         ]
 
-    def faces_above(self, face: Face) -> List[Face]:
-        """All Newton-boundary faces containing ``face`` (itself included).
-
-        The zero cone is below every face but is never returned here; the
-        fan summations add its term explicitly.
-        """
-        vset = frozenset(face.vertex_indices)
-        return [f for f in self.faces if vset <= frozenset(f.vertex_indices)]
-
     # -- box points -----------------------------------------------------
 
     def box_points(self, face: Face) -> List[BoxPoint]:
@@ -374,7 +364,7 @@ class PolytopeModel:
             if not ok:
                 continue
             q = tuple(Fraction(x, det) for x in nq)
-            out.append(BoxPoint(point=cand, q=q, nu=sum(q, Fraction(0)), host=face))
+            out.append(BoxPoint(point=cand, q=q, nu=sum(q, Fraction(0))))
         out.sort(key=lambda bp: bp.point)
         self._box_cache[key] = out
         return out
@@ -417,79 +407,38 @@ class PolytopeModel:
         self._volume = total
         return total
 
+    def _census(self, height: int) -> dict:
+        """Lattice points with nu(v) <= height, as {value: points}.
+
+        Values ascend and each group keeps ``itertools.product`` order.
+        The tallest scan so far is kept; a query at or below its height
+        filters it, since the box [0, height * max_coord]^n holds every
+        point with nu(v) <= height and filtering keeps the product order.
+        """
+        if height > self._census_height:
+            groups: dict = {}
+            box = height * self._max_coord
+            for v in itertools.product(range(box + 1), repeat=self.n):
+                num, den = self._value_pair(v)
+                if num <= height * den:
+                    groups.setdefault(Fraction(num, den), []).append(v)
+            self._census_groups = dict(sorted(groups.items()))
+            self._census_height = height
+        return {val: pts for val, pts in self._census_groups.items() if val <= height}
+
     def lattice_count(self, ell: int) -> int:
         """Number of lattice points v >= 0 with nu(v) <= ell."""
         if ell < 0:
             raise InputError("dilation factor must be nonnegative")
-        if ell == 0:
-            return 1
-        forms = self._int_forms
-        take_max = self.mode == GLOBAL
-        bound = ell * self._max_coord
-        count = 0
-        for v in itertools.product(range(bound + 1), repeat=self.n):
-            if take_max:
-                ok = True
-                for w, d in forms:
-                    s = 0
-                    for wi, vi in zip(w, v):
-                        s += wi * vi
-                    if s > ell * d:
-                        ok = False
-                        break
-            else:
-                ok = False
-                for w, d in forms:
-                    s = 0
-                    for wi, vi in zip(w, v):
-                        s += wi * vi
-                    if s <= ell * d:
-                        ok = True
-                        break
-            if ok:
-                count += 1
-        return count
+        return sum(len(pts) for pts in self._census(ell).values())
 
     def value_histogram(self, bound: int) -> dict:
         """Multiset of Newton values <= bound, as {Fraction: multiplicity}."""
-        hist: dict = {}
-        box = bound * self._max_coord
-        take_max = self.mode == GLOBAL
-        forms = self._int_forms
-        for v in itertools.product(range(box + 1), repeat=self.n):
-            best_n = best_d = None
-            for w, d in forms:
-                s = 0
-                for wi, vi in zip(w, v):
-                    s += wi * vi
-                if best_n is None:
-                    best_n, best_d = s, d
-                elif take_max:
-                    if s * best_d > best_n * d:
-                        best_n, best_d = s, d
-                else:
-                    if s * best_d < best_n * d:
-                        best_n, best_d = s, d
-            if best_n > bound * best_d:
-                continue
-            g = gcd(best_n, best_d)
-            key = (best_n // g, best_d // g)
-            hist[key] = hist.get(key, 0) + 1
-        return {Fraction(p, q): m for (p, q), m in sorted(hist.items(), key=lambda kv: Fraction(*kv[0]))}
+        return {val: len(pts) for val, pts in self._census(bound).items()}
 
     def points_by_value(self, bound: int) -> dict:
         """Lattice points grouped by Newton value, for values <= bound."""
-        groups: dict = {}
-        box = bound * self._max_coord
-        for v in itertools.product(range(box + 1), repeat=self.n):
-            if not any(v):
-                groups.setdefault(Fraction(0), []).append(v)
-                continue
-            num, den = self._value_pair(v)
-            if num > bound * den:
-                continue
-            groups.setdefault(Fraction(num, den), []).append(v)
-        return dict(sorted(groups.items()))
+        return {val: list(pts) for val, pts in self._census(bound).items()}
 
     # -- serialization -----------------------------------------------------
 
@@ -599,15 +548,11 @@ def build_model(p: Poly) -> PolytopeModel:
         vecs = [vertices[i] for i in vidx]
         dim = _affine_dim(vecs)
         in_hyp = any(all(v[j] == 0 for v in vecs) for j in range(n))
-        containing = tuple(
-            k for k, s in enumerate(nb_vsets_model) if wset <= s
-        )
         faces.append(
             Face(
                 vertex_indices=vidx,
                 dim=dim,
                 in_coordinate_hyperplane=in_hyp,
-                containing_facets=containing,
                 is_simplex=len(vidx) == dim + 1,
             )
         )
@@ -617,7 +562,6 @@ def build_model(p: Poly) -> PolytopeModel:
         vertex_indices=(),
         dim=-1,
         in_coordinate_hyperplane=True,
-        containing_facets=tuple(range(len(facet_forms))),
         is_simplex=True,
     )
 
@@ -631,7 +575,6 @@ def build_model(p: Poly) -> PolytopeModel:
         hull_points=tuple(pts),
         hull_facets=hull_facets,
         hull_to_model=hull_to_model,
-        support=support,
     )
 
     # sanity: the defining inequalities really hold on the support

@@ -72,9 +72,6 @@ class SpectrumSeries:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def min_exponent(self) -> Fraction:
-        return next(iter(self._terms))
-
     def max_exponent(self) -> Fraction:
         return next(reversed(self._terms))
 

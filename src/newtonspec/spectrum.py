@@ -6,9 +6,11 @@ nondegenerate polynomial from its polytope model:
 * the box formula: a signed sum of half-open-parallelepiped weight
   polynomials over the faces of the Newton boundary not contained in
   coordinate hyperplanes (needs those faces to be simplices), and
-* the generating-series oracle: (1-z)^n times the full lattice sum of
-  z^{nu(v)}, truncated and grown until the retained mass equals the
-  normalized volume.
+* the generating-series oracle: (1-z)^n times the lattice sum of
+  z^{nu(v)} over the points with nu(v) <= n + 1.  The coefficient at z^e
+  of that product only uses Newton values <= e, so it is exact for every
+  e <= n + 1, and every spectrum exponent lies in [0, n]: one lattice
+  scan gives the whole spectrum.
 
 The spectrum at infinity (global mode) and the local singularity
 spectrum (local mode) follow by inclusion-exclusion over coordinate
@@ -26,8 +28,6 @@ from .errors import MismatchError, NotSimplicialError, TruncationError
 from .poly import Poly, restrict
 from .polytope import PolytopeModel, build_model
 from .series import SpectrumSeries, z_minus_one_pow
-
-DEFAULT_TRUNCATION_FACTOR = 8
 
 
 def toric_spectrum_box(model: PolytopeModel) -> SpectrumSeries:
@@ -60,25 +60,28 @@ def toric_spectrum_oracle(
 ) -> SpectrumSeries:
     """Toric Newton spectrum via the truncated generating series.
 
-    Computes (1-z)^n * sum_{nu(v) <= T} z^{nu(v)}, keeps the exponents
-    <= T - n, and raises T until the kept coefficients are nonnegative
-    and sum to the normalized volume.  The kept window of the truncated
-    product agrees with the limit, so the first T that carries the whole
-    mass returns the exact spectrum.
+    Computes (1-z)^n * sum_{nu(v) <= T} z^{nu(v)} at T = n + 1 and keeps
+    the exponents <= T.  The coefficient at z^e involves only the values
+    e - j for j = 0..n, all <= e, so every kept coefficient equals that of
+    the full lattice sum; as all exponents lie in [0, n], the kept part is
+    the exact spectrum.  It must be nonnegative with mass equal to the
+    normalized volume.  A ``max_truncation`` below n + 1 cannot hold the
+    scan and raises :class:`TruncationError`, as does a failed mass check.
     """
     n = model.n
-    mu = model.normalized_volume()
-    cap = DEFAULT_TRUNCATION_FACTOR * n if max_truncation is None else max_truncation
     t = n + 1
-    while t <= cap:
-        partial = SpectrumSeries(model.value_histogram(t))
-        kept = partial.mul_one_minus_z_pow(n).truncate_above(t - n)
-        if kept.is_nonnegative() and kept.eval_at_one() == mu:
-            return kept
-        t += 1
-    raise TruncationError(
-        f"generating series did not stabilise with truncation <= {cap}"
-    )
+    if max_truncation is not None and max_truncation < t:
+        raise TruncationError(
+            f"the exact scan needs truncation {t}, above the cap {max_truncation}"
+        )
+    mu = model.normalized_volume()
+    partial = SpectrumSeries(model.value_histogram(t))
+    kept = partial.mul_one_minus_z_pow(n).truncate_above(t)
+    if not (kept.is_nonnegative() and kept.eval_at_one() == mu):
+        raise TruncationError(
+            f"generating series at truncation {t} is not a spectrum of mass {mu}: {kept}"
+        )
+    return kept
 
 
 def toric_spectrum(

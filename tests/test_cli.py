@@ -130,6 +130,11 @@ def test_bad_usage_exit_code(capsys):
     assert code == 1
 
 
+def test_threads_option_is_gone(capsys):
+    code, _, _ = run_cli(capsys, "spectrum", "--threads", "2", "u + v")
+    assert code == 1
+
+
 def test_truncation_cap_exit_code(capsys):
     code, _, err = run_cli(
         capsys,

@@ -224,6 +224,21 @@ def test_lattice_count(square_model):
     assert square_model.lattice_count(2) == 25
 
 
+def test_census_answers_do_not_depend_on_query_order(corpus):
+    for entry in corpus:
+        n = entry.model.n
+        tall_first = build_model(entry.poly)
+        tall_first.value_histogram(n + 1)
+        ascending = build_model(entry.poly)
+        for h in range(1, n + 2):
+            got = [
+                (list(m.points_by_value(h).items()), m.lattice_count(h),
+                 list(m.value_histogram(h).items()))
+                for m in (ascending, tall_first)
+            ]
+            assert got[0] == got[1], (entry.poly, h)
+
+
 def test_f_of_p_faces_avoid_hyperplanes(corpus):
     for entry in corpus:
         m = entry.model

@@ -67,6 +67,16 @@ def test_oracle_truncation_cap():
         toric_spectrum_oracle(m, max_truncation=2)
 
 
+def test_oracle_is_exact_at_scan_height(corpus):
+    for entry in corpus:
+        if entry.box is None:
+            continue
+        n = entry.model.n
+        assert toric_spectrum_oracle(entry.model, max_truncation=n + 1) == entry.box
+        with pytest.raises(TruncationError):
+            toric_spectrum_oracle(entry.model, max_truncation=n)
+
+
 def test_dispatcher_reports_route(square_model):
     s, route = toric_spectrum(square_model)
     assert route == "box"
