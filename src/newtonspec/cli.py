@@ -2,7 +2,8 @@
 
 One executable, one subcommand per computation, deterministic text on
 stdout (the headline value first) and an optional JSON rendering.  Exit
-codes: 0 success, 1 unusable input, 2 internal consistency failure.
+codes: 0 success, 1 unusable input, 2 internal consistency failure or a
+computation too large for the machine (overflow, out of memory).
 """
 
 from __future__ import annotations
@@ -61,9 +62,6 @@ def _build_parser() -> _ArgumentParser:
         s.add_argument("--json", action="store_true", help="emit JSON instead of text")
         s.add_argument("--vars", default=None,
                        help="comma-separated variable order, e.g. --vars u,v")
-        s.add_argument("--max-truncation", type=int, default=None,
-                       help="cap on the generating-series scan height n+1 "
-                            "(default: no cap); a lower cap exits 2")
         if name == "product-table":
             s.add_argument("--basis", default=None,
                            help="comma-separated monomial basis hint, e.g. "
@@ -101,23 +99,23 @@ def _emit(args, payload: dict, text_lines) -> None:
 def _cmd_spectrum(args) -> int:
     p = _parse_input(args)
     model = build_model(p)
-    series, route = toric_spectrum(model, args.max_truncation)
+    series = toric_spectrum(model)
     payload = {
         "schema": SCHEMA,
         "command": "spectrum",
         "mode": p.mode,
-        "route": route,
+        "route": "box",
         "mu_P": model.normalized_volume(),
         "series": series.to_json(),
     }
-    _emit(args, payload, [str(series), f"route: {route}",
+    _emit(args, payload, [str(series), "route: box",
                           f"mu_P: {model.normalized_volume()}"])
     return 0
 
 
 def _cmd_spec_infinity(args) -> int:
     p = _parse_input(args)
-    series = spectrum_at_infinity(p, args.max_truncation)
+    series = spectrum_at_infinity(p)
     payload = {
         "schema": SCHEMA,
         "command": "spec-infinity",
@@ -131,7 +129,7 @@ def _cmd_spec_infinity(args) -> int:
 
 def _cmd_milnor(args) -> int:
     p = _parse_input(args)
-    mu = milnor_number(p, args.max_truncation)
+    mu = milnor_number(p)
     payload = {"schema": SCHEMA, "command": "milnor", "mode": p.mode, "milnor": mu}
     _emit(args, payload, [str(mu)])
     return 0
@@ -149,7 +147,7 @@ def _cmd_volume(args) -> int:
 def _cmd_delta(args) -> int:
     p = _parse_input(args)
     model = build_model(p)
-    series, route = toric_spectrum(model, args.max_truncation)
+    series = toric_spectrum(model)
     delta = delta_from_spectrum(series, model.n)
     counted = delta_from_counts(model)
     if delta != counted:
@@ -170,7 +168,7 @@ def _cmd_delta(args) -> int:
 def _cmd_ehrhart(args) -> int:
     p = _parse_input(args)
     model = build_model(p)
-    series, _ = toric_spectrum(model, args.max_truncation)
+    series = toric_spectrum(model)
     delta = delta_from_spectrum(series, model.n)
     ehr = ehrhart_polynomial(delta)
     values = [[ell, ehr.evaluate(ell)] for ell in range(model.n + 2)]
@@ -253,7 +251,7 @@ def _cmd_product_table(args) -> int:
 
 def _cmd_check(args) -> int:
     p = _parse_input(args)
-    results = run_checks(p, args.max_truncation)
+    results = run_checks(p)
     ok = all(r.ok for r in results)
     payload = {
         "schema": SCHEMA,
@@ -301,6 +299,10 @@ def main(argv=None) -> int:
         return 1
     except InternalCheckError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
+        return 2
+    except (OverflowError, MemoryError) as exc:
+        print(f"internal failure: the computation is too large for this machine "
+              f"({type(exc).__name__}: {exc})", file=sys.stderr)
         return 2
 
 

@@ -3,7 +3,7 @@
 Two families matter for the CLI exit code: problems with the input
 (bad syntax, non-convenient support, violated preconditions) and
 internal consistency failures (two routes to the same quantity
-disagreeing, a truncation that never stabilises).
+disagreeing, a series whose mass is not the normalized volume).
 """
 
 
@@ -49,7 +49,7 @@ class HintError(InputError):
 
 
 class TruncationError(InternalCheckError):
-    """A truncated series failed its mass check or a truncation cap stopped it."""
+    """The oracle's series or the per-degree dimensions miss the volume as mass."""
 
 
 class MismatchError(InternalCheckError):

@@ -232,7 +232,7 @@ def quotient_basis(
     if spectrum is None:
         from .spectrum import toric_spectrum
 
-        spectrum = toric_spectrum(model)[0]
+        spectrum = toric_spectrum(model)
     leading = leading_classes(p, model)
     max_degree = spectrum.max_exponent()
     monomials = model.points_by_value(int(ceil(max_degree)))
@@ -331,45 +331,32 @@ def multiply_in_basis(basis: GradedBasis, cls: GradedClass, vec: Vec) -> GradedC
 # ---------------------------------------------------------------------------
 
 
-def koszul_hilbert_series(
-    p: Poly, model: PolytopeModel, max_degree: Optional[int] = None
-) -> SpectrumSeries:
+def koszul_hilbert_series(p: Poly, model: PolytopeModel) -> SpectrumSeries:
     """Hilbert series of the graded quotient by pure linear algebra.
 
-    Walks the Newton values upward, computing each degree's quotient
-    dimension by row reduction, until the dimensions sum to the
-    normalized volume.  Makes no use of the box formula or the
-    generating-series oracle, so it serves as an independent check.
+    Row reduces each degree's block over the Newton values <= n: a block
+    only uses its own degree and the one below, and every exponent lies
+    in [0, n].  The mass must be the normalized volume, else
+    :class:`TruncationError`.  Uses neither the box formula nor the
+    oracle, so it serves as an independent check.
     """
     mu = model.normalized_volume()
-    n = model.n
-    cap = 8 * n if max_degree is None else max_degree
     leading = leading_classes(p, model)
-    bound = n
-    while bound <= cap:
-        monomials = model.points_by_value(bound)
-        dims: Dict[Fraction, int] = {}
-        for degree in sorted(monomials):
-            here = monomials[degree]
-            prev = monomials.get(degree - 1, [])
-            index = {m: i for i, m in enumerate(here)}
-            raw = _relation_rows(model, leading, prev, index, len(here))
-            _, pivots = linalg.rref(raw, len(here))
-            dim = len(here) - len(pivots)
-            if dim:
-                dims[degree] = dim
-        total = sum(dims.values())
-        if total == mu:
-            return SpectrumSeries(dims)
-        if total > mu:
-            # the relations left too much behind; no larger bound can shrink
-            # the low degrees again, so the nondegeneracy assumption failed
-            raise TruncationError(
-                f"quotient dimensions sum to {total} > volume {mu}; "
-                "the input looks Newton degenerate"
-            )
-        bound += 1
-    raise TruncationError(
-        f"Hilbert series did not reach mass {mu} below degree {cap}; "
-        "the input may be degenerate"
-    )
+    monomials = model.points_by_value(model.n)
+    dims: Dict[Fraction, int] = {}
+    for degree in sorted(monomials):
+        here = monomials[degree]
+        prev = monomials.get(degree - 1, [])
+        index = {m: i for i, m in enumerate(here)}
+        raw = _relation_rows(model, leading, prev, index, len(here))
+        _, pivots = linalg.rref(raw, len(here))
+        dim = len(here) - len(pivots)
+        if dim:
+            dims[degree] = dim
+    total = sum(dims.values())
+    if total != mu:
+        raise TruncationError(
+            f"quotient dimensions sum to {total}, not the volume {mu}; "
+            "the input looks Newton degenerate"
+        )
+    return SpectrumSeries(dims)

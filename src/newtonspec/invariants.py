@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional
+from typing import List
 
 from .ehrhart import (
     box_point_union,
@@ -22,13 +22,13 @@ from .ehrhart import (
 from .errors import NewtonSpecError
 from .graded import koszul_hilbert_series
 from .poly import Poly
-from .polytope import build_model
 from .series import SpectrumSeries
 from .spectrum import (
+    _restriction_models,
     boundary_lattice_points,
     milnor_number,
     spectrum_at_infinity,
-    toric_spectrum_box,
+    toric_spectrum,
     toric_spectrum_oracle,
 )
 
@@ -41,7 +41,7 @@ class CheckResult:
     skipped: bool = False
 
 
-def run_checks(p: Poly, max_truncation: Optional[int] = None) -> List[CheckResult]:
+def run_checks(p: Poly) -> List[CheckResult]:
     results: List[CheckResult] = []
 
     def add(name, ok, detail=""):
@@ -50,21 +50,22 @@ def run_checks(p: Poly, max_truncation: Optional[int] = None) -> List[CheckResul
     def skip(name, why):
         results.append(CheckResult(name, True, why, skipped=True))
 
-    model = build_model(p)
+    models = _restriction_models(p)
+    model = models[()]
     n = model.n
     mu = model.normalized_volume()
-    spectrum = toric_spectrum_oracle(model, max_truncation)
+    spectrum = toric_spectrum(model)
+    oracle = toric_spectrum_oracle(model)
 
     if model.simplicial_fan:
-        box = toric_spectrum_box(model)
-        add("box formula equals generating-series oracle", box == spectrum,
-            f"box {box} vs oracle {spectrum}")
+        add("box formula equals generating-series oracle", spectrum == oracle,
+            f"box {spectrum} vs oracle {oracle}")
     else:
         skip("box formula equals generating-series oracle", "fan not simplicial")
 
     koszul = koszul_hilbert_series(p, model)
-    add("oracle equals per-degree linear algebra", koszul == spectrum,
-        f"linear algebra {koszul} vs oracle {spectrum}")
+    add("oracle equals per-degree linear algebra", koszul == oracle,
+        f"linear algebra {koszul} vs oracle {oracle}")
 
     add("spectrum mass equals normalized volume", spectrum.eval_at_one() == mu,
         f"mass {spectrum.eval_at_one()} vs volume {mu}")
@@ -87,13 +88,13 @@ def run_checks(p: Poly, max_truncation: Optional[int] = None) -> List[CheckResul
         spectrum.coefficient(1) == boundary - n,
         f"coefficient {spectrum.coefficient(1)} vs {boundary} - {n}")
 
-    at_inf = spectrum_at_infinity(p, max_truncation)
+    at_inf = spectrum_at_infinity(p, _models=models)
     add("spectrum at infinity has positive exponents",
         all(e > 0 for e in at_inf.exponents()))
     add("spectrum at infinity is symmetric about n/2", at_inf.reflect(n) == at_inf,
         f"{at_inf} vs reflected {at_inf.reflect(n)}")
     try:
-        mu_f = milnor_number(p, max_truncation)
+        mu_f = milnor_number(p, _models=models, _at_infinity=at_inf)
         add("Milnor number routes agree", True, f"mu = {mu_f}")
     except NewtonSpecError as exc:
         add("Milnor number routes agree", False, str(exc))

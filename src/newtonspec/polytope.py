@@ -5,8 +5,8 @@ mode builds the Newton polyhedron of a power series, i.e. the region
 under the compact faces of the positive-orthant hull of the support.
 Both expose the same interface: level-one facet forms, the Newton
 function (max of the forms globally, min locally), the face lattice of
-the Newton boundary, half-open box points of simplex faces, normalized
-volumes and lattice-point counts.
+the Newton boundary and its pulling triangulation, half-open box points
+of simplices, normalized volumes and lattice-point counts.
 
 The hull is found by exhaustive enumeration: every hyperplane through n
 affinely independent input points is tested against all points.  That is
@@ -48,7 +48,7 @@ class FacetForm:
 
 @dataclass(frozen=True)
 class Face:
-    """A closed face of the Newton boundary.
+    """A closed face of the Newton boundary, or a simplex of its triangulation.
 
     ``dim`` is the affine dimension of the vertex set; the zero cone of
     the fan is represented by the special face with no vertices and
@@ -174,6 +174,12 @@ def _face_closure(vertex_sets: Sequence[frozenset]) -> set:
     return faces
 
 
+def _make_face(vertices: Sequence[Vec], vidx: Tuple[int, ...], dim: int) -> Face:
+    in_hyp = any(all(vertices[i][j] == 0 for i in vidx) for j in range(len(vertices[0])))
+    return Face(vertex_indices=vidx, dim=dim, in_coordinate_hyperplane=in_hyp,
+                is_simplex=len(vidx) == dim + 1)
+
+
 def _affine_dim(vectors: Sequence[Vec]) -> int:
     if len(vectors) <= 1:
         return 0
@@ -221,6 +227,7 @@ class PolytopeModel:
         self._box_cache: dict = {}
         self._census_height = -1
         self._census_groups: dict = {}
+        self._triangulation: Optional[Tuple[Face, ...]] = None
         self._volume: Optional[int] = None
 
     # -- Newton function ----------------------------------------------
@@ -293,17 +300,6 @@ class PolytopeModel:
             raise InternalCheckError(f"face lookup failed for {v}")
         return self.faces[idx]
 
-    # -- face lattice helpers -------------------------------------------
-
-    def face_children(self, face: Face) -> List[Face]:
-        """Faces one dimension below ``face`` contained in it."""
-        vset = frozenset(face.vertex_indices)
-        return [
-            f
-            for f in self.faces
-            if f.dim == face.dim - 1 and frozenset(f.vertex_indices) <= vset
-        ]
-
     # -- box points -----------------------------------------------------
 
     def box_points(self, face: Face) -> List[BoxPoint]:
@@ -369,43 +365,72 @@ class PolytopeModel:
         self._box_cache[key] = out
         return out
 
-    # -- volumes and lattice counts --------------------------------------
+    # -- triangulation, volumes and lattice counts ----------------------
 
-    def _triangulate(self, face: Face, memo) -> List[Tuple[int, ...]]:
-        key = face.vertex_indices
-        if key in memo:
-            return memo[key]
-        if face.is_simplex:
-            memo[key] = [face.vertex_indices]
-            return memo[key]
-        apex = face.vertex_indices[0]
-        simplices = []
-        for child in self.face_children(face):
-            if apex in child.vertex_indices:
-                continue
-            for tri in self._triangulate(child, memo):
-                simplices.append((apex,) + tri)
-        memo[key] = simplices
-        return simplices
+    def _top_simplices(self) -> List[Tuple[int, ...]]:
+        """Top-dimensional simplices of the pulling triangulation.
+
+        A face that is not a simplex is coned from its first vertex over
+        the pieces of its children that miss that vertex.  The cut of a
+        face depends on that face alone, so adjacent facets meet in
+        common simplices.
+        """
+        memo: dict = {}
+
+        def pull(face: Face) -> List[Tuple[int, ...]]:
+            vidx = face.vertex_indices
+            if vidx not in memo:
+                if face.is_simplex:
+                    memo[vidx] = [vidx]
+                else:
+                    vset = frozenset(vidx)
+                    memo[vidx] = [
+                        (vidx[0],) + piece
+                        for child in self.faces
+                        if child.dim == face.dim - 1
+                        and vidx[0] not in child.vertex_indices
+                        and vset.issuperset(child.vertex_indices)
+                        for piece in pull(child)
+                    ]
+            return memo[vidx]
+
+        return sorted({
+            piece
+            for ff in self.facets
+            for piece in pull(self.faces[self._face_index[frozenset(ff.vertex_indices)]])
+        })
+
+    def triangulation(self) -> Tuple[Face, ...]:
+        """Every face of every top simplex of the pulling triangulation of
+        the Newton boundary, sorted by dimension and then vertices.  Each
+        vertex sits at level one and nu is linear on the cone over each.
+        """
+        if self._triangulation is None:
+            simplices = {
+                sub
+                for piece in self._top_simplices()
+                for k in range(1, len(piece) + 1)
+                for sub in itertools.combinations(piece, k)
+            }
+            self._triangulation = tuple(
+                _make_face(self.vertices, s, len(s) - 1)
+                for s in sorted(simplices, key=lambda s: (len(s), s))
+            )
+        return self._triangulation
 
     def normalized_volume(self) -> int:
         """n! times the volume of the model region (an integer).
 
-        Computed by triangulating every Newton-boundary facet by fanning
-        from its first vertex and summing |det| over the resulting
-        simplices, i.e. over the pyramids with apex at the origin.
+        The sum of |det| over the top-dimensional simplices of
+        :meth:`triangulation`, i.e. over the pyramids with apex at the
+        origin.
         """
-        if self._volume is not None:
-            return self._volume
-        memo: dict = {}
-        total = 0
-        for fi, ff in enumerate(self.facets):
-            face = self.faces[self._face_index[frozenset(ff.vertex_indices)]]
-            for tri in self._triangulate(face, memo):
-                rows = [list(self.vertices[i]) for i in tri]
-                total += abs(linalg.int_det(rows))
-        self._volume = total
-        return total
+        if self._volume is None:
+            self._volume = sum(
+                abs(linalg.int_det([list(self.vertices[i]) for i in piece]))
+                for piece in self._top_simplices()
+            )
+        return self._volume
 
     def _census(self, height: int) -> dict:
         """Lattice points with nu(v) <= height, as {value: points}.
@@ -545,17 +570,7 @@ def build_model(p: Poly) -> PolytopeModel:
     faces = []
     for wset in sorted(nb_faces_sets, key=lambda s: (len(s), tuple(sorted(s)))):
         vidx = tuple(sorted(wset))
-        vecs = [vertices[i] for i in vidx]
-        dim = _affine_dim(vecs)
-        in_hyp = any(all(v[j] == 0 for v in vecs) for j in range(n))
-        faces.append(
-            Face(
-                vertex_indices=vidx,
-                dim=dim,
-                in_coordinate_hyperplane=in_hyp,
-                is_simplex=len(vidx) == dim + 1,
-            )
-        )
+        faces.append(_make_face(vertices, vidx, _affine_dim([vertices[i] for i in vidx])))
     faces.sort(key=lambda f: (f.dim, f.vertex_indices))
 
     zero_cone = Face(

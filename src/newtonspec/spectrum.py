@@ -1,16 +1,12 @@
 """Toric Newton spectrum, spectrum at infinity, Milnor numbers.
 
-Two independent routes compute the toric Newton spectrum of a convenient
-nondegenerate polynomial from its polytope model:
-
-* the box formula: a signed sum of half-open-parallelepiped weight
-  polynomials over the faces of the Newton boundary not contained in
-  coordinate hyperplanes (needs those faces to be simplices), and
-* the generating-series oracle: (1-z)^n times the lattice sum of
-  z^{nu(v)} over the points with nu(v) <= n + 1.  The coefficient at z^e
-  of that product only uses Newton values <= e, so it is exact for every
-  e <= n + 1, and every spectrum exponent lies in [0, n]: one lattice
-  scan gives the whole spectrum.
+The toric Newton spectrum comes from the box formula, summed over the
+simplices of the pulling triangulation of the Newton boundary that lie
+outside the coordinate hyperplanes.  nu is linear on the cone over each
+simplex and every vertex sits at level one, so the formula holds on any
+fan (Stapledon's weighted Ehrhart theory).  The generating-series
+oracle, (1-z)^n times the sum of z^{nu(v)} over the lattice points with
+nu(v) <= n + 1, is an independent check run by ``check`` and the tests.
 
 The spectrum at infinity (global mode) and the local singularity
 spectrum (local mode) follow by inclusion-exclusion over coordinate
@@ -22,42 +18,33 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from .errors import MismatchError, NotSimplicialError, TruncationError
+from .errors import MismatchError, TruncationError
 from .poly import Poly, restrict
 from .polytope import PolytopeModel, build_model
 from .series import SpectrumSeries, z_minus_one_pow
 
 
 def toric_spectrum_box(model: PolytopeModel) -> SpectrumSeries:
-    """Toric Newton spectrum via box points of Newton-boundary faces.
+    """Toric Newton spectrum via box points of the boundary triangulation.
 
-    Sums (z-1)^(n-1-dim F) * sum_{v in Box(F)} z^{nu(v)} over the faces F
-    of the Newton boundary not contained in a coordinate hyperplane.
+    Sums (z-1)^(n-1-dim S) * sum_{v in Box(S)} z^{nu(v)} over the
+    simplices S of the triangulation not contained in a coordinate
+    hyperplane.
     """
-    bad = [
-        model.faces[i].vertex_indices
-        for i in model.f_of_p
-        if not model.faces[i].is_simplex
-    ]
-    if bad:
-        raise NotSimplicialError(
-            f"non-simplex face(s) {bad} prevent the box formula; use the oracle"
-        )
     total = SpectrumSeries()
     n = model.n
-    for i in model.f_of_p:
-        face = model.faces[i]
-        weight = z_minus_one_pow(n - 1 - face.dim)
-        box_sum = SpectrumSeries((bp.nu, 1) for bp in model.box_points(face))
+    for simplex in model.triangulation():
+        if simplex.in_coordinate_hyperplane:
+            continue
+        weight = z_minus_one_pow(n - 1 - simplex.dim)
+        box_sum = SpectrumSeries((bp.nu, 1) for bp in model.box_points(simplex))
         total = total + weight * box_sum
     return total
 
 
-def toric_spectrum_oracle(
-    model: PolytopeModel, max_truncation: Optional[int] = None
-) -> SpectrumSeries:
+def toric_spectrum_oracle(model: PolytopeModel) -> SpectrumSeries:
     """Toric Newton spectrum via the truncated generating series.
 
     Computes (1-z)^n * sum_{nu(v) <= T} z^{nu(v)} at T = n + 1 and keeps
@@ -65,15 +52,10 @@ def toric_spectrum_oracle(
     e - j for j = 0..n, all <= e, so every kept coefficient equals that of
     the full lattice sum; as all exponents lie in [0, n], the kept part is
     the exact spectrum.  It must be nonnegative with mass equal to the
-    normalized volume.  A ``max_truncation`` below n + 1 cannot hold the
-    scan and raises :class:`TruncationError`, as does a failed mass check.
+    normalized volume, or :class:`TruncationError` is raised.
     """
     n = model.n
     t = n + 1
-    if max_truncation is not None and max_truncation < t:
-        raise TruncationError(
-            f"the exact scan needs truncation {t}, above the cap {max_truncation}"
-        )
     mu = model.normalized_volume()
     partial = SpectrumSeries(model.value_histogram(t))
     kept = partial.mul_one_minus_z_pow(n).truncate_above(t)
@@ -84,17 +66,14 @@ def toric_spectrum_oracle(
     return kept
 
 
-def toric_spectrum(
-    model: PolytopeModel, max_truncation: Optional[int] = None
-) -> Tuple[SpectrumSeries, str]:
-    """The spectrum together with the route used ('box' or 'oracle')."""
-    if all(model.faces[i].is_simplex for i in model.f_of_p):
-        return toric_spectrum_box(model), "box"
-    return toric_spectrum_oracle(model, max_truncation), "oracle"
+def toric_spectrum(model: PolytopeModel) -> SpectrumSeries:
+    """The toric Newton spectrum, by the box formula."""
+    return toric_spectrum_box(model)
 
 
 def _restriction_models(p: Poly) -> Dict[tuple, PolytopeModel]:
-    """Models of every proper coordinate restriction, keyed by zero set."""
+    """Models of every proper coordinate restriction, keyed by zero set;
+    the empty zero set keys the model of p itself."""
     models = {}
     for size in range(p.nvars):
         for subset in itertools.combinations(range(p.nvars), size):
@@ -103,9 +82,7 @@ def _restriction_models(p: Poly) -> Dict[tuple, PolytopeModel]:
 
 
 def spectrum_at_infinity(
-    p: Poly,
-    max_truncation: Optional[int] = None,
-    _models: Optional[Dict[tuple, PolytopeModel]] = None,
+    p: Poly, _models: Optional[Dict[tuple, PolytopeModel]] = None
 ) -> SpectrumSeries:
     """Spectrum at infinity (global) or local singularity spectrum (local).
 
@@ -115,22 +92,28 @@ def spectrum_at_infinity(
     models = _restriction_models(p) if _models is None else _models
     total = SpectrumSeries()
     for subset, model in models.items():
-        term = toric_spectrum(model, max_truncation)[0]
-        total = total + term * ((-1) ** len(subset))
+        total = total + toric_spectrum(model) * ((-1) ** len(subset))
     total = total + SpectrumSeries.one() * ((-1) ** p.nvars)
     return total
 
 
-def milnor_number(p: Poly, max_truncation: Optional[int] = None) -> int:
+def milnor_number(
+    p: Poly,
+    _models: Optional[Dict[tuple, PolytopeModel]] = None,
+    _at_infinity: Optional[SpectrumSeries] = None,
+) -> int:
     """Milnor number by two independent routes that must agree.
 
     (a) the mass of the spectrum at infinity / local spectrum and
     (b) the alternating sum of normalized volumes of the coordinate
     restrictions (the classical volume formula), with the empty
-    restriction counting 1.
+    restriction counting 1.  A caller that already holds the restriction
+    models and the spectrum at infinity of p passes them in.
     """
-    models = _restriction_models(p)
-    via_spectrum = spectrum_at_infinity(p, max_truncation, _models=models).eval_at_one()
+    models = _restriction_models(p) if _models is None else _models
+    if _at_infinity is None:
+        _at_infinity = spectrum_at_infinity(p, _models=models)
+    via_spectrum = _at_infinity.eval_at_one()
     via_volumes = (-1) ** p.nvars
     for subset, model in models.items():
         via_volumes += (-1) ** len(subset) * model.normalized_volume()

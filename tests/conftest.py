@@ -1,9 +1,10 @@
 """Shared fixtures: the worked examples and a randomized corpus.
 
 The corpus fixture computes every route once per entry (model, box
-formula where available, generating-series oracle, per-degree linear
-algebra, spectrum at infinity, Milnor number, delta-vectors, orbifold
-dimensions) so the cross-route and property tests can share the work.
+formula, generating-series oracle, per-degree linear algebra, spectrum
+at infinity, Milnor number, delta-vectors, orbifold dimensions where the
+fan is simplicial) so the cross-route and property tests can share the
+work.
 """
 
 import random
@@ -72,7 +73,7 @@ class CorpusEntry:
     mu: int
     oracle: SpectrumSeries
     koszul: SpectrumSeries
-    box: Optional[SpectrumSeries]
+    box: SpectrumSeries
     orbifold: Optional[SpectrumSeries]
     at_infinity: SpectrumSeries
     milnor: int
@@ -83,9 +84,8 @@ class CorpusEntry:
 def _compute_entry(p: Poly) -> CorpusEntry:
     model = build_model(p)
     oracle = toric_spectrum_oracle(model)
-    box = orbifold = None
+    orbifold = None
     if model.simplicial_fan:
-        box = toric_spectrum_box(model)
         orbifold = orbifold_dimensions(model)
     return CorpusEntry(
         poly=p,
@@ -93,7 +93,7 @@ def _compute_entry(p: Poly) -> CorpusEntry:
         mu=model.normalized_volume(),
         oracle=oracle,
         koszul=koszul_hilbert_series(p, model),
-        box=box,
+        box=toric_spectrum_box(model),
         orbifold=orbifold,
         at_infinity=spectrum_at_infinity(p),
         milnor=milnor_number(p),

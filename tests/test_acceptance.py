@@ -24,7 +24,6 @@ from newtonspec import (
     spectrum_at_infinity,
     toric_spectrum,
     toric_spectrum_box,
-    toric_spectrum_oracle,
 )
 from newtonspec.cli import main as cli_main
 from newtonspec.ehrhart import box_point_union
@@ -48,7 +47,7 @@ def report(k, detail=""):
 def test_criterion_1_square_example(square_poly, square_model):
     """Toric spectrum, volume, spectrum at infinity and Milnor number of
     the two-variable square example."""
-    spectrum, _ = toric_spectrum(square_model)
+    spectrum = toric_spectrum(square_model)
     assert spectrum == series(*SQUARE_SPECTRUM), "criterion 1: toric spectrum"
     assert square_model.normalized_volume() == 8, "criterion 1: mu_P"
     assert spectrum_at_infinity(square_poly) == series(*SQUARE_AT_INFINITY), (
@@ -61,7 +60,7 @@ def test_criterion_1_square_example(square_poly, square_model):
 def test_criterion_2_threed_example(threed_poly, threed_model):
     """Three-variable example: spectra, masses and the four individual
     box-point contributions."""
-    spectrum, _ = toric_spectrum(threed_model)
+    spectrum = toric_spectrum(threed_model)
     assert spectrum == series(*THREED_SPECTRUM), "criterion 2: toric spectrum"
     assert threed_model.normalized_volume() == 12, "criterion 2: mu_P"
     assert spectrum_at_infinity(threed_poly) == series(*THREED_AT_INFINITY), (
@@ -112,14 +111,14 @@ def test_criterion_4_simplex_families():
     for n in (1, 2, 3, 4):
         p = parse_polynomial(" + ".join(f"u{i}" for i in range(1, n + 1)))
         m = build_model(p)
-        spectrum, _ = toric_spectrum(m)
+        spectrum = toric_spectrum(m)
         assert spectrum == series(("0", 1)), f"criterion 4: simplex n={n}"
         assert delta_from_counts(m).entries == (1,) + (0,) * n
 
     for c in (2, 3, 5):
         p = parse_polynomial(f"u1 + u2 + u3^{c}")
         m = build_model(p)
-        spectrum, _ = toric_spectrum(m)
+        spectrum = toric_spectrum(m)
         want = series(*((Fraction(i, c), 1) for i in range(c)))
         assert spectrum == want, f"criterion 4: c={c} spectrum"
         delta = delta_from_spectrum(spectrum, 3)
@@ -141,7 +140,7 @@ def test_criterion_5_local_quintic(quintic_poly, quintic_model):
     """The local quintic: Milnor numbers, both spectra, delta, Ehrhart."""
     assert milnor_number(quintic_poly) == 11, "criterion 5: mu_0"
     assert quintic_model.normalized_volume() == 20, "criterion 5: mu_P"
-    spectrum, _ = toric_spectrum(quintic_model)
+    spectrum = toric_spectrum(quintic_model)
     assert spectrum == series(*QUINTIC_SPECTRUM), "criterion 5: local toric spectrum"
     assert spectrum.eval_at_one() == 20
     assert spectrum_at_infinity(quintic_poly) == series(*QUINTIC_AT_INFINITY), (
@@ -166,16 +165,16 @@ def test_criterion_6_oracle_triangle(corpus):
         assert entry.oracle == entry.koszul, (
             f"criterion 6: oracle vs linear algebra on {entry.poly}"
         )
-        if entry.box is not None:
+        assert entry.box == entry.oracle, (
+            f"criterion 6: box vs oracle on {entry.poly}"
+        )
+        if entry.model.simplicial_fan:
             simplicial += 1
-            assert entry.box == entry.oracle, (
-                f"criterion 6: box vs oracle on {entry.poly}"
-            )
         else:
             non_simplicial += 1
-    assert non_simplicial >= 1, "criterion 6: corpus must exercise the oracle fallback"
+    assert non_simplicial >= 1, "criterion 6: corpus must exercise non-simplicial fans"
     report(6, f"({len(corpus)} supports: {simplicial} simplicial, "
-              f"{non_simplicial} oracle-only)")
+              f"{non_simplicial} non-simplicial)")
 
 
 def test_criterion_7_property_suite(corpus):
@@ -219,15 +218,8 @@ def test_criterion_8_degenerate_handling(capsys):
     err = capsys.readouterr().err
     assert code == 1 and "constant" in err, "criterion 8: local constant term"
 
-    code = cli_main(
-        ["spectrum", "--max-truncation", "2", "u + 2*v + 3*u*w + 5*v*w + 7*w^2"]
-    )
+    code = cli_main(["check", "u + v + u*w + v*w + w^2"])
     out = capsys.readouterr()
-    assert code == 2, "criterion 8: truncation cap exit code"
+    assert code == 2, "criterion 8: Newton-degenerate input exit code"
     assert out.out == "", "criterion 8: no wrong answer printed"
-
-    # with an adequate cap the same input succeeds and stays correct
-    p = parse_polynomial("u + 2*v + 3*u*w + 5*v*w + 7*w^2")
-    m = build_model(p)
-    assert toric_spectrum_oracle(m).eval_at_one() == m.normalized_volume()
     report(8, "(rejections and exit codes)")

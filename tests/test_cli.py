@@ -135,16 +135,35 @@ def test_threads_option_is_gone(capsys):
     assert code == 1
 
 
-def test_truncation_cap_exit_code(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "spectrum",
-        "--max-truncation",
-        "2",
-        "u + 2*v + 3*u*w + 5*v*w + 7*w^2",
-    )
+def test_max_truncation_option_is_gone(capsys):
+    code, _, _ = run_cli(capsys, "spectrum", "--max-truncation", "2", "u + v")
+    assert code == 1
+
+
+def test_non_simplicial_spectrum_uses_box_route(capsys):
+    code, out, _ = run_cli(capsys, "spectrum", "u + 2*v + 3*u*w + 5*v*w + 7*w^2")
+    assert code == 0
+    assert out.splitlines() == ["1 + z^{1/2} + 2 z", "route: box", "mu_P: 4"]
+
+
+def test_overflow_exits_2_with_message(capsys):
+    code, out, err = run_cli(capsys, "spectrum", "u^99999999999999999999")
     assert code == 2
-    assert "truncation" in err
+    assert out == ""
+    assert "too large" in err and "OverflowError" in err
+
+
+def test_memory_error_exits_2_with_message(capsys, monkeypatch):
+    import newtonspec.cli as cli
+
+    def exhausted(model):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "toric_spectrum", exhausted)
+    code, out, err = run_cli(capsys, "spectrum", "u + v")
+    assert code == 2
+    assert out == ""
+    assert "too large" in err and "MemoryError" in err
 
 
 def test_check_passes_on_examples(capsys):

@@ -1,10 +1,17 @@
 """Spectrum routes, the inclusion-exclusion series and Milnor numbers."""
 
+import random
+from datetime import timedelta
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newtonspec import (
+    GLOBAL,
     LOCAL,
-    NotSimplicialError,
+    Poly,
     SpectrumSeries,
     TruncationError,
     boundary_lattice_points,
@@ -41,10 +48,12 @@ def test_box_formula_local_quintic(quintic_model):
     assert toric_spectrum_box(quintic_model) == series(*QUINTIC_SPECTRUM)
 
 
-def test_box_formula_rejects_non_simplicial():
+def test_box_formula_non_simplicial():
+    # the square face u, v, u*w, v*w is cut in two by the triangulation
     m = build_model(parse_polynomial("u + 2*v + 3*u*w + 5*v*w + 7*w^2"))
-    with pytest.raises(NotSimplicialError):
-        toric_spectrum_box(m)
+    assert not m.simplicial_fan
+    assert toric_spectrum_box(m) == toric_spectrum_oracle(m)
+    assert toric_spectrum_box(m) == series(("0", 1), ("1/2", 1), ("1", 2))
 
 
 def test_oracle_square(square_model):
@@ -61,29 +70,16 @@ def test_oracle_weighted_simplex():
     assert toric_spectrum_oracle(m) == series(("0", 1), ("1/3", 1), ("2/3", 1))
 
 
-def test_oracle_truncation_cap():
-    m = build_model(parse_polynomial("u^2 + u^2*v^2 + v^2"))
-    with pytest.raises(TruncationError):
-        toric_spectrum_oracle(m, max_truncation=2)
-
-
 def test_oracle_is_exact_at_scan_height(corpus):
     for entry in corpus:
-        if entry.box is None:
-            continue
-        n = entry.model.n
-        assert toric_spectrum_oracle(entry.model, max_truncation=n + 1) == entry.box
-        with pytest.raises(TruncationError):
-            toric_spectrum_oracle(entry.model, max_truncation=n)
+        assert toric_spectrum_oracle(entry.model) == entry.box
 
 
-def test_dispatcher_reports_route(square_model):
-    s, route = toric_spectrum(square_model)
-    assert route == "box"
+def test_toric_spectrum_is_the_box_route_on_any_fan(square_model):
+    assert toric_spectrum(square_model) == toric_spectrum_oracle(square_model)
     m = build_model(parse_polynomial("u + 2*v + 3*u*w + 5*v*w + 7*w^2"))
-    s2, route2 = toric_spectrum(m)
-    assert route2 == "oracle"
-    assert s2.eval_at_one() == m.normalized_volume()
+    assert toric_spectrum(m) == toric_spectrum_oracle(m)
+    assert toric_spectrum(m).eval_at_one() == m.normalized_volume()
 
 
 def test_spectrum_at_infinity_square(square_poly):
@@ -125,8 +121,7 @@ def test_local_spectrum_cancels_axis_contributions(quintic_poly):
 def test_routes_agree_on_corpus(corpus):
     for entry in corpus:
         assert entry.oracle == entry.koszul
-        if entry.box is not None:
-            assert entry.box == entry.oracle
+        assert entry.box == entry.oracle
 
 
 def test_spectrum_mass_on_corpus(corpus):
@@ -166,3 +161,28 @@ def test_degenerate_input_detected():
     m = build_model(p)
     with pytest.raises(TruncationError):
         koszul_hilbert_series(p, m)
+
+
+@st.composite
+def convenient_polys(draw):
+    """Convenient supports in n <= 3 variables, exponents <= 4, global or
+    local, with random coefficients so the input is Newton nondegenerate."""
+    n = draw(st.integers(1, 3))
+    mode = draw(st.sampled_from([GLOBAL, LOCAL]))
+    support = set()
+    for i in range(n):
+        support.add(tuple(draw(st.integers(1, 4)) if j == i else 0 for j in range(n)))
+    extra = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=n + 1))
+    support.update(v for v in extra if any(v))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    terms = {v: Fraction(rng.randint(1, 999983)) for v in sorted(support)}
+    return Poly(names=tuple("uvw"[:n]), terms=terms, mode=mode)
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=20))
+@given(convenient_polys())
+def test_routes_agree_on_random_supports(p):
+    m = build_model(p)
+    box = toric_spectrum_box(m)
+    assert box == toric_spectrum_oracle(m)
+    assert box == koszul_hilbert_series(p, m)
