@@ -1,9 +1,13 @@
-"""Exact linear algebra on small dense rational matrices.
+"""Exact linear algebra on small dense matrices.
 
-Everything here works on lists of lists of ``fractions.Fraction`` (or
+Two kinds of kernel live here.  ``rank``, ``nullspace_vector`` and
+``int_det`` take integer matrices and stay in the integers: they use
+Bareiss's fraction-free elimination, in which every entry is a minor of
+the input and each division is exact.  ``rref`` and ``solve_unique``
+work over the rationals, on lists of lists of ``fractions.Fraction`` (or
 ints, which Fraction arithmetic absorbs).  The matrices involved are
-tiny -- n is the number of variables of the input polynomial -- so plain
-Gaussian elimination is both exact and fast enough.
+tiny -- n is the number of variables of the input polynomial -- so
+plain dense elimination is both exact and fast enough.
 """
 
 from fractions import Fraction
@@ -42,19 +46,63 @@ def rref(rows, ncols):
     return work[:row_at], pivot_cols
 
 
+def _bareiss(rows, ncols, above):
+    """Fraction-free elimination of integer rows, pivots chosen as in rref.
+
+    Returns ``(pivot_rows, pivot_cols, d)``.  Every row below a pivot is
+    cleared in its column; with ``above`` the rows above are cleared too
+    (fraction-free Gauss-Jordan), and then each pivot entry equals ``d``,
+    up to sign the minor on the pivot rows and columns, and ``pivot_rows``
+    is d times the reduced row echelon form.
+    """
+    work = [list(r) for r in rows]
+    nrows = len(work)
+    pivot_cols = []
+    prev = 1
+    row_at = 0
+    for col in range(ncols):
+        for pivot_row in range(row_at, nrows):
+            if work[pivot_row][col]:
+                break
+        else:
+            continue
+        work[row_at], work[pivot_row] = work[pivot_row], work[row_at]
+        prow = work[row_at]
+        p = prow[col]
+        for i in range(0 if above else row_at + 1, nrows):
+            if i != row_at:
+                f = work[i][col]
+                work[i] = [(a * p - f * b) // prev for a, b in zip(work[i], prow)]
+        prev = p
+        pivot_cols.append(col)
+        row_at += 1
+    return work[:row_at], pivot_cols, prev
+
+
 def rank(rows, ncols):
-    return len(rref(rows, ncols)[1])
+    """Rank of an integer matrix, by fraction-free elimination.
+
+    Every caller (the full-dimension check of ``build_model``, affine
+    dimensions of faces and the row choice of ``box_points``) passes
+    integer rows.
+    """
+    return len(_bareiss(rows, ncols, above=False)[1])
 
 
 def nullspace_vector(rows, ncols):
-    """A nonzero kernel vector when the kernel is one-dimensional, else None."""
-    reduced, pivots = rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
-    if len(free) != 1:
+    """An integer kernel vector of integer rows when the kernel is
+    one-dimensional, else None.
+
+    The vector is d times the one ``rref`` gives (free entry d, pivot
+    entries minus the reduced rows' free column), where d is the pivot
+    minor of the fraction-free Gauss-Jordan form.
+    """
+    reduced, pivots, d = _bareiss(rows, ncols, above=True)
+    if len(pivots) != ncols - 1:
         return None
-    f = free[0]
-    vec = [Fraction(0)] * ncols
-    vec[f] = Fraction(1)
+    f = next(c for c in range(ncols) if c not in pivots)
+    vec = [0] * ncols
+    vec[f] = d
     for row, p in zip(reduced, pivots):
         vec[p] = -row[f]
     return vec

@@ -11,7 +11,11 @@ of simplices, normalized volumes and lattice-point counts.
 The hull is found by exhaustive enumeration: every hyperplane through n
 affinely independent input points is tested against all points.  That is
 quadratic-ish and perfectly exact, which is the right trade at the
-intended scale (n <= 6, a few dozen support points).
+intended scale (n <= 6, a few dozen support points).  The scan stays in
+the integers: each hyperplane's normal is a fraction-free integer kernel
+vector, its level and side tests are integer dot products, and a facet
+is keyed by its primitive integer (normal, level).  Only the level-one
+facet forms of the model are rational.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
+from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -84,28 +89,20 @@ class _HullFacet:
     __slots__ = ("normal", "level", "contact", "vertex_set")
 
     def __init__(self, normal, level, contact):
-        self.normal = normal          # tuple[Fraction], outward: <h, x> <= level
-        self.level = level            # Fraction
+        self.normal = normal          # tuple[int], outward: <h, x> <= level
+        self.level = level            # int; (normal, level) is primitive
         self.contact = contact        # frozenset of point indices on the facet
         self.vertex_set = None        # filled in once hull vertices are known
 
 
-def _canonical_key(normal, level):
-    nums = list(normal) + [level]
-    scale = 1
-    for x in nums:
-        scale = scale * x.denominator // gcd(scale, x.denominator)
-    ints = [int(x * scale) for x in nums]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
-
-
 def _enumerate_facets(points: Sequence[Vec], n: int) -> List[_HullFacet]:
-    """All facets of conv(points), with outward normals and contact sets."""
+    """All facets of conv(points), with outward normals and contact sets.
+
+    Every n-subset of the points spans a candidate hyperplane <h, x> = c
+    with h an integer kernel vector; it is a facet when all points lie on
+    one side.  Facets are keyed and sorted by the primitive integer vector
+    (h, c) / gcd(c, *h).
+    """
     facets = {}
     npts = len(points)
     for subset in itertools.combinations(range(npts), n):
@@ -116,33 +113,21 @@ def _enumerate_facets(points: Sequence[Vec], n: int) -> List[_HullFacet]:
         h = linalg.nullspace_vector(rows, n)
         if h is None:
             continue
-        h = tuple(h)
-        c = Fraction(sum(hj * bj for hj, bj in zip(h, base)))
-        above = below = False
-        for p in points:
-            val = sum(hj * pj for hj, pj in zip(h, p))
-            if val > c:
-                above = True
-            elif val < c:
-                below = True
-            if above and below:
-                break
-        if above and below:
-            continue
-        if above:
-            h = tuple(-x for x in h)
-            c = -c
-        elif not below:
+        c = sum(map(mul, h, base))
+        vals = [sum(map(mul, h, p)) for p in points]
+        if max(vals) > c:
+            if min(vals) < c:
+                continue
+            g = -gcd(c, *h)   # flip h so that every point has <h, p> <= c
+        elif min(vals) < c:
+            g = gcd(c, *h)
+        else:
             continue  # all points on one hyperplane; not full-dimensional
-        key = _canonical_key(h, c)
+        key = tuple(x // g for x in h) + (c // g,)
         if key in facets:
             continue
-        contact = frozenset(
-            i
-            for i, p in enumerate(points)
-            if sum(hj * pj for hj, pj in zip(h, p)) == c
-        )
-        facets[key] = _HullFacet(h, c, contact)
+        contact = frozenset(i for i, v in enumerate(vals) if v == c)
+        facets[key] = _HullFacet(key[:-1], key[-1], contact)
     return [facets[k] for k in sorted(facets)]
 
 
@@ -539,7 +524,7 @@ def build_model(p: Poly) -> PolytopeModel:
         else:
             if c >= 0:
                 raise InternalCheckError("compact facet with outward level >= 0")
-        u = tuple(h / c for h in hf.normal)
+        u = tuple(Fraction(h, c) for h in hf.normal)
         if p.mode == LOCAL and any(x <= 0 for x in u):
             raise InternalCheckError("compact facet without strictly positive normal")
         normals.append(u)

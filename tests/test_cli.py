@@ -119,6 +119,17 @@ def test_local_constant_exit_code(capsys):
     assert "constant term" in err
 
 
+@pytest.mark.parametrize("command", [
+    "spectrum", "spec-infinity", "milnor", "delta", "ehrhart",
+    "orbifold", "product-table", "volume", "check",
+])
+def test_constant_input_exit_code(capsys, command):
+    code, out, err = run_cli(capsys, command, "1")
+    assert code == 1
+    assert out == ""
+    assert "no variables" in err
+
+
 def test_syntax_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "spectrum", "u^^2")
     assert code == 1

@@ -1,16 +1,22 @@
 """Polytope models: facets, faces, cones, boxes, volumes, counts."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from newtonspec import (
+    GLOBAL,
     LOCAL,
     NotSimplexError,
+    Poly,
     build_model,
+    linalg,
     parse_polynomial,
+    polytope,
 )
 
 
@@ -263,3 +269,62 @@ def test_model_json_dump(square_model):
     assert {"u_F": ["1/2", "0"], "vertices": [1, 2]} in payload["facets"]
     for face in payload["faces"]:
         assert set(face) == {"vertices", "dim", "in_F_of_P", "simplex"}
+
+
+# Supports in 4 and 5 variables (global) and 3 and 4 variables (local),
+# with the sha256 of build_model(p).to_json() dumped with sorted keys:
+# facet order, normals and faces are pinned, not only the volume.
+PINNED_HULLS = [
+    (GLOBAL, [(0, 0, 0, 4), (0, 0, 2, 0), (0, 1, 1, 4), (0, 2, 0, 0), (1, 4, 3, 0),
+              (3, 0, 0, 0), (3, 0, 0, 1), (3, 1, 1, 4), (3, 3, 2, 2), (4, 1, 1, 2)],
+     "6640da4dd1799575bcca4ae69bf3fc6c98668a14dd44194baa2cdb0a20348974"),
+    (GLOBAL, [(0, 0, 0, 3), (0, 0, 2, 0), (0, 3, 0, 0), (0, 3, 3, 3), (2, 0, 0, 0),
+              (2, 0, 2, 1), (2, 2, 1, 2), (2, 2, 3, 3), (2, 3, 2, 0), (3, 1, 3, 1),
+              (3, 2, 1, 1), (3, 2, 3, 0)],
+     "b82f698538dd61a1d8f6addab0da5b8e773f05b0efbc48b58b12bf0e3a2bfd0d"),
+    (GLOBAL, [(0, 0, 0, 3), (0, 0, 3, 0), (0, 2, 0, 4), (0, 4, 0, 0), (0, 4, 3, 4),
+              (1, 0, 3, 0), (2, 0, 0, 0), (2, 1, 4, 3), (4, 3, 1, 1)],
+     "1a74da8f9bd5ce25847374796c5a927558536b4e65777957096c53ebb7b54776"),
+    (GLOBAL, [(0, 0, 0, 0, 2), (0, 0, 0, 3, 0), (0, 0, 1, 0, 3), (0, 0, 3, 0, 0),
+              (0, 3, 0, 0, 0), (0, 3, 0, 3, 1), (2, 0, 0, 0, 0), (3, 2, 1, 1, 3),
+              (3, 2, 2, 0, 1)],
+     "e0a734d2a6f45c1a8585fc6d81ca9f0d98b99062d44524d4f409e8f7fe3807e5"),
+    (GLOBAL, [(0, 0, 0, 0, 2), (0, 0, 0, 2, 0), (0, 0, 2, 0, 0), (0, 1, 0, 0, 1),
+              (0, 2, 0, 0, 0), (0, 2, 1, 0, 2), (0, 2, 2, 2, 0), (1, 2, 0, 1, 1),
+              (2, 0, 0, 0, 0), (2, 1, 0, 0, 2)],
+     "4145f43ffb532cf1cd9eef36ed00c3e77f9c2dd8de0a0c08ee192a8823be48d7"),
+    (LOCAL, [(0, 0, 5), (0, 2, 3), (0, 7, 0), (1, 1, 1), (1, 3, 1), (2, 2, 0), (4, 0, 0)],
+     "a3763b1eb57134b81b23a0d1319f122f6df3a32df2ac130e2f7cde545ec51cab"),
+    (LOCAL, [(0, 0, 5), (0, 1, 2), (0, 2, 1), (0, 7, 0), (1, 0, 1), (1, 0, 2), (2, 2, 2),
+             (7, 0, 0)],
+     "e94d85762a793d3316a9b45b7843b32f4e1902d2fd2d3ae9c9b02c9f79eedfc3"),
+    (LOCAL, [(0, 0, 0, 4), (0, 0, 5, 0), (0, 4, 0, 0), (2, 0, 1, 1), (2, 0, 1, 2),
+             (2, 2, 0, 0), (2, 2, 0, 1), (4, 0, 0, 0)],
+     "e98f6966647c2b99562dedda48be286d5575cc58838ecb871791d82d6a5d02b0"),
+    (LOCAL, [(0, 0, 0, 6), (0, 0, 4, 0), (0, 4, 0, 0), (2, 0, 0, 2), (2, 0, 2, 1),
+             (2, 1, 2, 2), (4, 0, 0, 0)],
+     "b4fb5f5b68e48abba15dde3ca150a7c7e446a601cc5f43acb5cd5d7a48d88f91"),
+]
+
+
+@pytest.mark.parametrize("mode,support,digest", PINNED_HULLS)
+def test_hull_output_is_pinned_in_higher_dimension(mode, support, digest):
+    n = len(support[0])
+    p = Poly(names=tuple("xyzwt"[:n]), terms={v: Fraction(1) for v in support}, mode=mode)
+    model = build_model(p)
+    payload = json.dumps(model.to_json(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == digest
+    assert all(type(x) is Fraction for ff in model.facets for x in ff.normal)
+
+
+def test_hull_scan_is_integer_only(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Fraction built in the hull scan")
+
+    monkeypatch.setattr(polytope, "Fraction", refuse)
+    monkeypatch.setattr(linalg, "Fraction", refuse)
+    for _, support, _ in PINNED_HULLS:
+        points = [(0,) * len(support[0])] + support
+        for hf in polytope._enumerate_facets(points, len(support[0])):
+            assert all(type(x) is int for x in hf.normal + (hf.level,))
+            assert gcd(hf.level, *hf.normal) == 1
