@@ -32,7 +32,6 @@ from .errors import (
     NotSimplexError,
     NotSimplicialError,
     PolynomialSyntaxError,
-    ReductionError,
     TruncationError,
 )
 from .graded import (

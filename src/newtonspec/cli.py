@@ -85,10 +85,7 @@ def _parse_input(args):
     var_order = None
     if args.vars:
         var_order = [v.strip() for v in args.vars.split(",") if v.strip()]
-    p = parse_polynomial(text, mode=mode, var_order=var_order)
-    if p.nvars == 0:
-        raise InputError("the polynomial has no variables, so it has no Newton polytope")
-    return p
+    return parse_polynomial(text, mode=mode, var_order=var_order)
 
 
 def _emit(args, payload: dict, text_lines) -> None:

@@ -60,10 +60,6 @@ class DimensionMismatchError(InternalCheckError):
     """A graded-quotient dimension differs from the spectrum coefficient."""
 
 
-class ReductionError(InternalCheckError):
-    """A product class could not be expressed in the chosen basis."""
-
-
 class NegativeDeltaError(InternalCheckError):
     """Ehrhart inversion produced a negative entry; the counts are wrong."""
 

@@ -4,11 +4,12 @@ logarithmic-derivative relations.
 Monomial classes multiply by the cone rule: the product of two classes
 is the class of the product monomial when the exponents lie in a common
 fan cone (the Newton value is additive there) and zero otherwise.  The
-relation classes are the leading parts of u_i * df/du_i; per degree, the
-quotient by the subspace they generate is computed with exact rational
-row reduction.  The per-degree dimensions give a third, linear-algebra
-route to the toric Newton spectrum, and reducing products against the
-chosen basis yields structure-constant tables.
+relation classes are the leading parts of u_i * df/du_i.  Each degree
+is row reduced once, with exact rational arithmetic, into a
+:class:`DegreeBlock`.  The blocks' dimensions give a third,
+linear-algebra route to the toric Newton spectrum, and a product's
+normal form is looked up in the reduced rows of its degree's block, so
+structure-constant tables need no further elimination.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .errors import (
     DimensionMismatchError,
     HintError,
     InputError,
-    ReductionError,
     TruncationError,
 )
 from .poly import Poly, monomial_text
@@ -121,7 +121,11 @@ def leading_classes(p: Poly, model: PolytopeModel) -> List[GradedClass]:
 
 @dataclass
 class DegreeBlock:
-    """Row-reduced relation data for a single degree of the quotient."""
+    """Row-reduced relation data for a single degree of the quotient.
+
+    Built once per degree by ``_build_block``; ``reduce`` reads normal
+    forms off the reduced rows and performs no row operation.
+    """
 
     degree: Fraction
     monomials: List[Vec]                 # column order used by the reduction
@@ -135,24 +139,19 @@ class DegreeBlock:
         return len(self.basis)
 
     def reduce(self, vec: Vec, coeff: Fraction) -> Dict[Vec, Fraction]:
-        """Express coeff * [vec] in the basis modulo the relation rows."""
-        dense = [Fraction(0)] * len(self.monomials)
-        dense[self.index[vec]] = Fraction(coeff)
-        for row, p in zip(self.rows, self.pivots):
-            f = dense[p]
-            if f:
-                dense = [a - f * b for a, b in zip(dense, row)]
-        out: Dict[Vec, Fraction] = {}
-        basis_cols = set(self.index[m] for m in self.basis)
-        for col, val in enumerate(dense):
-            if val == 0:
-                continue
-            if col not in basis_cols:
-                raise ReductionError(
-                    f"residual outside the basis at degree {self.degree}"
-                )
-            out[self.monomials[col]] = val
-        return out
+        """Express coeff * [vec] in the basis modulo the relation rows.
+
+        A basis monomial is its own normal form.  A pivot monomial's row
+        has 1 at its pivot and 0 at every other pivot, so the row says
+        [vec] = -(row at the basis columns).
+        """
+        col = self.index[vec]
+        if col not in self.pivots:
+            return {vec: Fraction(coeff)}
+        row = self.rows[self.pivots.index(col)]
+        return {
+            self.monomials[j]: -coeff * x for j, x in enumerate(row) if x and j != col
+        }
 
 
 def _relation_rows(model, leading, prev_monomials, index, width):
@@ -334,23 +333,21 @@ def multiply_in_basis(basis: GradedBasis, cls: GradedClass, vec: Vec) -> GradedC
 def koszul_hilbert_series(p: Poly, model: PolytopeModel) -> SpectrumSeries:
     """Hilbert series of the graded quotient by pure linear algebra.
 
-    Row reduces each degree's block over the Newton values <= n: a block
-    only uses its own degree and the one below, and every exponent lies
-    in [0, n].  The mass must be the normalized volume, else
-    :class:`TruncationError`.  Uses neither the box formula nor the
-    oracle, so it serves as an independent check.
+    Takes each degree's dimension from the same reduced block
+    (``_build_block``) that ``quotient_basis`` uses, over the Newton
+    values <= n: a block only uses its own degree and the one below, and
+    every exponent lies in [0, n].  The rank does not depend on the
+    column order, so the block's default order serves.  The mass must be
+    the normalized volume, else :class:`TruncationError`.  Uses neither
+    the box formula nor the oracle, so it serves as an independent check.
     """
     mu = model.normalized_volume()
     leading = leading_classes(p, model)
     monomials = model.points_by_value(model.n)
     dims: Dict[Fraction, int] = {}
     for degree in sorted(monomials):
-        here = monomials[degree]
         prev = monomials.get(degree - 1, [])
-        index = {m: i for i, m in enumerate(here)}
-        raw = _relation_rows(model, leading, prev, index, len(here))
-        _, pivots = linalg.rref(raw, len(here))
-        dim = len(here) - len(pivots)
+        dim = _build_block(model, leading, degree, monomials[degree], prev).dim
         if dim:
             dims[degree] = dim
     total = sum(dims.values())

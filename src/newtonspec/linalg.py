@@ -49,16 +49,19 @@ def rref(rows, ncols):
 def _bareiss(rows, ncols, above):
     """Fraction-free elimination of integer rows, pivots chosen as in rref.
 
-    Returns ``(pivot_rows, pivot_cols, d)``.  Every row below a pivot is
-    cleared in its column; with ``above`` the rows above are cleared too
-    (fraction-free Gauss-Jordan), and then each pivot entry equals ``d``,
-    up to sign the minor on the pivot rows and columns, and ``pivot_rows``
-    is d times the reduced row echelon form.
+    Returns ``(pivot_rows, pivot_cols, d, sign)``.  Every row below a
+    pivot is cleared in its column; with ``above`` the rows above are
+    cleared too (fraction-free Gauss-Jordan), and then each pivot entry
+    equals ``d``, and ``pivot_rows`` is d times the reduced row echelon
+    form.  ``d`` is the minor on the pivot columns of the rows in their
+    swapped order, and ``sign`` is the parity of the row swaps, so on a
+    square matrix of full rank the determinant is ``sign * d``.
     """
     work = [list(r) for r in rows]
     nrows = len(work)
     pivot_cols = []
     prev = 1
+    sign = 1
     row_at = 0
     for col in range(ncols):
         for pivot_row in range(row_at, nrows):
@@ -66,7 +69,9 @@ def _bareiss(rows, ncols, above):
                 break
         else:
             continue
-        work[row_at], work[pivot_row] = work[pivot_row], work[row_at]
+        if pivot_row != row_at:
+            work[row_at], work[pivot_row] = work[pivot_row], work[row_at]
+            sign = -sign
         prow = work[row_at]
         p = prow[col]
         for i in range(0 if above else row_at + 1, nrows):
@@ -76,7 +81,7 @@ def _bareiss(rows, ncols, above):
         prev = p
         pivot_cols.append(col)
         row_at += 1
-    return work[:row_at], pivot_cols, prev
+    return work[:row_at], pivot_cols, prev, sign
 
 
 def rank(rows, ncols):
@@ -97,7 +102,7 @@ def nullspace_vector(rows, ncols):
     entries minus the reduced rows' free column), where d is the pivot
     minor of the fraction-free Gauss-Jordan form.
     """
-    reduced, pivots, d = _bareiss(rows, ncols, above=True)
+    reduced, pivots, d, _ = _bareiss(rows, ncols, above=True)
     if len(pivots) != ncols - 1:
         return None
     f = next(c for c in range(ncols) if c not in pivots)
@@ -126,21 +131,5 @@ def solve_unique(a_rows, b):
 def int_det(rows):
     """Determinant of a square integer matrix (Bareiss, fraction free)."""
     n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    _, pivots, d, sign = _bareiss(rows, n, above=False)
+    return sign * d if len(pivots) == n else 0

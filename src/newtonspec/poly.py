@@ -286,8 +286,11 @@ def check_convenient(p: Poly):
     """Smallest pure-power exponent on each axis, or raise NotConvenientError.
 
     The polynomial is convenient when every variable u_i appears with a
-    pure power u_i**k, k >= 1, in the support.
+    pure power u_i**k, k >= 1, in the support.  A polynomial with no
+    variables raises InputError: it has no Newton polytope.
     """
+    if p.nvars == 0:
+        raise InputError("the polynomial has no variables, so it has no Newton polytope")
     found = [0] * p.nvars
     for vec in p.terms:
         nonzero = [i for i, e in enumerate(vec) if e]

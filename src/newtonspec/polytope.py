@@ -185,7 +185,7 @@ class PolytopeModel:
     """
 
     def __init__(self, mode, n, vertices, facets, faces, zero_cone,
-                 hull_points, hull_facets, hull_to_model):
+                 hull_facets, hull_to_model):
         self.mode = mode
         self.n = n
         self.vertices: Tuple[Vec, ...] = vertices
@@ -196,7 +196,6 @@ class PolytopeModel:
             i for i, f in enumerate(faces) if not f.in_coordinate_hyperplane
         )
         self.simplicial_fan: bool = all(f.is_simplex for f in faces)
-        self._hull_points = hull_points
         self._hull_facets = hull_facets
         self._hull_to_model = hull_to_model
         self._face_index = {frozenset(f.vertex_indices): i for i, f in enumerate(faces)}
@@ -572,7 +571,6 @@ def build_model(p: Poly) -> PolytopeModel:
         facets=tuple(facet_forms),
         faces=tuple(faces),
         zero_cone=zero_cone,
-        hull_points=tuple(pts),
         hull_facets=hull_facets,
         hull_to_model=hull_to_model,
     )

@@ -73,9 +73,10 @@ def toric_spectrum(model: PolytopeModel) -> SpectrumSeries:
 
 def _restriction_models(p: Poly) -> Dict[tuple, PolytopeModel]:
     """Models of every proper coordinate restriction, keyed by zero set;
-    the empty zero set keys the model of p itself."""
-    models = {}
-    for size in range(p.nvars):
+    the empty zero set keys the model of p itself, built first so a
+    polynomial with no variables is rejected as in build_model."""
+    models = {(): build_model(p)}
+    for size in range(1, p.nvars):
         for subset in itertools.combinations(range(p.nvars), size):
             models[subset] = build_model(restrict(p, subset))
     return models

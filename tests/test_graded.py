@@ -1,5 +1,6 @@
 """Graded ring products, Koszul relation classes and quotient bases."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,8 @@ from newtonspec import (
     product_table,
     quotient_basis,
 )
+from newtonspec import linalg
+from newtonspec.cli import main
 from newtonspec.graded import multiply_in_basis
 
 from conftest import series
@@ -187,3 +190,42 @@ def test_default_basis_dimensions_match_spectrum(corpus):
         basis = quotient_basis(entry.poly, entry.model, spectrum=entry.oracle)
         for degree, coeff in entry.oracle.items():
             assert basis.blocks[degree].dim == coeff
+
+
+def test_normal_forms_lie_on_the_basis_and_differ_by_relations(corpus):
+    for entry in corpus[:12]:
+        basis = quotient_basis(entry.poly, entry.model, spectrum=entry.oracle)
+        for block in basis.blocks.values():
+            rank = len(block.pivots)
+            for m in block.monomials:
+                normal = block.reduce(m, 1)
+                assert set(normal) <= set(block.basis), (entry.poly, m)
+                diff = [Fraction(0)] * len(block.monomials)
+                diff[block.index[m]] += 1
+                for vec, coeff in normal.items():
+                    diff[block.index[vec]] -= coeff
+                stacked = block.rows + [diff]
+                assert len(linalg.rref(stacked, len(block.monomials))[1]) == rank, (
+                    entry.poly, m)
+
+
+# corpus entries 38, 40, 47 and 55 (the last has a non-simplicial fan) with
+# the sha256 of their product-table stdout
+PINNED_TABLES = [
+    ("211958*w^4 + 197789*v^3 + 220640*v^5*w^3 + 617618*u^4",
+     "c4564adad2e619aebaf7b6b6bdc6f7dfe45d6804a960542399c2cf01dd455bde"),
+    ("357426*w^2 + 395934*v^2*w^4 + 616058*v^5 + 921299*v^6*w^6 + 567927*u^2*v^3*w"
+     " + 308783*u^3*v^2*w^2 + 576578*u^4",
+     "408e6f6427204af4f6c9d6f11919e84032140cc8caf7ed142a9b595c66a39a8e"),
+    ("212925*w + 552604*v^2*w + 988761*v^4 + 722193*u^4*v*w^2 + 274109*u^5",
+     "29def3d8d5f0f350b603ef392c96844590ebbc9fc84818059b3ea38ab1f918a7"),
+    ("274840*w^2 + 253705*v^3 + 693798*v^3*w + 977841*u^3 + 383720*u^3*w",
+     "72b545351d05e7fead4f6575db9eb00054271ef0c2c4cdb2c81532422477156b"),
+]
+
+
+@pytest.mark.parametrize("text,digest", PINNED_TABLES)
+def test_product_table_output_is_pinned(capsys, text, digest):
+    assert main(["product-table", text, "--vars", "u,v,w"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

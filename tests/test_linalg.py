@@ -1,5 +1,6 @@
 """Integer kernels against the rational reference ``rref``."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -87,3 +88,40 @@ def test_rank_and_nullspace_make_no_fractions(monkeypatch):
     monkeypatch.setattr(linalg, "Fraction", refuse)
     assert linalg.rank([[2, 4, 6], [1, 2, 3], [0, 1, 1]], 3) == 2
     assert linalg.nullspace_vector([[1, 2, 3], [0, 1, 1]], 3) == [-1, -1, 1]
+
+
+def _leibniz_det(rows):
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def _squares():
+    rng = random.Random(20261019)
+    out = [[], [[0]], [[-3]], [[0, 1], [1, 0]], [[0, 2, 1], [0, 0, 3], [4, 5, 6]]]
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        cap = rng.choice([None, None, None, n - 1, max(n - 2, 0)])
+        rows = _random_matrix(rng, n, n, cap)
+        if rng.random() < 0.3:
+            rows[0][0] = 0                  # the first pivot needs a row swap
+        out.append(rows)
+    return out
+
+
+SQUARES = _squares()
+
+
+def test_int_det_matches_leibniz():
+    dets = []
+    for rows in SQUARES:
+        det = _leibniz_det(rows)
+        assert linalg.int_det(rows) == det, rows
+        dets.append(det)
+    assert any(d == 0 for d in dets) and any(d < 0 for d in dets) and any(d > 0 for d in dets)
+    assert sum(1 for rows, d in zip(SQUARES, dets) if d and rows and rows[0][0] == 0) >= 10

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from newtonspec import (
     GLOBAL,
     LOCAL,
+    InputError,
     Poly,
     SpectrumSeries,
     TruncationError,
     boundary_lattice_points,
     build_model,
+    check_convenient,
     koszul_hilbert_series,
     milnor_number,
     parse_polynomial,
@@ -186,3 +188,12 @@ def test_routes_agree_on_random_supports(p):
     box = toric_spectrum_box(m)
     assert box == toric_spectrum_oracle(m)
     assert box == koszul_hilbert_series(p, m)
+
+
+@pytest.mark.parametrize("route", [
+    check_convenient, build_model, spectrum_at_infinity, milnor_number,
+])
+@pytest.mark.parametrize("text", ["1", "0"])
+def test_polynomial_without_variables_is_input_error(route, text):
+    with pytest.raises(InputError, match="no variables"):
+        route(parse_polynomial(text))
