@@ -126,16 +126,16 @@ def ehrhart_polynomial(delta: DeltaVector) -> EhrhartPolynomial:
 def _hodge_deligne_of_cone(model: PolytopeModel, sigma: Face, relative: bool) -> SpectrumSeries:
     n = model.n
     sset = frozenset(sigma.vertex_indices)
-    total = SpectrumSeries()
+    powers = []
     if not relative and sigma.dim == -1:
         # the zero cone belongs to the full fan only
-        total = total + z_minus_one_pow(n)
+        powers.append(n)
     for f in model.faces:
         if relative and f.in_coordinate_hyperplane:
             continue
         if sset <= frozenset(f.vertex_indices):
-            total = total + z_minus_one_pow(n - 1 - f.dim)
-    return total
+            powers.append(n - 1 - f.dim)
+    return SpectrumSeries(term for k in powers for term in z_minus_one_pow(k).items())
 
 
 def hodge_deligne(model: PolytopeModel, v: Sequence[int], relative: bool = False) -> SpectrumSeries:
@@ -165,10 +165,15 @@ def orbifold_contributions(model: PolytopeModel) -> List[Tuple[Vec, SpectrumSeri
     if not model.simplicial_fan:
         raise NotSimplicialError("orbifold dimensions need a simplicial fan")
     out = []
+    by_cone: Dict[Tuple[int, ...], SpectrumSeries] = {}
     for point, nu in box_point_union(model):
         sigma = model.smallest_cone(point)
-        contrib = _hodge_deligne_of_cone(model, sigma, relative=True).shift(nu)
-        out.append((point, contrib))
+        e_rel = by_cone.get(sigma.vertex_indices)
+        if e_rel is None:
+            e_rel = by_cone[sigma.vertex_indices] = _hodge_deligne_of_cone(
+                model, sigma, relative=True
+            )
+        out.append((point, e_rel.shift(nu)))
     return out
 
 
@@ -178,7 +183,6 @@ def orbifold_dimensions(model: PolytopeModel) -> SpectrumSeries:
     The sum of the per-box-point contributions; coefficient-for-
     coefficient equal to the toric Newton spectrum on simplicial fans.
     """
-    total = SpectrumSeries()
-    for _, contrib in orbifold_contributions(model):
-        total = total + contrib
-    return total
+    return SpectrumSeries(
+        term for _, contrib in orbifold_contributions(model) for term in contrib.items()
+    )

@@ -5,8 +5,9 @@ Monomial classes multiply by the cone rule: the product of two classes
 is the class of the product monomial when the exponents lie in a common
 fan cone (the Newton value is additive there) and zero otherwise.  The
 relation classes are the leading parts of u_i * df/du_i.  Each degree
-is row reduced once, with exact rational arithmetic, into a
-:class:`DegreeBlock`.  The blocks' dimensions give a third,
+is row reduced once into a :class:`DegreeBlock`, by exact fraction-free
+elimination of sparse integer rows (``linalg.rref``); only the reduced
+rows hold ``Fraction`` entries.  The blocks' dimensions give a third,
 linear-algebra route to the toric Newton spectrum, and a product's
 normal form is looked up in the reduced rows of its degree's block, so
 structure-constant tables need no further elimination.
@@ -14,18 +15,13 @@ structure-constant tables need no further elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .errors import (
-    DimensionMismatchError,
-    HintError,
-    InputError,
-    TruncationError,
-)
+from .errors import DimensionMismatchError, HintError, TruncationError
 from .poly import Poly, monomial_text
 from .polytope import PolytopeModel
 from .series import SpectrumSeries
@@ -154,18 +150,18 @@ class DegreeBlock:
         }
 
 
-def _relation_rows(model, leading, prev_monomials, index, width):
+def _relation_rows(model, leading, prev_monomials, index):
+    """The relation classes times the monomials one degree down, as
+    sparse ``{col: coeff}`` rows over the block's column ``index``."""
     rows = []
     for cls in leading:
         for m_prev in prev_monomials:
-            row = [Fraction(0)] * width
-            nonzero = False
+            row: Dict[int, Fraction] = {}
             for vec, coeff in cls.terms:
                 if model.same_cone(vec, m_prev):
                     col = index[tuple(a + b for a, b in zip(vec, m_prev))]
-                    row[col] += coeff
-                    nonzero = True
-            if nonzero:
+                    row[col] = row.get(col, 0) + coeff
+            if row:
                 rows.append(row)
     return rows
 
@@ -179,7 +175,7 @@ def _build_block(model, leading, degree, monomials_here, monomials_prev, hint=No
             (m for m in monomials_here if m not in hint_set), key=lambda m: (sum(m), m)
         ) + list(hint)
     index = {m: i for i, m in enumerate(ordered)}
-    raw = _relation_rows(model, leading, monomials_prev, index, len(ordered))
+    raw = _relation_rows(model, leading, monomials_prev, index)
     rows, pivots = linalg.rref(raw, len(ordered))
     pivot_set = set(pivots)
     basis = [m for i, m in enumerate(ordered) if i not in pivot_set]
@@ -304,11 +300,15 @@ def product_table(basis: GradedBasis) -> List[List[GradedClass]]:
 
     Symmetric, with the degree of every nonzero entry equal to the sum of
     the operand degrees; entries whose degree falls outside the spectrum
-    support are zero.
+    support are zero.  The cone rule is symmetric, so only the entries on
+    and above the diagonal are computed.
     """
-    return [
-        [reduce_product(basis, x, y) for y in basis.elements] for x in basis.elements
-    ]
+    elements = basis.elements
+    table = [[None] * len(elements) for _ in elements]
+    for i, x in enumerate(elements):
+        for j in range(i, len(elements)):
+            table[i][j] = table[j][i] = reduce_product(basis, x, elements[j])
+    return table
 
 
 def multiply_in_basis(basis: GradedBasis, cls: GradedClass, vec: Vec) -> GradedClass:

@@ -1,49 +1,98 @@
-"""Exact linear algebra on small dense matrices.
+"""Exact linear algebra, all of it fraction-free.
 
-Two kinds of kernel live here.  ``rank``, ``nullspace_vector`` and
-``int_det`` take integer matrices and stay in the integers: they use
-Bareiss's fraction-free elimination, in which every entry is a minor of
-the input and each division is exact.  ``rref`` and ``solve_unique``
-work over the rationals, on lists of lists of ``fractions.Fraction`` (or
-ints, which Fraction arithmetic absorbs).  The matrices involved are
-tiny -- n is the number of variables of the input polynomial -- so
-plain dense elimination is both exact and fast enough.
+``rank``, ``nullspace_vector`` and ``int_det`` take small dense integer
+matrices -- n is the number of variables of the input polynomial -- and
+use Bareiss's elimination, in which every entry is a minor of the input
+and each division is exact.  ``rref`` takes rational rows and serves the
+graded blocks, which are Macaulay-style matrices of the logarithmic-
+derivative relations: hundreds of columns with a few percent of their
+entries nonzero.  It scales each row to primitive integers, keeps it
+sparse and eliminates in the integers, in the manner of the sparse
+pivoting of Faugere's F4 on Macaulay matrices; ``Fraction`` appears only
+in its result.  ``solve_unique`` solves a small square system through it.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def rref(rows, ncols):
-    """Row reduce in place-free fashion.
+    """Reduced row echelon form of rational rows, by sparse fraction-free
+    elimination.
 
-    Returns ``(reduced_rows, pivot_cols)`` where ``reduced_rows`` contains
-    only the nonzero rows in reduced row echelon form and ``pivot_cols``
-    lists the pivot column of each row.  Columns are scanned left to
-    right, so the pivot set is the greedy one for the given column order.
+    ``rows`` holds ints or Fractions, each row either a sequence of
+    ``ncols`` entries or a ``{col: entry}`` mapping.  Returns
+    ``(reduced_rows, pivot_cols)`` where ``reduced_rows`` contains only
+    the nonzero rows in reduced row echelon form, as lists of ``ncols``
+    Fractions, and ``pivot_cols`` lists the pivot column of each row.
+    Each row is scaled to primitive integers and kept as ``{col: int}``;
+    an incoming row's leftmost entry is cleared against the pivot row of
+    that column until it has none, and then it becomes the pivot row of
+    that column.  So the pivot set is the greedy one for the given column
+    order, and as the reduced row echelon form of a row space is unique,
+    the result is the one dense rational elimination gives.  Back
+    substitution runs from the rightmost pivot leftwards, and only the
+    last step divides each row by its pivot.
     """
-    work = [list(map(Fraction, r)) for r in rows]
-    pivot_cols = []
-    row_at = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(row_at, len(work)):
-            if work[i][col] != 0:
-                pivot_row = i
+    pivot_of = {}
+    for r in rows:
+        row = _primitive_row(r)
+        while row:
+            col = min(row)
+            prow = pivot_of.get(col)
+            if prow is None:
+                pivot_of[col] = row
                 break
-        if pivot_row is None:
-            continue
-        work[row_at], work[pivot_row] = work[pivot_row], work[row_at]
-        inv = 1 / work[row_at][col]
-        work[row_at] = [x * inv for x in work[row_at]]
-        for i in range(len(work)):
-            if i != row_at and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[row_at])]
-        pivot_cols.append(col)
-        row_at += 1
-        if row_at == len(work):
-            break
-    return work[:row_at], pivot_cols
+            row = _clear(row, prow, col)
+    pivot_cols = sorted(pivot_of)
+    for col in reversed(pivot_cols):
+        # the pivot rows to the right are reduced: clearing one of their
+        # pivots brings in no other pivot column
+        row = pivot_of[col]
+        for j in [j for j in row if j != col and j in pivot_of]:
+            row = _clear(row, pivot_of[j], j)
+        pivot_of[col] = row
+    zero = Fraction(0)
+    reduced = []
+    for col in pivot_cols:
+        row = pivot_of[col]
+        p = row[col]
+        dense = [zero] * ncols
+        for j, x in row.items():
+            dense[j] = Fraction(x, p)
+        reduced.append(dense)
+    return reduced, pivot_cols
+
+
+def _primitive_row(r):
+    """A row of ints or Fractions as ``{col: int}``: its nonzero entries
+    times the lcm of their denominators, divided by their gcd."""
+    pairs = r.items() if isinstance(r, dict) else enumerate(r)
+    entries = [(j, x) for j, x in pairs if x]
+    den = lcm(*(x.denominator for _, x in entries))
+    row = {j: x.numerator * (den // x.denominator) for j, x in entries}
+    return _divide_content(row)
+
+
+def _clear(row, prow, col):
+    """The primitive integer row a * row - b * prow with no entry at ``col``."""
+    g = gcd(prow[col], row[col])
+    a, b = prow[col] // g, row[col] // g
+    out = {j: a * x for j, x in row.items()}
+    for j, x in prow.items():
+        y = out.get(j, 0) - b * x
+        if y:
+            out[j] = y
+        else:
+            del out[j]
+    return _divide_content(out)
+
+
+def _divide_content(row):
+    g = gcd(*row.values())
+    if g > 1:
+        return {j: x // g for j, x in row.items()}
+    return row
 
 
 def _bareiss(rows, ncols, above):

@@ -35,7 +35,7 @@ class SpectrumSeries:
         if terms is not None:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for expo, coeff in items:
-                e = Fraction(expo)
+                e = expo if type(expo) is Fraction else Fraction(expo)
                 c = data.get(e, 0) + coeff
                 if c:
                     data[e] = c

@@ -33,15 +33,16 @@ def toric_spectrum_box(model: PolytopeModel) -> SpectrumSeries:
     simplices S of the triangulation not contained in a coordinate
     hyperplane.
     """
-    total = SpectrumSeries()
     n = model.n
+    terms = []
     for simplex in model.triangulation():
         if simplex.in_coordinate_hyperplane:
             continue
-        weight = z_minus_one_pow(n - 1 - simplex.dim)
-        box_sum = SpectrumSeries((bp.nu, 1) for bp in model.box_points(simplex))
-        total = total + weight * box_sum
-    return total
+        weight = z_minus_one_pow(n - 1 - simplex.dim).items()
+        terms.extend(
+            (bp.nu + e, c) for bp in model.box_points(simplex) for e, c in weight
+        )
+    return SpectrumSeries(terms)
 
 
 def toric_spectrum_oracle(model: PolytopeModel) -> SpectrumSeries:
@@ -91,11 +92,11 @@ def spectrum_at_infinity(
     restrictions, the restriction to every variable contributing (-1)^n.
     """
     models = _restriction_models(p) if _models is None else _models
-    total = SpectrumSeries()
+    terms = [(0, (-1) ** p.nvars)]
     for subset, model in models.items():
-        total = total + toric_spectrum(model) * ((-1) ** len(subset))
-    total = total + SpectrumSeries.one() * ((-1) ** p.nvars)
-    return total
+        sign = (-1) ** len(subset)
+        terms.extend((e, sign * c) for e, c in toric_spectrum(model).items())
+    return SpectrumSeries(terms)
 
 
 def milnor_number(

@@ -229,3 +229,20 @@ def test_product_table_output_is_pinned(capsys, text, digest):
     assert main(["product-table", text, "--vars", "u,v,w"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# non-integer coefficients: the relation rows are scaled to integers
+# before elimination, and the second table has rational normal forms
+PINNED_RATIONAL_TABLES = [
+    ("1/2*u^3 + 2/3*v^3 + 5/7*u*v",
+     "1de99b9590f6263c231213e179e434c97915199de8557afa7c032b8b39664948"),
+    ("1/2*u^3 + 2/3*v^3 + 5/7*w^3 + 3/4*u*v*w",
+     "df95efb97fb623ff82ea62701278de53d3364b91fc6badfd2ae657686e2b92b0"),
+]
+
+
+@pytest.mark.parametrize("text,digest", PINNED_RATIONAL_TABLES)
+def test_product_table_with_rational_coefficients_is_pinned(capsys, text, digest):
+    assert main(["product-table", text]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,10 +1,40 @@
-"""Integer kernels against the rational reference ``rref``."""
+"""Exact kernels against a dense rational reference elimination."""
 
 import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from newtonspec import linalg
+
+
+def _dense_rref(rows, ncols):
+    """The dense rational elimination that the sparse ``rref`` replaced,
+    kept verbatim as the reference."""
+    work = [list(map(Fraction, r)) for r in rows]
+    pivot_cols = []
+    row_at = 0
+    for col in range(ncols):
+        pivot_row = None
+        for i in range(row_at, len(work)):
+            if work[i][col] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        work[row_at], work[pivot_row] = work[pivot_row], work[row_at]
+        inv = 1 / work[row_at][col]
+        work[row_at] = [x * inv for x in work[row_at]]
+        for i in range(len(work)):
+            if i != row_at and work[i][col] != 0:
+                f = work[i][col]
+                work[i] = [a - f * b for a, b in zip(work[i], work[row_at])]
+        pivot_cols.append(col)
+        row_at += 1
+        if row_at == len(work):
+            break
+    return work[:row_at], pivot_cols
 
 
 def _random_matrix(rng, nrows, ncols, rank_cap=None):
@@ -37,7 +67,7 @@ MATRICES = _matrices()
 
 
 def _rref_kernel(rows, ncols):
-    reduced, pivots = linalg.rref(rows, ncols)
+    reduced, pivots = _dense_rref(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     if len(free) != 1:
         return None
@@ -49,7 +79,7 @@ def _rref_kernel(rows, ncols):
 
 
 def test_matrices_cover_every_shape():
-    ranks = [len(linalg.rref(rows, ncols)[1]) for rows, ncols in MATRICES]
+    ranks = [len(_dense_rref(rows, ncols)[1]) for rows, ncols in MATRICES]
     assert any(len(rows) == 0 for rows, _ in MATRICES)
     assert any(len(rows) > ncols for rows, ncols in MATRICES)
     assert any(0 < len(rows) < ncols for rows, ncols in MATRICES)
@@ -59,14 +89,14 @@ def test_matrices_cover_every_shape():
 
 def test_rank_matches_rref():
     for rows, ncols in MATRICES:
-        assert linalg.rank(rows, ncols) == len(linalg.rref(rows, ncols)[1]), rows
+        assert linalg.rank(rows, ncols) == len(_dense_rref(rows, ncols)[1]), rows
 
 
 def test_nullspace_vector_is_an_integer_kernel_vector():
     for rows, ncols in MATRICES:
         vec = linalg.nullspace_vector(rows, ncols)
         expected = _rref_kernel(rows, ncols)
-        if len(linalg.rref(rows, ncols)[1]) != ncols - 1:
+        if len(_dense_rref(rows, ncols)[1]) != ncols - 1:
             assert vec is None and expected is None, rows
             continue
         assert all(type(x) is int for x in vec), rows
@@ -125,3 +155,82 @@ def test_int_det_matches_leibniz():
         dets.append(det)
     assert any(d == 0 for d in dets) and any(d < 0 for d in dets) and any(d > 0 for d in dets)
     assert sum(1 for rows, d in zip(SQUARES, dets) if d and rows and rows[0][0] == 0) >= 10
+
+
+def _sparse_matrices():
+    """Mostly-zero rational rows shaped like the graded blocks."""
+    rng = random.Random(20261020)
+    out = [([], 4), ([[0, 0, 0, 0]], 4), ([[Fraction(1, 2), 0, 3]], 3)]
+    for _ in range(320):
+        ncols = rng.randint(1, 24)
+        nrows = rng.choice([0, rng.randint(1, ncols), rng.randint(ncols, 2 * ncols + 2)])
+        density = rng.choice([0.05, 0.1, 0.25, 0.5])
+        cap = rng.choice([None, None, rng.randint(1, ncols)])
+        base = [
+            [rng.randint(-6, 6) if rng.random() < density else 0 for _ in range(ncols)]
+            for _ in range(nrows if cap is None else cap)
+        ]
+        rows = []
+        for _ in range(nrows):
+            if cap is None:
+                row = base[len(rows)]
+            else:                       # combinations of two of the cap rows
+                row = [0] * ncols
+                for b in rng.sample(base, min(2, cap)):
+                    c = rng.randint(-2, 2)
+                    row = [x + c * y for x, y in zip(row, b)]
+            if rng.random() < 0.4:
+                den = rng.choice([2, 3, 7, 12])
+                row = [Fraction(x, rng.choice([1, den])) for x in row]
+            rows.append(row)
+        if rows and rng.random() < 0.3:
+            rows[rng.randrange(len(rows))] = [0] * ncols
+        if rows and rng.random() < 0.3:
+            rows.append(list(rng.choice(rows)))
+        out.append((rows, ncols))
+    return out
+
+
+SPARSE = _sparse_matrices()
+
+
+@pytest.fixture(scope="module")
+def sparse_reference():
+    return [_dense_rref(rows, ncols) for rows, ncols in SPARSE]
+
+
+def test_sparse_matrices_cover_every_shape(sparse_reference):
+    ranks = [len(pivots) for _, pivots in sparse_reference]
+    assert len(SPARSE) >= 300
+    assert sum(len(rows) == 0 for rows, _ in SPARSE) >= 10
+    assert sum(len(rows) > ncols for rows, ncols in SPARSE) >= 50
+    assert sum(0 < len(rows) < ncols for rows, ncols in SPARSE) >= 50
+    assert sum(r < min(len(rows), ncols) for r, (rows, ncols) in zip(ranks, SPARSE)) >= 50
+    assert sum(any(type(x) is Fraction and x.denominator > 1 for row in rows for x in row)
+               for rows, _ in SPARSE) >= 50
+    assert sum(any(not any(row) for row in rows) for rows, _ in SPARSE) >= 50
+    assert sum(len({tuple(r) for r in rows}) < len(rows) for rows, _ in SPARSE) >= 50
+    nonzero = sum(bool(x) for rows, _ in SPARSE for row in rows for x in row)
+    assert nonzero < 0.4 * sum(len(row) for rows, _ in SPARSE for row in rows)
+
+
+def test_rref_equals_dense_rational_elimination(sparse_reference):
+    cases = list(zip(SPARSE, sparse_reference))
+    cases += [(m, _dense_rref(*m)) for m in MATRICES]
+    for (rows, ncols), expected in cases:
+        got = linalg.rref(rows, ncols)
+        assert got == expected, (rows, ncols)
+        assert all(type(x) is Fraction for row in got[0] for x in row), rows
+        # the same rows given as {col: entry} mappings
+        sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+        assert linalg.rref(sparse, ncols) == expected, rows
+
+
+def test_solve_unique():
+    a = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+    assert linalg.solve_unique(a, [1, 2, 3]) == [Fraction(1, 3), Fraction(1, 3), Fraction(2, 3)]
+    halves = [[Fraction(1, 2), 0], [0, Fraction(2, 3)]]
+    assert linalg.solve_unique(halves, [1, 1]) == [2, Fraction(3, 2)]
+    assert linalg.solve_unique([[0, 1], [1, 0]], [5, 7]) == [7, 5]      # needs a row swap
+    assert linalg.solve_unique([[1, 2], [2, 4]], [1, 2]) is None        # underdetermined
+    assert linalg.solve_unique([[1, 2], [2, 4]], [1, 3]) is None        # inconsistent

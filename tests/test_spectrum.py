@@ -190,6 +190,21 @@ def test_routes_agree_on_random_supports(p):
     assert box == koszul_hilbert_series(p, m)
 
 
+@pytest.mark.parametrize("text", [
+    "u^4 + v^4 + w^4 + x^4",
+    "3*u^3 + 5*v^2 + 7*w^3 + 11*x^4 + 13*u*v*x^2 + 17*u^2*w",
+    "2*u^2 + 3*v^3 + 5*w^4 + 7*x^2 + 11*u*v*w + 13*v*w*x",   # fan not simplicial
+])
+def test_routes_agree_in_four_variables(text):
+    p = parse_polynomial(text)
+    m = build_model(p)
+    assert m.n == 4
+    box = toric_spectrum_box(m)
+    assert box.eval_at_one() == m.normalized_volume()
+    assert box == toric_spectrum_oracle(m)
+    assert box == koszul_hilbert_series(p, m)
+
+
 @pytest.mark.parametrize("route", [
     check_convenient, build_model, spectrum_at_infinity, milnor_number,
 ])
