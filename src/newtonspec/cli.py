@@ -2,14 +2,16 @@
 
 One executable, one subcommand per computation, deterministic text on
 stdout (the headline value first) and an optional JSON rendering.  Exit
-codes: 0 success, 1 unusable input, 2 internal consistency failure or a
-computation too large for the machine (overflow, out of memory).
+codes: 0 success, 1 unusable input or a stdout closed by its reader,
+2 internal consistency failure or a computation too large for the
+machine (overflow, out of memory).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -293,7 +295,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _DISPATCH[args.command](args)
+        code = _DISPATCH[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush
+        # at interpreter shutdown does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

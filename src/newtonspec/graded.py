@@ -4,7 +4,10 @@ logarithmic-derivative relations.
 Monomial classes multiply by the cone rule: the product of two classes
 is the class of the product monomial when the exponents lie in a common
 fan cone (the Newton value is additive there) and zero otherwise.  The
-relation classes are the leading parts of u_i * df/du_i.  Each degree
+rule is read off cone keys (``PolytopeModel.cone_key``): two exponents
+share a cone when their facet masks meet, and the product's degree is
+the sum of their scaled Newton values, so the sum is never evaluated.
+The relation classes are the leading parts of u_i * df/du_i.  Each degree
 is row reduced once into a :class:`DegreeBlock`, by exact fraction-free
 elimination of sparse integer rows (``linalg.rref``); only the reduced
 rows hold ``Fraction`` entries.  The blocks' dimensions give a third,
@@ -85,11 +88,12 @@ def b_product(model: PolytopeModel, m1: Sequence[int], m2: Sequence[int]) -> Gra
 
     The class of the sum exponent when m1 and m2 share a cone, else zero.
     """
-    m1, m2 = tuple(m1), tuple(m2)
-    if not model.same_cone(m1, m2):
+    key1, mask1 = model.cone_key(m1)
+    key2, mask2 = model.cone_key(m2)
+    if not mask1 & mask2:
         return GradedClass.zero()
     total = tuple(a + b for a, b in zip(m1, m2))
-    return GradedClass.of_monomial(total, model.newton_value(total))
+    return GradedClass.of_monomial(total, Fraction(key1 + key2, model.value_scale))
 
 
 def leading_classes(p: Poly, model: PolytopeModel) -> List[GradedClass]:
@@ -152,13 +156,21 @@ class DegreeBlock:
 
 def _relation_rows(model, leading, prev_monomials, index):
     """The relation classes times the monomials one degree down, as
-    sparse ``{col: coeff}`` rows over the block's column ``index``."""
+    sparse ``{col: coeff}`` rows over the block's column ``index``.
+
+    Every monomial's facet mask is computed once; a term and a monomial
+    share a cone when their masks meet.
+    """
+    if not prev_monomials:
+        return []
+    prev = [(m, model.cone_key(m)[1]) for m in prev_monomials]
+    masks = {vec: model.cone_key(vec)[1] for cls in leading for vec, _ in cls.terms}
     rows = []
     for cls in leading:
-        for m_prev in prev_monomials:
+        for m_prev, prev_mask in prev:
             row: Dict[int, Fraction] = {}
             for vec, coeff in cls.terms:
-                if model.same_cone(vec, m_prev):
+                if masks[vec] & prev_mask:
                     col = index[tuple(a + b for a, b in zip(vec, m_prev))]
                     row[col] = row.get(col, 0) + coeff
             if row:
@@ -254,7 +266,8 @@ def quotient_basis(
         prev = monomials.get(degree - 1, [])
         hint = hint_by_degree.get(degree)
         if hint is not None:
-            missing = [m for m in hint if m not in set(here)]
+            here_set = set(here)
+            missing = [m for m in hint if m not in here_set]
             if missing:
                 raise HintError(f"hint monomial {missing[0]} has no class of degree {degree}")
             if len(hint) != expected:
@@ -300,14 +313,34 @@ def product_table(basis: GradedBasis) -> List[List[GradedClass]]:
 
     Symmetric, with the degree of every nonzero entry equal to the sum of
     the operand degrees; entries whose degree falls outside the spectrum
-    support are zero.  The cone rule is symmetric, so only the entries on
-    and above the diagonal are computed.
+    support are zero.  Each element's cone key is computed once.  The
+    elements are walked in ascending scaled degree, each paired with
+    itself and the ones after it, until the degree sum passes the top
+    block; a pair whose masks meet is reduced in the block of its degree
+    sum, and every other entry is one shared zero class.
     """
+    model = basis.model
     elements = basis.elements
-    table = [[None] * len(elements) for _ in elements]
-    for i, x in enumerate(elements):
-        for j in range(i, len(elements)):
-            table[i][j] = table[j][i] = reduce_product(basis, x, elements[j])
+    keys = [model.cone_key(x) for x in elements]
+    order = sorted(range(len(elements)), key=lambda i: keys[i][0])
+    blocks = {block.degree * model.value_scale: block for block in basis.blocks.values()}
+    top = max(blocks, default=-1)
+    zero = GradedClass.zero()
+    table = [[zero] * len(elements) for _ in elements]
+    for pos, i in enumerate(order):
+        key_i, mask_i = keys[i]
+        x = elements[i]
+        for j in order[pos:]:
+            key_j, mask_j = keys[j]
+            if key_i + key_j > top:
+                break
+            block = blocks.get(key_i + key_j)
+            if block is None or not mask_i & mask_j:
+                continue
+            total = tuple(a + b for a, b in zip(x, elements[j]))
+            table[i][j] = table[j][i] = GradedClass.from_dict(
+                block.reduce(total, Fraction(1)), block.degree
+            )
     return table
 
 

@@ -8,6 +8,12 @@ function (max of the forms globally, min locally), the face lattice of
 the Newton boundary and its pulling triangulation, half-open box points
 of simplices, normalized volumes and lattice-point counts.
 
+A monomial's cone key (:meth:`PolytopeModel.cone_key`) is its Newton
+value scaled to an integer by the lcm of the form denominators, together
+with the bitmask of the facet forms that attain that value.  Two
+exponents share a fan cone, so that nu is additive on them, exactly when
+their masks meet; the graded ring's cone rule needs no third evaluation.
+
 The hull is found by exhaustive enumeration: every hyperplane through n
 affinely independent input points is tested against all points.  That is
 quadratic-ish and perfectly exact, which is the right trade at the
@@ -207,6 +213,15 @@ class PolytopeModel:
             for x in ff.normal:
                 den = den * x.denominator // gcd(den, x.denominator)
             self._int_forms.append((tuple(int(x * den) for x in ff.normal), den))
+        # L, the lcm of the form denominators: nu(v) * L is an integer, and
+        # the forms scaled by L give the facet masks of cone_key
+        self.value_scale = 1
+        for _, den in self._int_forms:
+            self.value_scale = self.value_scale * den // gcd(self.value_scale, den)
+        self._scaled_forms = [
+            (1 << i, tuple(x * (self.value_scale // den) for x in w))
+            for i, (w, den) in enumerate(self._int_forms)
+        ]
         self._max_coord = max((c for v in vertices for c in v), default=0)
         self._box_cache: dict = {}
         self._census_height = -1
@@ -244,15 +259,28 @@ class PolytopeModel:
         num, den = self._value_pair(v)
         return Fraction(num, den)
 
+    def cone_key(self, v: Sequence[int]) -> Tuple[int, int]:
+        """(nu(v) * value_scale, mask): the scaled Newton value, an integer,
+        and the bitmask of the facet forms that attain nu at v.
+
+        nu is the max (global) or min (local) of the forms, so
+        nu(a + b) = nu(a) + nu(b) exactly when one form attains nu at both
+        a and b: a and b share a fan cone when their masks meet.  The zero
+        vector lies in every cone and gets (0, -1).
+        """
+        if not any(v):
+            return 0, -1
+        num, den = self._value_pair(v)
+        key = num * (self.value_scale // den)
+        mask = 0
+        for bit, w in self._scaled_forms:
+            if sum(map(mul, w, v)) == key:
+                mask |= bit
+        return key, mask
+
     def same_cone(self, a: Sequence[int], b: Sequence[int]) -> bool:
         """True when nu is additive on a and b, i.e. they share a fan cone."""
-        a, b = tuple(a), tuple(b)
-        if not any(a) or not any(b):
-            return True
-        n1, d1 = self._value_pair(a)
-        n2, d2 = self._value_pair(b)
-        n3, d3 = self._value_pair(tuple(x + y for x, y in zip(a, b)))
-        return (n1 * d2 + n2 * d1) * d3 == n3 * d1 * d2
+        return bool(self.cone_key(a)[1] & self.cone_key(b)[1])
 
     def smallest_cone(self, v: Sequence[int]) -> Face:
         """The inclusion-minimal Newton-boundary face whose cone contains v.

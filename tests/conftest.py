@@ -46,6 +46,20 @@ NON_SIMPLICIAL_SUPPORTS = [
 ]
 
 
+# convenient polynomials in four variables; the last has a non-simplicial fan
+FOUR_VARIABLE_POLYS = [
+    "u^4 + v^4 + w^4 + x^4",
+    "3*u^3 + 5*v^2 + 7*w^3 + 11*x^4 + 13*u*v*x^2 + 17*u^2*w",
+    "2*u^2 + 3*v^3 + 5*w^4 + 7*x^2 + 11*u*v*w + 13*v*w*x",
+]
+
+# local germs (power series at the origin) in two and three variables
+LOCAL_GERMS = [
+    "x^5 + x^2*y^2 + y^5",
+    "x^4 + y^5 + z^6 + x*y*z^2 + x^2*y^2",
+]
+
+
 def series(*terms) -> SpectrumSeries:
     """Build a series from (exponent, coefficient) pairs; exponents may
     be strings like '1/2'."""

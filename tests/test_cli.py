@@ -1,6 +1,10 @@
 """Command line behaviour: golden outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +179,26 @@ def test_memory_error_exits_2_with_message(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "too large" in err and "MemoryError" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "u^2 + u^2*v^2 + v^2"),
+    ("product-table", "u^2 + u^2*v^2 + v^2"),
+])
+def test_closed_stdout_exits_1_without_traceback(argv):
+    # the reader closes the pipe before the process writes to it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "newtonspec", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 def test_check_passes_on_examples(capsys):

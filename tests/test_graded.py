@@ -1,11 +1,13 @@
 """Graded ring products, Koszul relation classes and quotient bases."""
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
 from newtonspec import (
+    LOCAL,
     DimensionMismatchError,
     GradedClass,
     HintError,
@@ -19,9 +21,9 @@ from newtonspec import (
 )
 from newtonspec import linalg
 from newtonspec.cli import main
-from newtonspec.graded import multiply_in_basis
+from newtonspec.graded import multiply_in_basis, reduce_product
 
-from conftest import series
+from conftest import LOCAL_GERMS, series
 
 HINT = ["1", "u*v", "u^2*v^2", "u^3*v^3", "u", "v", "u^2*v", "u*v^2"]
 
@@ -184,6 +186,42 @@ def test_associativity_on_square(square_basis):
                 assert prod(xy, w) == prod(yw, x)
 
 
+def assert_table_is_pairwise(basis, rows=None):
+    """Every entry of the given rows (all rows by default) equals the
+    product reduced pair by pair, and so does its mirror entry."""
+    table = product_table(basis)
+    elements = basis.elements
+    assert [len(row) for row in table] == [len(elements)] * len(elements)
+    for i in range(len(elements)) if rows is None else rows:
+        x = elements[i]
+        for j, y in enumerate(elements):
+            want = reduce_product(basis, x, y)
+            assert table[i][j] == want == table[j][i], (basis.poly, x, y)
+
+
+def test_product_table_equals_pairwise_products_on_corpus(corpus):
+    # tables of more than 100 elements check 24 seeded rows in full, to
+    # stay within the suite's time
+    rng = random.Random(9)
+    for entry in corpus:
+        basis = quotient_basis(entry.poly, entry.model, spectrum=entry.box)
+        size = len(basis.elements)
+        rows = None if size <= 100 else rng.sample(range(size), 24)
+        assert_table_is_pairwise(basis, rows)
+
+
+def test_product_table_equals_pairwise_products_on_local_germ():
+    p = parse_polynomial(LOCAL_GERMS[1], mode=LOCAL)
+    assert_table_is_pairwise(quotient_basis(p, build_model(p)))
+
+
+def test_product_table_equals_pairwise_products_with_hint(square_basis, square_model):
+    # the hint's degrees are not in ascending order
+    degrees = [square_model.newton_value(v) for v in square_basis.elements]
+    assert degrees != sorted(degrees)
+    assert_table_is_pairwise(square_basis)
+
+
 def test_default_basis_dimensions_match_spectrum(corpus):
     # greedy bases exist and have the spectrum's per-degree dimensions
     for entry in corpus[:12]:
@@ -246,3 +284,10 @@ def test_product_table_with_rational_coefficients_is_pinned(capsys, text, digest
     assert main(["product-table", text]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_local_product_table_is_pinned(capsys):
+    assert main(["product-table", "--local", "x^5 + x^2*y^2 + y^5"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0e7fad92b50f7aed6e959a11b6dc639987e220fbe8a0e4a699cffa510a43156a")

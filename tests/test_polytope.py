@@ -19,6 +19,8 @@ from newtonspec import (
     polytope,
 )
 
+from conftest import FOUR_VARIABLE_POLYS, LOCAL_GERMS
+
 
 def frac(s):
     return Fraction(s)
@@ -110,6 +112,53 @@ def test_same_cone_matches_face_containment(corpus):
                 for f in m.faces
             )
             assert m.same_cone(a, b) == joint
+
+
+def _three_value_same_cone(model, a, b):
+    """The cone rule by three Newton evaluations: nu(a) + nu(b) == nu(a + b)."""
+    a, b = tuple(a), tuple(b)
+    if not any(a) or not any(b):
+        return True
+    n1, d1 = model._value_pair(a)
+    n2, d2 = model._value_pair(b)
+    n3, d3 = model._value_pair(tuple(x + y for x, y in zip(a, b)))
+    return (n1 * d2 + n2 * d1) * d3 == n3 * d1 * d2
+
+
+def test_cone_masks_agree_with_three_value_rule(corpus):
+    models = [entry.model for entry in corpus]
+    models += [build_model(parse_polynomial(t, mode=LOCAL)) for t in LOCAL_GERMS]
+    models += [build_model(parse_polynomial(t)) for t in FOUR_VARIABLE_POLYS]
+    rng = random.Random(7)
+    outcomes = set()
+    for m in models:
+        top = max(c for v in m.vertices for c in v)
+        points = [(0,) * m.n] + [
+            tuple(rng.randint(0, top) for _ in range(m.n)) for _ in range(12)
+        ]
+        keys = {}
+        for v in points:
+            key, mask = m.cone_key(v)
+            nu = m.newton_value(v)
+            assert Fraction(key, m.value_scale) == nu, (m.to_json(), v)
+            if any(v):
+                attaining = sum(
+                    1 << i for i, f in enumerate(m.facets)
+                    if sum(u * x for u, x in zip(f.normal, v)) == nu
+                )
+                assert mask == attaining, (m.to_json(), v)
+            else:
+                assert (key, mask) == (0, -1)
+            keys[v] = key
+        for a in points:
+            for b in points:
+                want = _three_value_same_cone(m, a, b)
+                assert m.same_cone(a, b) == want, (m.to_json(), a, b)
+                if want:
+                    total = tuple(x + y for x, y in zip(a, b))
+                    assert m.cone_key(total)[0] == keys[a] + keys[b]
+                outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_subadditivity(corpus):

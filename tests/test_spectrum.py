@@ -28,6 +28,7 @@ from newtonspec import (
 )
 
 from conftest import (
+    FOUR_VARIABLE_POLYS,
     QUINTIC_AT_INFINITY,
     QUINTIC_SPECTRUM,
     SQUARE_AT_INFINITY,
@@ -190,11 +191,7 @@ def test_routes_agree_on_random_supports(p):
     assert box == koszul_hilbert_series(p, m)
 
 
-@pytest.mark.parametrize("text", [
-    "u^4 + v^4 + w^4 + x^4",
-    "3*u^3 + 5*v^2 + 7*w^3 + 11*x^4 + 13*u*v*x^2 + 17*u^2*w",
-    "2*u^2 + 3*v^3 + 5*w^4 + 7*x^2 + 11*u*v*w + 13*v*w*x",   # fan not simplicial
-])
+@pytest.mark.parametrize("text", FOUR_VARIABLE_POLYS)
 def test_routes_agree_in_four_variables(text):
     p = parse_polynomial(text)
     m = build_model(p)
