@@ -222,7 +222,14 @@ def _cmd_product_table(args) -> int:
 
     labels = [monomial_text(v, p.names) for v in basis.elements]
     gradings = [str(model.newton_value(v)) for v in basis.elements]
-    entries = [[cls.render(p.names) for cls in row] for row in table]
+    # the table is symmetric and most cells are the shared zero class:
+    # render each nonzero class once, for both of its mirrored cells
+    size = len(table)
+    entries = [["0"] * size for _ in range(size)]
+    for i, row in enumerate(table):
+        for j in range(i, size):
+            if row[j].terms:
+                entries[i][j] = entries[j][i] = row[j].render(p.names)
     payload = {
         "schema": SCHEMA,
         "command": "product-table",
@@ -235,18 +242,11 @@ def _cmd_product_table(args) -> int:
         "basis: " + ", ".join(labels),
         "grading: " + ", ".join(gradings),
     ]
-    widths = [
-        max(len(labels[j]), max(len(row[j]) for row in entries))
-        for j in range(len(labels))
-    ]
+    widths = [max(len(lbl), *map(len, col)) for lbl, col in zip(labels, zip(*entries))]
     head = max(len(lbl) for lbl in labels)
-    lines.append(
-        " " * head + " | " + " | ".join(lbl.ljust(w) for lbl, w in zip(labels, widths))
-    )
+    lines.append(" " * head + " | " + " | ".join(map(str.ljust, labels, widths)))
     for lbl, row in zip(labels, entries):
-        lines.append(
-            lbl.ljust(head) + " | " + " | ".join(e.ljust(w) for e, w in zip(row, widths))
-        )
+        lines.append(lbl.ljust(head) + " | " + " | ".join(map(str.ljust, row, widths)))
     _emit(args, payload, lines)
     return 0
 

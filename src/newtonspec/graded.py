@@ -131,7 +131,7 @@ class DegreeBlock:
     monomials: List[Vec]                 # column order used by the reduction
     index: Dict[Vec, int]
     rows: List[List[Fraction]]           # reduced row echelon relation rows
-    pivots: List[int]
+    pivots: Dict[int, int]               # pivot column -> its row in ``rows``
     basis: List[Vec]                     # non-pivot columns, in column order
 
     @property
@@ -146,9 +146,10 @@ class DegreeBlock:
         [vec] = -(row at the basis columns).
         """
         col = self.index[vec]
-        if col not in self.pivots:
+        r = self.pivots.get(col)
+        if r is None:
             return {vec: Fraction(coeff)}
-        row = self.rows[self.pivots.index(col)]
+        row = self.rows[r]
         return {
             self.monomials[j]: -coeff * x for j, x in enumerate(row) if x and j != col
         }
@@ -188,9 +189,9 @@ def _build_block(model, leading, degree, monomials_here, monomials_prev, hint=No
         ) + list(hint)
     index = {m: i for i, m in enumerate(ordered)}
     raw = _relation_rows(model, leading, monomials_prev, index)
-    rows, pivots = linalg.rref(raw, len(ordered))
-    pivot_set = set(pivots)
-    basis = [m for i, m in enumerate(ordered) if i not in pivot_set]
+    rows, pivot_cols = linalg.rref(raw, len(ordered))
+    pivots = {col: r for r, col in enumerate(pivot_cols)}
+    basis = [m for i, m in enumerate(ordered) if i not in pivots]
     return DegreeBlock(
         degree=degree,
         monomials=ordered,

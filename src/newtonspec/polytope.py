@@ -14,6 +14,13 @@ with the bitmask of the facet forms that attain that value.  Two
 exponents share a fan cone, so that nu is additive on them, exactly when
 their masks meet; the graded ring's cone rule needs no third evaluation.
 
+The lattice census (the points with nu(v) <= T, grouped by value) walks
+only that region, not a bounding box: with one integer partial sum per
+scaled form, each coordinate in turn ranges over the interval that the
+forms leave it.  It reads the facet forms alone, never the triangulation
+or the box points, so the oracle built on it checks the box route
+independently.
+
 The hull is found by exhaustive enumeration: every hyperplane through n
 affinely independent input points is tested against all points.  That is
 quadratic-ish and perfectly exact, which is the right trade at the
@@ -287,7 +294,7 @@ class PolytopeModel:
 
         Returns the zero cone for v = 0.  The face is located by scaling v
         onto the Newton boundary and intersecting the hull facets through
-        the scaled point.
+        the scaled point; the side tests stay in the integers.
         """
         v = tuple(v)
         if any(x < 0 for x in v):
@@ -297,12 +304,12 @@ class PolytopeModel:
         num, den = self._value_pair(v)
         if num <= 0:
             raise InternalCheckError(f"Newton value of {v} is not positive")
-        x = [Fraction(vi * den, num) for vi in v]
-        meets = []
-        for hf in self._hull_facets:
-            val = sum(hj * xj for hj, xj in zip(hf.normal, x))
-            if val == hf.level:
-                meets.append(hf.vertex_set)
+        # v * den / num lies on <h, x> = level exactly when
+        # <h, v> * den == level * num, as num > 0
+        meets = [
+            hf.vertex_set for hf in self._hull_facets
+            if sum(map(mul, hf.normal, v)) * den == hf.level * num
+        ]
         if not meets:
             raise InternalCheckError(f"{v} lies on no boundary facet")
         common = frozenset.intersection(*meets)
@@ -388,29 +395,33 @@ class PolytopeModel:
         common simplices.
         """
         memo: dict = {}
-
-        def pull(face: Face) -> List[Tuple[int, ...]]:
-            vidx = face.vertex_indices
-            if vidx not in memo:
-                if face.is_simplex:
-                    memo[vidx] = [vidx]
-                else:
-                    vset = frozenset(vidx)
-                    memo[vidx] = [
-                        (vidx[0],) + piece
-                        for child in self.faces
-                        if child.dim == face.dim - 1
-                        and vidx[0] not in child.vertex_indices
-                        and vset.issuperset(child.vertex_indices)
-                        for piece in pull(child)
-                    ]
-            return memo[vidx]
-
         return sorted({
             piece
             for ff in self.facets
-            for piece in pull(self.faces[self._face_index[frozenset(ff.vertex_indices)]])
+            for piece in self._pull(self.faces[self._face_index[frozenset(ff.vertex_indices)]], memo)
         })
+
+    def _pull(self, face: Face, memo: dict) -> List[Tuple[int, ...]]:
+        """The pieces of one face in the pulling triangulation, memoised
+        by vertices.  A method, not a closure: a closure that calls itself
+        is a reference cycle and would keep the model alive until the
+        cyclic garbage collector runs.
+        """
+        vidx = face.vertex_indices
+        if vidx not in memo:
+            if face.is_simplex:
+                memo[vidx] = [vidx]
+            else:
+                vset = frozenset(vidx)
+                memo[vidx] = [
+                    (vidx[0],) + piece
+                    for child in self.faces
+                    if child.dim == face.dim - 1
+                    and vidx[0] not in child.vertex_indices
+                    and vset.issuperset(child.vertex_indices)
+                    for piece in self._pull(child, memo)
+                ]
+        return memo[vidx]
 
     def triangulation(self) -> Tuple[Face, ...]:
         """Every face of every top simplex of the pulling triangulation of
@@ -448,20 +459,88 @@ class PolytopeModel:
         """Lattice points with nu(v) <= height, as {value: points}.
 
         Values ascend and each group keeps ``itertools.product`` order.
-        The tallest scan so far is kept; a query at or below its height
-        filters it, since the box [0, height * max_coord]^n holds every
-        point with nu(v) <= height and filtering keeps the product order.
+        :meth:`_scan_region` visits only the points of the region, never
+        the whole box [0, height * max_coord]^n.  The tallest scan so far
+        is kept; a query at or below its height filters it, and filtering
+        keeps the product order.
         """
         if height > self._census_height:
-            groups: dict = {}
-            box = height * self._max_coord
-            for v in itertools.product(range(box + 1), repeat=self.n):
-                num, den = self._value_pair(v)
-                if num <= height * den:
-                    groups.setdefault(Fraction(num, den), []).append(v)
-            self._census_groups = dict(sorted(groups.items()))
+            self._census_groups = self._scan_region(height)
             self._census_height = height
         return {val: pts for val, pts in self._census_groups.items() if val <= height}
+
+    def _scan_region(self, height: int) -> dict:
+        """The lattice points with nu(v) <= height, grouped by value.
+
+        Works in the integers nu(v) * L = max (global) or min (local) of
+        the scaled forms <S_F, v>, against the threshold H = height * L.
+        The coordinates are fixed in product order, coordinate 0
+        outermost, each capped at height * max_coord, with one partial
+        sum s_F per form.  Every coordinate ranges over an interval:
+
+        * global: x is kept while some completion can keep every form at
+          or below H, i.e. s_F + S_Fk * x + r_F <= H for all F, where r_F
+          is the least that the later coordinates can add to form F (the
+          sum of min(0, S_Fj) * cap over j > k);
+        * local: x is kept while some form with s_F <= H stays at or
+          below H, which bounds x above only, as every S_Fk > 0.
+
+        At the last coordinate r_F = 0, so each point of the interval is
+        in the region.  The integer keys are sorted and turned into
+        ``Fraction(key, L)`` once per group.
+        """
+        n = self.n
+        forms = [w for _, w in self._scaled_forms]
+        top = height * self.value_scale
+        cap = height * self._max_coord
+        take_max = self.mode == GLOBAL
+        # rests[k][F]: the least that coordinates k+1.. can add to form F
+        rests = [[0] * len(forms) for _ in range(n)]
+        if take_max:
+            for k in range(n - 2, -1, -1):
+                rests[k] = [r + min(0, w[k + 1]) * cap for r, w in zip(rests[k + 1], forms)]
+        pick = max if take_max else min
+        groups: dict = {}
+        stack = [((), (0,) * len(forms))]
+        while stack:
+            prefix, sums = stack.pop()
+            k = len(prefix)
+            column = [w[k] for w in forms]
+            if take_max:
+                lo, hi = 0, cap
+                for s, a, r in zip(sums, column, rests[k]):
+                    room = top - s - r
+                    if a > 0:
+                        hi = min(hi, room // a)
+                    elif a < 0:
+                        lo = max(lo, -(room // -a))
+                    elif room < 0:
+                        hi = -1
+            else:
+                lo, hi = 0, min(cap, max(
+                    ((top - s) // a for s, a in zip(sums, column) if s <= top),
+                    default=-1,
+                ))
+            if lo > hi:
+                continue
+            if k < n - 1:
+                for x in range(hi, lo - 1, -1):
+                    stack.append((prefix + (x,), tuple(s + a * x for s, a in zip(sums, column))))
+                continue
+            # along the last coordinate each form is an arithmetic progression
+            lines = [
+                range(s + a * lo, s + a * (hi + 1), a) if a else itertools.repeat(s, hi + 1 - lo)
+                for s, a in zip(sums, column)
+            ]
+            keys = map(pick, *lines) if len(lines) > 1 else lines[0]
+            for x, key in zip(range(lo, hi + 1), keys):
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = [prefix + (x,)]
+                else:
+                    group.append(prefix + (x,))
+        scale = self.value_scale
+        return {Fraction(key, scale): groups[key] for key in sorted(groups)}
 
     def lattice_count(self, ell: int) -> int:
         """Number of lattice points v >= 0 with nu(v) <= ell."""

@@ -1,8 +1,11 @@
 """Polytope models: facets, faces, cones, boxes, volumes, counts."""
 
+import gc
 import hashlib
+import itertools
 import json
 import random
+import weakref
 from fractions import Fraction
 from math import gcd
 
@@ -19,7 +22,7 @@ from newtonspec import (
     polytope,
 )
 
-from conftest import FOUR_VARIABLE_POLYS, LOCAL_GERMS
+from conftest import FOUR_VARIABLE_POLYS, LOCAL_GERMS, random_convenient_poly
 
 
 def frac(s):
@@ -292,6 +295,91 @@ def test_census_answers_do_not_depend_on_query_order(corpus):
                 for m in (ascending, tall_first)
             ]
             assert got[0] == got[1], (entry.poly, h)
+
+
+def _box_census(model, height):
+    """The census as a full sweep of the box [0, height * max_coord]^n,
+    kept verbatim from before the region scan, as the reference."""
+    groups: dict = {}
+    box = height * model._max_coord
+    for v in itertools.product(range(box + 1), repeat=model.n):
+        num, den = model._value_pair(v)
+        if num <= height * den:
+            groups.setdefault(Fraction(num, den), []).append(v)
+    return dict(sorted(groups.items()))
+
+
+def _assert_census_matches_box_sweep(p):
+    model = build_model(p)
+    heights = range(model.n + 2)
+    want = {h: list(_box_census(model, h).items()) for h in heights}
+    for h in heights:  # each taller query scans the region afresh
+        assert list(model._census(h).items()) == want[h], (p, h)
+    for h in reversed(heights):  # the lower ones filter the tallest scan
+        assert list(model._census(h).items()) == want[h], (p, h)
+
+
+# global supports with a facet form that has a negative entry, such as
+# u/2 - v/6 for the first
+NEGATIVE_FORM_POLYS = [
+    "u^2 + v^2 + u^3*v^3",
+    "u + v^3 + u^2*v^4",
+    "u^2 + v^2 + w^2 + u^3*v^3*w^3",
+    "u^3 + v^2 + w^2 + u^4*v*w^3",
+]
+
+
+def _census_inputs():
+    polys = [parse_polynomial(t, mode=LOCAL) for t in LOCAL_GERMS]
+    polys += [parse_polynomial(t) for t in FOUR_VARIABLE_POLYS + NEGATIVE_FORM_POLYS]
+    rng = random.Random(11)
+    for n in (1, 2, 3):
+        for _ in range(6):
+            for mode in (GLOBAL, LOCAL):
+                p = random_convenient_poly(rng, n)
+                polys.append(Poly(names=p.names, terms=p.terms, mode=mode))
+    return polys
+
+
+CENSUS_INPUTS = _census_inputs()
+
+
+def test_census_matches_box_sweep_on_corpus(corpus):
+    for entry in corpus:
+        _assert_census_matches_box_sweep(entry.poly)
+
+
+@pytest.mark.parametrize(
+    "p", CENSUS_INPUTS,
+    ids=[f"{p.mode}-n{p.nvars}-{i}" for i, p in enumerate(CENSUS_INPUTS)],
+)
+def test_census_matches_box_sweep(p):
+    _assert_census_matches_box_sweep(p)
+
+
+@pytest.mark.parametrize("text", NEGATIVE_FORM_POLYS)
+def test_negative_form_supports_have_negative_entries(text):
+    model = build_model(parse_polynomial(text))
+    assert model.mode == GLOBAL
+    assert any(x < 0 for ff in model.facets for x in ff.normal)
+
+
+def test_census_leaves_no_reference_cycle():
+    # with the cyclic collector off, only reference counting can free the
+    # model: a cycle through it would keep every census list alive
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for text, mode in (("u^2 + v^2 + u^3*v^3", GLOBAL), (LOCAL_GERMS[0], LOCAL)):
+            model = build_model(parse_polynomial(text, mode=mode))
+            model.lattice_count(model.n + 1)
+            model.normalized_volume()
+            ref = weakref.ref(model)
+            del model
+            assert ref() is None, text
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_f_of_p_faces_avoid_hyperplanes(corpus):
