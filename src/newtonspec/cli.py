@@ -10,6 +10,7 @@ machine (overflow, out of memory).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -49,7 +50,11 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _ArgumentParser:
+    """The parser, built once per process: argparse's parsers and
+    formatters are reference cycles, which a fresh parser per call would
+    leave to the cyclic garbage collector."""
     parser = _ArgumentParser(
         prog="newtonspec",
         description="Exact spectra, Milnor numbers, product tables and "

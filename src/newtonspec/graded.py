@@ -252,8 +252,12 @@ def quotient_basis(
             raise HintError(
                 f"basis hint lists {len(basis_hint)} monomials, expected {total_expected}"
             )
+        seen = set()
         for vec in basis_hint:
             vec = tuple(vec)
+            if vec in seen:
+                raise HintError(f"hint monomial {monomial_text(vec, p.names)} is listed twice")
+            seen.add(vec)
             deg = model.newton_value(vec)
             if spectrum.coefficient(deg) == 0:
                 raise HintError(

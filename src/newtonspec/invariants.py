@@ -7,12 +7,10 @@ pass/fail.  Checks that only make sense on simplicial fans are skipped
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import List
 
 from .ehrhart import (
-    box_point_union,
     delta_from_counts,
     delta_from_spectrum,
     ehrhart_polynomial,

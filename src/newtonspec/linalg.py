@@ -9,7 +9,11 @@ derivative relations: hundreds of columns with a few percent of their
 entries nonzero.  It scales each row to primitive integers, keeps it
 sparse and eliminates in the integers, in the manner of the sparse
 pivoting of Faugere's F4 on Macaulay matrices; ``Fraction`` appears only
-in its result.  ``solve_unique`` solves a small square system through it.
+in its result.  ``bareiss`` is the integer elimination behind the
+first three, and ``box_points`` calls it directly.  ``solve_unique``
+solves a small square system through ``rref``; nothing in the package
+calls it any more, and it remains only for the benchmark's layer tracer,
+which patches it by name, and for its own test.
 """
 
 from fractions import Fraction
@@ -95,7 +99,7 @@ def _divide_content(row):
     return row
 
 
-def _bareiss(rows, ncols, above):
+def bareiss(rows, ncols, above):
     """Fraction-free elimination of integer rows, pivots chosen as in rref.
 
     Returns ``(pivot_rows, pivot_cols, d, sign)``.  Every row below a
@@ -136,11 +140,10 @@ def _bareiss(rows, ncols, above):
 def rank(rows, ncols):
     """Rank of an integer matrix, by fraction-free elimination.
 
-    Every caller (the full-dimension check of ``build_model``, affine
-    dimensions of faces and the row choice of ``box_points``) passes
-    integer rows.
+    Every caller (the full-dimension check of ``build_model`` and affine
+    dimensions of faces) passes integer rows.
     """
-    return len(_bareiss(rows, ncols, above=False)[1])
+    return len(bareiss(rows, ncols, above=False)[1])
 
 
 def nullspace_vector(rows, ncols):
@@ -151,7 +154,7 @@ def nullspace_vector(rows, ncols):
     entries minus the reduced rows' free column), where d is the pivot
     minor of the fraction-free Gauss-Jordan form.
     """
-    reduced, pivots, d, _ = _bareiss(rows, ncols, above=True)
+    reduced, pivots, d, _ = bareiss(rows, ncols, above=True)
     if len(pivots) != ncols - 1:
         return None
     f = next(c for c in range(ncols) if c not in pivots)
@@ -180,5 +183,5 @@ def solve_unique(a_rows, b):
 def int_det(rows):
     """Determinant of a square integer matrix (Bareiss, fraction free)."""
     n = len(rows)
-    _, pivots, d, sign = _bareiss(rows, n, above=False)
+    _, pivots, d, sign = bareiss(rows, n, above=False)
     return sign * d if len(pivots) == n else 0

@@ -16,7 +16,7 @@ support away from the origin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -243,11 +243,15 @@ def parse_polynomial(text: str, mode: str = GLOBAL, var_order: Optional[Sequence
 
     Equal exponent vectors are combined and zero coefficients dropped.
     Variables are ordered by first appearance unless ``var_order`` pins
-    the order (it must then cover every variable in the text).
+    the order (it must then name each variable of the text, and each
+    name once).
     """
     raw, seen = _Parser(text).parse()
     if var_order is not None:
         names = tuple(var_order)
+        repeated = [v for i, v in enumerate(names) if v in names[:i]]
+        if repeated:
+            raise InputError(f"variable {repeated[0]} repeats in --vars list")
         unknown = [v for v in seen if v not in names]
         if unknown:
             raise InputError(f"variable(s) {', '.join(unknown)} not in --vars list")

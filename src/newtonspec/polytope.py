@@ -8,11 +8,18 @@ function (max of the forms globally, min locally), the face lattice of
 the Newton boundary and its pulling triangulation, half-open box points
 of simplices, normalized volumes and lattice-point counts.
 
-A monomial's cone key (:meth:`PolytopeModel.cone_key`) is its Newton
-value scaled to an integer by the lcm of the form denominators, together
-with the bitmask of the facet forms that attain that value.  Two
+The Newton function is evaluated in the integers only: the facet forms
+are scaled by L, the lcm of their denominators, and nu(v) * L is the max
+(global) or min (local) of their integer dot products with v.  A
+monomial's cone key (:meth:`PolytopeModel.cone_key`) is that integer
+together with the bitmask of the scaled forms that attain it.  Two
 exponents share a fan cone, so that nu is additive on them, exactly when
 their masks meet; the graded ring's cone rule needs no third evaluation.
+
+The half-open box of a simplex comes from one fraction-free (Bareiss)
+Gauss-Jordan elimination of its vertex matrix beside the identity; the
+candidates range over the independent coordinates it finds, and each
+test is an integer one.
 
 The lattice census (the points with nu(v) <= T, grouped by value) walks
 only that region, not a bounding box: with one integer partial sum per
@@ -36,9 +43,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from operator import mul
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import (
@@ -212,22 +219,12 @@ class PolytopeModel:
         self._hull_facets = hull_facets
         self._hull_to_model = hull_to_model
         self._face_index = {frozenset(f.vertex_indices): i for i, f in enumerate(faces)}
-        self._face_vsets = [frozenset(f.vertex_indices) for f in faces]
-        # integer presentation of the facet forms for fast lattice scans
-        self._int_forms = []
-        for ff in facets:
-            den = 1
-            for x in ff.normal:
-                den = den * x.denominator // gcd(den, x.denominator)
-            self._int_forms.append((tuple(int(x * den) for x in ff.normal), den))
-        # L, the lcm of the form denominators: nu(v) * L is an integer, and
-        # the forms scaled by L give the facet masks of cone_key
-        self.value_scale = 1
-        for _, den in self._int_forms:
-            self.value_scale = self.value_scale * den // gcd(self.value_scale, den)
+        # L, the lcm of the form denominators, and the forms scaled by it:
+        # nu(v) * L is the max (global) or min (local) of their integer dot
+        # products with v, and evaluation reads nothing else
+        self.value_scale = lcm(*(x.denominator for ff in facets for x in ff.normal))
         self._scaled_forms = [
-            (1 << i, tuple(x * (self.value_scale // den) for x in w))
-            for i, (w, den) in enumerate(self._int_forms)
+            tuple(int(x * self.value_scale) for x in ff.normal) for ff in facets
         ]
         self._max_coord = max((c for v in vertices for c in v), default=0)
         self._box_cache: dict = {}
@@ -238,23 +235,10 @@ class PolytopeModel:
 
     # -- Newton function ----------------------------------------------
 
-    def _value_pair(self, v: Sequence[int]):
-        """The Newton value of v as an unreduced integer pair (num, den)."""
-        take_max = self.mode == GLOBAL
-        best_n = best_d = None
-        for w, d in self._int_forms:
-            s = 0
-            for wi, vi in zip(w, v):
-                s += wi * vi
-            if best_n is None:
-                best_n, best_d = s, d
-            elif take_max:
-                if s * best_d > best_n * d:
-                    best_n, best_d = s, d
-            else:
-                if s * best_d < best_n * d:
-                    best_n, best_d = s, d
-        return best_n, best_d
+    def _scaled_value(self, v: Sequence[int]) -> int:
+        """nu(v) * value_scale, an integer."""
+        pick = max if self.mode == GLOBAL else min
+        return pick(sum(map(mul, w, v)) for w in self._scaled_forms)
 
     def newton_value(self, v: Sequence[int]) -> Fraction:
         """nu(v): max of the facet forms in global mode, min in local mode."""
@@ -263,8 +247,7 @@ class PolytopeModel:
             raise InputError(f"{v} has negative coordinates")
         if not any(v):
             return Fraction(0)
-        num, den = self._value_pair(v)
-        return Fraction(num, den)
+        return Fraction(self._scaled_value(v), self.value_scale)
 
     def cone_key(self, v: Sequence[int]) -> Tuple[int, int]:
         """(nu(v) * value_scale, mask): the scaled Newton value, an integer,
@@ -277,12 +260,11 @@ class PolytopeModel:
         """
         if not any(v):
             return 0, -1
-        num, den = self._value_pair(v)
-        key = num * (self.value_scale // den)
+        key = self._scaled_value(v)
         mask = 0
-        for bit, w in self._scaled_forms:
+        for i, w in enumerate(self._scaled_forms):
             if sum(map(mul, w, v)) == key:
-                mask |= bit
+                mask |= 1 << i
         return key, mask
 
     def same_cone(self, a: Sequence[int], b: Sequence[int]) -> bool:
@@ -301,14 +283,15 @@ class PolytopeModel:
             raise InputError(f"{v} has negative coordinates")
         if not any(v):
             return self.zero_cone
-        num, den = self._value_pair(v)
-        if num <= 0:
+        key = self._scaled_value(v)
+        if key <= 0:
             raise InternalCheckError(f"Newton value of {v} is not positive")
-        # v * den / num lies on <h, x> = level exactly when
-        # <h, v> * den == level * num, as num > 0
+        # v * L / key lies on <h, x> = level exactly when
+        # <h, v> * L == level * key, as key > 0
+        scale = self.value_scale
         meets = [
             hf.vertex_set for hf in self._hull_facets
-            if sum(map(mul, hf.normal, v)) * den == hf.level * num
+            if sum(map(mul, hf.normal, v)) * scale == hf.level * key
         ]
         if not meets:
             raise InternalCheckError(f"{v} lies on no boundary facet")
@@ -326,8 +309,14 @@ class PolytopeModel:
 
         These are the v in N^n with v = sum q_l * b_l over the face's
         vertices and every q_l in [0, 1).  The face must be a simplex so
-        that the coordinates q are unique; enumeration scans the integer
-        bounding box and solves for q exactly.
+        that the coordinates q are unique.  One fraction-free Gauss-Jordan
+        elimination of [V | I], V the k x n matrix of the vertices as
+        rows, finds the greedy independent coordinates R as its pivots and
+        gives the rows [d*E*V | d*E], E the inverse of V's columns R.  So
+        d*q = (d*E)^T v_R and d*v = (d*E*V)^T v_R: only the coordinates in
+        R are enumerated, over the integer bounding box, and a candidate
+        is kept when 0 <= d*q < d and d divides every entry of d*v.  The
+        other coordinates then lie in the bounding box too, as q < 1.
         """
         key = face.vertex_indices
         if key in self._box_cache:
@@ -339,47 +328,33 @@ class PolytopeModel:
         verts = [self.vertices[i] for i in face.vertex_indices]
         k = len(verts)
         n = self.n
-        # pick k independent coordinate rows of the n x k vertex matrix
-        cols = verts  # each vertex is a column
-        rows_all = [[cols[j][i] for j in range(k)] for i in range(n)]
-        chosen = []
-        probe = []
-        for i, row in enumerate(rows_all):
-            if linalg.rank(probe + [row], k) > len(chosen):
-                chosen.append(i)
-                probe.append(row)
-            if len(chosen) == k:
-                break
-        if len(chosen) < k:
+        rows, chosen, d, _ = linalg.bareiss(
+            [list(v) + [int(i == j) for j in range(k)] for i, v in enumerate(verts)],
+            n + k, above=True,
+        )
+        if any(c >= n for c in chosen):
             raise InternalCheckError("face vertices are linearly dependent")
-        sub = [rows_all[i] for i in chosen]
-        det = linalg.int_det(sub)
-        inv_cols = []
-        for j in range(k):
-            e = [Fraction(1) if i == j else Fraction(0) for i in range(k)]
-            inv_cols.append(linalg.solve_unique(sub, e))
-        # adjugate action: adj[r] . v_R = det * q_r, all integers
-        adj = [[int(inv_cols[j][r] * det) for j in range(k)] for r in range(k)]
-        sums = [sum(c[i] for c in cols) for i in range(n)]
+        if d < 0:
+            rows = [[-x for x in row] for row in rows]
+            d = -d
+        # columns of the transposes: to_v[i] and to_q[l] hold, for each
+        # r in R, the weight of v_r in d*v_i and in d*q_l
+        to_v = [[row[i] for row in rows] for i in range(n)]
+        to_q = [[row[n + l] for row in rows] for l in range(k)]
+        sums = [sum(v[i] for v in verts) for i in chosen]
         out = []
-        for cand in itertools.product(*(range(max(s, 1)) for s in sums)):
-            v_r = [cand[i] for i in chosen]
-            nq = [sum(adj[r][j] * v_r[j] for j in range(k)) for r in range(k)]
-            if det > 0:
-                if any(x < 0 or x >= det for x in nq):
-                    continue
-            else:
-                if any(x > 0 or x <= det for x in nq):
-                    continue
-            ok = True
-            for i in range(n):
-                if sum(rows_all[i][j] * nq[j] for j in range(k)) != det * cand[i]:
-                    ok = False
-                    break
-            if not ok:
+        for v_r in itertools.product(*(range(max(s, 1)) for s in sums)):
+            nq = [sum(map(mul, col, v_r)) for col in to_q]
+            if any(x < 0 or x >= d for x in nq):
                 continue
-            q = tuple(Fraction(x, det) for x in nq)
-            out.append(BoxPoint(point=cand, q=q, nu=sum(q, Fraction(0))))
+            nv = [sum(map(mul, col, v_r)) for col in to_v]
+            if any(x % d for x in nv):
+                continue
+            out.append(BoxPoint(
+                point=tuple(x // d for x in nv),
+                q=tuple(Fraction(x, d) for x in nq),
+                nu=Fraction(sum(nq), d),
+            ))
         out.sort(key=lambda bp: bp.point)
         self._box_cache[key] = out
         return out
@@ -490,7 +465,7 @@ class PolytopeModel:
         ``Fraction(key, L)`` once per group.
         """
         n = self.n
-        forms = [w for _, w in self._scaled_forms]
+        forms = self._scaled_forms
         top = height * self.value_scale
         cap = height * self._max_coord
         take_max = self.mode == GLOBAL

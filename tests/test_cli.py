@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from newtonspec import cli
 from newtonspec.cli import main
 
 
@@ -96,6 +97,19 @@ def test_determinism(capsys):
     assert first == second
 
 
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    # the parser is cached per process: an option given to one call must
+    # not reach the next
+    square = "u^2 + u^2*v^2 + v^2"
+    hint = "1,u*v,u^2*v^2,u^3*v^3,u,v,u^2*v,u*v^2"
+    assert cli._build_parser() is cli._build_parser()
+    _, first, _ = run_cli(capsys, "product-table", square)
+    _, hinted, _ = run_cli(capsys, "product-table", square, "--basis", hint)
+    run_cli(capsys, "spectrum", "--json", "--vars", "u,v", square)
+    _, second, _ = run_cli(capsys, "product-table", square)
+    assert first == second != hinted
+
+
 def test_file_input(tmp_path, capsys):
     path = tmp_path / "poly.txt"
     path.write_text("u^2 + u^2*v^2 + v^2\n", encoding="utf-8")
@@ -115,6 +129,18 @@ def test_not_convenient_exit_code(capsys):
     code, _, err = run_cli(capsys, "spectrum", "u + u*v")
     assert code == 1
     assert "not convenient" in err and "v" in err
+
+
+def test_repeated_vars_entry_exit_code(capsys):
+    code, out, err = run_cli(capsys, "spectrum", "u^2", "--vars", "u,u")
+    assert code == 1 and out == ""
+    assert "variable u repeats" in err
+
+
+def test_repeated_basis_entry_exit_code(capsys):
+    code, out, err = run_cli(capsys, "product-table", "u^2+v^2", "--basis", "1,u,u,u*v")
+    assert code == 1 and out == ""
+    assert "hint monomial u is listed twice" in err
 
 
 def test_local_constant_exit_code(capsys):

@@ -130,6 +130,13 @@ def test_wrong_length_hint_rejected(square_poly, square_model):
         quotient_basis(square_poly, square_model, basis_hint=hint)
 
 
+def test_repeated_hint_monomial_rejected(square_poly, square_model):
+    hint_texts = ["1", "u*v", "u^2*v^2", "u^3*v^3", "u", "u", "u^2*v", "u*v^2"]
+    hint = [parse_monomial(t, square_poly.names) for t in hint_texts]
+    with pytest.raises(HintError, match="u is listed twice"):
+        quotient_basis(square_poly, square_model, basis_hint=hint)
+
+
 def test_wrong_spectrum_raises_dimension_mismatch(square_poly, square_model):
     with pytest.raises(DimensionMismatchError):
         quotient_basis(

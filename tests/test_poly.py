@@ -91,6 +91,8 @@ def test_var_order_pins_indices():
     assert set(p.support()) == {(1, 0), (0, 1)}
     with pytest.raises(InputError):
         parse_polynomial("v + u + w", var_order=["u", "v"])
+    with pytest.raises(InputError, match="variable u repeats"):
+        parse_polynomial("u^2", var_order=["u", "u"])
 
 
 def test_parse_monomial():

@@ -7,7 +7,7 @@ import json
 import random
 import weakref
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -117,14 +117,37 @@ def test_same_cone_matches_face_containment(corpus):
             assert m.same_cone(a, b) == joint
 
 
+def _int_forms(model):
+    """Each rational form ``FacetForm.normal`` as (integer numerators, its
+    own denominator), so that the references below do not read the
+    model's scaled forms."""
+    forms = []
+    for ff in model.facets:
+        den = lcm(*(x.denominator for x in ff.normal))
+        forms.append((tuple(int(x * den) for x in ff.normal), den))
+    return forms
+
+
+def _value_pair(model, forms, v):
+    """The Newton value of v as an unreduced integer pair (num, den)."""
+    take_max = model.mode == GLOBAL
+    best_n = best_d = None
+    for w, d in forms:
+        s = sum(wi * vi for wi, vi in zip(w, v))
+        if best_n is None or (s * best_d > best_n * d if take_max else s * best_d < best_n * d):
+            best_n, best_d = s, d
+    return best_n, best_d
+
+
 def _three_value_same_cone(model, a, b):
     """The cone rule by three Newton evaluations: nu(a) + nu(b) == nu(a + b)."""
     a, b = tuple(a), tuple(b)
     if not any(a) or not any(b):
         return True
-    n1, d1 = model._value_pair(a)
-    n2, d2 = model._value_pair(b)
-    n3, d3 = model._value_pair(tuple(x + y for x, y in zip(a, b)))
+    forms = _int_forms(model)
+    n1, d1 = _value_pair(model, forms, a)
+    n2, d2 = _value_pair(model, forms, b)
+    n3, d3 = _value_pair(model, forms, tuple(x + y for x, y in zip(a, b)))
     return (n1 * d2 + n2 * d1) * d3 == n3 * d1 * d2
 
 
@@ -302,8 +325,9 @@ def _box_census(model, height):
     kept verbatim from before the region scan, as the reference."""
     groups: dict = {}
     box = height * model._max_coord
+    forms = _int_forms(model)
     for v in itertools.product(range(box + 1), repeat=model.n):
-        num, den = model._value_pair(v)
+        num, den = _value_pair(model, forms, v)
         if num <= height * den:
             groups.setdefault(Fraction(num, den), []).append(v)
     return dict(sorted(groups.items()))
@@ -355,6 +379,78 @@ def test_census_matches_box_sweep_on_corpus(corpus):
 )
 def test_census_matches_box_sweep(p):
     _assert_census_matches_box_sweep(p)
+
+
+def _reference_box_points(model, face):
+    """Box points by a sweep of the integer bounding box that solves for q
+    at every candidate, kept verbatim from before the single elimination
+    of ``box_points``, as the reference."""
+    verts = [model.vertices[i] for i in face.vertex_indices]
+    k = len(verts)
+    n = model.n
+    # pick k independent coordinate rows of the n x k vertex matrix
+    cols = verts  # each vertex is a column
+    rows_all = [[cols[j][i] for j in range(k)] for i in range(n)]
+    chosen = []
+    probe = []
+    for i, row in enumerate(rows_all):
+        if linalg.rank(probe + [row], k) > len(chosen):
+            chosen.append(i)
+            probe.append(row)
+        if len(chosen) == k:
+            break
+    assert len(chosen) == k, "face vertices are linearly dependent"
+    sub = [rows_all[i] for i in chosen]
+    det = linalg.int_det(sub)
+    inv_cols = []
+    for j in range(k):
+        e = [Fraction(1) if i == j else Fraction(0) for i in range(k)]
+        inv_cols.append(linalg.solve_unique(sub, e))
+    # adjugate action: adj[r] . v_R = det * q_r, all integers
+    adj = [[int(inv_cols[j][r] * det) for j in range(k)] for r in range(k)]
+    sums = [sum(c[i] for c in cols) for i in range(n)]
+    out = []
+    for cand in itertools.product(*(range(max(s, 1)) for s in sums)):
+        v_r = [cand[i] for i in chosen]
+        nq = [sum(adj[r][j] * v_r[j] for j in range(k)) for r in range(k)]
+        if det > 0:
+            if any(x < 0 or x >= det for x in nq):
+                continue
+        else:
+            if any(x > 0 or x <= det for x in nq):
+                continue
+        ok = True
+        for i in range(n):
+            if sum(rows_all[i][j] * nq[j] for j in range(k)) != det * cand[i]:
+                ok = False
+                break
+        if not ok:
+            continue
+        q = tuple(Fraction(x, det) for x in nq)
+        out.append((cand, q, sum(q, Fraction(0))))
+    out.sort()
+    return out
+
+
+def _assert_box_points_match_reference(model):
+    faces = [model.zero_cone] + list(model.triangulation())
+    faces += [f for f in model.faces if f.is_simplex]
+    for face in faces:
+        got = [(bp.point, bp.q, bp.nu) for bp in model.box_points(face)]
+        assert got == _reference_box_points(model, face), (model.to_json(), face)
+
+
+def test_box_points_match_reference_on_corpus(corpus):
+    for entry in corpus:
+        _assert_box_points_match_reference(entry.model)
+
+
+@pytest.mark.parametrize(
+    "p", CENSUS_INPUTS,
+    ids=[f"{p.mode}-n{p.nvars}-{i}" for i, p in enumerate(CENSUS_INPUTS)],
+)
+def test_box_points_match_reference(p):
+    _assert_box_points_match_reference(build_model(p))
 
 
 @pytest.mark.parametrize("text", NEGATIVE_FORM_POLYS)
