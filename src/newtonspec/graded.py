@@ -7,20 +7,26 @@ fan cone (the Newton value is additive there) and zero otherwise.  The
 rule is read off cone keys (``PolytopeModel.cone_key``): two exponents
 share a cone when their facet masks meet, and the product's degree is
 the sum of their scaled Newton values, so the sum is never evaluated.
-The relation classes are the leading parts of u_i * df/du_i.  Each degree
-is row reduced once into a :class:`DegreeBlock`, by exact fraction-free
-elimination of sparse integer rows (``linalg.rref``); only the reduced
-rows hold ``Fraction`` entries.  The blocks' dimensions give a third,
-linear-algebra route to the toric Newton spectrum, and a product's
-normal form is looked up in the reduced rows of its degree's block, so
-structure-constant tables need no further elimination.
+The relation classes are the leading parts of u_i * df/du_i.  Each is
+scaled once to primitive integers, with the facet mask of each term,
+and each degree's relations are sparse integer rows ``{col: int}``
+(``_relation_rows``).  Two routes read them.  The Koszul route
+(``koszul_hilbert_series``) takes each degree's dimension from the rank
+alone, the pivot count of the forward elimination ``linalg.echelon``: a
+third, linear-algebra route to the toric Newton spectrum.  Only
+``quotient_basis`` back substitutes (``linalg.rref``): it keeps each
+degree's reduced rows, the only ``Fraction`` rows, in a
+:class:`DegreeBlock`, and a product's normal form is looked up in the
+reduced rows of its degree's block, so structure-constant tables need
+no further elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, gcd, lcm
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -155,31 +161,35 @@ class DegreeBlock:
         }
 
 
-def _relation_rows(model, leading, prev_monomials, index):
-    """The relation classes times the monomials one degree down, as
-    sparse ``{col: coeff}`` rows over the block's column ``index``.
+def _leading_terms(model, leading):
+    """Each leading class as a list of ``(vec, coeff, mask)`` terms.
 
-    Every monomial's facet mask is computed once; a term and a monomial
-    share a cone when their masks meet.
+    The coefficients are scaled once to primitive integers, which leaves
+    the row space of the relations unchanged, and each term carries its
+    facet mask.
     """
-    if not prev_monomials:
-        return []
-    prev = [(m, model.cone_key(m)[1]) for m in prev_monomials]
-    masks = {vec: model.cone_key(vec)[1] for cls in leading for vec, _ in cls.terms}
-    rows = []
+    out = []
     for cls in leading:
-        for m_prev, prev_mask in prev:
-            row: Dict[int, Fraction] = {}
-            for vec, coeff in cls.terms:
-                if masks[vec] & prev_mask:
-                    col = index[tuple(a + b for a, b in zip(vec, m_prev))]
-                    row[col] = row.get(col, 0) + coeff
-            if row:
-                rows.append(row)
-    return rows
+        den = lcm(*(c.denominator for _, c in cls.terms))
+        coeffs = [c.numerator * (den // c.denominator) for _, c in cls.terms]
+        g = gcd(*coeffs)
+        out.append([
+            (vec, x // g, model.cone_key(vec)[1])
+            for (vec, _), x in zip(cls.terms, coeffs)
+        ])
+    return out
 
 
-def _build_block(model, leading, degree, monomials_here, monomials_prev, hint=None):
+def _relation_rows(model, leading, monomials_here, monomials_prev, hint=None):
+    """A block's column order and its relation rows.
+
+    The columns are the monomials of the degree by total degree and then
+    exponent, with the hint's monomials last.  The rows are the leading
+    terms (``_leading_terms``) times the monomials one degree down, as
+    sparse ``{col: int}`` rows; a term and a monomial share a cone when
+    their facet masks meet.  Distinct terms land in distinct columns, so
+    no entry cancels.
+    """
     if hint is None:
         ordered = sorted(monomials_here, key=lambda m: (sum(m), m))
     else:
@@ -188,7 +198,23 @@ def _build_block(model, leading, degree, monomials_here, monomials_prev, hint=No
             (m for m in monomials_here if m not in hint_set), key=lambda m: (sum(m), m)
         ) + list(hint)
     index = {m: i for i, m in enumerate(ordered)}
-    raw = _relation_rows(model, leading, monomials_prev, index)
+    prev = [(m, model.cone_key(m)[1]) for m in monomials_prev]
+    rows = []
+    for terms in leading:
+        for m_prev, prev_mask in prev:
+            row = {
+                index[tuple(map(add, vec, m_prev))]: c
+                for vec, c, mask in terms if mask & prev_mask
+            }
+            if row:
+                rows.append(row)
+    return ordered, index, rows
+
+
+def _build_block(model, leading, degree, monomials_here, monomials_prev, hint=None):
+    ordered, index, raw = _relation_rows(
+        model, leading, monomials_here, monomials_prev, hint
+    )
     rows, pivot_cols = linalg.rref(raw, len(ordered))
     pivots = {col: r for r, col in enumerate(pivot_cols)}
     basis = [m for i, m in enumerate(ordered) if i not in pivots]
@@ -241,7 +267,7 @@ def quotient_basis(
         from .spectrum import toric_spectrum
 
         spectrum = toric_spectrum(model)
-    leading = leading_classes(p, model)
+    leading = _leading_terms(model, leading_classes(p, model))
     max_degree = spectrum.max_exponent()
     monomials = model.points_by_value(int(ceil(max_degree)))
 
@@ -371,21 +397,26 @@ def multiply_in_basis(basis: GradedBasis, cls: GradedClass, vec: Vec) -> GradedC
 def koszul_hilbert_series(p: Poly, model: PolytopeModel) -> SpectrumSeries:
     """Hilbert series of the graded quotient by pure linear algebra.
 
-    Takes each degree's dimension from the same reduced block
-    (``_build_block``) that ``quotient_basis`` uses, over the Newton
-    values <= n: a block only uses its own degree and the one below, and
-    every exponent lies in [0, n].  The rank does not depend on the
-    column order, so the block's default order serves.  The mass must be
-    the normalized volume, else :class:`TruncationError`.  Uses neither
-    the box formula nor the oracle, so it serves as an independent check.
+    Over the Newton values <= n (a degree's relations only use it and the
+    degree below, and every exponent lies in [0, n]), each degree's
+    dimension is its number of monomials minus the rank of its relation
+    rows, the same integer rows ``quotient_basis`` reduces.  The rank is
+    the pivot count of the forward elimination alone
+    (``linalg.echelon``); no row is back substituted and no ``Fraction``
+    row is built.  The rank does not depend on the column order, so the
+    default order serves.  The mass must be the normalized volume, else
+    :class:`TruncationError`.  Uses neither the box formula nor the
+    oracle, so it serves as an independent check.
     """
     mu = model.normalized_volume()
-    leading = leading_classes(p, model)
+    leading = _leading_terms(model, leading_classes(p, model))
     monomials = model.points_by_value(model.n)
     dims: Dict[Fraction, int] = {}
     for degree in sorted(monomials):
+        here = monomials[degree]
         prev = monomials.get(degree - 1, [])
-        dim = _build_block(model, leading, degree, monomials[degree], prev).dim
+        _, _, rows = _relation_rows(model, leading, here, prev)
+        dim = len(here) - len(linalg.echelon(rows))
         if dim:
             dims[degree] = dim
     total = sum(dims.values())

@@ -3,17 +3,22 @@
 ``rank``, ``nullspace_vector`` and ``int_det`` take small dense integer
 matrices -- n is the number of variables of the input polynomial -- and
 use Bareiss's elimination, in which every entry is a minor of the input
-and each division is exact.  ``rref`` takes rational rows and serves the
-graded blocks, which are Macaulay-style matrices of the logarithmic-
+and each division is exact.  ``bareiss`` is the integer elimination
+behind these three, and ``box_points`` calls it directly.
+
+The graded blocks are Macaulay-style matrices of the logarithmic-
 derivative relations: hundreds of columns with a few percent of their
-entries nonzero.  It scales each row to primitive integers, keeps it
-sparse and eliminates in the integers, in the manner of the sparse
-pivoting of Faugere's F4 on Macaulay matrices; ``Fraction`` appears only
-in its result.  ``bareiss`` is the integer elimination behind the
-first three, and ``box_points`` calls it directly.  ``solve_unique``
-solves a small square system through ``rref``; nothing in the package
-calls it any more, and it remains only for the benchmark's layer tracer,
-which patches it by name, and for its own test.
+entries nonzero.  They have one sparse eliminator, in the manner of the
+sparse pivoting of Faugere's F4 on Macaulay matrices.  ``echelon`` is
+its forward half: it eliminates sparse integer rows ``{col: int}``
+against leftmost-column pivots, and its pivot count is the rank, which
+is all the Koszul route reads.  ``rref`` scales rational rows to
+primitive integers, runs ``echelon`` and then back substitutes; only
+``quotient_basis`` needs that, and ``Fraction`` appears only in its
+result.  ``solve_unique`` solves a small square system through
+``rref``; nothing in the package calls it any more, and it remains only
+for the benchmark's layer tracer, which patches it by name, and for its
+own test.
 """
 
 from fractions import Fraction
@@ -29,25 +34,14 @@ def rref(rows, ncols):
     ``(reduced_rows, pivot_cols)`` where ``reduced_rows`` contains only
     the nonzero rows in reduced row echelon form, as lists of ``ncols``
     Fractions, and ``pivot_cols`` lists the pivot column of each row.
-    Each row is scaled to primitive integers and kept as ``{col: int}``;
-    an incoming row's leftmost entry is cleared against the pivot row of
-    that column until it has none, and then it becomes the pivot row of
-    that column.  So the pivot set is the greedy one for the given column
-    order, and as the reduced row echelon form of a row space is unique,
-    the result is the one dense rational elimination gives.  Back
-    substitution runs from the rightmost pivot leftwards, and only the
-    last step divides each row by its pivot.
+    ``echelon`` does the forward elimination on sparse primitive integer
+    rows, so the pivot set is the greedy one for the given column order,
+    and as the reduced row echelon form of a row space is unique, the
+    result is the one dense rational elimination gives.  Back
+    substitution then runs from the rightmost pivot leftwards, and only
+    the last step divides each row by its pivot.
     """
-    pivot_of = {}
-    for r in rows:
-        row = _primitive_row(r)
-        while row:
-            col = min(row)
-            prow = pivot_of.get(col)
-            if prow is None:
-                pivot_of[col] = row
-                break
-            row = _clear(row, prow, col)
+    pivot_of = echelon(map(_primitive_row, rows))
     pivot_cols = sorted(pivot_of)
     for col in reversed(pivot_cols):
         # the pivot rows to the right are reduced: clearing one of their
@@ -66,6 +60,27 @@ def rref(rows, ncols):
             dense[j] = Fraction(x, p)
         reduced.append(dense)
     return reduced, pivot_cols
+
+
+def echelon(rows):
+    """The forward half of ``rref``: ``{pivot col: int row}``.
+
+    ``rows`` are integer rows ``{col: int}`` with no zero entry.  An
+    incoming row's leftmost entry is cleared against the pivot row of
+    that column until it has none, and then it becomes the pivot row of
+    that column.  The number of pivots is the rank.  No row is back
+    substituted and no ``Fraction`` is built.
+    """
+    pivot_of = {}
+    for row in rows:
+        while row:
+            col = min(row)
+            prow = pivot_of.get(col)
+            if prow is None:
+                pivot_of[col] = row
+                break
+            row = _clear(row, prow, col)
+    return pivot_of
 
 
 def _primitive_row(r):

@@ -237,6 +237,16 @@ def test_default_basis_dimensions_match_spectrum(corpus):
             assert basis.blocks[degree].dim == coeff
 
 
+def test_koszul_dimensions_equal_quotient_blocks_on_corpus(corpus):
+    # the two routes share the relation rows but not the elimination: the
+    # Koszul route counts the pivots of the forward elimination alone,
+    # quotient_basis back substitutes
+    for entry in corpus:
+        basis = quotient_basis(entry.poly, entry.model, spectrum=entry.box)
+        dims = {degree: block.dim for degree, block in basis.blocks.items()}
+        assert dims == dict(entry.koszul.items()), entry.poly
+
+
 def test_normal_forms_lie_on_the_basis_and_differ_by_relations(corpus):
     for entry in corpus[:12]:
         basis = quotient_basis(entry.poly, entry.model, spectrum=entry.oracle)

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -35,6 +36,16 @@ def _dense_rref(rows, ncols):
         if row_at == len(work):
             break
     return work[:row_at], pivot_cols
+
+
+def _integer_rows(rows):
+    """Each row as ``{col: int}``: its entries times the lcm of their
+    denominators, zero entries left out."""
+    out = []
+    for row in rows:
+        den = lcm(*(Fraction(x).denominator for x in row))
+        out.append({j: int(x * den) for j, x in enumerate(row) if x})
+    return out
 
 
 def _random_matrix(rng, nrows, ncols, rank_cap=None):
@@ -118,6 +129,7 @@ def test_rank_and_nullspace_make_no_fractions(monkeypatch):
     monkeypatch.setattr(linalg, "Fraction", refuse)
     assert linalg.rank([[2, 4, 6], [1, 2, 3], [0, 1, 1]], 3) == 2
     assert linalg.nullspace_vector([[1, 2, 3], [0, 1, 1]], 3) == [-1, -1, 1]
+    assert len(linalg.echelon([{0: 2, 1: 4, 2: 6}, {0: 1, 1: 2, 2: 3}, {1: 1, 2: 1}])) == 2
 
 
 def _leibniz_det(rows):
@@ -221,6 +233,8 @@ def test_rref_equals_dense_rational_elimination(sparse_reference):
         got = linalg.rref(rows, ncols)
         assert got == expected, (rows, ncols)
         assert all(type(x) is Fraction for row in got[0] for x in row), rows
+        # the forward elimination alone gives the rank
+        assert len(linalg.echelon(_integer_rows(rows))) == len(expected[1]), rows
         # the same rows given as {col: entry} mappings
         sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
         assert linalg.rref(sparse, ncols) == expected, rows

@@ -168,18 +168,21 @@ def test_degenerate_input_detected():
 
 @st.composite
 def convenient_polys(draw):
-    """Convenient supports in n <= 3 variables, exponents <= 4, global or
-    local, with random coefficients so the input is Newton nondegenerate."""
-    n = draw(st.integers(1, 3))
+    """Convenient supports in n <= 4 variables, global or local, with
+    random coefficients so the input is Newton nondegenerate.  Exponents
+    are <= 4 with up to n + 1 extra points for n <= 3, and <= 3 with up
+    to 3 extra points for n = 4."""
+    n = draw(st.integers(1, 4))
+    top, max_extra = (3, 3) if n == 4 else (4, n + 1)
     mode = draw(st.sampled_from([GLOBAL, LOCAL]))
     support = set()
     for i in range(n):
-        support.add(tuple(draw(st.integers(1, 4)) if j == i else 0 for j in range(n)))
-    extra = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=n + 1))
+        support.add(tuple(draw(st.integers(1, top)) if j == i else 0 for j in range(n)))
+    extra = draw(st.lists(st.tuples(*[st.integers(0, top)] * n), max_size=max_extra))
     support.update(v for v in extra if any(v))
     rng = random.Random(draw(st.integers(0, 2**32)))
     terms = {v: Fraction(rng.randint(1, 999983)) for v in sorted(support)}
-    return Poly(names=tuple("uvw"[:n]), terms=terms, mode=mode)
+    return Poly(names=tuple("uvwx"[:n]), terms=terms, mode=mode)
 
 
 @settings(max_examples=60, deadline=timedelta(seconds=20))
@@ -191,15 +194,25 @@ def test_routes_agree_on_random_supports(p):
     assert box == koszul_hilbert_series(p, m)
 
 
-@pytest.mark.parametrize("text", FOUR_VARIABLE_POLYS)
-def test_routes_agree_in_four_variables(text):
+def assert_routes_agree(text, n):
     p = parse_polynomial(text)
     m = build_model(p)
-    assert m.n == 4
+    assert m.n == n
     box = toric_spectrum_box(m)
     assert box.eval_at_one() == m.normalized_volume()
     assert box == toric_spectrum_oracle(m)
     assert box == koszul_hilbert_series(p, m)
+
+
+@pytest.mark.parametrize("text", FOUR_VARIABLE_POLYS)
+def test_routes_agree_in_four_variables(text):
+    assert_routes_agree(text, 4)
+
+
+def test_routes_agree_in_five_variables():
+    # normalized volume 1024; the Koszul blocks span the 53130 monomials
+    # of Newton value <= 5
+    assert_routes_agree("u^4 + v^4 + w^4 + x^4 + y^4", 5)
 
 
 @pytest.mark.parametrize("route", [
