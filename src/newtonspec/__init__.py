@@ -55,7 +55,7 @@ from .poly import (
     restrict,
 )
 from .polytope import BoxPoint, Face, FacetForm, PolytopeModel, build_model
-from .series import Rat, SpectrumSeries, one_minus_z_pow, z_minus_one_pow
+from .series import SpectrumSeries, one_minus_z_pow, z_minus_one_pow
 from .spectrum import (
     boundary_lattice_points,
     milnor_number,

@@ -26,24 +26,11 @@ from .ehrhart import (
 from .errors import InputError, InternalCheckError
 from .graded import product_table, quotient_basis
 from .invariants import run_checks
-from .poly import GLOBAL, LOCAL, parse_monomial, parse_polynomial
+from .poly import GLOBAL, LOCAL, monomial_text, parse_monomial, parse_polynomial
 from .polytope import build_model
 from .spectrum import milnor_number, spectrum_at_infinity, toric_spectrum
 
 SCHEMA = 1
-
-_COMMANDS = (
-    "spectrum",
-    "spec-infinity",
-    "milnor",
-    "delta",
-    "ehrhart",
-    "orbifold",
-    "product-table",
-    "volume",
-    "check",
-)
-
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
@@ -61,7 +48,7 @@ def _build_parser() -> _ArgumentParser:
         "Ehrhart data from the Newton polytope of a convenient polynomial.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name in _COMMANDS:
+    for name in _DISPATCH:
         s = sub.add_parser(name)
         s.add_argument("poly", help="polynomial text, or path of a UTF-8 file holding one")
         s.add_argument("--local", action="store_true",
@@ -223,8 +210,6 @@ def _cmd_product_table(args) -> int:
                 for tok in args.basis.split(",") if tok.strip()]
     basis = quotient_basis(p, model, basis_hint=hint)
     table = product_table(basis)
-    from .poly import monomial_text
-
     labels = [monomial_text(v, p.names) for v in basis.elements]
     gradings = [str(model.newton_value(v)) for v in basis.elements]
     # the table is symmetric and most cells are the shared zero class:
@@ -283,6 +268,7 @@ def _cmd_check(args) -> int:
     return 0 if ok else 2
 
 
+# the subcommands, in the order the help lists them
 _DISPATCH = {
     "spectrum": _cmd_spectrum,
     "spec-infinity": _cmd_spec_infinity,

@@ -15,6 +15,9 @@ monomial's cone key (:meth:`PolytopeModel.cone_key`) is that integer
 together with the bitmask of the scaled forms that attain it.  Two
 exponents share a fan cone, so that nu is additive on them, exactly when
 their masks meet; the graded ring's cone rule needs no third evaluation.
+The mask also locates the smallest cone of a point: its face is the
+common vertex set of the masked facet forms, cut down to the vertices
+that vanish wherever the point does.
 
 The half-open box of a simplex comes from one fraction-free (Bareiss)
 Gauss-Jordan elimination of its vertex matrix beside the identity; the
@@ -35,7 +38,9 @@ intended scale (n <= 6, a few dozen support points).  The scan stays in
 the integers: each hyperplane's normal is a fraction-free integer kernel
 vector, its level and side tests are integer dot products, and a facet
 is keyed by its primitive integer (normal, level).  Only the level-one
-facet forms of the model are rational.
+facet forms of the model are rational.  The hull never leaves
+:func:`build_model`: the model keeps the facet forms and the face
+lattice, and nothing of the hull they came from.
 """
 
 from __future__ import annotations
@@ -204,8 +209,7 @@ class PolytopeModel:
     Use :func:`build_model`; the constructor is internal.
     """
 
-    def __init__(self, mode, n, vertices, facets, faces, zero_cone,
-                 hull_facets, hull_to_model):
+    def __init__(self, mode, n, vertices, facets, faces, zero_cone):
         self.mode = mode
         self.n = n
         self.vertices: Tuple[Vec, ...] = vertices
@@ -216,8 +220,6 @@ class PolytopeModel:
             i for i, f in enumerate(faces) if not f.in_coordinate_hyperplane
         )
         self.simplicial_fan: bool = all(f.is_simplex for f in faces)
-        self._hull_facets = hull_facets
-        self._hull_to_model = hull_to_model
         self._face_index = {frozenset(f.vertex_indices): i for i, f in enumerate(faces)}
         # L, the lcm of the form denominators, and the forms scaled by it:
         # nu(v) * L is the max (global) or min (local) of their integer dot
@@ -260,10 +262,11 @@ class PolytopeModel:
         """
         if not any(v):
             return 0, -1
-        key = self._scaled_value(v)
+        values = [sum(map(mul, w, v)) for w in self._scaled_forms]
+        key = max(values) if self.mode == GLOBAL else min(values)
         mask = 0
-        for i, w in enumerate(self._scaled_forms):
-            if sum(map(mul, w, v)) == key:
+        for i, x in enumerate(values):
+            if x == key:
                 mask |= 1 << i
         return key, mask
 
@@ -274,30 +277,27 @@ class PolytopeModel:
     def smallest_cone(self, v: Sequence[int]) -> Face:
         """The inclusion-minimal Newton-boundary face whose cone contains v.
 
-        Returns the zero cone for v = 0.  The face is located by scaling v
-        onto the Newton boundary and intersecting the hull facets through
-        the scaled point; the side tests stay in the integers.
+        Returns the zero cone for v = 0.  Scaled onto the Newton boundary,
+        v lies on the hull facets of the facet forms in its cone-key mask
+        and on the coordinate hyperplanes where v is 0, and on no others.
+        So the face is the common vertex set of the masked forms, cut down
+        to the vertices that are 0 wherever v is.
         """
         v = tuple(v)
         if any(x < 0 for x in v):
             raise InputError(f"{v} has negative coordinates")
         if not any(v):
             return self.zero_cone
-        key = self._scaled_value(v)
-        if key <= 0:
-            raise InternalCheckError(f"Newton value of {v} is not positive")
-        # v * L / key lies on <h, x> = level exactly when
-        # <h, v> * L == level * key, as key > 0
-        scale = self.value_scale
-        meets = [
-            hf.vertex_set for hf in self._hull_facets
-            if sum(map(mul, hf.normal, v)) * scale == hf.level * key
-        ]
-        if not meets:
-            raise InternalCheckError(f"{v} lies on no boundary facet")
-        common = frozenset.intersection(*meets)
-        model_set = frozenset(self._hull_to_model[i] for i in common)
-        idx = self._face_index.get(model_set)
+        mask = self.cone_key(v)[1]
+        common = frozenset.intersection(*(
+            frozenset(ff.vertex_indices)
+            for i, ff in enumerate(self.facets) if mask >> i & 1
+        ))
+        zeros = [j for j, x in enumerate(v) if not x]
+        face_set = frozenset(
+            i for i in common if not any(self.vertices[i][j] for j in zeros)
+        )
+        idx = self._face_index.get(face_set)
         if idx is None:
             raise InternalCheckError(f"face lookup failed for {v}")
         return self.faces[idx]
@@ -581,9 +581,7 @@ def build_model(p: Poly) -> PolytopeModel:
         pts = list(dict.fromkeys(support + anchors))
         forbidden = {pts.index(a) for a in anchors}
 
-    base = pts[0]
-    diff_rows = [[q[j] - base[j] for j in range(n)] for q in pts[1:]]
-    if linalg.rank(diff_rows, n) != n:
+    if _affine_dim(pts) != n:
         raise InternalCheckError("support is not full dimensional")
 
     hull_facets = _enumerate_facets(pts, n)
@@ -653,8 +651,6 @@ def build_model(p: Poly) -> PolytopeModel:
         facets=tuple(facet_forms),
         faces=tuple(faces),
         zero_cone=zero_cone,
-        hull_facets=hull_facets,
-        hull_to_model=hull_to_model,
     )
 
     # sanity: the defining inequalities really hold on the support

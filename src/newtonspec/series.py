@@ -6,15 +6,19 @@ Hodge-Deligne polynomial and delta-vector generating term in this
 package.  Exponents are `fractions.Fraction` objects, always reduced, so
 equality and ordering are exact; terms iterate in ascending exponent
 order, which keeps every rendering and serialization deterministic.
+
+The constructor is the one place where terms merge: it sums the
+coefficients of equal exponents, drops zero sums and sorts.  The
+arithmetic methods hand it their raw (exponent, coefficient) pairs and
+keep no accumulator of their own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import comb
 from typing import Iterable, Mapping, Tuple, Union
-
-Rat = Fraction
 
 ExponentLike = Union[Fraction, int, str]
 
@@ -31,6 +35,11 @@ class SpectrumSeries:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Union[Mapping, Iterable, None] = None):
+        """Merge ``terms``, a mapping or an iterable of (exponent,
+        coefficient) pairs in which an exponent may repeat: the
+        coefficients of equal exponents are summed, zero sums dropped and
+        the terms sorted by exponent.  Every arithmetic method builds its
+        result here."""
         data: dict[Fraction, int] = {}
         if terms is not None:
             items = terms.items() if isinstance(terms, Mapping) else terms
@@ -52,10 +61,6 @@ class SpectrumSeries:
     @classmethod
     def one(cls) -> "SpectrumSeries":
         return cls({Fraction(0): 1})
-
-    @classmethod
-    def monomial(cls, exponent: ExponentLike, coefficient: int = 1) -> "SpectrumSeries":
-        return cls({Fraction(exponent): coefficient})
 
     # -- inspection --------------------------------------------------
 
@@ -92,37 +97,25 @@ class SpectrumSeries:
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other: "SpectrumSeries") -> "SpectrumSeries":
-        data = dict(self._terms)
-        for e, c in other._terms.items():
-            s = data.get(e, 0) + c
-            if s:
-                data[e] = s
-            else:
-                data.pop(e, None)
-        return SpectrumSeries(data)
+        return SpectrumSeries(chain(self._terms.items(), other._terms.items()))
 
     def __neg__(self) -> "SpectrumSeries":
         return SpectrumSeries({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "SpectrumSeries") -> "SpectrumSeries":
-        return self + (-other)
+        return SpectrumSeries(chain(
+            self._terms.items(), ((e, -c) for e, c in other._terms.items())
+        ))
 
     def __mul__(self, other) -> "SpectrumSeries":
         if isinstance(other, int):
-            if other == 0:
-                return SpectrumSeries()
-            return SpectrumSeries({e: other * c for e, c in self._terms.items()})
+            return SpectrumSeries((e, other * c) for e, c in self._terms.items())
         if isinstance(other, SpectrumSeries):
-            data: dict[Fraction, int] = {}
-            for e1, c1 in self._terms.items():
-                for e2, c2 in other._terms.items():
-                    e = e1 + e2
-                    s = data.get(e, 0) + c1 * c2
-                    if s:
-                        data[e] = s
-                    else:
-                        data.pop(e, None)
-            return SpectrumSeries(data)
+            return SpectrumSeries(
+                (e1 + e2, c1 * c2)
+                for e1, c1 in self._terms.items()
+                for e2, c2 in other._terms.items()
+            )
         return NotImplemented
 
     __rmul__ = __mul__
@@ -136,17 +129,10 @@ class SpectrumSeries:
         """Exact product with ``(1 - z)**k``, expanded binomially."""
         if k < 0:
             raise ValueError("power must be nonnegative")
-        data: dict[Fraction, int] = {}
-        for e, c in self._terms.items():
-            for j in range(k + 1):
-                w = c * comb(k, j) * (-1) ** j
-                key = e + j
-                s = data.get(key, 0) + w
-                if s:
-                    data[key] = s
-                else:
-                    data.pop(key, None)
-        return SpectrumSeries(data)
+        row = [comb(k, j) * (-1) ** j for j in range(k + 1)]
+        return SpectrumSeries(
+            (e + j, c * w) for e, c in self._terms.items() for j, w in enumerate(row)
+        )
 
     def eval_at_one(self) -> int:
         """Sum of coefficients; the total mass of a spectrum."""

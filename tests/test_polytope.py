@@ -7,7 +7,8 @@ import json
 import random
 import weakref
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
+from operator import mul
 
 import pytest
 
@@ -100,16 +101,17 @@ def test_same_cone_examples(square_model):
 
 
 def test_same_cone_matches_face_containment(corpus):
-    # independent route: nu is additive exactly when the smallest cones
-    # share a containing Newton-boundary face
+    # independent route: nu is additive exactly when the smallest cones,
+    # located from the hull facets, share a containing Newton-boundary face
     rng = random.Random(3)
     for entry in corpus[:20]:
         m = entry.model
+        hull = _hull_reference(entry.poly, m)
         for _ in range(8):
             a = tuple(rng.randint(0, 4) for _ in range(m.n))
             b = tuple(rng.randint(0, 4) for _ in range(m.n))
-            sa = frozenset(m.smallest_cone(a).vertex_indices)
-            sb = frozenset(m.smallest_cone(b).vertex_indices)
+            sa = frozenset(_reference_smallest_cone(m, hull, a).vertex_indices)
+            sb = frozenset(_reference_smallest_cone(m, hull, b).vertex_indices)
             joint = any(
                 sa <= frozenset(f.vertex_indices) and sb <= frozenset(f.vertex_indices)
                 for f in m.faces
@@ -200,6 +202,96 @@ def test_subadditivity(corpus):
                 assert lhs <= rhs
             else:
                 assert lhs >= rhs
+
+
+def _hull_reference(p, model):
+    """The hull facets of the point set that ``build_model`` reads (the
+    origin and the support globally, the support and the far anchors
+    locally), each with the set of hull vertices on it, and the map from
+    hull vertices to model vertices."""
+    n = model.n
+    support = tuple(sorted(p.terms))
+    if p.mode == GLOBAL:
+        pts = list(dict.fromkeys(((0,) * n,) + support))
+    else:
+        top = max(c for v in support for c in v)
+        anchor_scale = factorial(n) * top**n + top + 1
+        anchors = tuple(
+            tuple(anchor_scale if j == i else 0 for j in range(n)) for i in range(n)
+        )
+        pts = list(dict.fromkeys(support + anchors))
+    hull_facets = polytope._enumerate_facets(pts, n)
+    hull_verts = set(polytope._hull_vertices(len(pts), hull_facets))
+    for hf in hull_facets:
+        hf.vertex_set = frozenset(i for i in hf.contact if i in hull_verts)
+    hull_to_model = {
+        i: model.vertices.index(pts[i]) for i in hull_verts if pts[i] in model.vertices
+    }
+    return hull_facets, hull_to_model
+
+
+def _reference_smallest_cone(model, hull, v):
+    """The smallest cone by intersecting the hull facets through v scaled
+    onto the Newton boundary, kept from before ``smallest_cone`` read the
+    cone-key mask, as the reference.  nu(v) comes from the rational forms,
+    not from the model's scaled ones."""
+    hull_facets, hull_to_model = hull
+    v = tuple(v)
+    if not any(v):
+        return model.zero_cone
+    num, den = _value_pair(model, _int_forms(model), v)
+    assert num > 0, f"Newton value of {v} is not positive"
+    # v * den / num lies on <h, x> = level exactly when
+    # <h, v> * den == level * num, as num > 0
+    meets = [
+        hf.vertex_set for hf in hull_facets
+        if sum(map(mul, hf.normal, v)) * den == hf.level * num
+    ]
+    assert meets, f"{v} lies on no boundary facet"
+    common = frozenset.intersection(*meets)
+    model_set = frozenset(hull_to_model[i] for i in common)
+    idx = model._face_index.get(model_set)
+    assert idx is not None, f"face lookup failed for {v}"
+    return model.faces[idx]
+
+
+def _assert_smallest_cone_matches_reference(p, model):
+    hull = _hull_reference(p, model)
+    points = set(model.vertices)
+    points.update(itertools.product(range(4), repeat=model.n))
+    for face in list(model.triangulation()) + [f for f in model.faces if f.is_simplex]:
+        points.update(bp.point for bp in model.box_points(face))
+    for v in sorted(points):
+        want = _reference_smallest_cone(model, hull, v)
+        assert model.smallest_cone(v) == want, (model.to_json(), v)
+
+
+def test_smallest_cone_matches_hull_facets_on_corpus(corpus):
+    for entry in corpus:
+        _assert_smallest_cone_matches_reference(entry.poly, entry.model)
+
+
+def _cone_inputs():
+    polys = [parse_polynomial(t, mode=LOCAL) for t in LOCAL_GERMS]
+    polys += [parse_polynomial(t) for t in FOUR_VARIABLE_POLYS]
+    rng = random.Random(17)
+    for n in (1, 2, 3):
+        for _ in range(12):
+            for mode in (GLOBAL, LOCAL):
+                p = random_convenient_poly(rng, n)
+                polys.append(Poly(names=p.names, terms=p.terms, mode=mode))
+    return polys
+
+
+CONE_INPUTS = _cone_inputs()
+
+
+@pytest.mark.parametrize(
+    "p", CONE_INPUTS,
+    ids=[f"{p.mode}-n{p.nvars}-{i}" for i, p in enumerate(CONE_INPUTS)],
+)
+def test_smallest_cone_matches_hull_facets(p):
+    _assert_smallest_cone_matches_reference(p, build_model(p))
 
 
 def test_smallest_cone_examples(square_model):

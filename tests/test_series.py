@@ -22,6 +22,17 @@ def naive_mul_one_minus_z(terms, k):
     return data
 
 
+def naive_combine(*term_lists):
+    """Independent accumulation oracle: sum the coefficients of every
+    (exponent, coefficient) pair into a dict, drop the zeros and return
+    the terms in ascending exponent order, as ``SpectrumSeries.items``."""
+    data = {}
+    for terms in term_lists:
+        for e, c in terms:
+            data[e] = data.get(e, 0) + c
+    return tuple(sorted((e, c) for e, c in data.items() if c))
+
+
 exponents = st.fractions(
     min_value=-4, max_value=8, max_denominator=12
 )
@@ -69,6 +80,37 @@ def test_mul_one_minus_z_matches_oracle(s, k):
     assert s.mul_one_minus_z_pow(k) == SpectrumSeries(
         naive_mul_one_minus_z(dict(s.items()), k)
     )
+
+
+@given(series_strategy, series_strategy)
+def test_add_matches_oracle(s, t):
+    assert (s + t).items() == naive_combine(s.items(), t.items())
+
+
+@given(series_strategy, series_strategy)
+def test_sub_matches_oracle(s, t):
+    negated = [(e, -c) for e, c in t.items()]
+    assert (s - t).items() == naive_combine(s.items(), negated)
+
+
+@given(series_strategy, series_strategy)
+def test_mul_matches_oracle(s, t):
+    products = [
+        (e1 + e2, c1 * c2) for e1, c1 in s.items() for e2, c2 in t.items()
+    ]
+    assert (s * t).items() == naive_combine(products)
+
+
+@given(series_strategy, st.integers(-5, 5))
+def test_scalar_mul_matches_oracle(s, k):
+    want = naive_combine([(e, k * c) for e, c in s.items()])
+    assert (s * k).items() == want
+    assert (k * s).items() == want
+
+
+@given(series_strategy)
+def test_sub_self_is_zero(s):
+    assert s - s == SpectrumSeries.zero()
 
 
 def test_eval_at_one_examples():
