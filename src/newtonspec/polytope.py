@@ -31,14 +31,14 @@ forms leave it.  It reads the facet forms alone, never the triangulation
 or the box points, so the oracle built on it checks the box route
 independently.
 
-The hull is found by exhaustive enumeration: every hyperplane through n
-affinely independent input points is tested against all points.  That is
-quadratic-ish and perfectly exact, which is the right trade at the
-intended scale (n <= 6, a few dozen support points).  The scan stays in
-the integers: each hyperplane's normal is a fraction-free integer kernel
-vector, its level and side tests are integer dot products, and a facet
-is keyed by its primitive integer (normal, level).  Only the level-one
-facet forms of the model are rational.  The hull never leaves
+The hull is built by the double description method: the facets of a
+simplex on n + 1 of the points, then one point at a time, each cutting
+off the facets it sees and joining the adjacent pairs it separates.  A
+facet is its primitive integer (normal, level) and the bitmask of the
+points on it; adjacency is read from those masks, so after the n + 1
+kernel solves of the simplex every step is an integer dot product, a
+combination of two facets or a mask test.  Only the level-one facet
+forms of the model are rational.  The hull never leaves
 :func:`build_model`: the model keeps the facet forms and the face
 lattice, and nothing of the hull they came from.
 """
@@ -106,7 +106,7 @@ class BoxPoint:
 
 
 # ---------------------------------------------------------------------------
-# exact convex hull by exhaustive hyperplane enumeration
+# exact convex hull by the double description method
 # ---------------------------------------------------------------------------
 
 
@@ -123,37 +123,77 @@ class _HullFacet:
 def _enumerate_facets(points: Sequence[Vec], n: int) -> List[_HullFacet]:
     """All facets of conv(points), with outward normals and contact sets.
 
-    Every n-subset of the points spans a candidate hyperplane <h, x> = c
-    with h an integer kernel vector; it is a facet when all points lie on
-    one side.  Facets are keyed and sorted by the primitive integer vector
-    (h, c) / gcd(c, *h).
+    The double description method (Fukuda and Prodon, 1996), in the
+    integers.  A facet is the ray r = (h, c) of the cone of inequalities
+    <h, x> <= c valid on the points seen so far, kept as its primitive
+    integer vector together with its tight set, the bitmask of the seen
+    points on it.  The cone starts from the facets of a simplex on the
+    first n + 1 affinely independent points; each other point p then
+    goes in, in index order.  With s = <h, p> - c, the rays with s > 0
+    are dropped and those with s = 0 gain p in their tight sets.  Each
+    dropped ray r+ and kept ray r- with s < 0 that are adjacent give the
+    new ray s+ * r- - s- * r+, on which p is tight.  Two rays are adjacent
+    when their common tight set holds at least n - 1 points and lies in
+    the tight set of no third ray.  At the end every point has been seen,
+    so each tight set is the facet's contact set.  Facets are sorted by
+    (h, c); without n + 1 affinely independent points there are none.
     """
-    facets = {}
     npts = len(points)
-    for subset in itertools.combinations(range(npts), n):
-        base = points[subset[0]]
-        rows = [
-            [points[i][j] - base[j] for j in range(n)] for i in subset[1:]
-        ]
-        h = linalg.nullspace_vector(rows, n)
-        if h is None:
-            continue
+    simplex = [0]
+    rows: list = []
+    for i in range(1, npts):
+        row = [a - b for a, b in zip(points[i], points[0])]
+        if linalg.rank(rows + [row], n) > len(rows):
+            rows.append(row)
+            simplex.append(i)
+            if len(simplex) == n + 1:
+                break
+    else:
+        return []
+    rays = []   # (h + (c,), tight set)
+    for j in simplex:
+        face = [i for i in simplex if i != j]
+        base = points[face[0]]
+        h = linalg.nullspace_vector(
+            [[a - b for a, b in zip(points[i], base)] for i in face[1:]], n
+        )
         c = sum(map(mul, h, base))
-        vals = [sum(map(mul, h, p)) for p in points]
-        if max(vals) > c:
-            if min(vals) < c:
-                continue
-            g = -gcd(c, *h)   # flip h so that every point has <h, p> <= c
-        elif min(vals) < c:
-            g = gcd(c, *h)
-        else:
-            continue  # all points on one hyperplane; not full-dimensional
-        key = tuple(x // g for x in h) + (c // g,)
-        if key in facets:
+        g = gcd(c, *h)
+        if sum(map(mul, h, points[j])) > c:
+            g = -g   # flip h so that the simplex lies in <h, x> <= c
+        rays.append((tuple(x // g for x in h) + (c // g,), sum(1 << i for i in face)))
+    for i, p in enumerate(points):
+        if i in simplex:
             continue
-        contact = frozenset(i for i, v in enumerate(vals) if v == c)
-        facets[key] = _HullFacet(key[:-1], key[-1], contact)
-    return [facets[k] for k in sorted(facets)]
+        q = tuple(p) + (-1,)
+        bit = 1 << i
+        above, below, kept = [], [], []
+        for r, tight in rays:
+            s = sum(map(mul, r, q))
+            if s > 0:
+                above.append((s, r, tight))
+            elif s < 0:
+                below.append((s, r, tight))
+                kept.append((r, tight))
+            else:
+                kept.append((r, tight | bit))
+        # distinct facets have distinct tight sets, so a tight set names
+        # its ray in the adjacency test
+        for s_up, r_up, t_up in above:
+            for s_down, r_down, t_down in below:
+                common = t_up & t_down
+                if common.bit_count() < n - 1 or any(
+                    t & common == common for _, t in rays if t != t_up and t != t_down
+                ):
+                    continue
+                r = [s_up * a - s_down * b for a, b in zip(r_down, r_up)]
+                g = gcd(*r)
+                kept.append((tuple(x // g for x in r), common | bit))
+        rays = kept
+    return [
+        _HullFacet(r[:-1], r[-1], frozenset(i for i in range(npts) if tight >> i & 1))
+        for r, tight in sorted(rays)
+    ]
 
 
 def _hull_vertices(npts: int, facets: Sequence[_HullFacet]) -> List[int]:

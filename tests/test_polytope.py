@@ -6,11 +6,14 @@ import itertools
 import json
 import random
 import weakref
+from datetime import timedelta
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newtonspec import (
     GLOBAL,
@@ -204,22 +207,27 @@ def test_subadditivity(corpus):
                 assert lhs >= rhs
 
 
-def _hull_reference(p, model):
-    """The hull facets of the point set that ``build_model`` reads (the
-    origin and the support globally, the support and the far anchors
-    locally), each with the set of hull vertices on it, and the map from
-    hull vertices to model vertices."""
-    n = model.n
+def _hull_points(p):
+    """The point set that ``build_model`` hulls: the origin and the
+    support globally, the support and the far anchors locally."""
+    n = p.nvars
     support = tuple(sorted(p.terms))
     if p.mode == GLOBAL:
-        pts = list(dict.fromkeys(((0,) * n,) + support))
-    else:
-        top = max(c for v in support for c in v)
-        anchor_scale = factorial(n) * top**n + top + 1
-        anchors = tuple(
-            tuple(anchor_scale if j == i else 0 for j in range(n)) for i in range(n)
-        )
-        pts = list(dict.fromkeys(support + anchors))
+        return list(dict.fromkeys(((0,) * n,) + support))
+    top = max(c for v in support for c in v)
+    anchor_scale = factorial(n) * top**n + top + 1
+    anchors = tuple(
+        tuple(anchor_scale if j == i else 0 for j in range(n)) for i in range(n)
+    )
+    return list(dict.fromkeys(support + anchors))
+
+
+def _hull_reference(p, model):
+    """The hull facets of the point set that ``build_model`` reads, each
+    with the set of hull vertices on it, and the map from hull vertices
+    to model vertices."""
+    n = model.n
+    pts = _hull_points(p)
     hull_facets = polytope._enumerate_facets(pts, n)
     hull_verts = set(polytope._hull_vertices(len(pts), hull_facets))
     for hf in hull_facets:
@@ -596,7 +604,7 @@ def test_model_json_dump(square_model):
         assert set(face) == {"vertices", "dim", "in_F_of_P", "simplex"}
 
 
-# Supports in 4 and 5 variables (global) and 3 and 4 variables (local),
+# Supports in 4, 5 and 6 variables (global) and 3 and 4 variables (local),
 # with the sha256 of build_model(p).to_json() dumped with sorted keys:
 # facet order, normals and faces are pinned, not only the volume.
 PINNED_HULLS = [
@@ -629,14 +637,35 @@ PINNED_HULLS = [
     (LOCAL, [(0, 0, 0, 6), (0, 0, 4, 0), (0, 4, 0, 0), (2, 0, 0, 2), (2, 0, 2, 1),
              (2, 1, 2, 2), (4, 0, 0, 0)],
      "b4fb5f5b68e48abba15dde3ca150a7c7e446a601cc5f43acb5cd5d7a48d88f91"),
+    # digests of the exhaustive scan, which tries 169911 and 177100 subsets
+    # on these two
+    (GLOBAL, [(0, 0, 0, 0, 2), (0, 0, 0, 2, 0), (0, 0, 2, 0, 0), (0, 1, 1, 0, 3),
+              (0, 2, 2, 1, 3), (0, 2, 2, 3, 1), (0, 3, 0, 0, 0), (0, 3, 2, 0, 0),
+              (0, 3, 3, 3, 0), (1, 1, 1, 0, 1), (1, 1, 1, 2, 1), (1, 2, 0, 3, 2),
+              (1, 2, 2, 2, 3), (1, 2, 3, 1, 2), (1, 3, 3, 3, 2), (2, 0, 3, 1, 0),
+              (2, 0, 3, 2, 0), (2, 1, 0, 2, 3), (2, 1, 2, 1, 1), (2, 2, 3, 1, 3),
+              (3, 0, 0, 0, 0), (3, 0, 1, 1, 3), (3, 0, 2, 3, 3), (3, 1, 0, 0, 2),
+              (3, 1, 1, 2, 0), (3, 1, 1, 2, 3), (3, 1, 2, 2, 1), (3, 2, 1, 3, 2),
+              (3, 3, 1, 2, 1), (3, 3, 2, 3, 2)],
+     "b010b7483d3495164acfe2e041c59147808cae1195b5d2eb288e8b5f4a465625"),
+    (GLOBAL, [(0, 0, 0, 0, 0, 2), (0, 0, 0, 0, 2, 0), (0, 0, 0, 2, 0, 0), (0, 0, 3, 0, 0, 0),
+              (0, 0, 3, 1, 1, 0), (0, 1, 1, 0, 3, 2), (0, 1, 2, 0, 3, 0), (0, 1, 2, 3, 2, 1),
+              (0, 2, 1, 1, 2, 2), (0, 2, 2, 1, 0, 1), (0, 3, 0, 0, 0, 0), (1, 0, 0, 2, 0, 2),
+              (1, 1, 3, 2, 0, 0), (1, 3, 1, 3, 0, 0), (2, 0, 0, 0, 0, 0), (2, 1, 0, 2, 1, 1),
+              (2, 2, 0, 2, 0, 0), (2, 2, 2, 1, 1, 2), (2, 3, 3, 3, 0, 2), (2, 3, 3, 3, 3, 2),
+              (3, 1, 2, 0, 0, 0), (3, 1, 3, 3, 2, 1), (3, 2, 0, 2, 1, 0), (3, 3, 1, 3, 3, 1)],
+     "6ea6c286eed098405701da692c63932b27a144fd7263d8df42ce4e17e1362d2a"),
 ]
+
+
+def _pinned_poly(mode, support):
+    return Poly(names=tuple("xyzwtv"[:len(support[0])]),
+                terms={v: Fraction(1) for v in support}, mode=mode)
 
 
 @pytest.mark.parametrize("mode,support,digest", PINNED_HULLS)
 def test_hull_output_is_pinned_in_higher_dimension(mode, support, digest):
-    n = len(support[0])
-    p = Poly(names=tuple("xyzwt"[:n]), terms={v: Fraction(1) for v in support}, mode=mode)
-    model = build_model(p)
+    model = build_model(_pinned_poly(mode, support))
     payload = json.dumps(model.to_json(), sort_keys=True)
     assert hashlib.sha256(payload.encode()).hexdigest() == digest
     assert all(type(x) is Fraction for ff in model.facets for x in ff.normal)
@@ -653,3 +682,153 @@ def test_hull_scan_is_integer_only(monkeypatch):
         for hf in polytope._enumerate_facets(points, len(support[0])):
             assert all(type(x) is int for x in hf.normal + (hf.level,))
             assert gcd(hf.level, *hf.normal) == 1
+
+
+def _exhaustive_facets(points, n):
+    """All facets of conv(points), with outward normals and contact sets.
+
+    Every n-subset of the points spans a candidate hyperplane <h, x> = c
+    with h an integer kernel vector; it is a facet when all points lie on
+    one side.  Facets are keyed and sorted by the primitive integer vector
+    (h, c) / gcd(c, *h).
+
+    Kept verbatim from before the double description, as the reference.
+    """
+    facets = {}
+    npts = len(points)
+    for subset in itertools.combinations(range(npts), n):
+        base = points[subset[0]]
+        rows = [
+            [points[i][j] - base[j] for j in range(n)] for i in subset[1:]
+        ]
+        h = linalg.nullspace_vector(rows, n)
+        if h is None:
+            continue
+        c = sum(map(mul, h, base))
+        vals = [sum(map(mul, h, p)) for p in points]
+        if max(vals) > c:
+            if min(vals) < c:
+                continue
+            g = -gcd(c, *h)   # flip h so that every point has <h, p> <= c
+        elif min(vals) < c:
+            g = gcd(c, *h)
+        else:
+            continue  # all points on one hyperplane; not full-dimensional
+        key = tuple(x // g for x in h) + (c // g,)
+        if key in facets:
+            continue
+        contact = frozenset(i for i, v in enumerate(vals) if v == c)
+        facets[key] = polytope._HullFacet(key[:-1], key[-1], contact)
+    return [facets[k] for k in sorted(facets)]
+
+
+def _facet_list(facets):
+    return [(f.normal, f.level, f.contact) for f in facets]
+
+
+# (n, exponent bound, mixed monomials), the shapes of the hull-n4n5 inputs
+HULL_SHAPES = [(4, 4, 6), (5, 3, 4), (4, 4, 8), (5, 3, 6), (4, 4, 10), (5, 3, 8), (4, 4, 12)]
+
+
+def _shaped_support(rng, n, emax, extra):
+    """Pure powers on every axis plus ``extra`` mixed monomials."""
+    support = {tuple(rng.randint(2, emax) if j == i else 0 for j in range(n)) for i in range(n)}
+    while len(support) < n + extra:
+        v = tuple(rng.randint(0, emax) for _ in range(n))
+        if sum(1 for x in v if x) >= 2:
+            support.add(v)
+    return sorted(support)
+
+
+# point sets with many points on each facet: a full cube, points on the
+# coordinate hyperplanes, and simplices and squares with interior points
+DEGENERATE_POINT_SETS = [
+    list(itertools.product(range(3), repeat=3)),
+    [v for v in itertools.product(range(4), repeat=3) if 0 in v],
+    list(itertools.product(range(2), repeat=4)),
+    list(itertools.product(range(5), repeat=2)),
+    [(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 1), (2, 1, 1), (1, 2, 0),
+     (2, 2, 0), (0, 2, 2), (1, 1, 2)],
+    [(0, 0, 0, 0), (3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3), (1, 1, 1, 0),
+     (1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 1), (1, 1, 1, 1), (1, 0, 0, 0), (0, 2, 1, 0)],
+]
+
+
+def _reference_hull_inputs():
+    polys = [parse_polynomial(t, mode=LOCAL) for t in LOCAL_GERMS]
+    polys += [parse_polynomial(t) for t in FOUR_VARIABLE_POLYS]
+    # the exhaustive scan of the last two pinned hulls takes seconds
+    polys += [_pinned_poly(mode, support) for mode, support, _ in PINNED_HULLS[:-2]]
+    rng = random.Random(4)
+    for _ in range(2):
+        for n, emax, extra in HULL_SHAPES:
+            terms = {v: Fraction(1) for v in _shaped_support(rng, n, emax, extra)}
+            polys.append(Poly(names=tuple("xyzwt"[:n]), terms=terms, mode=GLOBAL))
+    inputs = [(_hull_points(p), p.nvars) for p in polys]
+    return inputs + [(pts, len(pts[0])) for pts in DEGENERATE_POINT_SETS]
+
+
+REFERENCE_HULL_INPUTS = _reference_hull_inputs()
+
+
+def test_hull_matches_exhaustive_scan_on_corpus(corpus):
+    for entry in corpus:
+        pts = _hull_points(entry.poly)
+        want = _facet_list(_exhaustive_facets(pts, entry.model.n))
+        assert _facet_list(polytope._enumerate_facets(pts, entry.model.n)) == want, pts
+
+
+@pytest.mark.parametrize(
+    "points,n", REFERENCE_HULL_INPUTS,
+    ids=[f"n{n}-{len(pts)}pts-{i}" for i, (pts, n) in enumerate(REFERENCE_HULL_INPUTS)],
+)
+def test_hull_matches_exhaustive_scan(points, n):
+    want = _facet_list(_exhaustive_facets(points, n))
+    assert want
+    assert _facet_list(polytope._enumerate_facets(points, n)) == want
+
+
+@st.composite
+def hull_point_sets(draw):
+    """Up to 16 - n distinct points in n <= 5 variables with coordinates
+    <= 3, and a permutation of them.  Half of the sets also hold the
+    origin and a point on every axis, so that most are full dimensional."""
+    n = draw(st.integers(1, 5))
+    coords = st.tuples(*[st.integers(0, 3)] * n)
+    points = draw(st.lists(coords, min_size=1, max_size=16 - n, unique=True))
+    if draw(st.booleans()):
+        axes = [tuple(draw(st.integers(1, 3)) if j == i else 0 for j in range(n)) for i in range(n)]
+        points = list(dict.fromkeys([(0,) * n] + axes + points))
+    return points, n, draw(st.permutations(range(len(points))))
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=20))
+@given(hull_point_sets())
+def test_hull_matches_exhaustive_scan_in_any_point_order(drawn):
+    points, n, perm = drawn
+    got = _facet_list(polytope._enumerate_facets(points, n))
+    assert got == _facet_list(_exhaustive_facets(points, n))
+    # point k of the shuffled list is point perm[k] of the original
+    shuffled = polytope._enumerate_facets([points[i] for i in perm], n)
+    assert [(f.normal, f.level, frozenset(perm[k] for k in f.contact)) for f in shuffled] == got
+
+
+def test_hull_makes_at_most_n_plus_one_kernel_solves(monkeypatch):
+    # the simplex that seeds the double description takes n + 1 kernel
+    # solves; a scan over n-subsets would take one per subset
+    solve = linalg.nullspace_vector
+    calls = []
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return solve(rows, ncols)
+
+    monkeypatch.setattr(linalg, "nullspace_vector", counted)
+    inputs = REFERENCE_HULL_INPUTS + [
+        (_hull_points(_pinned_poly(mode, support)), len(support[0]))
+        for mode, support, _ in PINNED_HULLS[-2:]
+    ]
+    for points, n in inputs:
+        calls.clear()
+        assert polytope._enumerate_facets(points, n)
+        assert 0 < len(calls) <= n + 1, (points, calls)
