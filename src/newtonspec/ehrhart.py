@@ -40,7 +40,7 @@ class DeltaVector:
         return sum(self.entries)
 
     def __str__(self) -> str:
-        return str(SpectrumSeries({Fraction(k): c for k, c in enumerate(self.entries)}))
+        return str(SpectrumSeries(enumerate(self.entries), 1))
 
     def to_json(self) -> list:
         return list(self.entries)
@@ -48,13 +48,16 @@ class DeltaVector:
 
 def delta_from_spectrum(s: SpectrumSeries, n: int) -> DeltaVector:
     """delta_k = number of spectrum exponents in the interval (k-1, k]."""
+    den = s.denominator
     entries = [0] * (n + 1)
-    for e, c in s.items():
-        if e < 0:
-            raise ExponentRangeError(f"negative spectrum exponent {e}")
-        k = -((-e.numerator) // e.denominator)  # ceil(e)
+    for num, c in s.numerators():
+        if num < 0:
+            raise ExponentRangeError(f"negative spectrum exponent {Fraction(num, den)}")
+        k = -(-num // den)  # ceil(num / den)
         if k > n:
-            raise ExponentRangeError(f"spectrum exponent {e} exceeds the dimension {n}")
+            raise ExponentRangeError(
+                f"spectrum exponent {Fraction(num, den)} exceeds the dimension {n}"
+            )
         entries[k] += c
     return DeltaVector(tuple(entries))
 
@@ -135,7 +138,9 @@ def _hodge_deligne_of_cone(model: PolytopeModel, sigma: Face, relative: bool) ->
             continue
         if sset <= frozenset(f.vertex_indices):
             powers.append(n - 1 - f.dim)
-    return SpectrumSeries(term for k in powers for term in z_minus_one_pow(k).items())
+    return SpectrumSeries(
+        (term for k in powers for term in z_minus_one_pow(k).numerators()), 1
+    )
 
 
 def hodge_deligne(model: PolytopeModel, v: Sequence[int], relative: bool = False) -> SpectrumSeries:
@@ -150,13 +155,14 @@ def hodge_deligne(model: PolytopeModel, v: Sequence[int], relative: bool = False
     return _hodge_deligne_of_cone(model, sigma, relative)
 
 
-def box_point_union(model: PolytopeModel) -> List[Tuple[Vec, Fraction]]:
+def box_point_union(model: PolytopeModel) -> List[Tuple[Vec, int]]:
     """The deduplicated union of the half-open boxes of all faces outside
-    the coordinate hyperplanes, as (point, newton value) pairs."""
-    seen: Dict[Vec, Fraction] = {}
+    the coordinate hyperplanes, as (point, nu * value_scale) pairs sorted
+    by value and then point."""
+    seen: Dict[Vec, int] = {}
     for i in model.f_of_p:
         for bp in model.box_points(model.faces[i]):
-            seen.setdefault(bp.point, bp.nu)
+            seen.setdefault(bp.point, bp.value)
     return sorted(seen.items(), key=lambda kv: (kv[1], kv[0]))
 
 
@@ -164,16 +170,17 @@ def orbifold_contributions(model: PolytopeModel) -> List[Tuple[Vec, SpectrumSeri
     """Per-box-point terms E*_v(z) * z^{nu(v)}, sorted by (value, point)."""
     if not model.simplicial_fan:
         raise NotSimplicialError("orbifold dimensions need a simplicial fan")
+    scale = model.value_scale
     out = []
     by_cone: Dict[Tuple[int, ...], SpectrumSeries] = {}
-    for point, nu in box_point_union(model):
+    for point, value in box_point_union(model):
         sigma = model.smallest_cone(point)
         e_rel = by_cone.get(sigma.vertex_indices)
         if e_rel is None:
             e_rel = by_cone[sigma.vertex_indices] = _hodge_deligne_of_cone(
                 model, sigma, relative=True
             )
-        out.append((point, e_rel.shift(nu)))
+        out.append((point, e_rel.shift(value, scale)))
     return out
 
 
@@ -183,6 +190,9 @@ def orbifold_dimensions(model: PolytopeModel) -> SpectrumSeries:
     The sum of the per-box-point contributions; coefficient-for-
     coefficient equal to the toric Newton spectrum on simplicial fans.
     """
+    scale = model.value_scale
     return SpectrumSeries(
-        term for _, contrib in orbifold_contributions(model) for term in contrib.items()
+        (term for _, contrib in orbifold_contributions(model)
+         for term in contrib.numerators(scale)),
+        scale,
     )

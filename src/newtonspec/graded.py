@@ -403,26 +403,27 @@ def koszul_hilbert_series(p: Poly, model: PolytopeModel) -> SpectrumSeries:
     rows, the same integer rows ``quotient_basis`` reduces.  The rank is
     the pivot count of the forward elimination alone
     (``linalg.echelon``); no row is back substituted and no ``Fraction``
-    row is built.  The rank does not depend on the column order, so the
-    default order serves.  The mass must be the normalized volume, else
-    :class:`TruncationError`.  Uses neither the box formula nor the
-    oracle, so it serves as an independent check.
+    row is built.  The degrees are the census's integer keys nu * L, so
+    the degree below is the key minus L.  The rank does not depend on the
+    column order, so the default order serves.  The mass must be the
+    normalized volume, else :class:`TruncationError`.  Uses neither the
+    box formula nor the oracle, so it serves as an independent check.
     """
     mu = model.normalized_volume()
     leading = _leading_terms(model, leading_classes(p, model))
-    monomials = model.points_by_value(model.n)
-    dims: Dict[Fraction, int] = {}
-    for degree in sorted(monomials):
-        here = monomials[degree]
-        prev = monomials.get(degree - 1, [])
+    scale = model.value_scale
+    monomials = model._census(model.n)
+    dims: Dict[int, int] = {}
+    for key, here in monomials.items():
+        prev = monomials.get(key - scale, [])
         _, _, rows = _relation_rows(model, leading, here, prev)
         dim = len(here) - len(linalg.echelon(rows))
         if dim:
-            dims[degree] = dim
+            dims[key] = dim
     total = sum(dims.values())
     if total != mu:
         raise TruncationError(
             f"quotient dimensions sum to {total}, not the volume {mu}; "
             "the input looks Newton degenerate"
         )
-    return SpectrumSeries(dims)
+    return SpectrumSeries(dims, scale)

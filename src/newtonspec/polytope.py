@@ -27,9 +27,12 @@ test is an integer one.
 The lattice census (the points with nu(v) <= T, grouped by value) walks
 only that region, not a bounding box: with one integer partial sum per
 scaled form, each coordinate in turn ranges over the interval that the
-forms leave it.  It reads the facet forms alone, never the triangulation
-or the box points, so the oracle built on it checks the box route
-independently.
+forms leave it.  Its groups are keyed by the integers nu(v) * L, and so
+are the box points' values; ``Fraction`` values are built only by the
+public views (:meth:`PolytopeModel.value_histogram`,
+:meth:`PolytopeModel.points_by_value`, ``BoxPoint.nu``).  The census
+reads the facet forms alone, never the triangulation or the box points,
+so the oracle built on it checks the box route independently.
 
 The hull is built by the double description method: the facets of a
 simplex on n + 1 of the points, then one point at a time, each cutting
@@ -98,11 +101,26 @@ class Face:
 
 @dataclass(frozen=True)
 class BoxPoint:
-    """A lattice point of the half-open parallelepiped of a simplex face."""
+    """A lattice point of the half-open parallelepiped of a simplex face.
+
+    ``value`` is nu(point) * L, L the model's ``value_scale``; ``dq`` is
+    d * q for the face's elimination denominator ``d`` > 0, so the
+    coordinates are q = dq / d.  ``q`` and ``nu`` build the rationals on
+    demand.
+    """
 
     point: Vec
-    q: Tuple[Fraction, ...]
-    nu: Fraction
+    value: int
+    dq: Tuple[int, ...]
+    d: int
+
+    @property
+    def q(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.d) for x in self.dq)
+
+    @property
+    def nu(self) -> Fraction:
+        return Fraction(sum(self.dq), self.d)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +375,7 @@ class PolytopeModel:
         R are enumerated, over the integer bounding box, and a candidate
         is kept when 0 <= d*q < d and d divides every entry of d*v.  The
         other coordinates then lie in the bounding box too, as q < 1.
+        Each point carries d*q and nu * L as integers, no ``Fraction``.
         """
         key = face.vertex_indices
         if key in self._box_cache:
@@ -382,19 +401,17 @@ class PolytopeModel:
         to_v = [[row[i] for row in rows] for i in range(n)]
         to_q = [[row[n + l] for row in rows] for l in range(k)]
         sums = [sum(v[i] for v in verts) for i in chosen]
+        scale = self.value_scale
         out = []
         for v_r in itertools.product(*(range(max(s, 1)) for s in sums)):
-            nq = [sum(map(mul, col, v_r)) for col in to_q]
+            nq = tuple([sum(map(mul, col, v_r)) for col in to_q])
             if any(x < 0 or x >= d for x in nq):
                 continue
             nv = [sum(map(mul, col, v_r)) for col in to_v]
             if any(x % d for x in nv):
                 continue
-            out.append(BoxPoint(
-                point=tuple(x // d for x in nv),
-                q=tuple(Fraction(x, d) for x in nq),
-                nu=Fraction(sum(nq), d),
-            ))
+            # every vertex is at level one, so nu * L = sum(q) * L, an integer
+            out.append(BoxPoint(tuple(x // d for x in nv), sum(nq) * scale // d, nq, d))
         out.sort(key=lambda bp: bp.point)
         self._box_cache[key] = out
         return out
@@ -471,18 +488,21 @@ class PolytopeModel:
         return self._volume
 
     def _census(self, height: int) -> dict:
-        """Lattice points with nu(v) <= height, as {value: points}.
+        """Lattice points with nu(v) <= height, as {nu * L: points}.
 
-        Values ascend and each group keeps ``itertools.product`` order.
+        The keys are the integers nu(v) * L, L = ``value_scale``; they
+        ascend, and each group keeps ``itertools.product`` order.
         :meth:`_scan_region` visits only the points of the region, never
         the whole box [0, height * max_coord]^n.  The tallest scan so far
         is kept; a query at or below its height filters it, and filtering
-        keeps the product order.
+        keeps the product order.  The groups are the cached lists, for
+        reading only.
         """
         if height > self._census_height:
             self._census_groups = self._scan_region(height)
             self._census_height = height
-        return {val: pts for val, pts in self._census_groups.items() if val <= height}
+        top = height * self.value_scale
+        return {key: pts for key, pts in self._census_groups.items() if key <= top}
 
     def _scan_region(self, height: int) -> dict:
         """The lattice points with nu(v) <= height, grouped by value.
@@ -501,8 +521,8 @@ class PolytopeModel:
           below H, which bounds x above only, as every S_Fk > 0.
 
         At the last coordinate r_F = 0, so each point of the interval is
-        in the region.  The integer keys are sorted and turned into
-        ``Fraction(key, L)`` once per group.
+        in the region.  The groups are keyed by these integers, in
+        ascending order.
         """
         n = self.n
         forms = self._scaled_forms
@@ -554,8 +574,7 @@ class PolytopeModel:
                     groups[key] = [prefix + (x,)]
                 else:
                     group.append(prefix + (x,))
-        scale = self.value_scale
-        return {Fraction(key, scale): groups[key] for key in sorted(groups)}
+        return {key: groups[key] for key in sorted(groups)}
 
     def lattice_count(self, ell: int) -> int:
         """Number of lattice points v >= 0 with nu(v) <= ell."""
@@ -565,11 +584,13 @@ class PolytopeModel:
 
     def value_histogram(self, bound: int) -> dict:
         """Multiset of Newton values <= bound, as {Fraction: multiplicity}."""
-        return {val: len(pts) for val, pts in self._census(bound).items()}
+        scale = self.value_scale
+        return {Fraction(key, scale): len(pts) for key, pts in self._census(bound).items()}
 
     def points_by_value(self, bound: int) -> dict:
         """Lattice points grouped by Newton value, for values <= bound."""
-        return {val: list(pts) for val, pts in self._census(bound).items()}
+        scale = self.value_scale
+        return {Fraction(key, scale): list(pts) for key, pts in self._census(bound).items()}
 
     # -- serialization -----------------------------------------------------
 

@@ -17,7 +17,7 @@ checked against the alternating sum of normalized volumes.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+from math import lcm
 from typing import Dict, Optional
 
 from .errors import MismatchError, TruncationError
@@ -31,18 +31,20 @@ def toric_spectrum_box(model: PolytopeModel) -> SpectrumSeries:
 
     Sums (z-1)^(n-1-dim S) * sum_{v in Box(S)} z^{nu(v)} over the
     simplices S of the triangulation not contained in a coordinate
-    hyperplane.
+    hyperplane.  The exponents are summed as integers over L, the
+    model's ``value_scale``.
     """
     n = model.n
+    scale = model.value_scale
     terms = []
     for simplex in model.triangulation():
         if simplex.in_coordinate_hyperplane:
             continue
-        weight = z_minus_one_pow(n - 1 - simplex.dim).items()
+        weight = list(z_minus_one_pow(n - 1 - simplex.dim).numerators(scale))
         terms.extend(
-            (bp.nu + e, c) for bp in model.box_points(simplex) for e, c in weight
+            (bp.value + e, c) for bp in model.box_points(simplex) for e, c in weight
         )
-    return SpectrumSeries(terms)
+    return SpectrumSeries(terms, scale)
 
 
 def toric_spectrum_oracle(model: PolytopeModel) -> SpectrumSeries:
@@ -58,7 +60,9 @@ def toric_spectrum_oracle(model: PolytopeModel) -> SpectrumSeries:
     n = model.n
     t = n + 1
     mu = model.normalized_volume()
-    partial = SpectrumSeries(model.value_histogram(t))
+    partial = SpectrumSeries(
+        {key: len(pts) for key, pts in model._census(t).items()}, model.value_scale
+    )
     kept = partial.mul_one_minus_z_pow(n).truncate_above(t)
     if not (kept.is_nonnegative() and kept.eval_at_one() == mu):
         raise TruncationError(
@@ -90,13 +94,15 @@ def spectrum_at_infinity(
 
     Alternating sum of the toric Newton spectra of all proper coordinate
     restrictions, the restriction to every variable contributing (-1)^n.
+    The terms are summed over the lcm of the spectra's denominators.
     """
     models = _restriction_models(p) if _models is None else _models
+    spectra = [((-1) ** len(subset), toric_spectrum(model)) for subset, model in models.items()]
+    den = lcm(*(s.denominator for _, s in spectra))
     terms = [(0, (-1) ** p.nvars)]
-    for subset, model in models.items():
-        sign = (-1) ** len(subset)
-        terms.extend((e, sign * c) for e, c in toric_spectrum(model).items())
-    return SpectrumSeries(terms)
+    for sign, s in spectra:
+        terms.extend((k, sign * c) for k, c in s.numerators(den))
+    return SpectrumSeries(terms, den)
 
 
 def milnor_number(
@@ -129,4 +135,4 @@ def milnor_number(
 
 def boundary_lattice_points(model: PolytopeModel) -> int:
     """Number of lattice points with Newton value exactly one."""
-    return model.value_histogram(1).get(Fraction(1), 0)
+    return len(model._census(1).get(model.value_scale, ()))

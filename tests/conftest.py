@@ -116,15 +116,20 @@ def _compute_entry(p: Poly) -> CorpusEntry:
     )
 
 
-@pytest.fixture(scope="session")
-def corpus():
+def acceptance_polys():
+    """The 56 polynomials of the acceptance corpus, in corpus order."""
     rng = random.Random(CORPUS_SEED)
     polys = [random_convenient_poly(rng, 2) for _ in range(N_TWO_VAR)]
     polys += [random_convenient_poly(rng, 3) for _ in range(N_THREE_VAR)]
     for sup in NON_SIMPLICIAL_SUPPORTS:
         terms = {v: Fraction(rng.randint(1, 999983)) for v in sup}
         polys.append(Poly(names=("u", "v", "w"), terms=terms, mode=GLOBAL))
-    return [_compute_entry(p) for p in polys]
+    return polys
+
+
+@pytest.fixture(scope="session")
+def corpus():
+    return [_compute_entry(p) for p in acceptance_polys()]
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """Command line behaviour: golden outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,8 @@ import pytest
 
 from newtonspec import cli
 from newtonspec.cli import main
+
+from conftest import LOCAL_GERMS, acceptance_polys
 
 
 def run_cli(capsys, *argv):
@@ -245,3 +248,55 @@ def test_check_json(capsys):
     payload = json.loads(out)
     assert payload["ok"] is True
     assert all(r["ok"] for r in payload["results"])
+
+
+# sha256 of the stdout of each series-printing command, in text and in
+# --json, over the acceptance corpus and then LOCAL_GERMS (see
+# _pinned_digest); the bench gates hash the PASS lines of check only
+PINNED_OUTPUTS = {
+    ("spectrum", False):
+        "3b9c7d7fd8ca344bd9f9cd25d37e82182d20cac6684222c7bc3ba5fa3a0810b5",
+    ("spectrum", True):
+        "febd2dcdf4f86e1588efe98e7f53942ad0c4fd1f359a0722907865a7124afd40",
+    ("spec-infinity", False):
+        "5a8d137560937a3ec7e4859e8f15e15453b0163018680536d3063c44d5a2afd8",
+    ("spec-infinity", True):
+        "8942b72793f1f9d76259a836eee702f7b4181cfdc7065d9ca6e20c2506c1e75d",
+    ("delta", False):
+        "c0cb0227fb531a24dfb05403d33f874f1afbc98b8ea463cbcbb2f163c5a9c350",
+    ("delta", True):
+        "82489df657edd21b64ab0f76bd096ea0cd51b8e4b1fab1c59e91f0363c67d6f4",
+    ("ehrhart", False):
+        "480b1ae50b3429ebd3b48cda9162a7275d92faa60a38cd09f30f09783da39c3b",
+    ("ehrhart", True):
+        "20ec9c6dfc05985b815ec8aee5c1692f40c110405dcd8c32f6309c74583c346e",
+    ("orbifold", False):
+        "7abc9a9a866ba53b2d665b78aeb342d9b4a688ab0efa6e1e52de643dfe2f8293",
+    ("orbifold", True):
+        "a5da133b972685394865a4e3c10aa07c5bacad0af739920bd4c776dcd3356a0c",
+    ("milnor", False):
+        "a6bbb1b447dafc1fa6dbf182e8457b92166dc7c3f0e12bc2e0206cd749515a31",
+    ("milnor", True):
+        "ee28008f918b1d94f4f1a1611e2f6e77fbe2479b795076e3fd8c1388b9db527b",
+}
+
+
+def _pinned_digest(capsys, command, as_json):
+    """One sha256 over the exit code and stdout of ``command`` on every
+    corpus input and local germ, in that order."""
+    flags = ["--json"] if as_json else []
+    calls = [[str(p), "--vars", ",".join(p.names)] for p in acceptance_polys()]
+    calls += [[germ, "--local"] for germ in LOCAL_GERMS]
+    digest = hashlib.sha256()
+    for argv in calls:
+        code = main([command, *argv, *flags])
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "command,as_json", list(PINNED_OUTPUTS),
+    ids=[f"{c}-{'json' if j else 'text'}" for c, j in PINNED_OUTPUTS],
+)
+def test_series_outputs_are_pinned(capsys, command, as_json):
+    assert _pinned_digest(capsys, command, as_json) == PINNED_OUTPUTS[command, as_json]

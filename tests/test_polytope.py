@@ -339,6 +339,7 @@ def test_box_points_square_edge(square_model):
     for bp in pts:
         assert all(0 <= q < 1 for q in bp.q)
         assert sum(bp.q) == bp.nu == m.newton_value(bp.point)
+        assert bp.value == m._scaled_value(bp.point)
 
 
 def test_box_points_vertex_face(square_model):
@@ -433,14 +434,21 @@ def _box_census(model, height):
     return dict(sorted(groups.items()))
 
 
+def _census_items(model, height):
+    """The census's (value, points) groups, its integer keys nu * L read
+    as ``Fraction(key, L)``."""
+    scale = model.value_scale
+    return [(Fraction(key, scale), pts) for key, pts in model._census(height).items()]
+
+
 def _assert_census_matches_box_sweep(p):
     model = build_model(p)
     heights = range(model.n + 2)
     want = {h: list(_box_census(model, h).items()) for h in heights}
     for h in heights:  # each taller query scans the region afresh
-        assert list(model._census(h).items()) == want[h], (p, h)
+        assert _census_items(model, h) == want[h], (p, h)
     for h in reversed(heights):  # the lower ones filter the tallest scan
-        assert list(model._census(h).items()) == want[h], (p, h)
+        assert _census_items(model, h) == want[h], (p, h)
 
 
 # global supports with a facet form that has a negative entry, such as
@@ -536,8 +544,10 @@ def _assert_box_points_match_reference(model):
     faces = [model.zero_cone] + list(model.triangulation())
     faces += [f for f in model.faces if f.is_simplex]
     for face in faces:
-        got = [(bp.point, bp.q, bp.nu) for bp in model.box_points(face)]
+        pts = model.box_points(face)
+        got = [(bp.point, bp.q, bp.nu) for bp in pts]
         assert got == _reference_box_points(model, face), (model.to_json(), face)
+        assert [bp.value for bp in pts] == [model._scaled_value(bp.point) for bp in pts]
 
 
 def test_box_points_match_reference_on_corpus(corpus):

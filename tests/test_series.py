@@ -1,7 +1,9 @@
 """Series arithmetic: worked values plus the algebraic laws as properties."""
 
+import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -179,3 +181,104 @@ def test_rendering():
     assert str(series(("0", 1), ("1", 14), ("2", 5))) == "1 + 14 z + 5 z^2"
     assert str(SpectrumSeries.zero()) == "0"
     assert str(series(("0", -1), ("1", 1))) == "-1 + z"
+
+
+# -- the canonical form: integer numerators over the least denominator --
+
+mixed_exponents = st.builds(
+    Fraction, st.integers(-12, 24), st.sampled_from([1, 2, 3, 4, 6])
+)
+# few exponents and small coefficients, so that equal exponents with
+# different spellings meet and cancel often
+mixed_pairs = st.lists(st.tuples(mixed_exponents, st.integers(-3, 3)), max_size=10)
+# includes denominators such as 5 and 7 that no series above has
+probe_exponents = st.fractions(min_value=-3, max_value=7, max_denominator=14)
+
+
+def reference(pairs):
+    """Plain {Fraction: int} accumulation of (exponent, coefficient) pairs."""
+    data = {}
+    for e, c in pairs:
+        data[Fraction(e)] = data.get(Fraction(e), 0) + c
+    return {e: c for e, c in data.items() if c}
+
+
+def sorted_items(data):
+    return tuple(sorted(data.items()))
+
+
+@given(mixed_pairs)
+def test_canonical_items_and_denominator(pairs):
+    s = SpectrumSeries(pairs)
+    want = reference(pairs)
+    assert s.items() == sorted_items(want)
+    assert s.exponents() == tuple(sorted(want))
+    assert s.denominator == math.lcm(*(e.denominator for e in want))
+    assert list(s.numerators()) == [(e * s.denominator, c) for e, c in s.items()]
+
+
+@given(mixed_pairs, mixed_pairs)
+def test_canonical_arithmetic_matches_reference(p1, p2):
+    s, t = SpectrumSeries(p1), SpectrumSeries(p2)
+    r1, r2 = reference(p1), reference(p2)
+    assert (s + t).items() == sorted_items(reference([*r1.items(), *r2.items()]))
+    assert (s - t).items() == sorted_items(
+        reference([*r1.items(), *((e, -c) for e, c in r2.items())])
+    )
+    assert (s * t).items() == sorted_items(reference(
+        (e1 + e2, c1 * c2) for e1, c1 in r1.items() for e2, c2 in r2.items()
+    ))
+    assert (s * 3).items() == sorted_items({e: 3 * c for e, c in r1.items()})
+
+
+@given(mixed_pairs, probe_exponents, st.integers(-3, 6), st.integers(0, 3))
+def test_canonical_methods_match_reference(pairs, x, n, k):
+    s = SpectrumSeries(pairs)
+    want = reference(pairs)
+    assert s.shift(x).items() == sorted_items({e + x: c for e, c in want.items()})
+    assert s.reflect(n).items() == sorted_items({n - e: c for e, c in want.items()})
+    assert s.truncate_above(x).items() == sorted_items(
+        {e: c for e, c in want.items() if e <= x}
+    )
+    assert s.restrict_below(x).items() == sorted_items(
+        {e: c for e, c in want.items() if e < x}
+    )
+    assert s.mul_one_minus_z_pow(k).items() == sorted_items(naive_mul_one_minus_z(want, k))
+    assert s.coefficient(x) == want.get(x, 0)
+    for e, c in want.items():
+        assert s.coefficient(e) == c
+    # the integer forms of the same calls, x spelled over its denominator
+    num, den = x.numerator, x.denominator
+    assert s.shift(num, den) == s.shift(x)
+    assert s.coefficient(num, den) == s.coefficient(x)
+
+
+@given(mixed_pairs, mixed_exponents, st.integers(1, 4))
+def test_equal_series_have_equal_hashes(pairs, e, m):
+    s = SpectrumSeries(pairs)
+    # the same series in another order, with a term that cancels
+    t = SpectrumSeries([(e, 1)] + pairs[::-1] + [(e, -1)])
+    # ... and from integer numerators over a denominator that is m times
+    # a common one, not the least
+    den = m * math.lcm(*(Fraction(x).denominator for x, _ in pairs))
+    u = SpectrumSeries([(int(x * den), c) for x, c in pairs], den)
+    assert s == t == u
+    assert hash(s) == hash(t) == hash(u)
+    assert s.denominator == t.denominator == u.denominator
+
+
+def test_cancellation_leaves_the_least_denominator():
+    s = SpectrumSeries([(Fraction(1, 2), 1), (Fraction(1, 2), -1), (1, 1)])
+    assert s == SpectrumSeries({1: 1}, 1)
+    assert s.denominator == 1
+    assert (series(("1/2", 1)) - series(("1/2", 1))).denominator == 1
+    assert SpectrumSeries({3: 1, 6: 2}, 6) == series(("1/2", 1), ("1", 2))
+    assert SpectrumSeries({3: 1, 6: 2}, 6).denominator == 2
+
+
+def test_integer_numerators_need_a_positive_denominator_multiple():
+    with pytest.raises(ValueError):
+        SpectrumSeries({1: 1}, 0)
+    with pytest.raises(ValueError):
+        list(series(("1/2", 1)).numerators(3))
+    assert list(series(("1/2", 1)).numerators(6)) == [(3, 1)]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from newtonspec import ehrhart, polytope, series as series_module, spectrum
 from newtonspec import (
     GLOBAL,
     LOCAL,
@@ -20,6 +21,7 @@ from newtonspec import (
     check_convenient,
     koszul_hilbert_series,
     milnor_number,
+    orbifold_dimensions,
     parse_polynomial,
     spectrum_at_infinity,
     toric_spectrum,
@@ -29,12 +31,14 @@ from newtonspec import (
 
 from conftest import (
     FOUR_VARIABLE_POLYS,
+    LOCAL_GERMS,
     QUINTIC_AT_INFINITY,
     QUINTIC_SPECTRUM,
     SQUARE_AT_INFINITY,
     SQUARE_SPECTRUM,
     THREED_AT_INFINITY,
     THREED_SPECTRUM,
+    acceptance_polys,
     series,
 )
 
@@ -222,3 +226,30 @@ def test_routes_agree_in_five_variables():
 def test_polynomial_without_variables_is_input_error(route, text):
     with pytest.raises(InputError, match="no variables"):
         route(parse_polynomial(text))
+
+
+def test_spectrum_routes_build_no_fraction(monkeypatch):
+    # the models (whose facet forms are rational) are built first; after
+    # that the box route, the oracle, the orbifold sum and the spectrum at
+    # infinity work on integer values nu * L alone
+    polys = acceptance_polys() + [parse_polynomial(t, mode=LOCAL) for t in LOCAL_GERMS]
+    want = [
+        (toric_spectrum_box(m), toric_spectrum_oracle(m), spectrum_at_infinity(p))
+        for p in polys for m in [build_model(p)]
+    ]
+    fresh = [(p, spectrum._restriction_models(p)) for p in polys]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Fraction built on the spectrum path")
+
+    for module in (series_module, spectrum, polytope, ehrhart):
+        monkeypatch.setattr(module, "Fraction", refuse, raising=False)
+    got = []
+    for p, models in fresh:
+        model = models[()]
+        box = toric_spectrum_box(model)
+        if model.simplicial_fan:
+            assert orbifold_dimensions(model) == box
+        got.append((box, toric_spectrum_oracle(model), spectrum_at_infinity(p, _models=models)))
+    monkeypatch.undo()
+    assert got == want
