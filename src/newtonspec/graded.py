@@ -15,10 +15,11 @@ and each degree's relations are sparse integer rows ``{col: int}``
 alone, the pivot count of the forward elimination ``linalg.echelon``: a
 third, linear-algebra route to the toric Newton spectrum.  Only
 ``quotient_basis`` back substitutes (``linalg.rref``): it keeps each
-degree's reduced rows, the only ``Fraction`` rows, in a
-:class:`DegreeBlock`, and a product's normal form is looked up in the
-reduced rows of its degree's block, so structure-constant tables need
-no further elimination.
+degree's reduced rows, the same sparse ``{pivot col: row}`` shape
+with ``Fraction`` entries, in a :class:`DegreeBlock`, and a product's
+normal form is read off the nonzeros of one reduced row of its
+degree's block, so structure-constant tables need no further
+elimination and no dense row is built.
 """
 
 from __future__ import annotations
@@ -136,8 +137,7 @@ class DegreeBlock:
     degree: Fraction
     monomials: List[Vec]                 # column order used by the reduction
     index: Dict[Vec, int]
-    rows: List[List[Fraction]]           # reduced row echelon relation rows
-    pivots: Dict[int, int]               # pivot column -> its row in ``rows``
+    rows: Dict[int, Dict[int, Fraction]]  # ``linalg.rref``: pivot col -> its row
     basis: List[Vec]                     # non-pivot columns, in column order
 
     @property
@@ -147,18 +147,15 @@ class DegreeBlock:
     def reduce(self, vec: Vec, coeff: Fraction) -> Dict[Vec, Fraction]:
         """Express coeff * [vec] in the basis modulo the relation rows.
 
-        A basis monomial is its own normal form.  A pivot monomial's row
-        has 1 at its pivot and 0 at every other pivot, so the row says
-        [vec] = -(row at the basis columns).
+        A basis monomial is its own normal form.  A pivot monomial's
+        sparse row has 1 at its pivot and no other pivot column, so the
+        row says [vec] = -(its nonzeros at the basis columns).
         """
         col = self.index[vec]
-        r = self.pivots.get(col)
-        if r is None:
+        row = self.rows.get(col)
+        if row is None:
             return {vec: Fraction(coeff)}
-        row = self.rows[r]
-        return {
-            self.monomials[j]: -coeff * x for j, x in enumerate(row) if x and j != col
-        }
+        return {self.monomials[j]: -coeff * x for j, x in row.items() if j != col}
 
 
 def _leading_terms(model, leading):
@@ -215,16 +212,10 @@ def _build_block(model, leading, degree, monomials_here, monomials_prev, hint=No
     ordered, index, raw = _relation_rows(
         model, leading, monomials_here, monomials_prev, hint
     )
-    rows, pivot_cols = linalg.rref(raw, len(ordered))
-    pivots = {col: r for r, col in enumerate(pivot_cols)}
-    basis = [m for i, m in enumerate(ordered) if i not in pivots]
+    rows = linalg.rref(raw)
+    basis = [m for i, m in enumerate(ordered) if i not in rows]
     return DegreeBlock(
-        degree=degree,
-        monomials=ordered,
-        index=index,
-        rows=rows,
-        pivots=pivots,
-        basis=basis,
+        degree=degree, monomials=ordered, index=index, rows=rows, basis=basis
     )
 
 
@@ -287,7 +278,8 @@ def quotient_basis(
             deg = model.newton_value(vec)
             if spectrum.coefficient(deg) == 0:
                 raise HintError(
-                    f"hint monomial {vec} has degree {deg} outside the spectrum"
+                    f"hint monomial {monomial_text(vec, p.names)} has degree {deg} "
+                    "outside the spectrum"
                 )
             hint_by_degree.setdefault(deg, []).append(vec)
 
@@ -300,7 +292,10 @@ def quotient_basis(
             here_set = set(here)
             missing = [m for m in hint if m not in here_set]
             if missing:
-                raise HintError(f"hint monomial {missing[0]} has no class of degree {degree}")
+                raise HintError(
+                    f"hint monomial {monomial_text(missing[0], p.names)} has no class "
+                    f"of degree {degree}"
+                )
             if len(hint) != expected:
                 raise HintError(
                     f"hint gives {len(hint)} monomials at degree {degree}, expected {expected}"

@@ -9,14 +9,16 @@ behind these three, and ``box_points`` calls it directly.
 The graded blocks are Macaulay-style matrices of the logarithmic-
 derivative relations: hundreds of columns with a few percent of their
 entries nonzero.  They have one sparse eliminator, in the manner of the
-sparse pivoting of Faugere's F4 on Macaulay matrices.  ``echelon`` is
-its forward half: it eliminates sparse integer rows ``{col: int}``
-against leftmost-column pivots, and its pivot count is the rank, which
-is all the Koszul route reads.  ``rref`` scales rational rows to
-primitive integers, runs ``echelon`` and then back substitutes; only
-``quotient_basis`` needs that, and ``Fraction`` appears only in its
-result.  ``solve_unique`` solves a small square system through
-``rref``; nothing in the package calls it any more, and it remains only
+sparse pivoting of Faugere's F4 on Macaulay matrices, and one row
+format, ``{pivot col: {col: entry}}`` with no zero entry.  ``echelon``
+is its forward half: it eliminates sparse integer rows against
+leftmost-column pivots, and its pivot count is the rank, which is all
+the Koszul route reads.  ``rref`` scales rational rows to primitive
+integers, runs ``echelon``, back substitutes and divides each row by
+its pivot, so its rows are the same sparse rows with ``Fraction``
+entries; only ``quotient_basis`` needs that.  ``solve_unique`` reads the
+solution of a small square system off the last column of ``rref``'s
+rows; nothing in the package calls it any more, and it remains only
 for the benchmark's layer tracer, which patches it by name, and for its
 own test.
 """
@@ -25,41 +27,32 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def rref(rows, ncols):
-    """Reduced row echelon form of rational rows, by sparse fraction-free
-    elimination.
+def rref(rows):
+    """Reduced row echelon form of rational rows, as ``{pivot col: row}``.
 
-    ``rows`` holds ints or Fractions, each row either a sequence of
-    ``ncols`` entries or a ``{col: entry}`` mapping.  Returns
-    ``(reduced_rows, pivot_cols)`` where ``reduced_rows`` contains only
-    the nonzero rows in reduced row echelon form, as lists of ``ncols``
-    Fractions, and ``pivot_cols`` lists the pivot column of each row.
-    ``echelon`` does the forward elimination on sparse primitive integer
-    rows, so the pivot set is the greedy one for the given column order,
-    and as the reduced row echelon form of a row space is unique, the
-    result is the one dense rational elimination gives.  Back
-    substitution then runs from the rightmost pivot leftwards, and only
-    the last step divides each row by its pivot.
+    ``rows`` holds ints or Fractions, each row either a sequence or a
+    ``{col: entry}`` mapping.  The result has ``echelon``'s shape, back
+    substituted: one sparse row ``{col: Fraction}`` per pivot column, in
+    ascending pivot order, with 1 at its pivot, no other pivot column
+    and no zero entry.  ``echelon`` does the forward elimination on
+    primitive integer rows, so the pivot set is the greedy one for the
+    given column order, and as the reduced row echelon form of a row
+    space is unique, the result is the one dense rational elimination
+    gives.  Back substitution runs from the rightmost pivot leftwards,
+    and only the last step divides each row by its pivot.
     """
     pivot_of = echelon(map(_primitive_row, rows))
-    pivot_cols = sorted(pivot_of)
-    for col in reversed(pivot_cols):
+    for col in sorted(pivot_of, reverse=True):
         # the pivot rows to the right are reduced: clearing one of their
         # pivots brings in no other pivot column
         row = pivot_of[col]
         for j in [j for j in row if j != col and j in pivot_of]:
             row = _clear(row, pivot_of[j], j)
         pivot_of[col] = row
-    zero = Fraction(0)
-    reduced = []
-    for col in pivot_cols:
-        row = pivot_of[col]
-        p = row[col]
-        dense = [zero] * ncols
-        for j, x in row.items():
-            dense[j] = Fraction(x, p)
-        reduced.append(dense)
-    return reduced, pivot_cols
+    return {
+        col: {j: Fraction(x, row[col]) for j, x in row.items()}
+        for col, row in sorted(pivot_of.items())
+    }
 
 
 def echelon(rows):
@@ -183,16 +176,10 @@ def nullspace_vector(rows, ncols):
 def solve_unique(a_rows, b):
     """Solve a square system A x = b; None if A is singular."""
     n = len(a_rows)
-    aug = [list(map(Fraction, row)) + [Fraction(bi)] for row, bi in zip(a_rows, b)]
-    reduced, pivots = rref(aug, n + 1)
-    if n in pivots:
-        return None  # inconsistent
-    if len(pivots) != n:
-        return None  # underdetermined
-    sol = [Fraction(0)] * n
-    for row, p in zip(reduced, pivots):
-        sol[p] = row[n]
-    return sol
+    reduced = rref(list(row) + [bi] for row, bi in zip(a_rows, b))
+    if list(reduced) != list(range(n)):
+        return None  # singular: underdetermined or inconsistent
+    return [reduced[i].get(n, Fraction(0)) for i in range(n)]
 
 
 def int_det(rows):

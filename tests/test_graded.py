@@ -137,6 +137,13 @@ def test_repeated_hint_monomial_rejected(square_poly, square_model):
         quotient_basis(square_poly, square_model, basis_hint=hint)
 
 
+def test_hint_monomial_outside_the_spectrum_is_named_as_text():
+    p = parse_polynomial("u^2 + v^2")
+    hint = [parse_monomial(t, p.names) for t in ["1", "u", "v", "u^5"]]
+    with pytest.raises(HintError, match=r"u\^5 has degree 5/2 outside the spectrum"):
+        quotient_basis(p, build_model(p), basis_hint=hint)
+
+
 def test_wrong_spectrum_raises_dimension_mismatch(square_poly, square_model):
     with pytest.raises(DimensionMismatchError):
         quotient_basis(
@@ -251,37 +258,43 @@ def test_normal_forms_lie_on_the_basis_and_differ_by_relations(corpus):
     for entry in corpus[:12]:
         basis = quotient_basis(entry.poly, entry.model, spectrum=entry.oracle)
         for block in basis.blocks.values():
-            rank = len(block.pivots)
+            rank = len(block.rows)
             for m in block.monomials:
                 normal = block.reduce(m, 1)
                 assert set(normal) <= set(block.basis), (entry.poly, m)
-                diff = [Fraction(0)] * len(block.monomials)
-                diff[block.index[m]] += 1
+                diff = {block.index[m]: Fraction(1)}
                 for vec, coeff in normal.items():
-                    diff[block.index[vec]] -= coeff
-                stacked = block.rows + [diff]
-                assert len(linalg.rref(stacked, len(block.monomials))[1]) == rank, (
-                    entry.poly, m)
+                    col = block.index[vec]
+                    diff[col] = diff.get(col, Fraction(0)) - coeff
+                stacked = list(block.rows.values()) + [diff]
+                assert len(linalg.rref(stacked)) == rank, (entry.poly, m)
 
 
-# corpus entries 38, 40, 47 and 55 (the last has a non-simplicial fan) with
-# the sha256 of their product-table stdout
+# corpus entries 38, 40, 47 and 55 (the last has a non-simplicial fan),
+# then inputs in four and five variables, where the blocks are largest,
+# with the sha256 of their product-table stdout
 PINNED_TABLES = [
-    ("211958*w^4 + 197789*v^3 + 220640*v^5*w^3 + 617618*u^4",
+    ("211958*w^4 + 197789*v^3 + 220640*v^5*w^3 + 617618*u^4", "u,v,w",
      "c4564adad2e619aebaf7b6b6bdc6f7dfe45d6804a960542399c2cf01dd455bde"),
     ("357426*w^2 + 395934*v^2*w^4 + 616058*v^5 + 921299*v^6*w^6 + 567927*u^2*v^3*w"
-     " + 308783*u^3*v^2*w^2 + 576578*u^4",
+     " + 308783*u^3*v^2*w^2 + 576578*u^4", "u,v,w",
      "408e6f6427204af4f6c9d6f11919e84032140cc8caf7ed142a9b595c66a39a8e"),
-    ("212925*w + 552604*v^2*w + 988761*v^4 + 722193*u^4*v*w^2 + 274109*u^5",
+    ("212925*w + 552604*v^2*w + 988761*v^4 + 722193*u^4*v*w^2 + 274109*u^5", "u,v,w",
      "29def3d8d5f0f350b603ef392c96844590ebbc9fc84818059b3ea38ab1f918a7"),
-    ("274840*w^2 + 253705*v^3 + 693798*v^3*w + 977841*u^3 + 383720*u^3*w",
+    ("274840*w^2 + 253705*v^3 + 693798*v^3*w + 977841*u^3 + 383720*u^3*w", "u,v,w",
      "72b545351d05e7fead4f6575db9eb00054271ef0c2c4cdb2c81532422477156b"),
+    ("u^4+v^3+w^3+x^2+u*v*w*x", "u,v,w,x",
+     "2d402c589c53bab3fe124caab2e054a4d7c7dfeb4124a14dec175d8afabcda76"),
+    ("u^3+v^3+w^3+x^3+y^2", "u,v,w,x,y",
+     "8bf296701b37220aed952a712fff0b8680eb34b006a7386c32c218a0d838a8da"),
 ]
 
 
-@pytest.mark.parametrize("text,digest", PINNED_TABLES)
-def test_product_table_output_is_pinned(capsys, text, digest):
-    assert main(["product-table", text, "--vars", "u,v,w"]) == 0
+@pytest.mark.parametrize(
+    "text,names,digest", PINNED_TABLES, ids=[f"{t}-{d}" for t, _, d in PINNED_TABLES]
+)
+def test_product_table_output_is_pinned(capsys, text, names, digest):
+    assert main(["product-table", text, "--vars", names]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

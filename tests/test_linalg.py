@@ -226,18 +226,32 @@ def test_sparse_matrices_cover_every_shape(sparse_reference):
     assert nonzero < 0.4 * sum(len(row) for rows, _ in SPARSE for row in rows)
 
 
+def _densify(reduced, ncols):
+    """``rref``'s ``{pivot col: {col: Fraction}}`` as ``_dense_rref``'s
+    ``(rows, pivot_cols)``, the rows in the dict's order."""
+    dense = []
+    for row in reduced.values():
+        out = [Fraction(0)] * ncols
+        for j, x in row.items():
+            out[j] = x
+        dense.append(out)
+    return dense, list(reduced)
+
+
 def test_rref_equals_dense_rational_elimination(sparse_reference):
     cases = list(zip(SPARSE, sparse_reference))
     cases += [(m, _dense_rref(*m)) for m in MATRICES]
     for (rows, ncols), expected in cases:
-        got = linalg.rref(rows, ncols)
-        assert got == expected, (rows, ncols)
-        assert all(type(x) is Fraction for row in got[0] for x in row), rows
+        # the same rows as sequences and as {col: entry} mappings
+        sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+        for given in (rows, sparse):
+            got = linalg.rref(given)
+            assert _densify(got, ncols) == expected, (rows, ncols)
+            assert all(type(x) is Fraction and x != 0
+                       for row in got.values() for x in row.values()), rows
+            assert all(row[col] == 1 for col, row in got.items()), rows
         # the forward elimination alone gives the rank
         assert len(linalg.echelon(_integer_rows(rows))) == len(expected[1]), rows
-        # the same rows given as {col: entry} mappings
-        sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
-        assert linalg.rref(sparse, ncols) == expected, rows
 
 
 def test_solve_unique():
