@@ -44,6 +44,14 @@ combination of two facets or a mask test.  Only the level-one facet
 forms of the model are rational.  The hull never leaves
 :func:`build_model`: the model keeps the facet forms and the face
 lattice, and nothing of the hull they came from.
+
+The face lattice of the Newton boundary is built from the top down, one
+dimension at a time, from vertex-facet incidences alone.  A face is the
+bitmask of the model vertices on it.  The Newton-boundary facets make
+the top level, and the faces one level down inside a face are its
+ridges: its largest proper intersections with the hull facets, or, for
+a simplex, itself less one vertex.  A face's dimension is its level, so
+no rank is taken.
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import (
@@ -226,34 +234,63 @@ def _hull_vertices(npts: int, facets: Sequence[_HullFacet]) -> List[int]:
     return verts
 
 
-def _face_closure(vertex_sets: Sequence[frozenset]) -> set:
-    """Close a family of vertex sets under pairwise intersection."""
-    faces = set(vertex_sets)
-    frontier = list(faces)
-    while frontier:
-        fresh = []
-        for w in frontier:
-            for v in vertex_sets:
-                x = w & v
-                if x and x not in faces:
-                    faces.add(x)
-                    fresh.append(x)
-        frontier = fresh
-    return faces
-
-
 def _make_face(vertices: Sequence[Vec], vidx: Tuple[int, ...], dim: int) -> Face:
     in_hyp = any(all(vertices[i][j] == 0 for i in vidx) for j in range(len(vertices[0])))
     return Face(vertex_indices=vidx, dim=dim, in_coordinate_hyperplane=in_hyp,
                 is_simplex=len(vidx) == dim + 1)
 
 
-def _affine_dim(vectors: Sequence[Vec]) -> int:
-    if len(vectors) <= 1:
-        return 0
-    base = vectors[0]
-    rows = [[v[j] - base[j] for j in range(len(base))] for v in vectors[1:]]
-    return linalg.rank(rows, len(base))
+def _bits(mask: int) -> Tuple[int, ...]:
+    """The indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _boundary_faces(vertices: Sequence[Vec], facet_masks: Sequence[int],
+                    wall_masks: Iterable[int]) -> List[Face]:
+    """Every face of the Newton boundary, sorted by dimension and vertices.
+
+    A face is the bitmask of the model vertices on it.  ``facet_masks``
+    are the Newton-boundary facets, the top level; ``wall_masks`` are all
+    the hull facets cut down to the model vertices, which loses nothing
+    because a Newton-boundary face holds model vertices only.  The faces
+    one dimension down inside a face f are its ridges, the
+    inclusion-maximal proper nonempty f & g over the walls g (Kaibel and
+    Pfetsch, 2002): taken in descending size, a candidate is a ridge when
+    no ridge accepted before holds it.  A simplex's ridges are itself
+    less one vertex.  A face's dimension is the level it was found on.
+    """
+    nonzero = [
+        sum(1 << i for i, v in enumerate(vertices) if v[j]) for j in range(len(vertices[0]))
+    ]
+    faces = []
+    level = set(facet_masks)
+    for dim in range(len(vertices[0]) - 1, -1, -1):
+        below = set()
+        for f in level:
+            vidx = _bits(f)
+            simplex = len(vidx) == dim + 1
+            faces.append(Face(vertex_indices=vidx, dim=dim,
+                              in_coordinate_hyperplane=any(not f & nz for nz in nonzero),
+                              is_simplex=simplex))
+            if dim == 0:
+                continue
+            if simplex:
+                below.update(f ^ (1 << i) for i in vidx)
+                continue
+            ridges: List[int] = []
+            for c in sorted({f & g for g in wall_masks} - {0, f}, key=int.bit_count,
+                            reverse=True):
+                if all(c & r != c for r in ridges):
+                    ridges.append(c)
+            below.update(ridges)
+        level = below
+    faces.sort(key=lambda f: (f.dim, f.vertex_indices))
+    return faces
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +321,8 @@ class PolytopeModel:
         # products with v, and evaluation reads nothing else
         self.value_scale = lcm(*(x.denominator for ff in facets for x in ff.normal))
         self._scaled_forms = [
-            tuple(int(x * self.value_scale) for x in ff.normal) for ff in facets
+            tuple(x.numerator * (self.value_scale // x.denominator) for x in ff.normal)
+            for ff in facets
         ]
         self._max_coord = max((c for v in vertices for c in v), default=0)
         self._box_cache: dict = {}
@@ -642,10 +680,9 @@ def build_model(p: Poly) -> PolytopeModel:
         pts = list(dict.fromkeys(support + anchors))
         forbidden = {pts.index(a) for a in anchors}
 
-    if _affine_dim(pts) != n:
-        raise InternalCheckError("support is not full dimensional")
-
     hull_facets = _enumerate_facets(pts, n)
+    if not hull_facets:
+        raise InternalCheckError("support is not full dimensional")
     hull_verts = _hull_vertices(len(pts), hull_facets)
     vert_set = set(hull_verts)
     for hf in hull_facets:
@@ -675,28 +712,19 @@ def build_model(p: Poly) -> PolytopeModel:
     hull_to_model = {i: vertices.index(pts[i]) for i in nb_vertex_hull}
 
     order = sorted(range(len(nb_hull)), key=lambda i: normals[i])
-    facet_forms = []
-    nb_vsets_model = []
-    for i in order:
-        vset = tuple(sorted(hull_to_model[j] for j in nb_hull[i].vertex_set))
-        facet_forms.append(FacetForm(normal=normals[i], vertex_indices=vset))
-        nb_vsets_model.append(frozenset(vset))
+    facet_forms = [
+        FacetForm(normal=normals[i],
+                  vertex_indices=tuple(sorted(hull_to_model[j] for j in nb_hull[i].vertex_set)))
+        for i in order
+    ]
 
-    # Newton-boundary face lattice: intersections of hull facet vertex
-    # sets, kept when they land inside a Newton-boundary facet.
-    all_vsets = [hf.vertex_set for hf in hull_facets if hf.vertex_set]
-    closure = _face_closure(all_vsets)
-    nb_faces_sets = set()
-    for w in closure:
-        wm = frozenset(hull_to_model[i] for i in w if i in hull_to_model)
-        if len(wm) == len(w) and any(wm <= s for s in nb_vsets_model):
-            nb_faces_sets.add(wm)
-
-    faces = []
-    for wset in sorted(nb_faces_sets, key=lambda s: (len(s), tuple(sorted(s)))):
-        vidx = tuple(sorted(wset))
-        faces.append(_make_face(vertices, vidx, _affine_dim([vertices[i] for i in vidx])))
-    faces.sort(key=lambda f: (f.dim, f.vertex_indices))
+    # Newton-boundary face lattice, level by level from the facets down,
+    # with faces as bitmasks over the model vertices
+    bit = {j: 1 << k for j, k in hull_to_model.items()}
+    walls = {sum(bit.get(j, 0) for j in hf.vertex_set) for hf in hull_facets}
+    faces = _boundary_faces(
+        vertices, [sum(1 << i for i in ff.vertex_indices) for ff in facet_forms], walls
+    )
 
     zero_cone = Face(
         vertex_indices=(),
@@ -715,13 +743,14 @@ def build_model(p: Poly) -> PolytopeModel:
     )
 
     # sanity: the defining inequalities really hold on the support
+    scale = model.value_scale
     for a in support:
-        val = model.newton_value(a)
-        if p.mode == GLOBAL and val > 1:
+        val = model._scaled_value(a)
+        if p.mode == GLOBAL and val > scale:
             raise InternalCheckError(f"support point {a} outside the polytope")
-        if p.mode == LOCAL and val < 1:
+        if p.mode == LOCAL and val < scale:
             raise InternalCheckError(f"support point {a} below the Newton boundary")
     for v in model.vertices:
-        if model.newton_value(v) != 1:
+        if model._scaled_value(v) != scale:
             raise InternalCheckError(f"vertex {v} does not sit at level one")
     return model

@@ -26,7 +26,12 @@ from newtonspec import (
     polytope,
 )
 
-from conftest import FOUR_VARIABLE_POLYS, LOCAL_GERMS, random_convenient_poly
+from conftest import (
+    FOUR_VARIABLE_POLYS,
+    LOCAL_GERMS,
+    NON_SIMPLICIAL_SUPPORTS,
+    random_convenient_poly,
+)
 
 
 def frac(s):
@@ -842,3 +847,130 @@ def test_hull_makes_at_most_n_plus_one_kernel_solves(monkeypatch):
         calls.clear()
         assert polytope._enumerate_facets(points, n)
         assert 0 < len(calls) <= n + 1, (points, calls)
+
+
+def test_build_model_ranks_only_to_seed_the_hull(monkeypatch):
+    # the hull's simplex seed tests each point's independence with one
+    # rank, at most npts - 1 in all; the face lattice reads each
+    # dimension from its level, where a rank per face would take
+    # thousands on these inputs
+    rank = linalg.rank
+    calls = []
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return rank(rows, ncols)
+
+    monkeypatch.setattr(linalg, "rank", counted)
+    for mode, support, _ in PINNED_HULLS:
+        p = _pinned_poly(mode, support)
+        calls.clear()
+        build_model(p)
+        assert len(calls) <= len(_hull_points(p)) - 1, (support, len(calls))
+
+
+def _affine_dim(vectors):
+    if len(vectors) <= 1:
+        return 0
+    base = vectors[0]
+    rows = [[v[j] - base[j] for j in range(len(base))] for v in vectors[1:]]
+    return linalg.rank(rows, len(base))
+
+
+def _closure_faces(p, model):
+    """The faces of the Newton boundary: every hull facet's vertex set
+    closed under pairwise intersection, kept when it lies in a
+    Newton-boundary facet, each with its dimension from a rank.
+
+    Kept verbatim from before the lattice was built level by level, as
+    the reference.  The Newton-boundary facets are the hull facets whose
+    vertices are all model vertices, so the model's own facet list is
+    not read.
+    """
+    hull_facets, hull_to_model = _hull_reference(p, model)
+    vertices = model.vertices
+    nb_vsets_model = [
+        frozenset(hull_to_model[i] for i in hf.vertex_set)
+        for hf in hull_facets if hf.vertex_set <= hull_to_model.keys()
+    ]
+    all_vsets = [hf.vertex_set for hf in hull_facets if hf.vertex_set]
+    closure = set(all_vsets)
+    frontier = list(closure)
+    while frontier:
+        fresh = []
+        for w in frontier:
+            for v in all_vsets:
+                x = w & v
+                if x and x not in closure:
+                    closure.add(x)
+                    fresh.append(x)
+        frontier = fresh
+    nb_faces_sets = set()
+    for w in closure:
+        wm = frozenset(hull_to_model[i] for i in w if i in hull_to_model)
+        if len(wm) == len(w) and any(wm <= s for s in nb_vsets_model):
+            nb_faces_sets.add(wm)
+
+    faces = []
+    for wset in sorted(nb_faces_sets, key=lambda s: (len(s), tuple(sorted(s)))):
+        vidx = tuple(sorted(wset))
+        faces.append(polytope._make_face(vertices, vidx, _affine_dim([vertices[i] for i in vidx])))
+    faces.sort(key=lambda f: (f.dim, f.vertex_indices))
+    return faces
+
+
+def _assert_lattice_matches_closure(p, model):
+    assert list(model.faces) == _closure_faces(p, model), model.to_json()
+    # the Newton boundary projects radially onto a simplex, so its
+    # Euler characteristic is 1
+    assert sum((-1) ** f.dim for f in model.faces) == 1
+
+
+def _lattice_inputs():
+    polys = [parse_polynomial(t, mode=LOCAL) for t in LOCAL_GERMS]
+    polys += [parse_polynomial(t) for t in FOUR_VARIABLE_POLYS]
+    polys += [_pinned_poly(mode, support) for mode, support, _ in PINNED_HULLS]
+    polys += [
+        _pinned_poly(mode, support)
+        for support in NON_SIMPLICIAL_SUPPORTS for mode in (GLOBAL, LOCAL)
+    ]
+    return polys
+
+
+LATTICE_INPUTS = _lattice_inputs()
+
+
+def test_face_lattice_matches_closure_on_corpus(corpus):
+    for entry in corpus:
+        _assert_lattice_matches_closure(entry.poly, entry.model)
+
+
+@pytest.mark.parametrize(
+    "p", LATTICE_INPUTS,
+    ids=[f"{p.mode}-n{p.nvars}-{len(p.terms)}terms-{i}" for i, p in enumerate(LATTICE_INPUTS)],
+)
+def test_face_lattice_matches_closure(p):
+    _assert_lattice_matches_closure(p, build_model(p))
+
+
+@st.composite
+def lattice_polys(draw):
+    """Convenient supports in 2 <= n <= 5 variables, global or local:
+    pure powers of degree <= 3 and up to 8 - n more points with
+    coordinates <= 2.  Half of the draws add each point's reversal, which
+    puts four or more vertices on some faces."""
+    n = draw(st.integers(2, 5))
+    mode = draw(st.sampled_from([GLOBAL, LOCAL]))
+    support = {tuple(draw(st.integers(1, 3)) if j == i else 0 for j in range(n)) for i in range(n)}
+    extra = draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), max_size=8 - n))
+    support.update(v for v in extra if any(v))
+    if draw(st.booleans()):
+        support |= {v[::-1] for v in support}
+    return Poly(names=tuple("xyzwt"[:n]), terms={v: Fraction(1) for v in sorted(support)},
+                mode=mode)
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=20))
+@given(lattice_polys())
+def test_face_lattice_matches_closure_on_random_supports(p):
+    _assert_lattice_matches_closure(p, build_model(p))
