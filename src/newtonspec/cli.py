@@ -212,14 +212,21 @@ def _cmd_product_table(args) -> int:
     table = product_table(basis)
     labels = [monomial_text(v, p.names) for v in basis.elements]
     gradings = [str(model.newton_value(v)) for v in basis.elements]
-    # the table is symmetric and most cells are the shared zero class:
-    # render each nonzero class once, for both of its mirrored cells
+    # the table is symmetric, most cells are the shared zero class and
+    # every cell of one product monomial holds the same class object:
+    # render each distinct nonzero class once, memoised by identity (the
+    # table keeps every class alive), for all of its cells
     size = len(table)
     entries = [["0"] * size for _ in range(size)]
+    texts = {}
     for i, row in enumerate(table):
         for j in range(i, size):
-            if row[j].terms:
-                entries[i][j] = entries[j][i] = row[j].render(p.names)
+            cls = row[j]
+            if cls.terms:
+                text = texts.get(id(cls))
+                if text is None:
+                    text = texts[id(cls)] = cls.render(p.names)
+                entries[i][j] = entries[j][i] = text
     payload = {
         "schema": SCHEMA,
         "command": "product-table",

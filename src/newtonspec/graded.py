@@ -19,7 +19,11 @@ degree's reduced rows, the same sparse ``{pivot col: row}`` shape
 with ``Fraction`` entries, in a :class:`DegreeBlock`, and a product's
 normal form is read off the nonzeros of one reduced row of its
 degree's block, so structure-constant tables need no further
-elimination and no dense row is built.
+elimination and no dense row is built.  ``product_table`` keys the
+blocks by the cone keys' integer degree nu * L and reduces each distinct
+product monomial once: the monomial fixes its degree, so a memo that
+lives for one call hands its class to every cell whose operands sum to
+it, and every zero cell holds the one shared zero class.
 """
 
 from __future__ import annotations
@@ -52,7 +56,8 @@ class GradedClass:
 
     @classmethod
     def zero(cls) -> "GradedClass":
-        return cls(terms=(), degree=None)
+        """The zero class: one shared instance, as the class is frozen."""
+        return _ZERO
 
     @classmethod
     def of_monomial(cls, vec: Vec, degree: Fraction, coeff: Fraction = Fraction(1)) -> "GradedClass":
@@ -64,7 +69,7 @@ class GradedClass:
     def from_dict(cls, data: Dict[Vec, Fraction], degree) -> "GradedClass":
         items = tuple(sorted((v, c) for v, c in data.items() if c != 0))
         if not items:
-            return cls.zero()
+            return _ZERO
         return cls(terms=items, degree=degree)
 
     def is_zero(self) -> bool:
@@ -88,6 +93,9 @@ class GradedClass:
             else:
                 parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
         return " ".join(parts)
+
+
+_ZERO = GradedClass(terms=(), degree=None)
 
 
 def b_product(model: PolytopeModel, m1: Sequence[int], m2: Sequence[int]) -> GradedClass:
@@ -339,34 +347,50 @@ def product_table(basis: GradedBasis) -> List[List[GradedClass]]:
 
     Symmetric, with the degree of every nonzero entry equal to the sum of
     the operand degrees; entries whose degree falls outside the spectrum
-    support are zero.  Each element's cone key is computed once.  The
+    support are zero.  Each element's cone key is computed once, and the
+    blocks are keyed by the same integer scaled degree nu * L.  The
     elements are walked in ascending scaled degree, each paired with
     itself and the ones after it, until the degree sum passes the top
-    block; a pair whose masks meet is reduced in the block of its degree
-    sum, and every other entry is one shared zero class.
+    block.  A pair whose masks meet has a product monomial, which fixes
+    the degree, so a call-local memo maps each product monomial to its
+    class: the block reduces a monomial once, and every cell whose
+    operands sum to it holds the same object.  Every other entry, and
+    every zero normal form, is the one shared zero class.
     """
     model = basis.model
     elements = basis.elements
+    scale = model.value_scale
     keys = [model.cone_key(x) for x in elements]
     order = sorted(range(len(elements)), key=lambda i: keys[i][0])
-    blocks = {block.degree * model.value_scale: block for block in basis.blocks.values()}
+    blocks = {
+        degree.numerator * (scale // degree.denominator): block
+        for degree, block in basis.blocks.items()
+    }
     top = max(blocks, default=-1)
     zero = GradedClass.zero()
     table = [[zero] * len(elements) for _ in elements]
+    normal_forms: Dict[Vec, GradedClass] = {}
     for pos, i in enumerate(order):
         key_i, mask_i = keys[i]
         x = elements[i]
+        row = table[i]
         for j in order[pos:]:
             key_j, mask_j = keys[j]
-            if key_i + key_j > top:
+            key = key_i + key_j
+            if key > top:
                 break
-            block = blocks.get(key_i + key_j)
-            if block is None or not mask_i & mask_j:
+            if not mask_i & mask_j:
                 continue
-            total = tuple(a + b for a, b in zip(x, elements[j]))
-            table[i][j] = table[j][i] = GradedClass.from_dict(
-                block.reduce(total, Fraction(1)), block.degree
-            )
+            block = blocks.get(key)
+            if block is None:
+                continue
+            total = tuple(map(add, x, elements[j]))
+            cls = normal_forms.get(total)
+            if cls is None:
+                cls = normal_forms[total] = GradedClass.from_dict(
+                    block.reduce(total, 1), block.degree
+                )
+            row[j] = table[j][i] = cls
     return table
 
 

@@ -2,9 +2,12 @@
 
 import hashlib
 import random
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newtonspec import (
     LOCAL,
@@ -21,9 +24,9 @@ from newtonspec import (
 )
 from newtonspec import linalg
 from newtonspec.cli import main
-from newtonspec.graded import multiply_in_basis, reduce_product
+from newtonspec.graded import DegreeBlock, multiply_in_basis, reduce_product
 
-from conftest import LOCAL_GERMS, series
+from conftest import FOUR_VARIABLE_POLYS, LOCAL_GERMS, random_convenient_poly, series
 
 HINT = ["1", "u*v", "u^2*v^2", "u^3*v^3", "u", "v", "u^2*v", "u*v^2"]
 
@@ -56,6 +59,15 @@ def expected_class(text, names, model):
         text = text[1:]
     vec = parse_monomial(text, names)
     return GradedClass.of_monomial(vec, model.newton_value(vec), Fraction(sign))
+
+
+def test_zero_class_is_one_instance():
+    zero = GradedClass.zero()
+    assert GradedClass.zero() is zero
+    assert GradedClass.from_dict({}, Fraction(1)) is zero
+    assert GradedClass.from_dict({(1, 0): Fraction(0)}, Fraction(1)) is zero
+    assert GradedClass.of_monomial((1, 0), Fraction(1), Fraction(0)) is zero
+    assert zero.is_zero() and zero.degree is None and zero.render(("u", "v")) == "0"
 
 
 def test_b_product_examples(square_model):
@@ -200,17 +212,38 @@ def test_associativity_on_square(square_basis):
                 assert prod(xy, w) == prod(yw, x)
 
 
+def product_monomial(basis, x, y):
+    """The monomial of x * y when the pair shares a cone and its degree
+    has a block, else None."""
+    raw = b_product(basis.model, x, y)
+    if raw.is_zero() or raw.degree not in basis.blocks:
+        return None
+    (total, _), = raw.terms
+    return total
+
+
 def assert_table_is_pairwise(basis, rows=None):
     """Every entry of the given rows (all rows by default) equals the
-    product reduced pair by pair, and so does its mirror entry."""
+    product reduced pair by pair, and so does its mirror entry.  Cells
+    whose operands sum to the same monomial hold the same object, and
+    every zero cell holds the one shared zero class."""
     table = product_table(basis)
     elements = basis.elements
     assert [len(row) for row in table] == [len(elements)] * len(elements)
+    zero = GradedClass.zero()
+    cells = {}
     for i in range(len(elements)) if rows is None else rows:
         x = elements[i]
         for j, y in enumerate(elements):
+            got = table[i][j]
             want = reduce_product(basis, x, y)
-            assert table[i][j] == want == table[j][i], (basis.poly, x, y)
+            assert got == want == table[j][i], (basis.poly, x, y)
+            assert got is table[j][i], (basis.poly, x, y)
+            if want.is_zero():
+                assert got is zero, (basis.poly, x, y)
+            total = product_monomial(basis, x, y)
+            if total is not None:
+                assert cells.setdefault(total, got) is got, (basis.poly, x, y)
 
 
 def test_product_table_equals_pairwise_products_on_corpus(corpus):
@@ -234,6 +267,30 @@ def test_product_table_equals_pairwise_products_with_hint(square_basis, square_m
     degrees = [square_model.newton_value(v) for v in square_basis.elements]
     assert degrees != sorted(degrees)
     assert_table_is_pairwise(square_basis)
+
+
+@pytest.mark.parametrize("text", FOUR_VARIABLE_POLYS)
+def test_product_table_equals_pairwise_products_in_four_variables(text):
+    p = parse_polynomial(text)
+    assert_table_is_pairwise(quotient_basis(p, build_model(p)))
+
+
+@settings(max_examples=30, deadline=timedelta(seconds=20))
+@given(st.integers(0, 2**32), st.sampled_from([2, 3]), st.booleans())
+def test_product_table_equals_pairwise_products_on_random_supports(seed, n, hinted):
+    # a hint, here the default basis shuffled, is placed last in each
+    # block's column order and sets the table's element order
+    rng = random.Random(seed)
+    p = random_convenient_poly(rng, n)
+    model = build_model(p)
+    basis = quotient_basis(p, model)
+    if hinted:
+        hint = list(basis.elements)
+        rng.shuffle(hint)
+        basis = quotient_basis(p, model, basis_hint=hint)
+        assert basis.elements == hint
+    size = len(basis.elements)
+    assert_table_is_pairwise(basis, None if size <= 60 else rng.sample(range(size), 12))
 
 
 def test_default_basis_dimensions_match_spectrum(corpus):
@@ -287,6 +344,8 @@ PINNED_TABLES = [
      "2d402c589c53bab3fe124caab2e054a4d7c7dfeb4124a14dec175d8afabcda76"),
     ("u^3+v^3+w^3+x^3+y^2", "u,v,w,x,y",
      "8bf296701b37220aed952a712fff0b8680eb34b006a7386c32c218a0d838a8da"),
+    ("u^5+v^5+w^5+x^5", "u,v,w,x",
+     "19064919b18fbb38c829d68fb64336188816691bbade36f1748c8985f9974985"),
 ]
 
 
@@ -321,3 +380,42 @@ def test_local_product_table_is_pinned(capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "0e7fad92b50f7aed6e959a11b6dc639987e220fbe8a0e4a699cffa510a43156a")
+
+
+def test_product_table_reduces_and_renders_each_class_once(monkeypatch, capsys):
+    # product_table reduces each distinct product monomial once, and the
+    # command renders each distinct nonzero class once, where one per
+    # pair would take thousands of calls on these inputs
+    reduce, render = DegreeBlock.reduce, GradedClass.render
+    calls = {"reduce": 0, "render": 0}
+
+    def counted_reduce(self, vec, coeff):
+        calls["reduce"] += 1
+        return reduce(self, vec, coeff)
+
+    def counted_render(self, names):
+        calls["render"] += 1
+        return render(self, names)
+
+    cases = [("u^4+v^4+w^4+x^4", "u,v,w,x")] + [(t, n) for t, n, _ in PINNED_TABLES[:4]]
+    for text, names in cases:
+        p = parse_polynomial(text, var_order=names.split(","))
+        basis = quotient_basis(p, build_model(p))
+        products = {}
+        for x in basis.elements:
+            for y in basis.elements:
+                total = product_monomial(basis, x, y)
+                if total is not None:
+                    products[total] = reduce_product(basis, x, y)
+        nonzero = sum(not cls.is_zero() for cls in products.values())
+
+        monkeypatch.setattr(DegreeBlock, "reduce", counted_reduce)
+        monkeypatch.setattr(GradedClass, "render", counted_render)
+        calls.update(reduce=0, render=0)
+        product_table(basis)
+        assert calls["reduce"] <= len(products), (text, calls, len(products))
+        calls.update(reduce=0, render=0)
+        assert main(["product-table", text, "--vars", names]) == 0
+        capsys.readouterr()
+        assert calls["render"] <= nonzero, (text, calls, nonzero)
+        monkeypatch.undo()
