@@ -252,16 +252,13 @@ def _cmd_check(args) -> int:
     p = _parse_input(args)
     results = run_checks(p)
     ok = all(r.ok for r in results)
-    payload = {
-        "schema": SCHEMA,
-        "command": "check",
-        "mode": p.mode,
-        "ok": ok,
-        "results": [
+    payload = {"schema": SCHEMA, "command": "check", "mode": p.mode, "ok": ok}
+    if args.json:
+        # every detail is built here; text builds those of FAIL and SKIP only
+        payload["results"] = [
             {"name": r.name, "ok": r.ok, "skipped": r.skipped, "detail": r.detail}
             for r in results
-        ],
-    }
+        ]
     lines = []
     for r in results:
         if r.skipped:

@@ -5,11 +5,14 @@ The delta-vector comes out of the toric Newton spectrum by bucketing the
 exponents into the half-open intervals (k-1, k], and independently out
 of the lattice-point counts L(0..n) by the standard inversion of the
 Ehrhart generating identity; the two must agree.  On a simplicial fan,
-the spectrum is also recovered point by point: every lattice point of
-the union of the half-open boxes contributes its relative Hodge-Deligne
-polynomial shifted by its Newton value, and the coefficient at alpha is
-the dimension of the degree-2*alpha orbifold cohomology of the stack of
-the fan.
+the spectrum is also recovered from the box points: every lattice point
+of the union of the half-open boxes contributes the relative
+Hodge-Deligne polynomial of its smallest cone shifted by its Newton
+value, and the coefficient at alpha is the dimension of the
+degree-2*alpha orbifold cohomology of the stack of the fan.  That union
+is the disjoint union of the open boxes of the cones, and the points of
+one open box share their smallest cone, so each cone's polynomial is
+built once and no point's cone is looked up.
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import ExponentRangeError, NegativeDeltaError, NotSimplicialError
-from .polytope import Face, PolytopeModel
+from .polytope import BoxPoint, Face, PolytopeModel
 from .series import SpectrumSeries, z_minus_one_pow
 
 Vec = Tuple[int, ...]
@@ -155,44 +158,68 @@ def hodge_deligne(model: PolytopeModel, v: Sequence[int], relative: bool = False
     return _hodge_deligne_of_cone(model, sigma, relative)
 
 
+def _open_boxes(model: PolytopeModel) -> List[Tuple[Face, List[BoxPoint]]]:
+    """Each cone of the fan with the points of its open box, zero cone
+    first, the cones with an empty open box left out.
+
+    A box point v = sum q_l * b_l of a face lies in the open box of the
+    face sigma spanned by the vertices with q_l > 0, and sigma is the
+    smallest cone of v.  Every face of the Newton boundary lies in a
+    facet, which is outside the coordinate hyperplanes, so the union of
+    the half-open boxes of the faces outside them is the disjoint union
+    of the open boxes of all faces, the zero cone's being the origin.
+    The open box of sigma is the part of its half-open box where every
+    d*q entry is positive.  The faces must be simplices.
+    """
+    out = []
+    for sigma in (model.zero_cone, *model.faces):
+        points = [bp for bp in model.box_points(sigma) if all(bp.dq)]
+        if points:
+            out.append((sigma, points))
+    return out
+
+
 def box_point_union(model: PolytopeModel) -> List[Tuple[Vec, int]]:
-    """The deduplicated union of the half-open boxes of all faces outside
-    the coordinate hyperplanes, as (point, nu * value_scale) pairs sorted
-    by value and then point."""
-    seen: Dict[Vec, int] = {}
-    for i in model.f_of_p:
-        for bp in model.box_points(model.faces[i]):
-            seen.setdefault(bp.point, bp.value)
-    return sorted(seen.items(), key=lambda kv: (kv[1], kv[0]))
+    """The union of the half-open boxes of all faces outside the
+    coordinate hyperplanes, as (point, nu * value_scale) pairs sorted by
+    value and then point.  Read off the open boxes of all faces, which
+    partition it."""
+    return sorted(
+        ((bp.point, bp.value) for _, points in _open_boxes(model) for bp in points),
+        key=lambda pv: (pv[1], pv[0]),
+    )
 
 
 def orbifold_contributions(model: PolytopeModel) -> List[Tuple[Vec, SpectrumSeries]]:
-    """Per-box-point terms E*_v(z) * z^{nu(v)}, sorted by (value, point)."""
+    """Per-box-point terms E*_v(z) * z^{nu(v)}, sorted by (value, point).
+
+    E*_v is the relative Hodge-Deligne polynomial of the smallest cone of
+    v, the face whose open box holds v; it is built once per cone.
+    """
     if not model.simplicial_fan:
         raise NotSimplicialError("orbifold dimensions need a simplicial fan")
     scale = model.value_scale
     out = []
-    by_cone: Dict[Tuple[int, ...], SpectrumSeries] = {}
-    for point, value in box_point_union(model):
-        sigma = model.smallest_cone(point)
-        e_rel = by_cone.get(sigma.vertex_indices)
-        if e_rel is None:
-            e_rel = by_cone[sigma.vertex_indices] = _hodge_deligne_of_cone(
-                model, sigma, relative=True
-            )
-        out.append((point, e_rel.shift(value, scale)))
-    return out
+    for sigma, points in _open_boxes(model):
+        e_rel = _hodge_deligne_of_cone(model, sigma, relative=True)
+        out.extend((bp.value, bp.point, e_rel) for bp in points)
+    out.sort(key=lambda t: t[:2])
+    return [(point, e_rel.shift(value, scale)) for value, point, e_rel in out]
 
 
 def orbifold_dimensions(model: PolytopeModel) -> SpectrumSeries:
     """Graded dimensions of the orbifold cohomology of the stacky fan.
 
-    The sum of the per-box-point contributions; coefficient-for-
-    coefficient equal to the toric Newton spectrum on simplicial fans.
+    The sum over the cones sigma of E*_sigma(z) times the sum of
+    z^{nu(v)} over the open box of sigma, with the exponents as integers
+    over L, the model's ``value_scale``; coefficient-for-coefficient
+    equal to the toric Newton spectrum on simplicial fans.
     """
+    if not model.simplicial_fan:
+        raise NotSimplicialError("orbifold dimensions need a simplicial fan")
     scale = model.value_scale
-    return SpectrumSeries(
-        (term for _, contrib in orbifold_contributions(model)
-         for term in contrib.numerators(scale)),
-        scale,
-    )
+    terms = []
+    for sigma, points in _open_boxes(model):
+        weight = list(_hodge_deligne_of_cone(model, sigma, relative=True).numerators(scale))
+        terms.extend((bp.value + e, c) for bp in points for e, c in weight)
+    return SpectrumSeries(terms, scale)

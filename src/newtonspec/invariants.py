@@ -7,8 +7,7 @@ pass/fail.  Checks that only make sense on simplicial fans are skipped
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import Callable, List, Union
 
 from .ehrhart import (
     delta_from_counts,
@@ -31,12 +30,38 @@ from .spectrum import (
 )
 
 
-@dataclass
 class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
-    skipped: bool = False
+    """One check's outcome.  ``detail`` is a str or a function that
+    builds it; a function runs when the detail is first read, so text
+    output, which prints the details of FAIL and SKIP lines only, formats
+    no series for a passing check."""
+
+    __slots__ = ("name", "ok", "skipped", "_detail")
+
+    def __init__(self, name: str, ok: bool, detail: Union[str, Callable[[], str]] = "",
+                 skipped: bool = False):
+        self.name = name
+        self.ok = ok
+        self.skipped = skipped
+        self._detail = detail
+
+    @property
+    def detail(self) -> str:
+        if callable(self._detail):
+            self._detail = self._detail()
+        return self._detail
+
+    def _fields(self) -> tuple:
+        return self.name, self.ok, self.detail, self.skipped
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CheckResult):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "CheckResult(name={!r}, ok={!r}, detail={!r}, skipped={!r})".format(
+            *self._fields())
 
 
 def run_checks(p: Poly) -> List[CheckResult]:
@@ -58,16 +83,16 @@ def run_checks(p: Poly) -> List[CheckResult]:
 
     if model.simplicial_fan:
         add("box formula equals generating-series oracle", spectrum == oracle,
-            f"box {spectrum} vs oracle {oracle}")
+            lambda: f"box {spectrum} vs oracle {oracle}")
     else:
         skip("box formula equals generating-series oracle", "fan not simplicial")
 
     koszul = koszul_hilbert_series(p, model)
     add("oracle equals per-degree linear algebra", koszul == oracle,
-        f"linear algebra {koszul} vs oracle {oracle}")
+        lambda: f"linear algebra {koszul} vs oracle {oracle}")
 
     add("spectrum mass equals normalized volume", spectrum.eval_at_one() == mu,
-        f"mass {spectrum.eval_at_one()} vs volume {mu}")
+        lambda: f"mass {spectrum.eval_at_one()} vs volume {mu}")
     add("exponent zero has multiplicity one", spectrum.coefficient(0) == 1)
 
     if model.simplicial_fan:
@@ -85,23 +110,23 @@ def run_checks(p: Poly) -> List[CheckResult]:
     boundary = boundary_lattice_points(model)
     add("coefficient of z counts boundary lattice points minus n",
         spectrum.coefficient(1) == boundary - n,
-        f"coefficient {spectrum.coefficient(1)} vs {boundary} - {n}")
+        lambda: f"coefficient {spectrum.coefficient(1)} vs {boundary} - {n}")
 
     at_inf = spectrum_at_infinity(p, _models=models)
     add("spectrum at infinity has positive exponents",
         all(k > 0 for k, _ in at_inf.numerators()))
     add("spectrum at infinity is symmetric about n/2", at_inf.reflect(n) == at_inf,
-        f"{at_inf} vs reflected {at_inf.reflect(n)}")
+        lambda: f"{at_inf} vs reflected {at_inf.reflect(n)}")
     try:
         mu_f = milnor_number(p, _models=models, _at_infinity=at_inf)
-        add("Milnor number routes agree", True, f"mu = {mu_f}")
+        add("Milnor number routes agree", True, lambda: f"mu = {mu_f}")
     except NewtonSpecError as exc:
         add("Milnor number routes agree", False, str(exc))
 
     d_spec = delta_from_spectrum(spectrum, n)
     d_counts = delta_from_counts(model)
     add("delta from spectrum equals delta from counts",
-        d_spec == d_counts, f"{d_spec.entries} vs {d_counts.entries}")
+        d_spec == d_counts, lambda: f"{d_spec.entries} vs {d_counts.entries}")
     add("delta_0 = 1 and total delta = normalized volume",
         d_spec.entries[0] == 1 and d_spec.total() == mu)
     ehr = ehrhart_polynomial(d_counts)
@@ -112,10 +137,10 @@ def run_checks(p: Poly) -> List[CheckResult]:
         e0 = hodge_deligne(model, (0,) * n, relative=False)
         e0_rel = hodge_deligne(model, (0,) * n, relative=True)
         add("Hodge-Deligne duality z^n E0(1/z) = E0*",
-            e0.reflect(n) == e0_rel, f"{e0} vs relative {e0_rel}")
+            e0.reflect(n) == e0_rel, lambda: f"{e0} vs relative {e0_rel}")
         orb = orbifold_dimensions(model)
         add("orbifold dimensions equal the spectrum", orb == spectrum,
-            f"{orb} vs {spectrum}")
+            lambda: f"{orb} vs {spectrum}")
         shifts_ok = True
         for i in model.f_of_p:
             face = model.faces[i]

@@ -20,9 +20,12 @@ common vertex set of the masked facet forms, cut down to the vertices
 that vanish wherever the point does.
 
 The half-open box of a simplex comes from one fraction-free (Bareiss)
-Gauss-Jordan elimination of its vertex matrix beside the identity; the
-candidates range over the independent coordinates it finds, and each
-test is an integer one.
+Gauss-Jordan elimination of its vertex matrix beside the identity.  The
+independent coordinates it finds are fixed one at a time, each over the
+interval that keeps every coordinate q of the point in [0, 1) within
+reach, as the census does with its forms below; so the scan reaches the
+d lattice points of one parallelepiped and no others, and each test is
+an integer one.
 
 The lattice census (the points with nu(v) <= T, grouped by value) walks
 only that region, not a bounding box: with one integer partial sum per
@@ -60,7 +63,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -409,11 +412,25 @@ class PolytopeModel:
         elimination of [V | I], V the k x n matrix of the vertices as
         rows, finds the greedy independent coordinates R as its pivots and
         gives the rows [d*E*V | d*E], E the inverse of V's columns R.  So
-        d*q = (d*E)^T v_R and d*v = (d*E*V)^T v_R: only the coordinates in
-        R are enumerated, over the integer bounding box, and a candidate
-        is kept when 0 <= d*q < d and d divides every entry of d*v.  The
-        other coordinates then lie in the bounding box too, as q < 1.
-        Each point carries d*q and nu * L as integers, no ``Fraction``.
+        d*q = (d*E)^T v_R and d*v = (d*E*V)^T v_R, and the points are the
+        v_R with every 0 <= d*q_l < d and every entry of d*v divisible
+        by d.
+
+        The coordinates of R are fixed one at a time, with one partial sum
+        per d*q_l.  A coordinate r of a box point is at most its cap, the
+        sum of the vertices' coordinates r less one, so the coordinates
+        after it can add to d*q_l anything from the sum of their negative
+        weights times their caps to that of their positive ones; each
+        coordinate ranges over the interval that keeps every
+        0 <= d*q_l < d within reach.  At the last coordinate nothing is
+        left to add and the interval is exact.  The v_R so found are the
+        lattice points of a half-open parallelepiped of volume d, so
+        there are exactly d of them; only when k < n does the test on the
+        coordinates outside R reject some, and the box keeps a divisor of
+        d of them.  The result list is sized from d before the scan, so a
+        box too large to hold fails at once (``OverflowError``,
+        ``MemoryError``).  Each point carries d*q and nu * L as integers,
+        no ``Fraction``; the points are sorted.
         """
         key = face.vertex_indices
         if key in self._box_cache:
@@ -422,7 +439,7 @@ class PolytopeModel:
             raise NotSimplexError(
                 f"face with vertices {face.vertex_indices} is not a simplex"
             )
-        verts = [self.vertices[i] for i in face.vertex_indices]
+        verts = [self.vertices[i] for i in key]
         k = len(verts)
         n = self.n
         rows, chosen, d, _ = linalg.bareiss(
@@ -434,23 +451,72 @@ class PolytopeModel:
         if d < 0:
             rows = [[-x for x in row] for row in rows]
             d = -d
-        # columns of the transposes: to_v[i] and to_q[l] hold, for each
-        # r in R, the weight of v_r in d*v_i and in d*q_l
-        to_v = [[row[i] for row in rows] for i in range(n)]
-        to_q = [[row[n + l] for row in rows] for l in range(k)]
-        sums = [sum(v[i] for v in verts) for i in chosen]
+        # the scan reaches d points and keeps at most d: sizing the list
+        # first makes a box too large to hold fail before the scan
+        found: list = [None] * d
+        kept = 0
+        if k == 0:
+            found[0] = ((0,) * n, ())
+            kept = 1
+        else:
+            # to_q[j][l]: the weight of x_j = v_{R_j} in d*q_l; to_v[j][i]:
+            # its weight in d*v_i for the coordinates i outside R
+            free = [i for i in range(n) if i not in chosen]
+            to_q = [row[n:] for row in rows]
+            to_v = [[row[i] for i in free] for row in rows]
+            # a point is v_R followed by the free coordinates, put in order
+            place = itemgetter(*map((chosen + free).index, range(n)))
+            caps = [sum(v[i] for v in verts) - 1 for i in chosen]
+            # least[j][l], most[j][l]: what x_{j+1}.. can add to d*q_l
+            least = [[0] * k for _ in range(k)]
+            most = [[0] * k for _ in range(k)]
+            for j in range(k - 2, -1, -1):
+                cap = caps[j + 1]
+                least[j] = [r + min(0, a) * cap for r, a in zip(least[j + 1], to_q[j + 1])]
+                most[j] = [r + max(0, a) * cap for r, a in zip(most[j + 1], to_q[j + 1])]
+            last = k - 1
+            top = d - 1
+            stack = [((), (0,) * k, (0,) * len(free))]
+            while stack:
+                prefix, qs, vs = stack.pop()
+                j = len(prefix)
+                lo, hi = 0, caps[j]
+                for s, a, r_lo, r_hi in zip(qs, to_q[j], least[j], most[j]):
+                    # some rest in [r_lo, r_hi] keeps 0 <= s + a*x + rest <= top
+                    up, down = top - s - r_lo, -s - r_hi
+                    if a > 0:
+                        hi = min(hi, up // a)
+                        lo = max(lo, -(-down // a))
+                    elif a < 0:
+                        lo = max(lo, -(up // -a))
+                        hi = min(hi, -down // -a)
+                    elif up < 0 or down > 0:
+                        hi = -1
+                if lo > hi:
+                    continue
+                wq, wv = to_q[j], to_v[j]
+                if j < last:
+                    for x in range(hi, lo - 1, -1):
+                        stack.append((
+                            prefix + (x,),
+                            tuple([s + a * x for s, a in zip(qs, wq)]),
+                            tuple([s + a * x for s, a in zip(vs, wv)]),
+                        ))
+                    continue
+                for x in range(lo, hi + 1):
+                    point = prefix + (x,)
+                    if free:
+                        nv = [s + a * x for s, a in zip(vs, wv)]
+                        if any(y % d for y in nv):
+                            continue
+                        point = place(point + tuple([y // d for y in nv]))
+                    found[kept] = (point, tuple([s + a * x for s, a in zip(qs, wq)]))
+                    kept += 1
+        del found[kept:]
+        found.sort()
+        # every vertex is at level one, so nu * L = sum(q) * L, an integer
         scale = self.value_scale
-        out = []
-        for v_r in itertools.product(*(range(max(s, 1)) for s in sums)):
-            nq = tuple([sum(map(mul, col, v_r)) for col in to_q])
-            if any(x < 0 or x >= d for x in nq):
-                continue
-            nv = [sum(map(mul, col, v_r)) for col in to_v]
-            if any(x % d for x in nv):
-                continue
-            # every vertex is at level one, so nu * L = sum(q) * L, an integer
-            out.append(BoxPoint(tuple(x // d for x in nv), sum(nq) * scale // d, nq, d))
-        out.sort(key=lambda bp: bp.point)
+        out = [BoxPoint(point, sum(nq) * scale // d, nq, d) for point, nq in found]
         self._box_cache[key] = out
         return out
 

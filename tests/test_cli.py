@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from newtonspec import cli
+from newtonspec import SpectrumSeries, cli
 from newtonspec.cli import main
 
 from conftest import LOCAL_GERMS, acceptance_polys
@@ -197,6 +197,26 @@ def test_overflow_exits_2_with_message(capsys):
     assert "too large" in err and "OverflowError" in err
 
 
+@pytest.mark.parametrize("text", [
+    "u^99999999999999999999",      # d does not fit a list index
+    "u^1000000000000",             # a box of 10^12 points
+    "u^1000000000000+v^2+w^2",     # a top simplex of 4 * 10^12 points
+])
+def test_box_too_large_to_hold_exits_2_at_once(text):
+    # the box list is sized from d before any point is visited, so the
+    # command fails in well under a second rather than scanning for hours
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                      os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "newtonspec", "spectrum", text],
+        capture_output=True, env=env, timeout=20,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert b"too large" in proc.stderr, proc.stderr
+
+
 def test_memory_error_exits_2_with_message(capsys, monkeypatch):
     import newtonspec.cli as cli
 
@@ -242,6 +262,27 @@ def test_check_passes_on_examples(capsys):
         assert "FAIL" not in out
 
 
+def test_check_text_formats_no_series_for_passing_checks(capsys, monkeypatch):
+    # the details of PASS lines are never printed, so none is built
+    formatted = []
+    to_text = SpectrumSeries.__str__
+
+    def counted(self):
+        formatted.append(self)
+        return to_text(self)
+
+    monkeypatch.setattr(SpectrumSeries, "__str__", counted)
+    for p in acceptance_polys()[::9]:
+        code, out, _ = run_cli(capsys, "check", str(p), "--vars", ",".join(p.names))
+        assert code == 0 and "FAIL" not in out
+    assert formatted == []
+    code, out, _ = run_cli(capsys, "check", "--json", "u^2 + u^2*v^2 + v^2")
+    details = {r["name"]: r["detail"] for r in json.loads(out)["results"]}
+    assert details["box formula equals generating-series oracle"] == (
+        "box 1 + 3 z^{1/2} + 3 z + z^{3/2} vs oracle 1 + 3 z^{1/2} + 3 z + z^{3/2}")
+    assert formatted
+
+
 def test_check_json(capsys):
     code, out, _ = run_cli(capsys, "check", "--json", "u^2 + u^2*v^2 + v^2")
     assert code == 0
@@ -250,9 +291,10 @@ def test_check_json(capsys):
     assert all(r["ok"] for r in payload["results"])
 
 
-# sha256 of the stdout of each series-printing command, in text and in
-# --json, over the acceptance corpus and then LOCAL_GERMS (see
-# _pinned_digest); the bench gates hash the PASS lines of check only
+# sha256 of the stdout of each series-printing command and of check, in
+# text and in --json, over the acceptance corpus and then LOCAL_GERMS (see
+# _pinned_digest); the bench gates hash the PASS lines of check only, and
+# only these pins cover the details that check --json prints
 PINNED_OUTPUTS = {
     ("spectrum", False):
         "3b9c7d7fd8ca344bd9f9cd25d37e82182d20cac6684222c7bc3ba5fa3a0810b5",
@@ -278,6 +320,10 @@ PINNED_OUTPUTS = {
         "a6bbb1b447dafc1fa6dbf182e8457b92166dc7c3f0e12bc2e0206cd749515a31",
     ("milnor", True):
         "ee28008f918b1d94f4f1a1611e2f6e77fbe2479b795076e3fd8c1388b9db527b",
+    ("check", False):
+        "331b3210d0edca5ce7f49515f09283c1b54eee3da6de2d343700b3e1c37c77cd",
+    ("check", True):
+        "012622993f7d0e4b469299dafdff58da510ffdc424224b49d3797af51ba60da9",
 }
 
 

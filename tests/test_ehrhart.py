@@ -8,6 +8,7 @@ import pytest
 from newtonspec import (
     ExponentRangeError,
     NotSimplicialError,
+    PolytopeModel,
     SpectrumSeries,
     box_point_union,
     build_model,
@@ -21,7 +22,7 @@ from newtonspec import (
     toric_spectrum_box,
 )
 
-from conftest import QUINTIC_SPECTRUM, SQUARE_SPECTRUM, series
+from conftest import FOUR_VARIABLE_POLYS, QUINTIC_SPECTRUM, SQUARE_SPECTRUM, series
 
 
 def test_delta_from_spectrum_square():
@@ -155,3 +156,51 @@ def test_delta_cross_validation_on_corpus(corpus):
         assert entry.delta_spec == entry.delta_counts
         assert entry.delta_spec[0] == 1
         assert sum(entry.delta_spec) == entry.mu
+
+
+def _reference_orbifold_contributions(model):
+    """The per-point orbifold route, kept from before the walk over open
+    boxes as the reference: the deduplicated union of the half-open boxes
+    of the faces outside the coordinate hyperplanes, sorted by value and
+    point, each point's relative Hodge-Deligne polynomial read from its
+    smallest cone and shifted by its Newton value."""
+    seen = {}
+    for i in model.f_of_p:
+        for bp in model.box_points(model.faces[i]):
+            seen.setdefault(bp.point, bp.value)
+    union = sorted(seen.items(), key=lambda kv: (kv[1], kv[0]))
+    return union, [
+        (point, hodge_deligne(model, point, relative=True).shift(value, model.value_scale))
+        for point, value in union
+    ]
+
+
+def _simplicial_models(corpus):
+    models = [entry.model for entry in corpus]
+    models += [build_model(parse_polynomial(t)) for t in FOUR_VARIABLE_POLYS]
+    return [m for m in models if m.simplicial_fan]
+
+
+def test_orbifold_by_cone_matches_per_point_reference(corpus):
+    for m in _simplicial_models(corpus):
+        union, contribs = _reference_orbifold_contributions(m)
+        assert box_point_union(m) == union, m.to_json()
+        assert orbifold_contributions(m) == contribs, m.to_json()
+        total = SpectrumSeries.zero()
+        for _, s in contribs:
+            total = total + s
+        assert orbifold_dimensions(m) == total, m.to_json()
+
+
+def test_orbifold_reads_no_smallest_cone(corpus, monkeypatch):
+    # each point's cone is the face spanned by its vertices with q > 0
+    def located(self, v):
+        raise AssertionError("smallest_cone called on the orbifold path")
+
+    models = [build_model(entry.poly) for entry in corpus if entry.model.simplicial_fan]
+    models += [build_model(parse_polynomial(t)) for t in FOUR_VARIABLE_POLYS[:2]]
+    monkeypatch.setattr(PolytopeModel, "smallest_cone", located)
+    for m in models:
+        orbifold_dimensions(m)
+        orbifold_contributions(m)
+        box_point_union(m)

@@ -568,6 +568,66 @@ def test_box_points_match_reference(p):
     _assert_box_points_match_reference(build_model(p))
 
 
+@settings(max_examples=60, deadline=timedelta(seconds=20))
+@given(st.integers(0, 2**32), st.sampled_from([2, 3]))
+def test_box_points_match_reference_on_random_supports(seed, n):
+    _assert_box_points_match_reference(build_model(random_convenient_poly(random.Random(seed), n)))
+
+
+def _box_elimination(model, face):
+    """The rows [d*E*V | d*E] and d of the elimination of [V | I] that
+    ``box_points`` starts from."""
+    k = len(face.vertex_indices)
+    rows, _, d, _ = linalg.bareiss(
+        [list(model.vertices[i]) + [int(i == j) for j in range(k)]
+         for i in face.vertex_indices],
+        model.n + k, above=True,
+    )
+    return rows, d
+
+
+def _box_kinds(model, face):
+    """What the prefix intervals of ``face``'s box meet: "divisibility"
+    when the face has fewer vertices than coordinates and the test on the
+    coordinates outside R rejects some of the d candidates, "negative"
+    when d*E has a negative entry, so that some d*q_l falls as a
+    coordinate grows."""
+    rows, d = _box_elimination(model, face)
+    n = model.n
+    kinds = set()
+    if len(face.vertex_indices) < n and len(model.box_points(face)) < abs(d):
+        kinds.add("divisibility")
+    if any(x * d < 0 for row in rows for x in row[n:]):
+        kinds.add("negative")
+    return kinds
+
+
+def test_random_supports_reach_every_kind_of_box():
+    # the seeded supports drawn as in the Hypothesis test above hold faces
+    # of both kinds, in two and in three variables
+    for n in (2, 3):
+        kinds = set()
+        for seed in range(20):
+            model = build_model(random_convenient_poly(random.Random(seed), n))
+            for face in model.triangulation():
+                kinds |= _box_kinds(model, face)
+        assert kinds == {"divisibility", "negative"}, n
+
+
+def test_box_holds_a_divisor_of_d_points(corpus):
+    # the parallelepiped over R holds d lattice points; a top simplex
+    # keeps them all, a lower face those whose other coordinates are
+    # integers, a subgroup, so a divisor of d of them
+    for entry in corpus:
+        m = entry.model
+        for face in m.triangulation():
+            d = abs(_box_elimination(m, face)[1])
+            found = len(m.box_points(face))
+            assert d % found == 0
+            if len(face.vertex_indices) == m.n:
+                assert found == d
+
+
 @pytest.mark.parametrize("text", NEGATIVE_FORM_POLYS)
 def test_negative_form_supports_have_negative_entries(text):
     model = build_model(parse_polynomial(text))
