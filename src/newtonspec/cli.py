@@ -202,6 +202,19 @@ def _cmd_orbifold(args) -> int:
 
 
 def _cmd_product_table(args) -> int:
+    """The product table of the quotient basis, streamed.
+
+    The table is symmetric, most cells are the shared zero class and
+    every cell of one product monomial holds the same class object.  So
+    the upper triangle is walked once into sparse rows ``{col: text}``
+    of the nonzero cells, each distinct class rendered once, memoised by
+    identity (the table keeps every class alive).  A column is as wide
+    as its label or its longest nonzero text: a "0" never sets a width,
+    as no label is empty.  Each text row copies the padded "0" cells,
+    overwrites its nonzero ones and is written at once, so no grid of
+    cell strings and no list of lines is held; ``--json`` builds its
+    ``entries`` grid from the same rows.
+    """
     p = _parse_input(args)
     model = build_model(p)
     hint = None
@@ -212,39 +225,45 @@ def _cmd_product_table(args) -> int:
     table = product_table(basis)
     labels = [monomial_text(v, p.names) for v in basis.elements]
     gradings = [str(model.newton_value(v)) for v in basis.elements]
-    # the table is symmetric, most cells are the shared zero class and
-    # every cell of one product monomial holds the same class object:
-    # render each distinct nonzero class once, memoised by identity (the
-    # table keeps every class alive), for all of its cells
-    size = len(table)
-    entries = [["0"] * size for _ in range(size)]
+    rows = [{} for _ in table]
     texts = {}
     for i, row in enumerate(table):
-        for j in range(i, size):
-            cls = row[j]
-            if cls.terms:
-                text = texts.get(id(cls))
-                if text is None:
-                    text = texts[id(cls)] = cls.render(p.names)
-                entries[i][j] = entries[j][i] = text
-    payload = {
-        "schema": SCHEMA,
-        "command": "product-table",
-        "mode": p.mode,
-        "basis": labels,
-        "grading": gradings,
-        "entries": entries,
-    }
-    lines = [
-        "basis: " + ", ".join(labels),
-        "grading: " + ", ".join(gradings),
-    ]
-    widths = [max(len(lbl), *map(len, col)) for lbl, col in zip(labels, zip(*entries))]
-    head = max(len(lbl) for lbl in labels)
-    lines.append(" " * head + " | " + " | ".join(map(str.ljust, labels, widths)))
-    for lbl, row in zip(labels, entries):
-        lines.append(lbl.ljust(head) + " | " + " | ".join(map(str.ljust, row, widths)))
-    _emit(args, payload, lines)
+        cells = rows[i]
+        for j, cls in [(j, cls) for j, cls in enumerate(row[i:], i) if cls.terms]:
+            text = texts.get(id(cls))
+            if text is None:
+                text = texts[id(cls)] = cls.render(p.names)
+            cells[j] = rows[j][i] = text
+    if args.json:
+        entries = []
+        for cells in rows:
+            entry = ["0"] * len(rows)
+            for j, text in cells.items():
+                entry[j] = text
+            entries.append(entry)
+        payload = {
+            "schema": SCHEMA,
+            "command": "product-table",
+            "mode": p.mode,
+            "basis": labels,
+            "grading": gradings,
+            "entries": entries,
+        }
+        _emit(args, payload, ())
+        return 0
+    # column j holds row j's texts, the table being symmetric
+    widths = [max([len(lbl), *map(len, cells.values())]) for lbl, cells in zip(labels, rows)]
+    head = max(map(len, labels))
+    zeros = list(map("0".ljust, widths))
+    write = sys.stdout.write
+    write("basis: " + ", ".join(labels) + "\n")
+    write("grading: " + ", ".join(gradings) + "\n")
+    write(" " * head + " | " + " | ".join(map(str.ljust, labels, widths)) + "\n")
+    for lbl, cells in zip(labels, rows):
+        line = zeros.copy()
+        for j, text in cells.items():
+            line[j] = text.ljust(widths[j])
+        write(lbl.ljust(head) + " | " + " | ".join(line) + "\n")
     return 0
 
 

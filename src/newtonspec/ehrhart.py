@@ -130,19 +130,24 @@ def ehrhart_polynomial(delta: DeltaVector) -> EhrhartPolynomial:
 
 
 def _hodge_deligne_of_cone(model: PolytopeModel, sigma: Face, relative: bool) -> SpectrumSeries:
+    """The sum of (z - 1)^(n - 1 - dim f) over the faces f that contain
+    sigma: the faces are counted by that power first, so each power of
+    (z - 1) is built once per call."""
     n = model.n
-    sset = frozenset(sigma.vertex_indices)
-    powers = []
+    counts = [0] * (n + 1)
     if not relative and sigma.dim == -1:
         # the zero cone belongs to the full fan only
-        powers.append(n)
+        counts[n] = 1
+    vs = sigma.vertex_indices
     for f in model.faces:
         if relative and f.in_coordinate_hyperplane:
             continue
-        if sset <= frozenset(f.vertex_indices):
-            powers.append(n - 1 - f.dim)
+        if all(map(f.vertex_indices.__contains__, vs)):
+            counts[n - 1 - f.dim] += 1
     return SpectrumSeries(
-        (term for k in powers for term in z_minus_one_pow(k).numerators()), 1
+        ((e, count * c) for k, count in enumerate(counts) if count
+         for e, c in z_minus_one_pow(k).numerators()),
+        1,
     )
 
 

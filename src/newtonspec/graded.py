@@ -22,8 +22,9 @@ degree's block, so structure-constant tables need no further
 elimination and no dense row is built.  ``product_table`` keys the
 blocks by the cone keys' integer degree nu * L and reduces each distinct
 product monomial once: the monomial fixes its degree, so a memo that
-lives for one call hands its class to every cell whose operands sum to
-it, and every zero cell holds the one shared zero class.
+lives for one call, keyed by an integer code of the monomial, hands its
+class to every cell whose operands sum to it, and every zero cell holds
+the one shared zero class.
 """
 
 from __future__ import annotations
@@ -354,14 +355,22 @@ def product_table(basis: GradedBasis) -> List[List[GradedClass]]:
     block.  A pair whose masks meet has a product monomial, which fixes
     the degree, so a call-local memo maps each product monomial to its
     class: the block reduces a monomial once, and every cell whose
-    operands sum to it holds the same object.  Every other entry, and
-    every zero normal form, is the one shared zero class.
+    operands sum to it holds the same object.  The memo is keyed by
+    integer codes: each element's exponents are the digits of a
+    mixed-radix integer, with radix 2 * (largest exponent) + 1, so the
+    code of a product monomial is the sum of its operands' codes (no
+    digit carries), and the exponent-sum tuple is built only on a memo
+    miss.  Every other entry, and every zero normal form, is the one
+    shared zero class.
     """
     model = basis.model
     elements = basis.elements
     scale = model.value_scale
     keys = [model.cone_key(x) for x in elements]
+    radix = 2 * max((e for x in elements for e in x), default=0) + 1
+    codes = [sum(e * radix ** k for k, e in enumerate(x)) for x in elements]
     order = sorted(range(len(elements)), key=lambda i: keys[i][0])
+    walk = [(*keys[i], codes[i], i) for i in order]
     blocks = {
         degree.numerator * (scale // degree.denominator): block
         for degree, block in basis.blocks.items()
@@ -369,13 +378,10 @@ def product_table(basis: GradedBasis) -> List[List[GradedClass]]:
     top = max(blocks, default=-1)
     zero = GradedClass.zero()
     table = [[zero] * len(elements) for _ in elements]
-    normal_forms: Dict[Vec, GradedClass] = {}
-    for pos, i in enumerate(order):
-        key_i, mask_i = keys[i]
-        x = elements[i]
+    normal_forms: Dict[int, GradedClass] = {}
+    for pos, (key_i, mask_i, code_i, i) in enumerate(walk):
         row = table[i]
-        for j in order[pos:]:
-            key_j, mask_j = keys[j]
+        for key_j, mask_j, code_j, j in walk[pos:]:
             key = key_i + key_j
             if key > top:
                 break
@@ -384,10 +390,11 @@ def product_table(basis: GradedBasis) -> List[List[GradedClass]]:
             block = blocks.get(key)
             if block is None:
                 continue
-            total = tuple(map(add, x, elements[j]))
-            cls = normal_forms.get(total)
+            code = code_i + code_j
+            cls = normal_forms.get(code)
             if cls is None:
-                cls = normal_forms[total] = GradedClass.from_dict(
+                total = tuple(map(add, elements[i], elements[j]))
+                cls = normal_forms[code] = GradedClass.from_dict(
                     block.reduce(total, 1), block.degree
                 )
             row[j] = table[j][i] = cls

@@ -1,7 +1,9 @@
 """Graded ring products, Koszul relation classes and quotient bases."""
 
 import hashlib
+import io
 import random
+import sys
 from datetime import timedelta
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newtonspec import (
+    GLOBAL,
     LOCAL,
     DimensionMismatchError,
     GradedClass,
@@ -17,6 +20,7 @@ from newtonspec import (
     b_product,
     build_model,
     leading_classes,
+    monomial_text,
     parse_monomial,
     parse_polynomial,
     product_table,
@@ -419,3 +423,138 @@ def test_product_table_reduces_and_renders_each_class_once(monkeypatch, capsys):
         capsys.readouterr()
         assert calls["render"] <= nonzero, (text, calls, nonzero)
         monkeypatch.undo()
+
+
+def _reference_table_text(basis):
+    """The product-table text as the command built it before streaming:
+    every cell rendered into a dense grid of strings, the column widths
+    taken over all cells, and every line built before any is printed."""
+    names = basis.poly.names
+    table = product_table(basis)
+    labels = [monomial_text(v, names) for v in basis.elements]
+    gradings = [str(basis.model.newton_value(v)) for v in basis.elements]
+    entries = [[cls.render(names) for cls in row] for row in table]
+    lines = [
+        "basis: " + ", ".join(labels),
+        "grading: " + ", ".join(gradings),
+    ]
+    widths = [max(len(lbl), *map(len, col)) for lbl, col in zip(labels, zip(*entries))]
+    head = max(len(lbl) for lbl in labels)
+    lines.append(" " * head + " | " + " | ".join(map(str.ljust, labels, widths)))
+    for lbl, row in zip(labels, entries):
+        lines.append(lbl.ljust(head) + " | " + " | ".join(map(str.ljust, row, widths)))
+    return "".join(line + "\n" for line in lines)
+
+
+def table_argv(p, hint=None):
+    """The product-table call on p's text, with its variable order, mode
+    and, when given, the hint as --basis."""
+    argv = ["product-table", str(p), "--vars", ",".join(p.names)]
+    if p.mode == LOCAL:
+        argv.append("--local")
+    if hint is not None:
+        argv += ["--basis", ",".join(monomial_text(v, p.names) for v in hint)]
+    return argv
+
+
+def assert_text_is_reference(capsys, p, model=None, hint=None, spectrum=None):
+    model = model or build_model(p)
+    basis = quotient_basis(p, model, basis_hint=hint, spectrum=spectrum)
+    assert main(table_argv(p, hint)) == 0
+    assert capsys.readouterr().out == _reference_table_text(basis), str(p)
+
+
+def test_streamed_text_equals_dense_reference_on_corpus(corpus, capsys):
+    for entry in corpus:
+        assert_text_is_reference(capsys, entry.poly, entry.model, spectrum=entry.box)
+
+
+@pytest.mark.parametrize("text", LOCAL_GERMS)
+def test_streamed_text_equals_dense_reference_on_local_germs(capsys, text):
+    assert_text_is_reference(capsys, parse_polynomial(text, mode=LOCAL))
+
+
+def test_streamed_text_equals_dense_reference_with_hints(corpus, capsys, square_poly):
+    # the square's hint is not in ascending degree; the corpus hints are
+    # the default bases shuffled
+    hint = [parse_monomial(t, square_poly.names) for t in HINT]
+    assert_text_is_reference(capsys, square_poly, hint=hint)
+    rng = random.Random(5)
+    for entry in corpus[::7]:
+        hint = list(quotient_basis(entry.poly, entry.model, spectrum=entry.box).elements)
+        rng.shuffle(hint)
+        assert_text_is_reference(capsys, entry.poly, entry.model, hint, entry.box)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_streamed_text_equals_dense_reference_on_random_supports(capsys, n):
+    for seed in range(12):
+        rng = random.Random(f"table-text:{n}:{seed}")
+        p = random_convenient_poly(rng, n)
+        model = build_model(p)
+        assert_text_is_reference(capsys, p, model)
+        hint = list(quotient_basis(p, model).elements)
+        rng.shuffle(hint)
+        assert_text_is_reference(capsys, p, model, hint)
+
+
+# sha256 of the --json stdout of product-table, one call with a hint
+PINNED_JSON_TABLES = [
+    (["u^3+v^3+w^3+u*v*w"],
+     "84fb95e86e764573aea57491a0dac257aa6f0d061137b9d43a67451c30eab29a"),
+    (["u^2+u^2*v^2+v^2", "--basis", ",".join(HINT)],
+     "e4445d3cbe5f531cb6b5967d1a198501fa85e9020aa252d2f49a8422c92fdfae"),
+]
+
+
+@pytest.mark.parametrize("args,digest", PINNED_JSON_TABLES)
+def test_product_table_json_is_pinned(capsys, args, digest):
+    assert main(["product-table", "--json", *args]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class _WriteRecorder(io.StringIO):
+    """A stdout that keeps the length of its longest single write."""
+
+    longest = 0
+
+    def write(self, text):
+        self.longest = max(self.longest, len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("args", [
+    ["u^4+v^4+w^4+x^4"],
+    ["u^2+u^2*v^2+v^2", "--basis", ",".join(HINT)],
+])
+def test_product_table_text_is_written_line_by_line(monkeypatch, args):
+    # no write holds more than one line, so the text is never held whole
+    out = _WriteRecorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["product-table", *args]) == 0
+    lines = out.getvalue().splitlines()
+    assert len(lines) > 3
+    assert out.longest <= max(map(len, lines)) + 1
+
+
+@pytest.mark.parametrize("text,mode,hinted", [
+    ("u^20+v^3", GLOBAL, False),
+    ("u^12+u^3*v+v^4", GLOBAL, False),
+    ("u^12+u^3*v+v^4", GLOBAL, True),
+    ("u^10+u*v*w+v^3+w^2", GLOBAL, False),
+    ("x^12 + x^3*y + y^4", LOCAL, False),
+])
+def test_product_table_is_pairwise_with_uneven_exponents(text, mode, hinted):
+    # the memo's integer codes take their radix from the largest exponent
+    # of the basis; with one digit too few, u^12+u^3*v+v^4, the
+    # three-variable input and the germ get wrong cells.  The hint puts
+    # the elements that hold the largest exponents first
+    p = parse_polynomial(text, mode=mode)
+    model = build_model(p)
+    basis = quotient_basis(p, model)
+    if hinted:
+        hint = sorted(basis.elements, key=max, reverse=True)
+        basis = quotient_basis(p, model, basis_hint=hint)
+        assert basis.elements == hint
+    assert_table_is_pairwise(basis)
