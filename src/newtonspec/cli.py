@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from .ehrhart import (
+    _orbifold_cones,
     delta_from_counts,
     delta_from_spectrum,
     ehrhart_polynomial,
@@ -183,8 +184,10 @@ def _cmd_ehrhart(args) -> int:
 def _cmd_orbifold(args) -> int:
     p = _parse_input(args)
     model = build_model(p)
-    total = orbifold_dimensions(model)
-    contribs = orbifold_contributions(model)
+    # one walk of the open boxes, one Hodge-Deligne polynomial per cone
+    cones = _orbifold_cones(model)
+    total = orbifold_dimensions(model, _cones=cones)
+    contribs = orbifold_contributions(model, _cones=cones)
     payload = {
         "schema": SCHEMA,
         "command": "orbifold",

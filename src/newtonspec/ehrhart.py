@@ -20,13 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import ExponentRangeError, NegativeDeltaError, NotSimplicialError
 from .polytope import BoxPoint, Face, PolytopeModel
 from .series import SpectrumSeries, z_minus_one_pow
 
 Vec = Tuple[int, ...]
+# each cone's relative Hodge-Deligne polynomial with the points of its open box
+Cones = List[Tuple[SpectrumSeries, List[BoxPoint]]]
 
 
 @dataclass(frozen=True)
@@ -195,36 +197,47 @@ def box_point_union(model: PolytopeModel) -> List[Tuple[Vec, int]]:
     )
 
 
-def orbifold_contributions(model: PolytopeModel) -> List[Tuple[Vec, SpectrumSeries]]:
+def _orbifold_cones(model: PolytopeModel) -> Cones:
+    """Each cone of :func:`_open_boxes` as the relative Hodge-Deligne
+    polynomial E*_sigma, built once per cone, with the points of its open
+    box.  The fan must be simplicial."""
+    if not model.simplicial_fan:
+        raise NotSimplicialError("orbifold dimensions need a simplicial fan")
+    return [
+        (_hodge_deligne_of_cone(model, sigma, relative=True), points)
+        for sigma, points in _open_boxes(model)
+    ]
+
+
+def orbifold_contributions(
+    model: PolytopeModel, _cones: Optional[Cones] = None
+) -> List[Tuple[Vec, SpectrumSeries]]:
     """Per-box-point terms E*_v(z) * z^{nu(v)}, sorted by (value, point).
 
     E*_v is the relative Hodge-Deligne polynomial of the smallest cone of
-    v, the face whose open box holds v; it is built once per cone.
+    v, the face whose open box holds v.  A caller that already holds
+    :func:`_orbifold_cones` of the model passes it in.
     """
-    if not model.simplicial_fan:
-        raise NotSimplicialError("orbifold dimensions need a simplicial fan")
+    cones = _orbifold_cones(model) if _cones is None else _cones
     scale = model.value_scale
-    out = []
-    for sigma, points in _open_boxes(model):
-        e_rel = _hodge_deligne_of_cone(model, sigma, relative=True)
-        out.extend((bp.value, bp.point, e_rel) for bp in points)
+    out = [(bp.value, bp.point, e_rel) for e_rel, points in cones for bp in points]
     out.sort(key=lambda t: t[:2])
     return [(point, e_rel.shift(value, scale)) for value, point, e_rel in out]
 
 
-def orbifold_dimensions(model: PolytopeModel) -> SpectrumSeries:
+def orbifold_dimensions(model: PolytopeModel, _cones: Optional[Cones] = None) -> SpectrumSeries:
     """Graded dimensions of the orbifold cohomology of the stacky fan.
 
     The sum over the cones sigma of E*_sigma(z) times the sum of
     z^{nu(v)} over the open box of sigma, with the exponents as integers
     over L, the model's ``value_scale``; coefficient-for-coefficient
-    equal to the toric Newton spectrum on simplicial fans.
+    equal to the toric Newton spectrum on simplicial fans.  A caller that
+    already holds :func:`_orbifold_cones` of the model passes it in.
     """
-    if not model.simplicial_fan:
-        raise NotSimplicialError("orbifold dimensions need a simplicial fan")
+    cones = _orbifold_cones(model) if _cones is None else _cones
     scale = model.value_scale
     terms = []
-    for sigma, points in _open_boxes(model):
-        weight = list(_hodge_deligne_of_cone(model, sigma, relative=True).numerators(scale))
+    for e_rel, points in cones:
+        weight = list(e_rel.numerators(scale))
         terms.extend((bp.value + e, c) for bp in points for e, c in weight)
     return SpectrumSeries(terms, scale)

@@ -1,0 +1,118 @@
+"""Exact convex hull of a point set by the double description method.
+
+The facets of a simplex on n + 1 of the points come first, then one
+point at a time goes in, each cutting off the facets it sees and
+joining the adjacent pairs it separates.  A facet is its primitive
+integer (normal, level) and the bitmask of the points on it; adjacency
+is read from those masks, so after the n + 1 kernel solves of the
+simplex every step is an integer dot product, a combination of two
+facets or a mask test.  No ``Fraction`` is built.
+"""
+
+from __future__ import annotations
+
+from math import gcd
+from operator import mul
+from typing import List, Sequence, Tuple
+
+from . import linalg
+
+Vec = Tuple[int, ...]
+
+
+class HullFacet:
+    __slots__ = ("normal", "level", "contact", "vertex_set")
+
+    def __init__(self, normal, level, contact):
+        self.normal = normal          # tuple[int], outward: <h, x> <= level
+        self.level = level            # int; (normal, level) is primitive
+        self.contact = contact        # frozenset of point indices on the facet
+        self.vertex_set = None        # filled in once hull vertices are known
+
+
+def enumerate_facets(points: Sequence[Vec], n: int) -> List[HullFacet]:
+    """All facets of conv(points), with outward normals and contact sets.
+
+    The double description method (Fukuda and Prodon, 1996), in the
+    integers.  A facet is the ray r = (h, c) of the cone of inequalities
+    <h, x> <= c valid on the points seen so far, kept as its primitive
+    integer vector together with its tight set, the bitmask of the seen
+    points on it.  The cone starts from the facets of a simplex on the
+    first n + 1 affinely independent points; each other point p then
+    goes in, in index order.  With s = <h, p> - c, the rays with s > 0
+    are dropped and those with s = 0 gain p in their tight sets.  Each
+    dropped ray r+ and kept ray r- with s < 0 that are adjacent give the
+    new ray s+ * r- - s- * r+, on which p is tight.  Two rays are adjacent
+    when their common tight set holds at least n - 1 points and lies in
+    the tight set of no third ray.  At the end every point has been seen,
+    so each tight set is the facet's contact set.  Facets are sorted by
+    (h, c); without n + 1 affinely independent points there are none.
+    """
+    npts = len(points)
+    simplex = [0]
+    rows: list = []
+    for i in range(1, npts):
+        row = [a - b for a, b in zip(points[i], points[0])]
+        if linalg.rank(rows + [row], n) > len(rows):
+            rows.append(row)
+            simplex.append(i)
+            if len(simplex) == n + 1:
+                break
+    else:
+        return []
+    rays = []   # (h + (c,), tight set)
+    for j in simplex:
+        face = [i for i in simplex if i != j]
+        base = points[face[0]]
+        h = linalg.nullspace_vector(
+            [[a - b for a, b in zip(points[i], base)] for i in face[1:]], n
+        )
+        c = sum(map(mul, h, base))
+        g = gcd(c, *h)
+        if sum(map(mul, h, points[j])) > c:
+            g = -g   # flip h so that the simplex lies in <h, x> <= c
+        rays.append((tuple(x // g for x in h) + (c // g,), sum(1 << i for i in face)))
+    for i, p in enumerate(points):
+        if i in simplex:
+            continue
+        q = tuple(p) + (-1,)
+        bit = 1 << i
+        above, below, kept = [], [], []
+        for r, tight in rays:
+            s = sum(map(mul, r, q))
+            if s > 0:
+                above.append((s, r, tight))
+            elif s < 0:
+                below.append((s, r, tight))
+                kept.append((r, tight))
+            else:
+                kept.append((r, tight | bit))
+        # distinct facets have distinct tight sets, so a tight set names
+        # its ray in the adjacency test
+        for s_up, r_up, t_up in above:
+            for s_down, r_down, t_down in below:
+                common = t_up & t_down
+                if common.bit_count() < n - 1 or any(
+                    t & common == common for _, t in rays if t != t_up and t != t_down
+                ):
+                    continue
+                r = [s_up * a - s_down * b for a, b in zip(r_down, r_up)]
+                g = gcd(*r)
+                kept.append((tuple(x // g for x in r), common | bit))
+        rays = kept
+    return [
+        HullFacet(r[:-1], r[-1], frozenset(i for i in range(npts) if tight >> i & 1))
+        for r, tight in sorted(rays)
+    ]
+
+
+def hull_vertices(npts: int, facets: Sequence[HullFacet]) -> List[int]:
+    verts = []
+    for i in range(npts):
+        meets = [f.contact for f in facets if i in f.contact]
+        if not meets:
+            continue
+        common = frozenset.intersection(*meets)
+        if common == {i}:
+            verts.append(i)
+    return verts

@@ -37,34 +37,33 @@ public views (:meth:`PolytopeModel.value_histogram`,
 reads the facet forms alone, never the triangulation or the box points,
 so the oracle built on it checks the box route independently.
 
-The hull is built by the double description method: the facets of a
-simplex on n + 1 of the points, then one point at a time, each cutting
-off the facets it sees and joining the adjacent pairs it separates.  A
-facet is its primitive integer (normal, level) and the bitmask of the
-points on it; adjacency is read from those masks, so after the n + 1
-kernel solves of the simplex every step is an integer dot product, a
-combination of two facets or a mask test.  Only the level-one facet
-forms of the model are rational.  The hull never leaves
-:func:`build_model`: the model keeps the facet forms and the face
-lattice, and nothing of the hull they came from.
+The hull comes from :mod:`newtonspec.hull`, in the integers; only the
+level-one facet forms of the model are rational.  The hull never leaves
+:func:`build_model`: the model keeps the facet forms and the walls, the
+vertex bitmasks of all the hull facets cut down to the model vertices,
+and nothing else of the hull they came from.
 
-The face lattice of the Newton boundary is built from the top down, one
-dimension at a time, from vertex-facet incidences alone.  A face is the
-bitmask of the model vertices on it.  The Newton-boundary facets make
-the top level, and the faces one level down inside a face are its
-ridges: its largest proper intersections with the hull facets, or, for
-a simplex, itself less one vertex.  A face's dimension is its level, so
-no rank is taken.
+A face is the bitmask of the model vertices on it, and the faces one
+dimension down inside a face are its ridges: its largest proper
+intersections with the walls, or, for a simplex, itself less one vertex.
+The pulling triangulation reads the ridges of the faces that are not
+simplices only, memoised per model; a simplex facet is its own piece.
+So the volume and the box route build no face lattice.  The lattice is
+built the first time ``faces``, ``f_of_p``,
+:meth:`PolytopeModel.smallest_cone` or :meth:`PolytopeModel.to_json`
+reads it, from the top down, one dimension at a time, through the same
+ridge memo.  A face's dimension is its level, so no rank is taken.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 from operator import itemgetter, mul
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import (
@@ -72,6 +71,7 @@ from .errors import (
     InternalCheckError,
     NotSimplexError,
 )
+from .hull import enumerate_facets, hull_vertices
 from .poly import GLOBAL, LOCAL, Poly, check_convenient
 
 Vec = Tuple[int, ...]
@@ -134,109 +134,6 @@ class BoxPoint:
         return Fraction(sum(self.dq), self.d)
 
 
-# ---------------------------------------------------------------------------
-# exact convex hull by the double description method
-# ---------------------------------------------------------------------------
-
-
-class _HullFacet:
-    __slots__ = ("normal", "level", "contact", "vertex_set")
-
-    def __init__(self, normal, level, contact):
-        self.normal = normal          # tuple[int], outward: <h, x> <= level
-        self.level = level            # int; (normal, level) is primitive
-        self.contact = contact        # frozenset of point indices on the facet
-        self.vertex_set = None        # filled in once hull vertices are known
-
-
-def _enumerate_facets(points: Sequence[Vec], n: int) -> List[_HullFacet]:
-    """All facets of conv(points), with outward normals and contact sets.
-
-    The double description method (Fukuda and Prodon, 1996), in the
-    integers.  A facet is the ray r = (h, c) of the cone of inequalities
-    <h, x> <= c valid on the points seen so far, kept as its primitive
-    integer vector together with its tight set, the bitmask of the seen
-    points on it.  The cone starts from the facets of a simplex on the
-    first n + 1 affinely independent points; each other point p then
-    goes in, in index order.  With s = <h, p> - c, the rays with s > 0
-    are dropped and those with s = 0 gain p in their tight sets.  Each
-    dropped ray r+ and kept ray r- with s < 0 that are adjacent give the
-    new ray s+ * r- - s- * r+, on which p is tight.  Two rays are adjacent
-    when their common tight set holds at least n - 1 points and lies in
-    the tight set of no third ray.  At the end every point has been seen,
-    so each tight set is the facet's contact set.  Facets are sorted by
-    (h, c); without n + 1 affinely independent points there are none.
-    """
-    npts = len(points)
-    simplex = [0]
-    rows: list = []
-    for i in range(1, npts):
-        row = [a - b for a, b in zip(points[i], points[0])]
-        if linalg.rank(rows + [row], n) > len(rows):
-            rows.append(row)
-            simplex.append(i)
-            if len(simplex) == n + 1:
-                break
-    else:
-        return []
-    rays = []   # (h + (c,), tight set)
-    for j in simplex:
-        face = [i for i in simplex if i != j]
-        base = points[face[0]]
-        h = linalg.nullspace_vector(
-            [[a - b for a, b in zip(points[i], base)] for i in face[1:]], n
-        )
-        c = sum(map(mul, h, base))
-        g = gcd(c, *h)
-        if sum(map(mul, h, points[j])) > c:
-            g = -g   # flip h so that the simplex lies in <h, x> <= c
-        rays.append((tuple(x // g for x in h) + (c // g,), sum(1 << i for i in face)))
-    for i, p in enumerate(points):
-        if i in simplex:
-            continue
-        q = tuple(p) + (-1,)
-        bit = 1 << i
-        above, below, kept = [], [], []
-        for r, tight in rays:
-            s = sum(map(mul, r, q))
-            if s > 0:
-                above.append((s, r, tight))
-            elif s < 0:
-                below.append((s, r, tight))
-                kept.append((r, tight))
-            else:
-                kept.append((r, tight | bit))
-        # distinct facets have distinct tight sets, so a tight set names
-        # its ray in the adjacency test
-        for s_up, r_up, t_up in above:
-            for s_down, r_down, t_down in below:
-                common = t_up & t_down
-                if common.bit_count() < n - 1 or any(
-                    t & common == common for _, t in rays if t != t_up and t != t_down
-                ):
-                    continue
-                r = [s_up * a - s_down * b for a, b in zip(r_down, r_up)]
-                g = gcd(*r)
-                kept.append((tuple(x // g for x in r), common | bit))
-        rays = kept
-    return [
-        _HullFacet(r[:-1], r[-1], frozenset(i for i in range(npts) if tight >> i & 1))
-        for r, tight in sorted(rays)
-    ]
-
-
-def _hull_vertices(npts: int, facets: Sequence[_HullFacet]) -> List[int]:
-    verts = []
-    for i in range(npts):
-        meets = [f.contact for f in facets if i in f.contact]
-        if not meets:
-            continue
-        common = frozenset.intersection(*meets)
-        if common == {i}:
-            verts.append(i)
-    return verts
-
-
 def _make_face(vertices: Sequence[Vec], vidx: Tuple[int, ...], dim: int) -> Face:
     in_hyp = any(all(vertices[i][j] == 0 for i in vidx) for j in range(len(vertices[0])))
     return Face(vertex_indices=vidx, dim=dim, in_coordinate_hyperplane=in_hyp,
@@ -253,49 +150,6 @@ def _bits(mask: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _boundary_faces(vertices: Sequence[Vec], facet_masks: Sequence[int],
-                    wall_masks: Iterable[int]) -> List[Face]:
-    """Every face of the Newton boundary, sorted by dimension and vertices.
-
-    A face is the bitmask of the model vertices on it.  ``facet_masks``
-    are the Newton-boundary facets, the top level; ``wall_masks`` are all
-    the hull facets cut down to the model vertices, which loses nothing
-    because a Newton-boundary face holds model vertices only.  The faces
-    one dimension down inside a face f are its ridges, the
-    inclusion-maximal proper nonempty f & g over the walls g (Kaibel and
-    Pfetsch, 2002): taken in descending size, a candidate is a ridge when
-    no ridge accepted before holds it.  A simplex's ridges are itself
-    less one vertex.  A face's dimension is the level it was found on.
-    """
-    nonzero = [
-        sum(1 << i for i, v in enumerate(vertices) if v[j]) for j in range(len(vertices[0]))
-    ]
-    faces = []
-    level = set(facet_masks)
-    for dim in range(len(vertices[0]) - 1, -1, -1):
-        below = set()
-        for f in level:
-            vidx = _bits(f)
-            simplex = len(vidx) == dim + 1
-            faces.append(Face(vertex_indices=vidx, dim=dim,
-                              in_coordinate_hyperplane=any(not f & nz for nz in nonzero),
-                              is_simplex=simplex))
-            if dim == 0:
-                continue
-            if simplex:
-                below.update(f ^ (1 << i) for i in vidx)
-                continue
-            ridges: List[int] = []
-            for c in sorted({f & g for g in wall_masks} - {0, f}, key=int.bit_count,
-                            reverse=True):
-                if all(c & r != c for r in ridges):
-                    ridges.append(c)
-            below.update(ridges)
-        level = below
-    faces.sort(key=lambda f: (f.dim, f.vertex_indices))
-    return faces
-
-
 # ---------------------------------------------------------------------------
 # the model
 # ---------------------------------------------------------------------------
@@ -304,21 +158,25 @@ def _boundary_faces(vertices: Sequence[Vec], facet_masks: Sequence[int],
 class PolytopeModel:
     """Immutable-after-build model of a Newton polytope or polyhedron.
 
-    Use :func:`build_model`; the constructor is internal.
+    Use :func:`build_model`; the constructor is internal.  The model
+    holds the facet forms and the walls (the hull facets as vertex
+    bitmasks).  The face lattice, ``faces`` with ``f_of_p``, is built
+    the first time it is read; the volume, the triangulation and the box
+    points never read it.
     """
 
-    def __init__(self, mode, n, vertices, facets, faces, zero_cone):
+    def __init__(self, mode, n, vertices, facets, walls, zero_cone):
         self.mode = mode
         self.n = n
         self.vertices: Tuple[Vec, ...] = vertices
         self.facets: Tuple[FacetForm, ...] = facets
-        self.faces: Tuple[Face, ...] = faces
         self.zero_cone: Face = zero_cone
-        self.f_of_p: Tuple[int, ...] = tuple(
-            i for i, f in enumerate(faces) if not f.in_coordinate_hyperplane
-        )
-        self.simplicial_fan: bool = all(f.is_simplex for f in faces)
-        self._face_index = {frozenset(f.vertex_indices): i for i, f in enumerate(faces)}
+        # every face lies in a facet and every face of a simplex is a
+        # simplex, so the fan is simplicial when every facet is
+        self.simplicial_fan: bool = all(len(ff.vertex_indices) == n for ff in facets)
+        self._facet_masks = tuple(sum(1 << i for i in ff.vertex_indices) for ff in facets)
+        self._walls: Tuple[int, ...] = walls
+        self._ridge_memo: dict = {}
         # L, the lcm of the form denominators, and the forms scaled by it:
         # nu(v) * L is the max (global) or min (local) of their integer dot
         # products with v, and evaluation reads nothing else
@@ -333,6 +191,71 @@ class PolytopeModel:
         self._census_groups: dict = {}
         self._triangulation: Optional[Tuple[Face, ...]] = None
         self._volume: Optional[int] = None
+
+    # -- faces ------------------------------------------------------------
+
+    def _ridges(self, face: int) -> Tuple[int, ...]:
+        """The ridges of a face that is not a simplex, memoised: the
+        inclusion-maximal proper nonempty face & g over the walls g
+        (Kaibel and Pfetsch, 2002).  Taken in descending size, a
+        candidate is a ridge when no ridge accepted before holds it.  The
+        walls are all the hull facets cut down to the model vertices,
+        which loses nothing because a Newton-boundary face holds model
+        vertices only."""
+        ridges = self._ridge_memo.get(face)
+        if ridges is None:
+            found: List[int] = []
+            for c in sorted({face & g for g in self._walls} - {0, face}, key=int.bit_count,
+                            reverse=True):
+                if all(c & r != c for r in found):
+                    found.append(c)
+            ridges = self._ridge_memo[face] = tuple(found)
+        return ridges
+
+    def _face_lattice(self) -> List[Face]:
+        """Every face of the Newton boundary, sorted by dimension and
+        vertices.  The facets make the top level; the faces one level
+        down are the ridges of those of this level, a simplex's being
+        itself less one vertex.  A face's dimension is its level."""
+        vertices = self.vertices
+        nonzero = [
+            sum(1 << i for i, v in enumerate(vertices) if v[j]) for j in range(self.n)
+        ]
+        faces = []
+        level = set(self._facet_masks)
+        for dim in range(self.n - 1, -1, -1):
+            below = set()
+            for f in level:
+                vidx = _bits(f)
+                simplex = len(vidx) == dim + 1
+                faces.append(Face(vertex_indices=vidx, dim=dim,
+                                  in_coordinate_hyperplane=any(not f & nz for nz in nonzero),
+                                  is_simplex=simplex))
+                if dim == 0:
+                    continue
+                if simplex:
+                    below.update(f ^ (1 << i) for i in vidx)
+                else:
+                    below.update(self._ridges(f))
+            level = below
+        faces.sort(key=lambda f: (f.dim, f.vertex_indices))
+        return faces
+
+    @functools.cached_property
+    def faces(self) -> Tuple[Face, ...]:
+        """Every face of the Newton boundary, sorted by dimension and
+        vertices; built on first read."""
+        return tuple(self._face_lattice())
+
+    @functools.cached_property
+    def f_of_p(self) -> Tuple[int, ...]:
+        """Indices into ``faces`` of the faces outside the coordinate
+        hyperplanes."""
+        return tuple(i for i, f in enumerate(self.faces) if not f.in_coordinate_hyperplane)
+
+    @functools.cached_property
+    def _face_index(self) -> dict:
+        return {frozenset(f.vertex_indices): i for i, f in enumerate(self.faces)}
 
     # -- Newton function ----------------------------------------------
 
@@ -526,38 +449,36 @@ class PolytopeModel:
         """Top-dimensional simplices of the pulling triangulation.
 
         A face that is not a simplex is coned from its first vertex over
-        the pieces of its children that miss that vertex.  The cut of a
+        the pieces of its ridges that miss that vertex.  The cut of a
         face depends on that face alone, so adjacent facets meet in
         common simplices.
         """
         memo: dict = {}
         return sorted({
-            piece
-            for ff in self.facets
-            for piece in self._pull(self.faces[self._face_index[frozenset(ff.vertex_indices)]], memo)
+            piece for f in self._facet_masks for piece in self._pull(f, self.n - 1, memo)
         })
 
-    def _pull(self, face: Face, memo: dict) -> List[Tuple[int, ...]]:
-        """The pieces of one face in the pulling triangulation, memoised
-        by vertices.  A method, not a closure: a closure that calls itself
-        is a reference cycle and would keep the model alive until the
-        cyclic garbage collector runs.
+    def _pull(self, face: int, dim: int, memo: dict) -> List[Tuple[int, ...]]:
+        """The pieces of the face ``face`` (a vertex bitmask) of dimension
+        ``dim`` in the pulling triangulation, memoised by mask.  A method,
+        not a closure: a closure that calls itself is a reference cycle
+        and would keep the model alive until the cyclic garbage collector
+        runs.
         """
-        vidx = face.vertex_indices
-        if vidx not in memo:
-            if face.is_simplex:
-                memo[vidx] = [vidx]
+        pieces = memo.get(face)
+        if pieces is None:
+            if face.bit_count() == dim + 1:
+                pieces = [_bits(face)]
             else:
-                vset = frozenset(vidx)
-                memo[vidx] = [
-                    (vidx[0],) + piece
-                    for child in self.faces
-                    if child.dim == face.dim - 1
-                    and vidx[0] not in child.vertex_indices
-                    and vset.issuperset(child.vertex_indices)
-                    for piece in self._pull(child, memo)
+                first = face & -face
+                apex = (first.bit_length() - 1,)
+                pieces = [
+                    apex + piece
+                    for child in self._ridges(face) if not child & first
+                    for piece in self._pull(child, dim - 1, memo)
                 ]
-        return memo[vidx]
+            memo[face] = pieces
+        return pieces
 
     def triangulation(self) -> Tuple[Face, ...]:
         """Every face of every top simplex of the pulling triangulation of
@@ -746,10 +667,10 @@ def build_model(p: Poly) -> PolytopeModel:
         pts = list(dict.fromkeys(support + anchors))
         forbidden = {pts.index(a) for a in anchors}
 
-    hull_facets = _enumerate_facets(pts, n)
+    hull_facets = enumerate_facets(pts, n)
     if not hull_facets:
         raise InternalCheckError("support is not full dimensional")
-    hull_verts = _hull_vertices(len(pts), hull_facets)
+    hull_verts = hull_vertices(len(pts), hull_facets)
     vert_set = set(hull_verts)
     for hf in hull_facets:
         hf.vertex_set = frozenset(i for i in hf.contact if i in vert_set)
@@ -784,13 +705,9 @@ def build_model(p: Poly) -> PolytopeModel:
         for i in order
     ]
 
-    # Newton-boundary face lattice, level by level from the facets down,
-    # with faces as bitmasks over the model vertices
+    # the walls: every hull facet as a bitmask over the model vertices
     bit = {j: 1 << k for j, k in hull_to_model.items()}
-    walls = {sum(bit.get(j, 0) for j in hf.vertex_set) for hf in hull_facets}
-    faces = _boundary_faces(
-        vertices, [sum(1 << i for i in ff.vertex_indices) for ff in facet_forms], walls
-    )
+    walls = tuple({sum(bit.get(j, 0) for j in hf.vertex_set) for hf in hull_facets})
 
     zero_cone = Face(
         vertex_indices=(),
@@ -804,7 +721,7 @@ def build_model(p: Poly) -> PolytopeModel:
         n=n,
         vertices=vertices,
         facets=tuple(facet_forms),
-        faces=tuple(faces),
+        walls=walls,
         zero_cone=zero_cone,
     )
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from newtonspec import SpectrumSeries, cli
+from newtonspec import SpectrumSeries, cli, ehrhart
 from newtonspec.cli import main
 
 from conftest import LOCAL_GERMS, acceptance_polys
@@ -68,6 +68,33 @@ def test_orbifold(capsys):
     lines = out.splitlines()
     assert lines[0] == "1 + 2 z^{1/2} + 3 z + 3 z^{3/2} + 2 z^2 + z^{5/2}"
     assert "v=(0,1,1): z^{1/2} + z^{3/2}" in lines
+
+
+@pytest.mark.parametrize("argv", [
+    ["u + v + w + u^2*v^2*w^2 + v^2*w^2"],
+    ["u^4 + v^4 + w^4 + x^4"],
+    ["x^4 + y^5 + z^6 + x*y*z^2 + x^2*y^2", "--local"],
+])
+def test_orbifold_walks_the_open_boxes_once(capsys, monkeypatch, argv):
+    # the series and the per-point terms share one walk of the open
+    # boxes and one relative Hodge-Deligne polynomial per cone
+    walks, cones = [], []
+    open_boxes, of_cone = ehrhart._open_boxes, ehrhart._hodge_deligne_of_cone
+
+    def counted_walk(model):
+        out = open_boxes(model)
+        walks.append(len(out))
+        return out
+
+    def counted_cone(model, sigma, relative):
+        cones.append(sigma)
+        return of_cone(model, sigma, relative)
+
+    monkeypatch.setattr(ehrhart, "_open_boxes", counted_walk)
+    monkeypatch.setattr(ehrhart, "_hodge_deligne_of_cone", counted_cone)
+    code, out, _ = run_cli(capsys, "orbifold", *argv)
+    assert code == 0 and out
+    assert walks == [len(cones)] and len(set(cones)) == len(cones)
 
 
 def test_product_table_with_hint(capsys):

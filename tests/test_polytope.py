@@ -1,9 +1,11 @@
 """Polytope models: facets, faces, cones, boxes, volumes, counts."""
 
+import contextlib
 import gc
 import hashlib
 import itertools
 import json
+import os
 import random
 import weakref
 from datetime import timedelta
@@ -21,10 +23,12 @@ from newtonspec import (
     NotSimplexError,
     Poly,
     build_model,
+    hull,
     linalg,
     parse_polynomial,
     polytope,
 )
+from newtonspec.cli import main
 
 from conftest import (
     FOUR_VARIABLE_POLYS,
@@ -114,12 +118,12 @@ def test_same_cone_matches_face_containment(corpus):
     rng = random.Random(3)
     for entry in corpus[:20]:
         m = entry.model
-        hull = _hull_reference(entry.poly, m)
+        reference = _hull_reference(entry.poly, m)
         for _ in range(8):
             a = tuple(rng.randint(0, 4) for _ in range(m.n))
             b = tuple(rng.randint(0, 4) for _ in range(m.n))
-            sa = frozenset(_reference_smallest_cone(m, hull, a).vertex_indices)
-            sb = frozenset(_reference_smallest_cone(m, hull, b).vertex_indices)
+            sa = frozenset(_reference_smallest_cone(m, reference, a).vertex_indices)
+            sb = frozenset(_reference_smallest_cone(m, reference, b).vertex_indices)
             joint = any(
                 sa <= frozenset(f.vertex_indices) and sb <= frozenset(f.vertex_indices)
                 for f in m.faces
@@ -233,8 +237,8 @@ def _hull_reference(p, model):
     to model vertices."""
     n = model.n
     pts = _hull_points(p)
-    hull_facets = polytope._enumerate_facets(pts, n)
-    hull_verts = set(polytope._hull_vertices(len(pts), hull_facets))
+    hull_facets = hull.enumerate_facets(pts, n)
+    hull_verts = set(hull.hull_vertices(len(pts), hull_facets))
     for hf in hull_facets:
         hf.vertex_set = frozenset(i for i in hf.contact if i in hull_verts)
     hull_to_model = {
@@ -243,12 +247,12 @@ def _hull_reference(p, model):
     return hull_facets, hull_to_model
 
 
-def _reference_smallest_cone(model, hull, v):
+def _reference_smallest_cone(model, reference, v):
     """The smallest cone by intersecting the hull facets through v scaled
     onto the Newton boundary, kept from before ``smallest_cone`` read the
     cone-key mask, as the reference.  nu(v) comes from the rational forms,
     not from the model's scaled ones."""
-    hull_facets, hull_to_model = hull
+    hull_facets, hull_to_model = reference
     v = tuple(v)
     if not any(v):
         return model.zero_cone
@@ -269,13 +273,13 @@ def _reference_smallest_cone(model, hull, v):
 
 
 def _assert_smallest_cone_matches_reference(p, model):
-    hull = _hull_reference(p, model)
+    reference = _hull_reference(p, model)
     points = set(model.vertices)
     points.update(itertools.product(range(4), repeat=model.n))
     for face in list(model.triangulation()) + [f for f in model.faces if f.is_simplex]:
         points.update(bp.point for bp in model.box_points(face))
     for v in sorted(points):
-        want = _reference_smallest_cone(model, hull, v)
+        want = _reference_smallest_cone(model, reference, v)
         assert model.smallest_cone(v) == want, (model.to_json(), v)
 
 
@@ -750,11 +754,12 @@ def test_hull_scan_is_integer_only(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("Fraction built in the hull scan")
 
-    monkeypatch.setattr(polytope, "Fraction", refuse)
+    # the hull module has no Fraction to build; linalg's is refused
+    assert not hasattr(hull, "Fraction")
     monkeypatch.setattr(linalg, "Fraction", refuse)
     for _, support, _ in PINNED_HULLS:
         points = [(0,) * len(support[0])] + support
-        for hf in polytope._enumerate_facets(points, len(support[0])):
+        for hf in hull.enumerate_facets(points, len(support[0])):
             assert all(type(x) is int for x in hf.normal + (hf.level,))
             assert gcd(hf.level, *hf.normal) == 1
 
@@ -793,7 +798,7 @@ def _exhaustive_facets(points, n):
         if key in facets:
             continue
         contact = frozenset(i for i, v in enumerate(vals) if v == c)
-        facets[key] = polytope._HullFacet(key[:-1], key[-1], contact)
+        facets[key] = hull.HullFacet(key[:-1], key[-1], contact)
     return [facets[k] for k in sorted(facets)]
 
 
@@ -850,7 +855,7 @@ def test_hull_matches_exhaustive_scan_on_corpus(corpus):
     for entry in corpus:
         pts = _hull_points(entry.poly)
         want = _facet_list(_exhaustive_facets(pts, entry.model.n))
-        assert _facet_list(polytope._enumerate_facets(pts, entry.model.n)) == want, pts
+        assert _facet_list(hull.enumerate_facets(pts, entry.model.n)) == want, pts
 
 
 @pytest.mark.parametrize(
@@ -860,7 +865,7 @@ def test_hull_matches_exhaustive_scan_on_corpus(corpus):
 def test_hull_matches_exhaustive_scan(points, n):
     want = _facet_list(_exhaustive_facets(points, n))
     assert want
-    assert _facet_list(polytope._enumerate_facets(points, n)) == want
+    assert _facet_list(hull.enumerate_facets(points, n)) == want
 
 
 @st.composite
@@ -881,10 +886,10 @@ def hull_point_sets(draw):
 @given(hull_point_sets())
 def test_hull_matches_exhaustive_scan_in_any_point_order(drawn):
     points, n, perm = drawn
-    got = _facet_list(polytope._enumerate_facets(points, n))
+    got = _facet_list(hull.enumerate_facets(points, n))
     assert got == _facet_list(_exhaustive_facets(points, n))
     # point k of the shuffled list is point perm[k] of the original
-    shuffled = polytope._enumerate_facets([points[i] for i in perm], n)
+    shuffled = hull.enumerate_facets([points[i] for i in perm], n)
     assert [(f.normal, f.level, frozenset(perm[k] for k in f.contact)) for f in shuffled] == got
 
 
@@ -905,7 +910,7 @@ def test_hull_makes_at_most_n_plus_one_kernel_solves(monkeypatch):
     ]
     for points, n in inputs:
         calls.clear()
-        assert polytope._enumerate_facets(points, n)
+        assert hull.enumerate_facets(points, n)
         assert 0 < len(calls) <= n + 1, (points, calls)
 
 
@@ -1034,3 +1039,171 @@ def lattice_polys(draw):
 @given(lattice_polys())
 def test_face_lattice_matches_closure_on_random_supports(p):
     _assert_lattice_matches_closure(p, build_model(p))
+
+
+def _reference_top_simplices(model):
+    """The top simplices of the pulling triangulation, read off the face
+    lattice: a face that is not a simplex is coned from its first vertex
+    over the pieces of the faces one dimension down inside it that miss
+    that vertex, found by a scan of ``model.faces``.
+
+    Kept from before the triangulation read the ridges of the
+    non-simplex faces alone, as the reference.
+    """
+    faces = model.faces
+    memo = {}
+
+    def pull(face):
+        vidx = face.vertex_indices
+        if vidx not in memo:
+            if face.is_simplex:
+                memo[vidx] = [vidx]
+            else:
+                vset = frozenset(vidx)
+                memo[vidx] = [
+                    (vidx[0],) + piece
+                    for child in faces
+                    if child.dim == face.dim - 1
+                    and vidx[0] not in child.vertex_indices
+                    and vset.issuperset(child.vertex_indices)
+                    for piece in pull(child)
+                ]
+        return memo[vidx]
+
+    index = {f.vertex_indices: f for f in faces}
+    return sorted({piece for ff in model.facets for piece in pull(index[ff.vertex_indices])})
+
+
+def _non_simplicial_draws():
+    """Seeded supports in 4, 5 and 6 variables, global and local, whose
+    Newton boundary has a facet with more than n vertices: pure powers
+    of degree 2 (global) or 4 (local) on every axis, mixed points with
+    coordinates <= 2 and the reversal of each point.  Two per shape."""
+    rng = random.Random(22)
+    polys = []
+    for n, extra in ((4, 6), (5, 5), (6, 4)):
+        for mode, top in ((GLOBAL, 2), (LOCAL, 4)):
+            found = 0
+            while found < 2:
+                support = {tuple(top if j == i else 0 for j in range(n)) for i in range(n)}
+                while len(support) < n + extra:
+                    v = tuple(rng.randint(0, 2) for _ in range(n))
+                    if sum(1 for x in v if x) >= 2:
+                        support.add(v)
+                support |= {v[::-1] for v in support}
+                p = _pinned_poly(mode, sorted(support))
+                if any(len(ff.vertex_indices) > n for ff in build_model(p).facets):
+                    polys.append(p)
+                    found += 1
+    return polys
+
+
+def _triangulation_inputs():
+    polys = [parse_polynomial(t, mode=LOCAL) for t in LOCAL_GERMS]
+    polys += [parse_polynomial(t) for t in FOUR_VARIABLE_POLYS]
+    polys += [_pinned_poly(mode, support) for mode, support, _ in PINNED_HULLS]
+    return polys + _non_simplicial_draws()
+
+
+TRIANGULATION_INPUTS = _triangulation_inputs()
+
+
+def _assert_triangulation_matches_reference(p):
+    # a fresh model: the triangulation runs before anything reads the
+    # face lattice, then the reference reads it
+    model = build_model(p)
+    got = model._top_simplices()
+    triangulation = model.triangulation()
+    want = _reference_top_simplices(model)
+    assert got == want, model.to_json()
+    simplices = {
+        sub for piece in want for k in range(1, len(piece) + 1)
+        for sub in itertools.combinations(piece, k)
+    }
+    assert triangulation == tuple(
+        polytope._make_face(model.vertices, s, len(s) - 1)
+        for s in sorted(simplices, key=lambda s: (len(s), s))
+    )
+    assert model.simplicial_fan == all(f.is_simplex for f in model.faces)
+
+
+def test_triangulation_matches_lattice_scan_on_corpus(corpus):
+    for entry in corpus:
+        _assert_triangulation_matches_reference(entry.poly)
+
+
+@pytest.mark.parametrize(
+    "p", TRIANGULATION_INPUTS,
+    ids=[f"{p.mode}-n{p.nvars}-{len(p.terms)}terms-{i}"
+         for i, p in enumerate(TRIANGULATION_INPUTS)],
+)
+def test_triangulation_matches_lattice_scan(p):
+    _assert_triangulation_matches_reference(p)
+
+
+def test_seeded_draws_have_non_simplicial_facets():
+    draws = _non_simplicial_draws()
+    assert {(p.nvars, p.mode) for p in draws} == {
+        (n, mode) for n in (4, 5, 6) for mode in (GLOBAL, LOCAL)
+    }
+    assert not any(build_model(p).simplicial_fan for p in draws)
+
+
+# the commands that read the volume, the triangulation, the box points,
+# the census or the restrictions, and never the face lattice
+LATTICE_FREE_COMMANDS = ["volume", "spectrum", "spec-infinity", "milnor", "delta", "ehrhart",
+                         "product-table"]
+
+
+def _run_quietly(command, p):
+    argv = [command, str(p), "--vars", ",".join(p.names)] + (["--local"] * (p.mode == LOCAL))
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        return main(argv)
+
+
+def test_lattice_free_commands_build_no_lattice(corpus, monkeypatch):
+    def refuse(self):
+        raise AssertionError("face lattice built")
+
+    monkeypatch.setattr(polytope.PolytopeModel, "_face_lattice", refuse)
+    # every command on the corpus and the pinned hulls but the last two,
+    # where spectrum alone takes seconds; on those, volume and the
+    # triangulation that the box route reads
+    polys = [entry.poly for entry in corpus]
+    polys += [_pinned_poly(mode, support) for mode, support, _ in PINNED_HULLS[:-2]]
+    for p in polys:
+        for command in LATTICE_FREE_COMMANDS:
+            assert _run_quietly(command, p) == 0, (command, str(p))
+    for mode, support, _ in PINNED_HULLS[-2:]:
+        p = _pinned_poly(mode, support)
+        assert _run_quietly("volume", p) == 0
+        model = build_model(p)
+        assert model.triangulation()
+        assert not model.simplicial_fan
+
+
+def test_check_and_orbifold_build_the_lattice_once(corpus, monkeypatch):
+    build = polytope.PolytopeModel._face_lattice
+    built = []
+
+    def counted(self):
+        built.append(self)
+        return build(self)
+
+    monkeypatch.setattr(polytope.PolytopeModel, "_face_lattice", counted)
+    # check on the pinned hulls with a non-simplicial fan takes seconds
+    # and reads no lattice, as the corpus's non-simplicial inputs show
+    polys = [entry.poly for entry in corpus]
+    polys += [
+        p for p in (_pinned_poly(mode, support) for mode, support, _ in PINNED_HULLS[:-2])
+        if build_model(p).simplicial_fan
+    ]
+    for p in polys:
+        simplicial = build_model(p).simplicial_fan
+        for command in ("check", "orbifold"):
+            built.clear()
+            code = _run_quietly(command, p)
+            # the orbifold, Hodge-Deligne and shift checks read the lattice
+            # of p's own model, and no restriction's
+            assert len(built) == simplicial, (command, str(p))
+            assert code == (0 if simplicial or command == "check" else 1), (command, str(p))
