@@ -4,7 +4,7 @@
 matrices -- n is the number of variables of the input polynomial -- and
 use Bareiss's elimination, in which every entry is a minor of the input
 and each division is exact.  ``bareiss`` is the integer elimination
-behind these three, and ``box_points`` calls it directly.
+behind these three.
 
 The graded blocks are Macaulay-style matrices of the logarithmic-
 derivative relations: hundreds of columns with a few percent of their

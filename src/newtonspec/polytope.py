@@ -19,13 +19,13 @@ The mask also locates the smallest cone of a point: its face is the
 common vertex set of the masked facet forms, cut down to the vertices
 that vanish wherever the point does.
 
-The half-open box of a simplex comes from one fraction-free (Bareiss)
-Gauss-Jordan elimination of its vertex matrix beside the identity.  The
-independent coordinates it finds are fixed one at a time, each over the
-interval that keeps every coordinate q of the point in [0, 1) within
-reach, as the census does with its forms below; so the scan reaches the
-d lattice points of one parallelepiped and no others, and each test is
-an integer one.
+The half-open box of a simplex, with its vertices as the rows of V, is
+the finite group (Z^n meet span V) / Z*V, one point per class.  A
+diagonal form U*V*W = diag(s), U and W unimodular (Cohen, *A Course in
+Computational Algebraic Number Theory*, 1993, section 2.4), gives the
+group's generators, one of order s_i per row of U, and an odometer over
+their digits reaches each of its prod(s) points once, in the integers,
+with no candidate rejected.
 
 The lattice census (the points with nu(v) <= T, grouped by value) walks
 only that region, not a bounding box: with one integer partial sum per
@@ -61,8 +61,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
-from operator import itemgetter, mul
+from math import factorial, lcm, prod
+from operator import add, mul, sub
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -114,10 +114,10 @@ class Face:
 class BoxPoint:
     """A lattice point of the half-open parallelepiped of a simplex face.
 
-    ``value`` is nu(point) * L, L the model's ``value_scale``; ``dq`` is
-    d * q for the face's elimination denominator ``d`` > 0, so the
-    coordinates are q = dq / d.  ``q`` and ``nu`` build the rationals on
-    demand.
+    ``value`` is nu(point) * L, L the model's ``value_scale``; ``d`` is
+    the order of the face's box group, the number of points in its box,
+    and ``dq`` is d * q, so the coordinates are q = dq / d.  ``q`` and
+    ``nu`` build the rationals on demand.
     """
 
     point: Vec
@@ -148,6 +148,50 @@ def _bits(mask: int) -> Tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def _diagonal_form(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int]]:
+    """``(U, s)`` with U unimodular, s > 0 and U*V*W = diag(s) for some
+    unimodular W, V the k x n integer matrix ``rows`` of rank k.
+
+    Each round moves an entry of least absolute value in the rows and
+    columns not yet done to the corner, clears its column by row
+    operations, which U records, and its row by column operations, which
+    touch V alone, and repeats until only the corner is left in both.
+    The s need not divide one another.  Fewer than k nonzero corners
+    mean that the rows are dependent: ``InternalCheckError``.
+    """
+    a = [list(row) for row in rows]
+    k = len(a)
+    n = len(a[0]) if k else 0
+    u = [[int(i == j) for j in range(k)] for i in range(k)]
+    s = []
+    for t in range(k):
+        while True:
+            pivots = [(abs(a[i][j]), i, j) for i in range(t, k) for j in range(t, n) if a[i][j]]
+            if not pivots:
+                raise InternalCheckError("face vertices are linearly dependent")
+            _, i, j = min(pivots)
+            a[t], a[i] = a[i], a[t]
+            u[t], u[i] = u[i], u[t]
+            for row in a[t:]:
+                row[t], row[j] = row[j], row[t]
+            p = a[t][t]
+            for i in range(t + 1, k):
+                f = a[i][t] // p
+                a[i] = [x - f * y for x, y in zip(a[i], a[t])]
+                u[i] = [x - f * y for x, y in zip(u[i], u[t])]
+            for j in range(t + 1, n):
+                f = a[t][j] // p
+                for row in a[t:]:
+                    row[j] -= f * row[t]
+            # what is left in the corner's row and column is smaller than p,
+            # so the next round has a smaller corner
+            if not any(a[i][t] for i in range(t + 1, k)) and not any(a[t][t + 1:]):
+                break
+        # a column sign flip, left to W, makes the corner positive
+        s.append(abs(p))
+    return u, s
 
 
 # ---------------------------------------------------------------------------
@@ -331,29 +375,25 @@ class PolytopeModel:
 
         These are the v in N^n with v = sum q_l * b_l over the face's
         vertices and every q_l in [0, 1).  The face must be a simplex so
-        that the coordinates q are unique.  One fraction-free Gauss-Jordan
-        elimination of [V | I], V the k x n matrix of the vertices as
-        rows, finds the greedy independent coordinates R as its pivots and
-        gives the rows [d*E*V | d*E], E the inverse of V's columns R.  So
-        d*q = (d*E)^T v_R and d*v = (d*E*V)^T v_R, and the points are the
-        v_R with every 0 <= d*q_l < d and every entry of d*v divisible
-        by d.
+        that the coordinates q are unique.  The points are one of each
+        class of the finite group (Z^n meet span V) / Z*V, V the k x n
+        matrix of the vertices as rows.  With U*V*W = diag(s) from
+        :func:`_diagonal_form`, row i of U*V is s_i times a lattice
+        vector, and these k vectors are a basis of Z^n meet span V.  So
+        the group is the direct sum of cyclic groups of orders s_i,
+        generated by the classes with q = U_i / s_i, and it has
+        d = prod(s) elements.
 
-        The coordinates of R are fixed one at a time, with one partial sum
-        per d*q_l.  A coordinate r of a box point is at most its cap, the
-        sum of the vertices' coordinates r less one, so the coordinates
-        after it can add to d*q_l anything from the sum of their negative
-        weights times their caps to that of their positive ones; each
-        coordinate ranges over the interval that keeps every
-        0 <= d*q_l < d within reach.  At the last coordinate nothing is
-        left to add and the interval is exact.  The v_R so found are the
-        lattice points of a half-open parallelepiped of volume d, so
-        there are exactly d of them; only when k < n does the test on the
-        coordinates outside R reject some, and the box keeps a divisor of
-        d of them.  The result list is sized from d before the scan, so a
-        box too large to hold fails at once (``OverflowError``,
-        ``MemoryError``).  Each point carries d*q and nu * L as integers,
-        no ``Fraction``; the points are sorted.
+        The walk is an odometer on the digits 0 <= c_i < s_i: the point
+        with index sum c_i * (s_0 ... s_{i-1}) is the one a digit c_i
+        lower plus generator i, d*q = (d / s_i) * U_i mod d and its point
+        (d*q)*V / d.  Each d*q_l that the addition carries past d is
+        brought back below d, and its vertex is taken off the point.  So
+        each point costs one addition and no candidate is rejected.  The
+        result list is sized d before the walk, so a box too large to hold
+        fails at once (``OverflowError``, ``MemoryError``).  Each point
+        carries d*q and nu * L as integers, no ``Fraction``; the points
+        are sorted.
         """
         key = face.vertex_indices
         if key in self._box_cache:
@@ -363,79 +403,24 @@ class PolytopeModel:
                 f"face with vertices {face.vertex_indices} is not a simplex"
             )
         verts = [self.vertices[i] for i in key]
-        k = len(verts)
-        n = self.n
-        rows, chosen, d, _ = linalg.bareiss(
-            [list(v) + [int(i == j) for j in range(k)] for i, v in enumerate(verts)],
-            n + k, above=True,
-        )
-        if any(c >= n for c in chosen):
-            raise InternalCheckError("face vertices are linearly dependent")
-        if d < 0:
-            rows = [[-x for x in row] for row in rows]
-            d = -d
-        # the scan reaches d points and keeps at most d: sizing the list
-        # first makes a box too large to hold fail before the scan
+        u, s = _diagonal_form(verts)
+        d = prod(s)
         found: list = [None] * d
-        kept = 0
-        if k == 0:
-            found[0] = ((0,) * n, ())
-            kept = 1
-        else:
-            # to_q[j][l]: the weight of x_j = v_{R_j} in d*q_l; to_v[j][i]:
-            # its weight in d*v_i for the coordinates i outside R
-            free = [i for i in range(n) if i not in chosen]
-            to_q = [row[n:] for row in rows]
-            to_v = [[row[i] for i in free] for row in rows]
-            # a point is v_R followed by the free coordinates, put in order
-            place = itemgetter(*map((chosen + free).index, range(n)))
-            caps = [sum(v[i] for v in verts) - 1 for i in chosen]
-            # least[j][l], most[j][l]: what x_{j+1}.. can add to d*q_l
-            least = [[0] * k for _ in range(k)]
-            most = [[0] * k for _ in range(k)]
-            for j in range(k - 2, -1, -1):
-                cap = caps[j + 1]
-                least[j] = [r + min(0, a) * cap for r, a in zip(least[j + 1], to_q[j + 1])]
-                most[j] = [r + max(0, a) * cap for r, a in zip(most[j + 1], to_q[j + 1])]
-            last = k - 1
-            top = d - 1
-            stack = [((), (0,) * k, (0,) * len(free))]
-            while stack:
-                prefix, qs, vs = stack.pop()
-                j = len(prefix)
-                lo, hi = 0, caps[j]
-                for s, a, r_lo, r_hi in zip(qs, to_q[j], least[j], most[j]):
-                    # some rest in [r_lo, r_hi] keeps 0 <= s + a*x + rest <= top
-                    up, down = top - s - r_lo, -s - r_hi
-                    if a > 0:
-                        hi = min(hi, up // a)
-                        lo = max(lo, -(-down // a))
-                    elif a < 0:
-                        lo = max(lo, -(up // -a))
-                        hi = min(hi, -down // -a)
-                    elif up < 0 or down > 0:
-                        hi = -1
-                if lo > hi:
-                    continue
-                wq, wv = to_q[j], to_v[j]
-                if j < last:
-                    for x in range(hi, lo - 1, -1):
-                        stack.append((
-                            prefix + (x,),
-                            tuple([s + a * x for s, a in zip(qs, wq)]),
-                            tuple([s + a * x for s, a in zip(vs, wv)]),
-                        ))
-                    continue
-                for x in range(lo, hi + 1):
-                    point = prefix + (x,)
-                    if free:
-                        nv = [s + a * x for s, a in zip(vs, wv)]
-                        if any(y % d for y in nv):
-                            continue
-                        point = place(point + tuple([y // d for y in nv]))
-                    found[kept] = (point, tuple([s + a * x for s, a in zip(qs, wq)]))
-                    kept += 1
-        del found[kept:]
+        found[0] = ((0,) * self.n, (0,) * len(verts))
+        size = 1
+        for row, order in zip(u, s):
+            step = [x * (d // order) % d for x in row]
+            move = [sum(map(mul, step, col)) // d for col in zip(*verts)]
+            for m in range(size, size * order):
+                point, dq = found[m - size]
+                point = list(map(add, point, move))
+                dq = list(map(add, dq, step))
+                for l, x in enumerate(dq):
+                    if x >= d:
+                        dq[l] = x - d
+                        point = list(map(sub, point, verts[l]))
+                found[m] = (tuple(point), tuple(dq))
+            size *= order
         found.sort()
         # every vertex is at level one, so nu * L = sum(q) * L, an integer
         scale = self.value_scale

@@ -10,7 +10,7 @@ import random
 import weakref
 from datetime import timedelta
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 from operator import mul
 
 import pytest
@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 from newtonspec import (
     GLOBAL,
     LOCAL,
+    Face,
+    InternalCheckError,
     NotSimplexError,
     Poly,
     build_model,
@@ -579,8 +581,9 @@ def test_box_points_match_reference_on_random_supports(seed, n):
 
 
 def _box_elimination(model, face):
-    """The rows [d*E*V | d*E] and d of the elimination of [V | I] that
-    ``box_points`` starts from."""
+    """The rows [d*E*V | d*E] and d of the fraction-free Gauss-Jordan
+    elimination of [V | I]: R is the greedy set of independent
+    coordinates, E the inverse of V's columns R and d V's minor on R."""
     k = len(face.vertex_indices)
     rows, _, d, _ = linalg.bareiss(
         [list(model.vertices[i]) + [int(i == j) for j in range(k)]
@@ -591,11 +594,12 @@ def _box_elimination(model, face):
 
 
 def _box_kinds(model, face):
-    """What the prefix intervals of ``face``'s box meet: "divisibility"
-    when the face has fewer vertices than coordinates and the test on the
-    coordinates outside R rejects some of the d candidates, "negative"
-    when d*E has a negative entry, so that some d*q_l falls as a
-    coordinate grows."""
+    """The kinds of box ``face`` has: "divisibility" when the face has
+    fewer vertices than coordinates and some of the d lattice points of
+    the parallelepiped over R have a coordinate outside R that is not an
+    integer, so the box holds fewer than d points, "negative" when d*E
+    has a negative entry, so that some d*q_l falls as a coordinate in R
+    grows."""
     rows, d = _box_elimination(model, face)
     n = model.n
     kinds = set()
@@ -619,9 +623,9 @@ def test_random_supports_reach_every_kind_of_box():
 
 
 def test_box_holds_a_divisor_of_d_points(corpus):
-    # the parallelepiped over R holds d lattice points; a top simplex
-    # keeps them all, a lower face those whose other coordinates are
-    # integers, a subgroup, so a divisor of d of them
+    # the parallelepiped over R holds d lattice points; the box of a top
+    # simplex is all of them, that of a lower face those whose other
+    # coordinates are integers, a subgroup, so a divisor of d of them
     for entry in corpus:
         m = entry.model
         for face in m.triangulation():
@@ -630,6 +634,42 @@ def test_box_holds_a_divisor_of_d_points(corpus):
             assert d % found == 0
             if len(face.vertex_indices) == m.n:
                 assert found == d
+
+
+def _minor_gcd(rows):
+    """The gcd of the k x k minors of the k x n integer matrix ``rows``."""
+    k, n = len(rows), len(rows[0])
+    return gcd(*(
+        linalg.int_det([[row[j] for j in cols] for row in rows])
+        for cols in itertools.combinations(range(n), k)
+    ))
+
+
+def test_diagonal_form_on_random_matrices():
+    rng = random.Random(23)
+    tried = 0
+    while tried < 300:
+        n = rng.randint(1, 6)
+        k = rng.randint(1, n)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(k)]
+        if linalg.rank(rows, n) < k:
+            continue
+        tried += 1
+        u, s = polytope._diagonal_form(rows)
+        assert abs(linalg.int_det(u)) == 1, rows
+        assert all(x > 0 for x in s), rows
+        assert prod(s) == _minor_gcd(rows), rows
+        for row, order in zip(u, s):
+            uv = [sum(map(mul, row, col)) for col in zip(*rows)]
+            assert all(x % order == 0 for x in uv), rows
+
+
+def test_box_points_on_dependent_vertices_fail_the_internal_check(square_model):
+    # three vertices in the plane, flagged as a simplex by mistake
+    face = Face(vertex_indices=(0, 1, 2), dim=2, in_coordinate_hyperplane=False,
+                is_simplex=True)
+    with pytest.raises(InternalCheckError, match="linearly dependent"):
+        square_model.box_points(face)
 
 
 @pytest.mark.parametrize("text", NEGATIVE_FORM_POLYS)
@@ -1147,6 +1187,28 @@ def test_seeded_draws_have_non_simplicial_facets():
         (n, mode) for n in (4, 5, 6) for mode in (GLOBAL, LOCAL)
     }
     assert not any(build_model(p).simplicial_fan for p in draws)
+
+
+@pytest.mark.parametrize(
+    "p", TRIANGULATION_INPUTS,
+    ids=[f"{p.mode}-n{p.nvars}-{len(p.terms)}terms-{i}"
+         for i, p in enumerate(TRIANGULATION_INPUTS)],
+)
+def test_box_points_fill_the_box_group(p):
+    # distinct points of the box, as many as the group has elements (the
+    # gcd of the k x k minors), are the whole box
+    model = build_model(p)
+    for face in model.triangulation():
+        verts = [model.vertices[i] for i in face.vertex_indices]
+        points = model.box_points(face)
+        assert len({bp.point for bp in points}) == len(points) == _minor_gcd(verts)
+        for bp in points:
+            assert bp.d == len(points)
+            assert all(0 <= x < bp.d for x in bp.dq)
+            assert all(x >= 0 for x in bp.point)
+            assert [sum(map(mul, bp.dq, col)) for col in zip(*verts)] == [
+                bp.d * x for x in bp.point
+            ], (face, bp)
 
 
 # the commands that read the volume, the triangulation, the box points,
