@@ -7,31 +7,33 @@ integer (normal, level) and the bitmask of the points on it; adjacency
 is read from those masks, so after the n + 1 kernel solves of the
 simplex every step is an integer dot product, a combination of two
 facets or a mask test.  No ``Fraction`` is built.
+
+The masks leave the module as they are, as each :class:`HullFacet`'s
+contact and as the :func:`hull_vertices` mask; no set is built.
 """
 
 from __future__ import annotations
 
 from math import gcd
 from operator import mul
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from . import linalg
 
 Vec = Tuple[int, ...]
 
 
-class HullFacet:
-    __slots__ = ("normal", "level", "contact", "vertex_set")
+class HullFacet(NamedTuple):
+    """A facet <normal, x> <= level of the hull, (normal, level) primitive
+    integers; bit i of ``contact`` is set when point i lies on it."""
 
-    def __init__(self, normal, level, contact):
-        self.normal = normal          # tuple[int], outward: <h, x> <= level
-        self.level = level            # int; (normal, level) is primitive
-        self.contact = contact        # frozenset of point indices on the facet
-        self.vertex_set = None        # filled in once hull vertices are known
+    normal: Vec
+    level: int
+    contact: int
 
 
 def enumerate_facets(points: Sequence[Vec], n: int) -> List[HullFacet]:
-    """All facets of conv(points), with outward normals and contact sets.
+    """All facets of conv(points), with outward normals and contact masks.
 
     The double description method (Fukuda and Prodon, 1996), in the
     integers.  A facet is the ray r = (h, c) of the cone of inequalities
@@ -45,13 +47,12 @@ def enumerate_facets(points: Sequence[Vec], n: int) -> List[HullFacet]:
     new ray s+ * r- - s- * r+, on which p is tight.  Two rays are adjacent
     when their common tight set holds at least n - 1 points and lies in
     the tight set of no third ray.  At the end every point has been seen,
-    so each tight set is the facet's contact set.  Facets are sorted by
+    so each tight set is the facet's contact mask.  Facets are sorted by
     (h, c); without n + 1 affinely independent points there are none.
     """
-    npts = len(points)
     simplex = [0]
     rows: list = []
-    for i in range(1, npts):
+    for i in range(1, len(points)):
         row = [a - b for a, b in zip(points[i], points[0])]
         if linalg.rank(rows + [row], n) > len(rows):
             rows.append(row)
@@ -100,19 +101,18 @@ def enumerate_facets(points: Sequence[Vec], n: int) -> List[HullFacet]:
                 g = gcd(*r)
                 kept.append((tuple(x // g for x in r), common | bit))
         rays = kept
-    return [
-        HullFacet(r[:-1], r[-1], frozenset(i for i in range(npts) if tight >> i & 1))
-        for r, tight in sorted(rays)
-    ]
+    return [HullFacet(r[:-1], r[-1], tight) for r, tight in sorted(rays)]
 
 
-def hull_vertices(npts: int, facets: Sequence[HullFacet]) -> List[int]:
-    verts = []
+def hull_vertices(npts: int, facets: Sequence[HullFacet]) -> int:
+    """The bitmask of the hull's vertices: the points i where the facets
+    through i meet in i alone."""
+    verts = 0
     for i in range(npts):
-        meets = [f.contact for f in facets if i in f.contact]
-        if not meets:
-            continue
-        common = frozenset.intersection(*meets)
-        if common == {i}:
-            verts.append(i)
+        common = -1
+        for f in facets:
+            if f.contact >> i & 1:
+                common &= f.contact
+        if common == 1 << i:
+            verts |= common
     return verts

@@ -37,15 +37,18 @@ public views (:meth:`PolytopeModel.value_histogram`,
 reads the facet forms alone, never the triangulation or the box points,
 so the oracle built on it checks the box route independently.
 
-The hull comes from :mod:`newtonspec.hull`, in the integers; only the
-level-one facet forms of the model are rational.  The hull never leaves
-:func:`build_model`: the model keeps the facet forms and the walls, the
-vertex bitmasks of all the hull facets cut down to the model vertices,
-and nothing else of the hull they came from.
+The hull comes from :mod:`newtonspec.hull`, in the integers, with each
+facet's points and the hull's vertices as bitmasks; only the level-one
+facet forms of the model are rational.  :func:`build_model` remaps the
+hull masks onto the model vertices, dropping the points that are no
+vertices of the Newton boundary, and keeps the facet forms and the walls
+(all the hull facets' masks so cut down) and nothing else of the hull.
 
 A face is the bitmask of the model vertices on it, and the faces one
 dimension down inside a face are its ridges: its largest proper
 intersections with the walls, or, for a simplex, itself less one vertex.
+A face lies in a coordinate hyperplane when it misses the mask of the
+vertices that are nonzero on some coordinate.
 The pulling triangulation reads the ridges of the faces that are not
 simplices only, memoised per model; a simplex facet is its own piece.
 So the volume and the box route build no face lattice.  The lattice is
@@ -62,7 +65,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, prod
-from operator import add, mul, sub
+from operator import add, mul, or_, sub
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -134,12 +137,6 @@ class BoxPoint:
         return Fraction(sum(self.dq), self.d)
 
 
-def _make_face(vertices: Sequence[Vec], vidx: Tuple[int, ...], dim: int) -> Face:
-    in_hyp = any(all(vertices[i][j] == 0 for i in vidx) for j in range(len(vertices[0])))
-    return Face(vertex_indices=vidx, dim=dim, in_coordinate_hyperplane=in_hyp,
-                is_simplex=len(vidx) == dim + 1)
-
-
 def _bits(mask: int) -> Tuple[int, ...]:
     """The indices of the set bits of ``mask``, ascending."""
     out = []
@@ -209,17 +206,22 @@ class PolytopeModel:
     points never read it.
     """
 
-    def __init__(self, mode, n, vertices, facets, walls, zero_cone):
+    # the cone of the zero vector, the same in every model
+    zero_cone = Face(vertex_indices=(), dim=-1, in_coordinate_hyperplane=True, is_simplex=True)
+
+    def __init__(self, mode, n, vertices, facets, walls):
         self.mode = mode
         self.n = n
         self.vertices: Tuple[Vec, ...] = vertices
         self.facets: Tuple[FacetForm, ...] = facets
-        self.zero_cone: Face = zero_cone
         # every face lies in a facet and every face of a simplex is a
         # simplex, so the fan is simplicial when every facet is
         self.simplicial_fan: bool = all(len(ff.vertex_indices) == n for ff in facets)
         self._facet_masks = tuple(sum(1 << i for i in ff.vertex_indices) for ff in facets)
         self._walls: Tuple[int, ...] = walls
+        # bit i of _support[j] is set when vertex i has a nonzero coordinate j
+        self._support = tuple(sum(1 << i for i, v in enumerate(vertices) if v[j])
+                              for j in range(n))
         self._ridge_memo: dict = {}
         # L, the lcm of the form denominators, and the forms scaled by it:
         # nu(v) * L is the max (global) or min (local) of their integer dot
@@ -235,6 +237,13 @@ class PolytopeModel:
         self._census_groups: dict = {}
         self._triangulation: Optional[Tuple[Face, ...]] = None
         self._volume: Optional[int] = None
+
+    def _face(self, mask: int, dim: int) -> Face:
+        """The face with vertex bitmask ``mask`` and dimension ``dim``."""
+        vidx = _bits(mask)
+        return Face(vertex_indices=vidx, dim=dim,
+                    in_coordinate_hyperplane=any(not mask & s for s in self._support),
+                    is_simplex=len(vidx) == dim + 1)
 
     # -- faces ------------------------------------------------------------
 
@@ -261,24 +270,17 @@ class PolytopeModel:
         vertices.  The facets make the top level; the faces one level
         down are the ridges of those of this level, a simplex's being
         itself less one vertex.  A face's dimension is its level."""
-        vertices = self.vertices
-        nonzero = [
-            sum(1 << i for i, v in enumerate(vertices) if v[j]) for j in range(self.n)
-        ]
         faces = []
         level = set(self._facet_masks)
         for dim in range(self.n - 1, -1, -1):
             below = set()
             for f in level:
-                vidx = _bits(f)
-                simplex = len(vidx) == dim + 1
-                faces.append(Face(vertex_indices=vidx, dim=dim,
-                                  in_coordinate_hyperplane=any(not f & nz for nz in nonzero),
-                                  is_simplex=simplex))
+                face = self._face(f, dim)
+                faces.append(face)
                 if dim == 0:
                     continue
-                if simplex:
-                    below.update(f ^ (1 << i) for i in vidx)
+                if face.is_simplex:
+                    below.update(f ^ (1 << i) for i in face.vertex_indices)
                 else:
                     below.update(self._ridges(f))
             level = below
@@ -299,7 +301,7 @@ class PolytopeModel:
 
     @functools.cached_property
     def _face_index(self) -> dict:
-        return {frozenset(f.vertex_indices): i for i, f in enumerate(self.faces)}
+        return {sum(1 << i for i in f.vertex_indices): k for k, f in enumerate(self.faces)}
 
     # -- Newton function ----------------------------------------------
 
@@ -308,11 +310,18 @@ class PolytopeModel:
         pick = max if self.mode == GLOBAL else min
         return pick(sum(map(mul, w, v)) for w in self._scaled_forms)
 
-    def newton_value(self, v: Sequence[int]) -> Fraction:
-        """nu(v): max of the facet forms in global mode, min in local mode."""
+    def _exponent(self, v: Sequence[int]) -> Vec:
+        """v as a tuple, checked to be a point of N^n."""
         v = tuple(v)
+        if len(v) != self.n:
+            raise InputError(f"{v} does not have n = {self.n} coordinates")
         if any(x < 0 for x in v):
             raise InputError(f"{v} has negative coordinates")
+        return v
+
+    def newton_value(self, v: Sequence[int]) -> Fraction:
+        """nu(v): max of the facet forms in global mode, min in local mode."""
+        v = self._exponent(v)
         if not any(v):
             return Fraction(0)
         return Fraction(self._scaled_value(v), self.value_scale)
@@ -349,21 +358,18 @@ class PolytopeModel:
         So the face is the common vertex set of the masked forms, cut down
         to the vertices that are 0 wherever v is.
         """
-        v = tuple(v)
-        if any(x < 0 for x in v):
-            raise InputError(f"{v} has negative coordinates")
+        v = self._exponent(v)
         if not any(v):
             return self.zero_cone
         mask = self.cone_key(v)[1]
-        common = frozenset.intersection(*(
-            frozenset(ff.vertex_indices)
-            for i, ff in enumerate(self.facets) if mask >> i & 1
-        ))
-        zeros = [j for j, x in enumerate(v) if not x]
-        face_set = frozenset(
-            i for i in common if not any(self.vertices[i][j] for j in zeros)
-        )
-        idx = self._face_index.get(face_set)
+        face = -1
+        for i, facet in enumerate(self._facet_masks):
+            if mask >> i & 1:
+                face &= facet
+        for x, support in zip(v, self._support):
+            if not x:
+                face &= ~support
+        idx = self._face_index.get(face)
         if idx is None:
             raise InternalCheckError(f"face lookup failed for {v}")
         return self.faces[idx]
@@ -430,8 +436,9 @@ class PolytopeModel:
 
     # -- triangulation, volumes and lattice counts ----------------------
 
+    @functools.cached_property
     def _top_simplices(self) -> List[Tuple[int, ...]]:
-        """Top-dimensional simplices of the pulling triangulation.
+        """Top-dimensional simplices of the pulling triangulation, once.
 
         A face that is not a simplex is coned from its first vertex over
         the pieces of its ridges that miss that vertex.  The cut of a
@@ -471,16 +478,15 @@ class PolytopeModel:
         vertex sits at level one and nu is linear on the cone over each.
         """
         if self._triangulation is None:
-            simplices = {
-                sub
-                for piece in self._top_simplices()
-                for k in range(1, len(piece) + 1)
-                for sub in itertools.combinations(piece, k)
-            }
-            self._triangulation = tuple(
-                _make_face(self.vertices, s, len(s) - 1)
-                for s in sorted(simplices, key=lambda s: (len(s), s))
-            )
+            simplices = set()
+            for piece in self._top_simplices:
+                top = sub = sum(1 << i for i in piece)
+                while sub:   # every nonempty submask of the piece
+                    simplices.add(sub)
+                    sub = (sub - 1) & top
+            faces = sorted((self._face(s, s.bit_count() - 1) for s in simplices),
+                           key=lambda f: (f.dim, f.vertex_indices))
+            self._triangulation = tuple(faces)
         return self._triangulation
 
     def normalized_volume(self) -> int:
@@ -493,7 +499,7 @@ class PolytopeModel:
         if self._volume is None:
             self._volume = sum(
                 abs(linalg.int_det([list(self.vertices[i]) for i in piece]))
-                for piece in self._top_simplices()
+                for piece in self._top_simplices
             )
         return self._volume
 
@@ -642,7 +648,7 @@ def build_model(p: Poly) -> PolytopeModel:
     support = tuple(sorted(p.terms))
     if p.mode == GLOBAL:
         pts = list(dict.fromkeys(((0,) * n,) + support))
-        forbidden = {pts.index((0,) * n)}
+        forbidden = 1 << pts.index((0,) * n)
     else:
         top = max(c for v in support for c in v)
         anchor_scale = factorial(n) * top**n + top + 1
@@ -650,17 +656,13 @@ def build_model(p: Poly) -> PolytopeModel:
             tuple(anchor_scale if j == i else 0 for j in range(n)) for i in range(n)
         )
         pts = list(dict.fromkeys(support + anchors))
-        forbidden = {pts.index(a) for a in anchors}
+        forbidden = sum(1 << pts.index(a) for a in anchors)
 
     hull_facets = enumerate_facets(pts, n)
     if not hull_facets:
         raise InternalCheckError("support is not full dimensional")
-    hull_verts = hull_vertices(len(pts), hull_facets)
-    vert_set = set(hull_verts)
-    for hf in hull_facets:
-        hf.vertex_set = frozenset(i for i in hf.contact if i in vert_set)
 
-    nb_hull = [hf for hf in hull_facets if not (hf.contact & forbidden)]
+    nb_hull = [hf for hf in hull_facets if not hf.contact & forbidden]
     if not nb_hull:
         raise InternalCheckError("no Newton-boundary facet found")
 
@@ -678,28 +680,23 @@ def build_model(p: Poly) -> PolytopeModel:
             raise InternalCheckError("compact facet without strictly positive normal")
         normals.append(u)
 
-    # model vertex list: vertices of the Newton boundary, sorted
-    nb_vertex_hull = sorted(set().union(*(hf.vertex_set for hf in nb_hull)))
-    vertices = tuple(sorted(pts[i] for i in nb_vertex_hull))
-    hull_to_model = {i: vertices.index(pts[i]) for i in nb_vertex_hull}
+    # the model vertices are the hull vertices on the Newton boundary,
+    # sorted; model vertex k is hull point hull_index[k]
+    boundary = functools.reduce(or_, (hf.contact for hf in nb_hull))
+    hull_index = sorted(_bits(boundary & hull_vertices(len(pts), hull_facets)),
+                        key=pts.__getitem__)
+    vertices = tuple(pts[i] for i in hull_index)
 
-    order = sorted(range(len(nb_hull)), key=lambda i: normals[i])
+    def to_model(contact: int) -> int:
+        """A hull contact mask as the mask of the model vertices in it."""
+        return sum(1 << k for k, i in enumerate(hull_index) if contact >> i & 1)
+
     facet_forms = [
-        FacetForm(normal=normals[i],
-                  vertex_indices=tuple(sorted(hull_to_model[j] for j in nb_hull[i].vertex_set)))
-        for i in order
+        FacetForm(normal=u, vertex_indices=_bits(to_model(hf.contact)))
+        for u, hf in sorted(zip(normals, nb_hull), key=lambda pair: pair[0])
     ]
-
     # the walls: every hull facet as a bitmask over the model vertices
-    bit = {j: 1 << k for j, k in hull_to_model.items()}
-    walls = tuple({sum(bit.get(j, 0) for j in hf.vertex_set) for hf in hull_facets})
-
-    zero_cone = Face(
-        vertex_indices=(),
-        dim=-1,
-        in_coordinate_hyperplane=True,
-        is_simplex=True,
-    )
+    walls = tuple({to_model(hf.contact) for hf in hull_facets})
 
     model = PolytopeModel(
         mode=p.mode,
@@ -707,7 +704,6 @@ def build_model(p: Poly) -> PolytopeModel:
         vertices=vertices,
         facets=tuple(facet_forms),
         walls=walls,
-        zero_cone=zero_cone,
     )
 
     # sanity: the defining inequalities really hold on the support

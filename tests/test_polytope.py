@@ -21,10 +21,12 @@ from newtonspec import (
     GLOBAL,
     LOCAL,
     Face,
+    InputError,
     InternalCheckError,
     NotSimplexError,
     Poly,
     build_model,
+    hodge_deligne,
     hull,
     linalg,
     parse_polynomial,
@@ -96,6 +98,30 @@ def test_newton_value(square_model, quintic_model):
     assert square_model.newton_value((1, 1)) == frac("1/2")
     assert square_model.newton_value((0, 0)) == 0
     assert quintic_model.newton_value((2, 1)) == frac("7/10")
+
+
+def test_vectors_of_the_wrong_length_are_refused(square_model):
+    # the model is in n = 2 variables; a shorter or longer vector was
+    # silently truncated by the dot products
+    for v in ((1,), (1, 1, 5), (2,), ()):
+        with pytest.raises(InputError, match="n = 2"):
+            square_model.newton_value(v)
+        with pytest.raises(InputError, match="n = 2"):
+            square_model.smallest_cone(v)
+        with pytest.raises(InputError, match="n = 2"):
+            hodge_deligne(square_model, v)
+    with pytest.raises(InputError, match="negative"):
+        square_model.newton_value((1, -1))
+    with pytest.raises(InputError, match="negative"):
+        square_model.smallest_cone((-1, 0))
+
+
+def test_zero_cone_is_one_face_for_every_model(square_model, quintic_model):
+    zero = Face(vertex_indices=(), dim=-1, in_coordinate_hyperplane=True, is_simplex=True)
+    assert polytope.PolytopeModel.zero_cone == zero
+    assert square_model.zero_cone is quintic_model.zero_cone
+    assert square_model.smallest_cone((0, 0)) == zero
+    assert quintic_model.zero_cone.cone_dim == 0
 
 
 def test_newton_value_on_support_points(corpus):
@@ -233,20 +259,25 @@ def _hull_points(p):
     return list(dict.fromkeys(support + anchors))
 
 
+def _indices(mask):
+    """The indices of the set bits of ``mask``, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def _hull_reference(p, model):
     """The hull facets of the point set that ``build_model`` reads, each
-    with the set of hull vertices on it, and the map from hull vertices
-    to model vertices."""
+    paired with the set of hull vertices on it, and the map from hull
+    vertices to model vertices."""
     n = model.n
     pts = _hull_points(p)
     hull_facets = hull.enumerate_facets(pts, n)
-    hull_verts = set(hull.hull_vertices(len(pts), hull_facets))
-    for hf in hull_facets:
-        hf.vertex_set = frozenset(i for i in hf.contact if i in hull_verts)
+    hull_verts = set(_indices(hull.hull_vertices(len(pts), hull_facets)))
+    vertex_sets = [frozenset(i for i in _indices(hf.contact) if i in hull_verts)
+                   for hf in hull_facets]
     hull_to_model = {
         i: model.vertices.index(pts[i]) for i in hull_verts if pts[i] in model.vertices
     }
-    return hull_facets, hull_to_model
+    return list(zip(hull_facets, vertex_sets)), hull_to_model
 
 
 def _reference_smallest_cone(model, reference, v):
@@ -263,13 +294,13 @@ def _reference_smallest_cone(model, reference, v):
     # v * den / num lies on <h, x> = level exactly when
     # <h, v> * den == level * num, as num > 0
     meets = [
-        hf.vertex_set for hf in hull_facets
+        vertex_set for hf, vertex_set in hull_facets
         if sum(map(mul, hf.normal, v)) * den == hf.level * num
     ]
     assert meets, f"{v} lies on no boundary facet"
     common = frozenset.intersection(*meets)
-    model_set = frozenset(hull_to_model[i] for i in common)
-    idx = model._face_index.get(model_set)
+    model_mask = sum(1 << hull_to_model[i] for i in common)
+    idx = model._face_index.get(model_mask)
     assert idx is not None, f"face lookup failed for {v}"
     return model.faces[idx]
 
@@ -790,6 +821,31 @@ def test_hull_output_is_pinned_in_higher_dimension(mode, support, digest):
     assert all(type(x) is Fraction for ff in model.facets for x in ff.normal)
 
 
+@pytest.mark.parametrize("text,mode,point", [
+    ("u^2 + u*v + v^2", GLOBAL, (1, 1)),
+    ("x^4 + x^2*y^2 + y^4", LOCAL, (2, 2)),
+])
+def test_support_point_inside_a_face_is_no_vertex(text, mode, point):
+    # the point lies on the segment between the two pure powers: it is in
+    # that facet's contact mask but is no vertex of the hull or the model
+    p = parse_polynomial(text, mode=mode)
+    pts = _hull_points(p)
+    bit = 1 << pts.index(point)
+    facets = hull.enumerate_facets(pts, p.nvars)
+    through = [hf for hf in facets if hf.contact & bit]
+    assert len(through) == 1
+    assert through[0].normal[0] == through[0].normal[1]
+    assert not hull.hull_vertices(len(pts), facets) & bit
+    model = build_model(p)
+    assert point not in model.vertices
+    ends = tuple(sorted(v for v in model.vertices if 0 in v))
+    assert [tuple(model.vertices[i] for i in ff.vertex_indices) for ff in model.facets] == [ends]
+    # model masks and indices name model vertices only
+    assert all(w >> len(model.vertices) == 0 for w in model._walls)
+    assert point not in [model.vertices[i] for f in model.faces for i in f.vertex_indices]
+    assert model.smallest_cone(point).vertex_indices == model.facets[0].vertex_indices
+
+
 def test_hull_scan_is_integer_only(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("Fraction built in the hull scan")
@@ -802,10 +858,11 @@ def test_hull_scan_is_integer_only(monkeypatch):
         for hf in hull.enumerate_facets(points, len(support[0])):
             assert all(type(x) is int for x in hf.normal + (hf.level,))
             assert gcd(hf.level, *hf.normal) == 1
+            assert type(hf.contact) is int
 
 
 def _exhaustive_facets(points, n):
-    """All facets of conv(points), with outward normals and contact sets.
+    """All facets of conv(points), with outward normals and contact masks.
 
     Every n-subset of the points spans a candidate hyperplane <h, x> = c
     with h an integer kernel vector; it is a facet when all points lie on
@@ -837,7 +894,7 @@ def _exhaustive_facets(points, n):
         key = tuple(x // g for x in h) + (c // g,)
         if key in facets:
             continue
-        contact = frozenset(i for i, v in enumerate(vals) if v == c)
+        contact = sum(1 << i for i, v in enumerate(vals) if v == c)
         facets[key] = hull.HullFacet(key[:-1], key[-1], contact)
     return [facets[k] for k in sorted(facets)]
 
@@ -930,7 +987,9 @@ def test_hull_matches_exhaustive_scan_in_any_point_order(drawn):
     assert got == _facet_list(_exhaustive_facets(points, n))
     # point k of the shuffled list is point perm[k] of the original
     shuffled = hull.enumerate_facets([points[i] for i in perm], n)
-    assert [(f.normal, f.level, frozenset(perm[k] for k in f.contact)) for f in shuffled] == got
+    assert [
+        (f.normal, f.level, sum(1 << perm[k] for k in _indices(f.contact))) for f in shuffled
+    ] == got
 
 
 def test_hull_makes_at_most_n_plus_one_kernel_solves(monkeypatch):
@@ -982,6 +1041,16 @@ def _affine_dim(vectors):
     return linalg.rank(rows, len(base))
 
 
+def _make_face(vertices, vidx, dim):
+    """The face of the model vertices ``vertices`` with indices ``vidx`` and
+    dimension ``dim``, read off the coordinates.  Kept from before the
+    model tested coordinate hyperplanes on vertex bitmasks, as the
+    reference."""
+    in_hyp = any(all(vertices[i][j] == 0 for i in vidx) for j in range(len(vertices[0])))
+    return Face(vertex_indices=vidx, dim=dim, in_coordinate_hyperplane=in_hyp,
+                is_simplex=len(vidx) == dim + 1)
+
+
 def _closure_faces(p, model):
     """The faces of the Newton boundary: every hull facet's vertex set
     closed under pairwise intersection, kept when it lies in a
@@ -995,10 +1064,10 @@ def _closure_faces(p, model):
     hull_facets, hull_to_model = _hull_reference(p, model)
     vertices = model.vertices
     nb_vsets_model = [
-        frozenset(hull_to_model[i] for i in hf.vertex_set)
-        for hf in hull_facets if hf.vertex_set <= hull_to_model.keys()
+        frozenset(hull_to_model[i] for i in vertex_set)
+        for _, vertex_set in hull_facets if vertex_set <= hull_to_model.keys()
     ]
-    all_vsets = [hf.vertex_set for hf in hull_facets if hf.vertex_set]
+    all_vsets = [vertex_set for _, vertex_set in hull_facets if vertex_set]
     closure = set(all_vsets)
     frontier = list(closure)
     while frontier:
@@ -1019,7 +1088,7 @@ def _closure_faces(p, model):
     faces = []
     for wset in sorted(nb_faces_sets, key=lambda s: (len(s), tuple(sorted(s)))):
         vidx = tuple(sorted(wset))
-        faces.append(polytope._make_face(vertices, vidx, _affine_dim([vertices[i] for i in vidx])))
+        faces.append(_make_face(vertices, vidx, _affine_dim([vertices[i] for i in vidx])))
     faces.sort(key=lambda f: (f.dim, f.vertex_indices))
     return faces
 
@@ -1152,7 +1221,7 @@ def _assert_triangulation_matches_reference(p):
     # a fresh model: the triangulation runs before anything reads the
     # face lattice, then the reference reads it
     model = build_model(p)
-    got = model._top_simplices()
+    got = model._top_simplices
     triangulation = model.triangulation()
     want = _reference_top_simplices(model)
     assert got == want, model.to_json()
@@ -1161,7 +1230,7 @@ def _assert_triangulation_matches_reference(p):
         for sub in itertools.combinations(piece, k)
     }
     assert triangulation == tuple(
-        polytope._make_face(model.vertices, s, len(s) - 1)
+        _make_face(model.vertices, s, len(s) - 1)
         for s in sorted(simplices, key=lambda s: (len(s), s))
     )
     assert model.simplicial_fan == all(f.is_simplex for f in model.faces)
@@ -1179,6 +1248,26 @@ def test_triangulation_matches_lattice_scan_on_corpus(corpus):
 )
 def test_triangulation_matches_lattice_scan(p):
     _assert_triangulation_matches_reference(p)
+
+
+def test_triangulation_and_volume_pull_once(monkeypatch):
+    pull = polytope.PolytopeModel._pull
+    calls = []
+
+    def counted(self, face, dim, memo):
+        calls.append(face)
+        return pull(self, face, dim, memo)
+
+    monkeypatch.setattr(polytope.PolytopeModel, "_pull", counted)
+    for support in NON_SIMPLICIAL_SUPPORTS:
+        for first, second in (("triangulation", "normalized_volume"),
+                              ("normalized_volume", "triangulation")):
+            model = build_model(_pinned_poly(GLOBAL, support))
+            calls.clear()
+            getattr(model, first)()
+            once = len(calls)
+            getattr(model, second)()
+            assert len(calls) == once > len(model.facets), (support, first)
 
 
 def test_seeded_draws_have_non_simplicial_facets():
@@ -1228,17 +1317,21 @@ def test_lattice_free_commands_build_no_lattice(corpus, monkeypatch):
         raise AssertionError("face lattice built")
 
     monkeypatch.setattr(polytope.PolytopeModel, "_face_lattice", refuse)
-    # every command on the corpus and the pinned hulls but the last two,
-    # where spectrum alone takes seconds; on those, volume and the
-    # triangulation that the box route reads
+    # every command on the corpus and the pinned hulls but the last two
     polys = [entry.poly for entry in corpus]
     polys += [_pinned_poly(mode, support) for mode, support, _ in PINNED_HULLS[:-2]]
     for p in polys:
         for command in LATTICE_FREE_COMMANDS:
             assert _run_quietly(command, p) == 0, (command, str(p))
+    # on the 5- and 6-variable supports, all but delta (25.6 s on the
+    # 5-variable one) and product-table (over 60 s).  In process on a
+    # 2-core host, Python 3.11.7, spectrum takes 0.30 s and 0.78 s there,
+    # spec-infinity 0.33 s and 0.94 s, milnor 0.43 s and 0.90 s, and
+    # ehrhart 0.17 s and 0.79 s
     for mode, support, _ in PINNED_HULLS[-2:]:
         p = _pinned_poly(mode, support)
-        assert _run_quietly("volume", p) == 0
+        for command in ("volume", "spectrum", "spec-infinity", "milnor", "ehrhart"):
+            assert _run_quietly(command, p) == 0, (command, str(p))
         model = build_model(p)
         assert model.triangulation()
         assert not model.simplicial_fan
