@@ -110,7 +110,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_spec_infinity(args) -> int:
     p = _parse_input(args)
-    series = spectrum_at_infinity(p)
+    series = spectrum_at_infinity(build_model(p))
     payload = {
         "schema": SCHEMA,
         "command": "spec-infinity",
@@ -124,7 +124,7 @@ def _cmd_spec_infinity(args) -> int:
 
 def _cmd_milnor(args) -> int:
     p = _parse_input(args)
-    mu = milnor_number(p)
+    mu = milnor_number(build_model(p))
     payload = {"schema": SCHEMA, "command": "milnor", "mode": p.mode, "milnor": mu}
     _emit(args, payload, [str(mu)])
     return 0

@@ -70,7 +70,8 @@ def delta_from_spectrum(s: SpectrumSeries, n: int) -> DeltaVector:
 def delta_from_counts(model: PolytopeModel) -> DeltaVector:
     """delta-vector by inverting the generating identity on L(0), ..., L(n)."""
     n = model.n
-    counts = [model.lattice_count(ell) for ell in range(n + 1)]
+    # tallest first: the census keeps its tallest scan for the others to filter
+    counts = [model.lattice_count(ell) for ell in range(n, -1, -1)][::-1]
     entries = []
     for k in range(n + 1):
         val = sum((-1) ** j * comb(n + 1, j) * counts[k - j] for j in range(k + 1))

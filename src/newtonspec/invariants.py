@@ -19,9 +19,9 @@ from .ehrhart import (
 from .errors import NewtonSpecError
 from .graded import koszul_hilbert_series
 from .poly import Poly
+from .polytope import build_model
 from .series import SpectrumSeries
 from .spectrum import (
-    _restriction_models,
     boundary_lattice_points,
     milnor_number,
     spectrum_at_infinity,
@@ -73,8 +73,7 @@ def run_checks(p: Poly) -> List[CheckResult]:
     def skip(name, why):
         results.append(CheckResult(name, True, why, skipped=True))
 
-    models = _restriction_models(p)
-    model = models[()]
+    model = build_model(p)
     n = model.n
     scale = model.value_scale
     mu = model.normalized_volume()
@@ -112,13 +111,13 @@ def run_checks(p: Poly) -> List[CheckResult]:
         spectrum.coefficient(1) == boundary - n,
         lambda: f"coefficient {spectrum.coefficient(1)} vs {boundary} - {n}")
 
-    at_inf = spectrum_at_infinity(p, _models=models)
+    at_inf = spectrum_at_infinity(model)
     add("spectrum at infinity has positive exponents",
         all(k > 0 for k, _ in at_inf.numerators()))
     add("spectrum at infinity is symmetric about n/2", at_inf.reflect(n) == at_inf,
         lambda: f"{at_inf} vs reflected {at_inf.reflect(n)}")
     try:
-        mu_f = milnor_number(p, _models=models, _at_infinity=at_inf)
+        mu_f = milnor_number(model, _at_infinity=at_inf)
         add("Milnor number routes agree", True, lambda: f"mu = {mu_f}")
     except NewtonSpecError as exc:
         add("Milnor number routes agree", False, str(exc))

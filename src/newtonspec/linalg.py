@@ -148,8 +148,8 @@ def bareiss(rows, ncols, above):
 def rank(rows, ncols):
     """Rank of an integer matrix, by fraction-free elimination.
 
-    Every caller (the full-dimension check of ``build_model`` and affine
-    dimensions of faces) passes integer rows.
+    Its one caller in the package, the search for affinely independent
+    points that starts ``hull.enumerate_facets``, passes integer rows.
     """
     return len(bareiss(rows, ncols, above=False)[1])
 

@@ -242,8 +242,12 @@ class PolytopeModel:
         """The face with vertex bitmask ``mask`` and dimension ``dim``."""
         vidx = _bits(mask)
         return Face(vertex_indices=vidx, dim=dim,
-                    in_coordinate_hyperplane=any(not mask & s for s in self._support),
+                    in_coordinate_hyperplane=bool(self._zero_coordinates(mask)),
                     is_simplex=len(vidx) == dim + 1)
+
+    def _zero_coordinates(self, mask: int) -> Tuple[int, ...]:
+        """The coordinates on which every vertex in the bitmask ``mask`` is 0."""
+        return tuple(j for j, s in enumerate(self._support) if not mask & s)
 
     # -- faces ------------------------------------------------------------
 

@@ -9,42 +9,51 @@ oracle, (1-z)^n times the sum of z^{nu(v)} over the lattice points with
 nu(v) <= n + 1, is an independent check run by ``check`` and the tests.
 
 The spectrum at infinity (global mode) and the local singularity
-spectrum (local mode) follow by inclusion-exclusion over coordinate
-restrictions, and the Milnor number is the mass of that series, cross
-checked against the alternating sum of normalized volumes.
+spectrum (local mode) are the alternating sum of the toric spectra of
+the coordinate restrictions.  A restriction's Newton boundary is the
+part of p's in its coordinate subspace, so one pass over the simplices
+S of p's triangulation sums them all, S counting for the restriction to
+the coordinates where it does not vanish.  The Milnor number is the mass
+of that series, cross checked against the alternating sum of normalized
+volumes (Kouchnirenko), by determinants over the same simplices.
 """
 
 from __future__ import annotations
 
-import itertools
-from math import lcm
-from typing import Dict, Optional
+from typing import Optional
 
+from . import linalg
 from .errors import MismatchError, TruncationError
-from .poly import Poly, restrict
-from .polytope import PolytopeModel, build_model
+from .polytope import PolytopeModel
 from .series import SpectrumSeries, z_minus_one_pow
 
 
-def toric_spectrum_box(model: PolytopeModel) -> SpectrumSeries:
-    """Toric Newton spectrum via box points of the boundary triangulation.
-
-    Sums (z-1)^(n-1-dim S) * sum_{v in Box(S)} z^{nu(v)} over the
-    simplices S of the triangulation not contained in a coordinate
-    hyperplane.  The exponents are summed as integers over L, the
-    model's ``value_scale``.
+def _box_sum(model: PolytopeModel, restrictions: bool) -> SpectrumSeries:
+    """Sums (-1)^|Z| (z-1)^(n-|Z|-1-dim S) * sum_{v in Box(S)} z^{nu(v)}
+    over the simplices S of the triangulation, Z the coordinates on which
+    S vanishes: over those with Z empty, or with ``restrictions`` over all
+    of them and (-1)^n.  The exponents are integers over L, the model's
+    ``value_scale``.
     """
     n = model.n
     scale = model.value_scale
-    terms = []
+    terms = [(0, (-1) ** n)] if restrictions else []
     for simplex in model.triangulation():
-        if simplex.in_coordinate_hyperplane:
+        zeros = len(model._zero_coordinates(sum(1 << i for i in simplex.vertex_indices)))
+        if zeros and not restrictions:
             continue
-        weight = list(z_minus_one_pow(n - 1 - simplex.dim).numerators(scale))
+        weight = [(e, (-1) ** zeros * c)
+                  for e, c in z_minus_one_pow(n - zeros - 1 - simplex.dim).numerators(scale)]
         terms.extend(
             (bp.value + e, c) for bp in model.box_points(simplex) for e, c in weight
         )
     return SpectrumSeries(terms, scale)
+
+
+def toric_spectrum_box(model: PolytopeModel) -> SpectrumSeries:
+    """Toric Newton spectrum via box points of the boundary triangulation:
+    the box formula over the simplices not in a coordinate hyperplane."""
+    return _box_sum(model, restrictions=False)
 
 
 def toric_spectrum_oracle(model: PolytopeModel) -> SpectrumSeries:
@@ -76,55 +85,38 @@ def toric_spectrum(model: PolytopeModel) -> SpectrumSeries:
     return toric_spectrum_box(model)
 
 
-def _restriction_models(p: Poly) -> Dict[tuple, PolytopeModel]:
-    """Models of every proper coordinate restriction, keyed by zero set;
-    the empty zero set keys the model of p itself, built first so a
-    polynomial with no variables is rejected as in build_model."""
-    models = {(): build_model(p)}
-    for size in range(1, p.nvars):
-        for subset in itertools.combinations(range(p.nvars), size):
-            models[subset] = build_model(restrict(p, subset))
-    return models
-
-
-def spectrum_at_infinity(
-    p: Poly, _models: Optional[Dict[tuple, PolytopeModel]] = None
-) -> SpectrumSeries:
+def spectrum_at_infinity(model: PolytopeModel) -> SpectrumSeries:
     """Spectrum at infinity (global) or local singularity spectrum (local).
 
     Alternating sum of the toric Newton spectra of all proper coordinate
-    restrictions, the restriction to every variable contributing (-1)^n.
-    The terms are summed over the lcm of the spectra's denominators.
+    restrictions, the restriction to every variable contributing (-1)^n:
+    the box formula over every simplex of the triangulation.
     """
-    models = _restriction_models(p) if _models is None else _models
-    spectra = [((-1) ** len(subset), toric_spectrum(model)) for subset, model in models.items()]
-    den = lcm(*(s.denominator for _, s in spectra))
-    terms = [(0, (-1) ** p.nvars)]
-    for sign, s in spectra:
-        terms.extend((k, sign * c) for k, c in s.numerators(den))
-    return SpectrumSeries(terms, den)
+    return _box_sum(model, restrictions=True)
 
 
-def milnor_number(
-    p: Poly,
-    _models: Optional[Dict[tuple, PolytopeModel]] = None,
-    _at_infinity: Optional[SpectrumSeries] = None,
-) -> int:
+def milnor_number(model: PolytopeModel, _at_infinity: Optional[SpectrumSeries] = None) -> int:
     """Milnor number by two independent routes that must agree.
 
     (a) the mass of the spectrum at infinity / local spectrum and
     (b) the alternating sum of normalized volumes of the coordinate
     restrictions (the classical volume formula), with the empty
-    restriction counting 1.  A caller that already holds the restriction
-    models and the spectrum at infinity of p passes them in.
+    restriction counting 1.  A restriction's volume is the sum of |det|
+    over its top simplices, those S with dim S = n - 1 - |Z|, on the
+    coordinates outside Z.  A caller that already holds the spectrum at
+    infinity passes it in.
     """
-    models = _restriction_models(p) if _models is None else _models
     if _at_infinity is None:
-        _at_infinity = spectrum_at_infinity(p, _models=models)
+        _at_infinity = spectrum_at_infinity(model)
     via_spectrum = _at_infinity.eval_at_one()
-    via_volumes = (-1) ** p.nvars
-    for subset, model in models.items():
-        via_volumes += (-1) ** len(subset) * model.normalized_volume()
+    n = model.n
+    via_volumes = (-1) ** n
+    for simplex in model.triangulation():
+        zeros = model._zero_coordinates(sum(1 << i for i in simplex.vertex_indices))
+        if simplex.dim == n - 1 - len(zeros):
+            rows = [[x for j, x in enumerate(model.vertices[i]) if j not in zeros]
+                    for i in simplex.vertex_indices]
+            via_volumes += (-1) ** len(zeros) * abs(linalg.int_det(rows))
     if via_spectrum != via_volumes:
         raise MismatchError(
             f"Milnor number mismatch: spectrum mass {via_spectrum} != "

@@ -109,8 +109,8 @@ def _compute_entry(p: Poly) -> CorpusEntry:
         koszul=koszul_hilbert_series(p, model),
         box=toric_spectrum_box(model),
         orbifold=orbifold,
-        at_infinity=spectrum_at_infinity(p),
-        milnor=milnor_number(p),
+        at_infinity=spectrum_at_infinity(model),
+        milnor=milnor_number(model),
         delta_spec=delta_from_spectrum(oracle, model.n).entries,
         delta_counts=delta_from_counts(model).entries,
     )

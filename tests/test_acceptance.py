@@ -44,29 +44,29 @@ def report(k, detail=""):
     print(f"[acceptance] criterion {k}: PASS {detail}".rstrip())
 
 
-def test_criterion_1_square_example(square_poly, square_model):
+def test_criterion_1_square_example(square_model):
     """Toric spectrum, volume, spectrum at infinity and Milnor number of
     the two-variable square example."""
     spectrum = toric_spectrum(square_model)
     assert spectrum == series(*SQUARE_SPECTRUM), "criterion 1: toric spectrum"
     assert square_model.normalized_volume() == 8, "criterion 1: mu_P"
-    assert spectrum_at_infinity(square_poly) == series(*SQUARE_AT_INFINITY), (
+    assert spectrum_at_infinity(square_model) == series(*SQUARE_AT_INFINITY), (
         "criterion 1: spectrum at infinity"
     )
-    assert milnor_number(square_poly) == 5, "criterion 1: mu_f"
+    assert milnor_number(square_model) == 5, "criterion 1: mu_f"
     report(1, "(square example: spectrum, mu_P=8, mu_f=5)")
 
 
-def test_criterion_2_threed_example(threed_poly, threed_model):
+def test_criterion_2_threed_example(threed_model):
     """Three-variable example: spectra, masses and the four individual
     box-point contributions."""
     spectrum = toric_spectrum(threed_model)
     assert spectrum == series(*THREED_SPECTRUM), "criterion 2: toric spectrum"
     assert threed_model.normalized_volume() == 12, "criterion 2: mu_P"
-    assert spectrum_at_infinity(threed_poly) == series(*THREED_AT_INFINITY), (
+    assert spectrum_at_infinity(threed_model) == series(*THREED_AT_INFINITY), (
         "criterion 2: spectrum at infinity"
     )
-    assert milnor_number(threed_poly) == 8, "criterion 2: mu_f"
+    assert milnor_number(threed_model) == 8, "criterion 2: mu_f"
 
     contribs = dict(orbifold_contributions(threed_model))
     assert set(contribs) == {(0, 0, 0), (1, 1, 1), (1, 2, 2), (0, 1, 1)}, (
@@ -136,14 +136,14 @@ def test_criterion_4_simplex_families():
     report(4, "(u1+...+un and u1+u2+u3^c for c in {2,3,5})")
 
 
-def test_criterion_5_local_quintic(quintic_poly, quintic_model):
+def test_criterion_5_local_quintic(quintic_model):
     """The local quintic: Milnor numbers, both spectra, delta, Ehrhart."""
-    assert milnor_number(quintic_poly) == 11, "criterion 5: mu_0"
+    assert milnor_number(quintic_model) == 11, "criterion 5: mu_0"
     assert quintic_model.normalized_volume() == 20, "criterion 5: mu_P"
     spectrum = toric_spectrum(quintic_model)
     assert spectrum == series(*QUINTIC_SPECTRUM), "criterion 5: local toric spectrum"
     assert spectrum.eval_at_one() == 20
-    assert spectrum_at_infinity(quintic_poly) == series(*QUINTIC_AT_INFINITY), (
+    assert spectrum_at_infinity(quintic_model) == series(*QUINTIC_AT_INFINITY), (
         "criterion 5: local singularity spectrum"
     )
     delta = delta_from_spectrum(spectrum, 2)

@@ -51,6 +51,20 @@ def test_delta_from_counts(square_model, quintic_model):
     assert delta_from_counts(simplex).entries == (1, 0, 0, 0, 0)
 
 
+def test_delta_from_counts_scans_the_region_once(monkeypatch):
+    heights = []
+    scan = PolytopeModel._scan_region
+
+    def counted(model, height):
+        heights.append(height)
+        return scan(model, height)
+
+    monkeypatch.setattr(PolytopeModel, "_scan_region", counted)
+    m = build_model(parse_polynomial("u^3 + v^4 + w^5 + u*v*w"))
+    assert delta_from_counts(m) == delta_from_spectrum(toric_spectrum_box(m), 3)
+    assert heights == [3]
+
+
 def test_ehrhart_polynomial_text_and_values(quintic_model):
     delta = delta_from_counts(quintic_model)
     ehr = ehrhart_polynomial(delta)

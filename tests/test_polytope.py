@@ -264,6 +264,16 @@ def _indices(mask):
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+def _hull_vertex_indices(pts, hull_facets, n):
+    """The hull vertices by their own rule, apart from
+    ``hull.hull_vertices``: a point of a full-dimensional hull is a
+    vertex when the normals of the facets through it have rank n."""
+    return {
+        i for i in range(len(pts))
+        if linalg.rank([hf.normal for hf in hull_facets if hf.contact >> i & 1], n) == n
+    }
+
+
 def _hull_reference(p, model):
     """The hull facets of the point set that ``build_model`` reads, each
     paired with the set of hull vertices on it, and the map from hull
@@ -271,13 +281,24 @@ def _hull_reference(p, model):
     n = model.n
     pts = _hull_points(p)
     hull_facets = hull.enumerate_facets(pts, n)
-    hull_verts = set(_indices(hull.hull_vertices(len(pts), hull_facets)))
+    hull_verts = _hull_vertex_indices(pts, hull_facets, n)
     vertex_sets = [frozenset(i for i in _indices(hf.contact) if i in hull_verts)
                    for hf in hull_facets]
     hull_to_model = {
         i: model.vertices.index(pts[i]) for i in hull_verts if pts[i] in model.vertices
     }
     return list(zip(hull_facets, vertex_sets)), hull_to_model
+
+
+@pytest.mark.parametrize("mode", [GLOBAL, LOCAL])
+def test_hull_vertices_match_the_rank_rule(corpus, mode):
+    polys = [Poly(e.poly.names, e.poly.terms, mode) for e in corpus]
+    polys += [parse_polynomial(t, mode=mode) for t in FOUR_VARIABLE_POLYS + LOCAL_GERMS]
+    for p in polys:
+        pts = _hull_points(p)
+        facets = hull.enumerate_facets(pts, p.nvars)
+        want = _hull_vertex_indices(pts, facets, p.nvars)
+        assert set(_indices(hull.hull_vertices(len(pts), facets))) == want, p
 
 
 def _reference_smallest_cone(model, reference, v):

@@ -1,14 +1,17 @@
 """Spectrum routes, the inclusion-exclusion series and Milnor numbers."""
 
+import itertools
 import random
+import sys
 from datetime import timedelta
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newtonspec import ehrhart, polytope, series as series_module, spectrum
+from newtonspec import ehrhart, linalg, polytope, series as series_module, spectrum
 from newtonspec import (
     GLOBAL,
     LOCAL,
@@ -23,6 +26,7 @@ from newtonspec import (
     milnor_number,
     orbifold_dimensions,
     parse_polynomial,
+    restrict,
     spectrum_at_infinity,
     toric_spectrum,
     toric_spectrum_box,
@@ -41,6 +45,7 @@ from conftest import (
     acceptance_polys,
     series,
 )
+from newtonspec.cli import main
 
 
 def test_box_formula_square(square_model):
@@ -89,22 +94,22 @@ def test_toric_spectrum_is_the_box_route_on_any_fan(square_model):
     assert toric_spectrum(m).eval_at_one() == m.normalized_volume()
 
 
-def test_spectrum_at_infinity_square(square_poly):
-    assert spectrum_at_infinity(square_poly) == series(*SQUARE_AT_INFINITY)
+def test_spectrum_at_infinity_square(square_model):
+    assert spectrum_at_infinity(square_model) == series(*SQUARE_AT_INFINITY)
 
 
-def test_spectrum_at_infinity_threed(threed_poly):
-    assert spectrum_at_infinity(threed_poly) == series(*THREED_AT_INFINITY)
+def test_spectrum_at_infinity_threed(threed_model):
+    assert spectrum_at_infinity(threed_model) == series(*THREED_AT_INFINITY)
 
 
-def test_local_spectrum_quintic(quintic_poly):
-    assert spectrum_at_infinity(quintic_poly) == series(*QUINTIC_AT_INFINITY)
+def test_local_spectrum_quintic(quintic_model):
+    assert spectrum_at_infinity(quintic_model) == series(*QUINTIC_AT_INFINITY)
 
 
-def test_milnor_numbers(square_poly, quintic_poly):
-    assert milnor_number(square_poly) == 5
-    assert milnor_number(parse_polynomial("u + v")) == 0
-    assert milnor_number(quintic_poly) == 11
+def test_milnor_numbers(square_model, quintic_model):
+    assert milnor_number(square_model) == 5
+    assert milnor_number(build_model(parse_polynomial("u + v"))) == 0
+    assert milnor_number(quintic_model) == 11
 
 
 def test_boundary_lattice_points(square_model, quintic_model):
@@ -118,9 +123,9 @@ def test_boundary_lattice_points(square_model, quintic_model):
     assert boundary_lattice_points(quintic_model) == 3
 
 
-def test_local_spectrum_cancels_axis_contributions(quintic_poly):
+def test_local_spectrum_cancels_axis_contributions(quintic_model):
     # the restriction series remove the constant and the z^{k/5} terms
-    local = spectrum_at_infinity(quintic_poly)
+    local = spectrum_at_infinity(quintic_model)
     assert local.coefficient(0) == 0
     assert all(e.denominator != 5 for e in local.exponents())
 
@@ -171,14 +176,16 @@ def test_degenerate_input_detected():
 
 
 @st.composite
-def convenient_polys(draw):
-    """Convenient supports in n <= 4 variables, global or local, with
-    random coefficients so the input is Newton nondegenerate.  Exponents
-    are <= 4 with up to n + 1 extra points for n <= 3, and <= 3 with up
-    to 3 extra points for n = 4."""
-    n = draw(st.integers(1, 4))
+def convenient_polys(draw, min_n=1, max_n=4, mode=None):
+    """Convenient supports in min_n <= n <= max_n <= 4 variables, global
+    or local unless ``mode`` is given, with random coefficients so the
+    input is Newton nondegenerate.  Exponents are <= 4 with up to n + 1
+    extra points for n <= 3, and <= 3 with up to 3 extra points for
+    n = 4."""
+    n = draw(st.integers(min_n, max_n))
     top, max_extra = (3, 3) if n == 4 else (4, n + 1)
-    mode = draw(st.sampled_from([GLOBAL, LOCAL]))
+    if mode is None:
+        mode = draw(st.sampled_from([GLOBAL, LOCAL]))
     support = set()
     for i in range(n):
         support.add(tuple(draw(st.integers(1, top)) if j == i else 0 for j in range(n)))
@@ -220,7 +227,10 @@ def test_routes_agree_in_five_variables():
 
 
 @pytest.mark.parametrize("route", [
-    check_convenient, build_model, spectrum_at_infinity, milnor_number,
+    check_convenient,
+    build_model,
+    pytest.param(lambda p: spectrum_at_infinity(build_model(p)), id="spectrum_at_infinity"),
+    pytest.param(lambda p: milnor_number(build_model(p)), id="milnor_number"),
 ])
 @pytest.mark.parametrize("text", ["1", "0"])
 def test_polynomial_without_variables_is_input_error(route, text):
@@ -230,26 +240,136 @@ def test_polynomial_without_variables_is_input_error(route, text):
 
 def test_spectrum_routes_build_no_fraction(monkeypatch):
     # the models (whose facet forms are rational) are built first; after
-    # that the box route, the oracle, the orbifold sum and the spectrum at
-    # infinity work on integer values nu * L alone
+    # that the box route, the oracle, the orbifold sum, the spectrum at
+    # infinity and the Milnor number work on integers alone
     polys = acceptance_polys() + [parse_polynomial(t, mode=LOCAL) for t in LOCAL_GERMS]
-    want = [
-        (toric_spectrum_box(m), toric_spectrum_oracle(m), spectrum_at_infinity(p))
-        for p in polys for m in [build_model(p)]
-    ]
-    fresh = [(p, spectrum._restriction_models(p)) for p in polys]
+    want = []
+    for p in polys:
+        m = build_model(p)
+        want.append((toric_spectrum_box(m), toric_spectrum_oracle(m), spectrum_at_infinity(m),
+                     milnor_number(m)))
+    fresh = [build_model(p) for p in polys]
 
     def refuse(*args, **kwargs):
         raise AssertionError("Fraction built on the spectrum path")
 
-    for module in (series_module, spectrum, polytope, ehrhart):
+    for module in (series_module, spectrum, polytope, ehrhart, linalg):
         monkeypatch.setattr(module, "Fraction", refuse, raising=False)
     got = []
-    for p, models in fresh:
-        model = models[()]
+    for model in fresh:
         box = toric_spectrum_box(model)
         if model.simplicial_fan:
             assert orbifold_dimensions(model) == box
-        got.append((box, toric_spectrum_oracle(model), spectrum_at_infinity(p, _models=models)))
+        got.append((box, toric_spectrum_oracle(model), spectrum_at_infinity(model),
+                    milnor_number(model)))
     monkeypatch.undo()
     assert got == want
+
+
+def _restriction_reference(p):
+    """The spectrum at infinity and the Milnor number of p as the sums
+    over the coordinate restrictions that define them, one model per
+    restriction: the alternating sums of the toric spectra and of the
+    normalized volumes of build_model(restrict(p, I)) over the proper
+    subsets I of the variables, the restriction to every variable
+    counting (-1)^n in both."""
+    n = p.nvars
+    at_infinity = SpectrumSeries.one() * (-1) ** n
+    mu = (-1) ** n
+    for size in range(n):
+        for subset in itertools.combinations(range(n), size):
+            model = build_model(restrict(p, subset))
+            at_infinity = at_infinity + (-1) ** size * toric_spectrum(model)
+            mu += (-1) ** size * model.normalized_volume()
+    return at_infinity, mu
+
+
+def _assert_matches_restriction_reference(p):
+    model = build_model(p)
+    at_infinity, mu = _restriction_reference(p)
+    assert spectrum_at_infinity(model) == at_infinity, p
+    assert milnor_number(model) == mu, p
+
+
+def test_one_model_matches_restriction_models_on_corpus(corpus):
+    for entry in corpus:
+        assert (entry.at_infinity, entry.milnor) == _restriction_reference(entry.poly), entry.poly
+
+
+@pytest.mark.parametrize("text, mode", [(t, LOCAL) for t in LOCAL_GERMS]
+                         + [(t, GLOBAL) for t in FOUR_VARIABLE_POLYS])
+def test_one_model_matches_restriction_models(text, mode):
+    _assert_matches_restriction_reference(parse_polynomial(text, mode=mode))
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=20))
+@given(convenient_polys(min_n=2))
+def test_one_model_matches_restriction_models_on_random_supports(p):
+    _assert_matches_restriction_reference(p)
+
+
+@pytest.mark.parametrize("command", ["check", "spec-infinity", "milnor"])
+@pytest.mark.parametrize("argv", [["u^3 + v^4 + w^5 + u*v*w"], ["--local", "x^4 + y^5 + x^2*y^2"]])
+def test_commands_build_one_model(command, argv, monkeypatch, capsys):
+    built = []
+    original = polytope.build_model
+
+    def counted(p):
+        built.append(p)
+        return original(p)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("newtonspec") and getattr(module, "build_model", None) is original:
+            monkeypatch.setattr(module, "build_model", counted)
+    assert main([command, *argv]) == 0
+    assert len(built) == 1
+
+
+def _brieskorn_pham(exponents, low):
+    """prod_i sum_{low <= k < a_i} z^{k / a_i}."""
+    out = SpectrumSeries.one()
+    for a in exponents:
+        out = out * SpectrumSeries({Fraction(k, a): 1 for k in range(low, a)})
+    return out
+
+
+@pytest.mark.parametrize("mode", [GLOBAL, LOCAL])
+@pytest.mark.parametrize("exponents", [(97, 89, 5), (400, 7, 3), (12, 12, 12, 12), (3, 3, 3, 3, 3)])
+def test_brieskorn_pham_closed_form(exponents, mode):
+    # sum x_i^{a_i}: the toric spectrum is prod_i sum_{0 <= k < a_i} z^{k/a_i}
+    # and the spectrum at infinity (local spectrum) the same product over
+    # 1 <= k < a_i (Steenbrink 1977)
+    names = "uvwxy"[:len(exponents)]
+    model = build_model(parse_polynomial(
+        " + ".join(f"{x}^{a}" for x, a in zip(names, exponents)), mode=mode))
+    assert toric_spectrum(model) == _brieskorn_pham(exponents, 0)
+    at_infinity = _brieskorn_pham(exponents, 1)
+    assert spectrum_at_infinity(model) == at_infinity
+    assert milnor_number(model, _at_infinity=at_infinity) == prod(a - 1 for a in exponents)
+
+
+@st.composite
+def disjoint_sums(draw):
+    """(f + g, f, g) for f and g in 1 or 2 variables each on disjoint
+    variables, in one mode, drawn as in ``convenient_polys``."""
+    mode = draw(st.sampled_from([GLOBAL, LOCAL]))
+    f = draw(convenient_polys(max_n=2, mode=mode))
+    g = draw(convenient_polys(max_n=2, mode=mode))
+    zeros_f, zeros_g = (0,) * f.nvars, (0,) * g.nvars
+    terms = {v + zeros_g: c for v, c in f.terms.items()}
+    terms.update({zeros_f + v: c for v, c in g.terms.items()})
+    names = tuple("uvwx"[:f.nvars + g.nvars])
+    return Poly(names=names, terms=terms, mode=mode), f, g
+
+
+@settings(max_examples=40, deadline=timedelta(seconds=20))
+@given(disjoint_sums())
+def test_thom_sebastiani_products(sums):
+    # f(x) + g(y) on disjoint variables: its Newton polytope is the free
+    # sum of the factors', so both spectra are products (Sebastiani and
+    # Thom 1971), and so is the Milnor number
+    p, f, g = sums
+    model, mf, mg = build_model(p), build_model(f), build_model(g)
+    assert toric_spectrum(model) == toric_spectrum(mf) * toric_spectrum(mg)
+    assert spectrum_at_infinity(model) == spectrum_at_infinity(mf) * spectrum_at_infinity(mg)
+    assert milnor_number(model) == milnor_number(mf) * milnor_number(mg)
