@@ -329,9 +329,15 @@ def main(argv=None) -> int:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 2
     except (OverflowError, MemoryError) as exc:
-        print(f"internal failure: the computation is too large for this machine "
-              f"({type(exc).__name__}: {exc})", file=sys.stderr)
-        return 2
+        # the frames of the traceback still hold the computation's data,
+        # and so do those of the memory errors chained while its traceback
+        # was built: drop them all, which allocates nothing, and write the
+        # message, which needs memory, once the handler has let go
+        exc.__traceback__ = exc.__context__ = None
+        too_large = exc
+    print(f"internal failure: the computation is too large for this machine "
+          f"({type(too_large).__name__}: {too_large})", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 from typing import List, Optional, Sequence, Tuple
 
@@ -70,8 +71,12 @@ def delta_from_spectrum(s: SpectrumSeries, n: int) -> DeltaVector:
 def delta_from_counts(model: PolytopeModel) -> DeltaVector:
     """delta-vector by inverting the generating identity on L(0), ..., L(n)."""
     n = model.n
-    # tallest first: the census keeps its tallest scan for the others to filter
-    counts = [model.lattice_count(ell) for ell in range(n, -1, -1)][::-1]
+    scale = model.value_scale
+    # one census at height n: a point of value nu counts in L(ell) from ell = ceil(nu) on
+    first = [0] * (n + 1)
+    for key, count in model._counts(n).items():
+        first[-(-key // scale)] += count
+    counts = list(accumulate(first))
     entries = []
     for k in range(n + 1):
         val = sum((-1) ** j * comb(n + 1, j) * counts[k - j] for j in range(k + 1))

@@ -8,13 +8,18 @@ rule is read off cone keys (``PolytopeModel.cone_key``): two exponents
 share a cone when their facet masks meet, and the product's degree is
 the sum of their scaled Newton values, so the sum is never evaluated.
 The relation classes are the leading parts of u_i * df/du_i.  Each is
-scaled once to primitive integers, with the facet mask of each term,
-and each degree's relations are sparse integer rows ``{col: int}``
-(``_relation_rows``).  Two routes read them.  The Koszul route
+scaled once to primitive integers, and each degree's relations are
+sparse integer rows ``{col: int}`` over integer monomial codes
+(``_code_weights``), whose sums are the codes of the product monomials,
+so no exponent tuple is added.  One builder, ``_relation_rows``, makes
+them and takes each row of one entry as a pivot of its column, peeled
+from the other rows (the singleton pivots of structured Gaussian
+elimination).  Two routes read it.  The Koszul route
 (``koszul_hilbert_series``) takes each degree's dimension from the rank
-alone, the pivot count of the forward elimination ``linalg.echelon``: a
-third, linear-algebra route to the toric Newton spectrum.  Only
-``quotient_basis`` back substitutes (``linalg.rref``): it keeps each
+alone, the singletons plus the pivot count of the forward elimination
+``linalg.echelon`` of the rows left: a third, linear-algebra route to
+the toric Newton spectrum.  Only ``quotient_basis`` back substitutes
+(``linalg.rref``), in its column order, with a hint last: it keeps each
 degree's reduced rows, the same sparse ``{pivot col: row}`` shape
 with ``Fraction`` entries, in a :class:`DegreeBlock`, and a product's
 normal form is read off the nonzeros of one reduced row of its
@@ -32,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd, lcm
-from operator import add
+from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -167,12 +172,30 @@ class DegreeBlock:
         return {self.monomials[j]: -coeff * x for j, x in row.items() if j != col}
 
 
-def _leading_terms(model, leading):
-    """Each leading class as a list of ``(vec, coeff, mask)`` terms.
+def _code_weights(model):
+    """The weights w of the integer monomial code sum_k w_k * m_k.
+
+    The code is mixed radix: the total degree is the high digit, then the
+    exponents, m_0 first, in the radix R = n * max_coord + 1, one more
+    than the largest coordinate of a census point at height n.  So codes
+    order those points by total degree and then exponent, distinct points
+    get distinct codes, and as the code is linear, the code of m + t is
+    code(m) + code(t), with no carry.
+    """
+    n = model.n
+    radix = n * model._max_coord + 1
+    return tuple(radix ** n + radix ** (n - 1 - k) for k in range(n))
+
+
+def _codes(weights, monomials):
+    return [sum(map(mul, weights, m)) for m in monomials]
+
+
+def _leading_terms(leading, weights):
+    """Each leading class as a list of ``(code, coeff)`` terms.
 
     The coefficients are scaled once to primitive integers, which leaves
-    the row space of the relations unchanged, and each term carries its
-    facet mask.
+    the row space of the relations unchanged.
     """
     out = []
     for cls in leading:
@@ -180,51 +203,84 @@ def _leading_terms(model, leading):
         coeffs = [c.numerator * (den // c.denominator) for _, c in cls.terms]
         g = gcd(*coeffs)
         out.append([
-            (vec, x // g, model.cone_key(vec)[1])
-            for (vec, _), x in zip(cls.terms, coeffs)
+            (code, x // g)
+            for code, x in zip(_codes(weights, [v for v, _ in cls.terms]), coeffs)
         ])
     return out
 
 
-def _relation_rows(model, leading, monomials_here, monomials_prev, hint=None):
-    """A block's column order and its relation rows.
+def _relation_rows(leading, here, prev):
+    """One degree's relation rows over monomial codes, singletons peeled.
 
-    The columns are the monomials of the degree by total degree and then
-    exponent, with the hint's monomials last.  The rows are the leading
-    terms (``_leading_terms``) times the monomials one degree down, as
-    sparse ``{col: int}`` rows; a term and a monomial share a cone when
-    their facet masks meet.  Distinct terms land in distinct columns, so
-    no entry cancels.
+    ``here`` is the set of the codes of the degree's monomials and
+    ``prev`` holds those of the degree below.  A row is a leading class
+    (``_leading_terms``) times a monomial m of ``prev``: the entries
+    ``{code(t) + code(m): c}`` over the terms t that share a cone with m.
+    A term has value one, so t and m share a cone exactly when
+    nu(t + m) = nu(m) + 1, that is when t + m is a monomial of this
+    degree; each such sum, and each monomial of the degree, has
+    coordinates below the code's radix, so the test is whether
+    code(t) + code(m) is in ``here``.  Distinct terms land in distinct
+    columns, so no entry cancels.
+
+    A row with one entry puts e_c in the row space, so column c is a
+    pivot of every elimination, with e_c as its row in the reduced
+    echelon form (the singleton pivots of structured Gaussian
+    elimination, LaMacchia and Odlyzko, 1991).  Such a column is taken as
+    its row is built, dropped from the rows built after it and peeled
+    from the others until no new singleton appears; a class of one term
+    gives only singletons, found by one set intersection.  Returns the
+    singleton columns and the rows left, which miss them: the rank is the
+    number of singletons plus the rank of the rows left.
     """
-    if hint is None:
-        ordered = sorted(monomials_here, key=lambda m: (sum(m), m))
-    else:
-        hint_set = set(hint)
-        ordered = sorted(
-            (m for m in monomials_here if m not in hint_set), key=lambda m: (sum(m), m)
-        ) + list(hint)
-    index = {m: i for i, m in enumerate(ordered)}
-    prev = [(m, model.cone_key(m)[1]) for m in monomials_prev]
+    singles = set()
     rows = []
     for terms in leading:
-        for m_prev, prev_mask in prev:
-            row = {
-                index[tuple(map(add, vec, m_prev))]: c
-                for vec, c, mask in terms if mask & prev_mask
-            }
-            if row:
+        if len(terms) == 1:
+            (t, _), = terms
+            singles.update(here.intersection(map(t.__add__, prev)))
+            continue
+        for code in prev:
+            row = {j: c for t, c in terms if (j := t + code) in here and j not in singles}
+            if len(row) > 1:
                 rows.append(row)
-    return ordered, index, rows
+            else:
+                singles.update(row)
+    while True:
+        found = len(singles)
+        kept = []
+        for row in rows:
+            if not singles.isdisjoint(row):
+                row = {j: x for j, x in row.items() if j not in singles}
+            if len(row) > 1:
+                kept.append(row)
+            else:
+                singles.update(row)
+        rows = kept
+        if len(singles) == found:
+            return singles, rows
 
 
-def _build_block(model, leading, degree, monomials_here, monomials_prev, hint=None):
-    ordered, index, raw = _relation_rows(
-        model, leading, monomials_here, monomials_prev, hint
-    )
-    rows = linalg.rref(raw)
-    basis = [m for i, m in enumerate(ordered) if i not in rows]
+def _build_block(weights, leading, degree, monomials_here, monomials_prev, hint=None):
+    """The block of one degree.  Its columns are the monomials of the
+    degree in code order, by total degree and then exponent, with the
+    hint's monomials last in the hint's order; the singleton columns of
+    ``_relation_rows`` are pivots whose reduced rows are unit rows, and
+    ``linalg.rref`` reduces the rows left."""
+    by_code = dict(zip(_codes(weights, monomials_here), monomials_here))
+    last = [] if hint is None else _codes(weights, hint)
+    order = sorted(by_code.keys() - set(last)) + last
+    column = {code: i for i, code in enumerate(order)}
+    singles, raw = _relation_rows(leading, set(by_code), _codes(weights, monomials_prev))
+    rows = linalg.rref([{column[j]: x for j, x in row.items()} for row in raw])
+    rows.update((column[j], {column[j]: Fraction(1)}) for j in singles)
+    ordered = [by_code[code] for code in order]
     return DegreeBlock(
-        degree=degree, monomials=ordered, index=index, rows=rows, basis=basis
+        degree=degree,
+        monomials=ordered,
+        index={m: i for i, m in enumerate(ordered)},
+        rows=rows,
+        basis=[m for i, m in enumerate(ordered) if i not in rows],
     )
 
 
@@ -267,11 +323,13 @@ def quotient_basis(
         from .spectrum import toric_spectrum
 
         spectrum = toric_spectrum(model)
-    leading = _leading_terms(model, leading_classes(p, model))
-    max_degree = spectrum.max_exponent()
-    monomials = model.points_by_value(int(ceil(max_degree)))
+    weights = _code_weights(model)
+    leading = _leading_terms(leading_classes(p, model), weights)
+    scale = model.value_scale
+    # the census's groups and the hint's, keyed by the integers nu * L
+    monomials = model._points(int(ceil(spectrum.max_exponent())))
 
-    hint_by_degree: Dict[Fraction, List[Vec]] = {}
+    hint_by_key: Dict[int, List[Vec]] = {}
     if basis_hint is not None:
         total_expected = spectrum.eval_at_one()
         if len(basis_hint) != total_expected:
@@ -290,13 +348,14 @@ def quotient_basis(
                     f"hint monomial {monomial_text(vec, p.names)} has degree {deg} "
                     "outside the spectrum"
                 )
-            hint_by_degree.setdefault(deg, []).append(vec)
+            hint_by_key.setdefault(model.cone_key(vec)[0], []).append(vec)
 
     blocks: Dict[Fraction, DegreeBlock] = {}
     for degree, expected in spectrum.items():
-        here = monomials.get(degree, [])
-        prev = monomials.get(degree - 1, [])
-        hint = hint_by_degree.get(degree)
+        key = degree.numerator * (scale // degree.denominator)
+        here = monomials.get(key, [])
+        prev = monomials.get(key - scale, [])
+        hint = hint_by_key.get(key)
         if hint is not None:
             here_set = set(here)
             missing = [m for m in hint if m not in here_set]
@@ -309,7 +368,7 @@ def quotient_basis(
                 raise HintError(
                     f"hint gives {len(hint)} monomials at degree {degree}, expected {expected}"
                 )
-        block = _build_block(model, leading, degree, here, prev, hint)
+        block = _build_block(weights, leading, degree, here, prev, hint)
         if block.dim != expected:
             raise DimensionMismatchError(
                 f"quotient dimension {block.dim} at degree {degree} does not match "
@@ -355,20 +414,18 @@ def product_table(basis: GradedBasis) -> List[List[GradedClass]]:
     block.  A pair whose masks meet has a product monomial, which fixes
     the degree, so a call-local memo maps each product monomial to its
     class: the block reduces a monomial once, and every cell whose
-    operands sum to it holds the same object.  The memo is keyed by
-    integer codes: each element's exponents are the digits of a
-    mixed-radix integer, with radix 2 * (largest exponent) + 1, so the
-    code of a product monomial is the sum of its operands' codes (no
-    digit carries), and the exponent-sum tuple is built only on a memo
-    miss.  Every other entry, and every zero normal form, is the one
-    shared zero class.
+    operands sum to it holds the same object.  The memo is keyed by the
+    integer monomial codes of the relation rows (``_code_weights``): a
+    product in a block has Newton value at most n, so the code of the
+    product monomial is the sum of its operands' codes, and the
+    exponent-sum tuple is built only on a memo miss.  Every other entry,
+    and every zero normal form, is the one shared zero class.
     """
     model = basis.model
     elements = basis.elements
     scale = model.value_scale
     keys = [model.cone_key(x) for x in elements]
-    radix = 2 * max((e for x in elements for e in x), default=0) + 1
-    codes = [sum(e * radix ** k for k, e in enumerate(x)) for x in elements]
+    codes = _codes(_code_weights(model), elements)
     order = sorted(range(len(elements)), key=lambda i: keys[i][0])
     walk = [(*keys[i], codes[i], i) for i in order]
     blocks = {
@@ -426,24 +483,29 @@ def koszul_hilbert_series(p: Poly, model: PolytopeModel) -> SpectrumSeries:
     Over the Newton values <= n (a degree's relations only use it and the
     degree below, and every exponent lies in [0, n]), each degree's
     dimension is its number of monomials minus the rank of its relation
-    rows, the same integer rows ``quotient_basis`` reduces.  The rank is
-    the pivot count of the forward elimination alone
-    (``linalg.echelon``); no row is back substituted and no ``Fraction``
-    row is built.  The degrees are the census's integer keys nu * L, so
-    the degree below is the key minus L.  The rank does not depend on the
-    column order, so the default order serves.  The mass must be the
-    normalized volume, else :class:`TruncationError`.  Uses neither the
-    box formula nor the oracle, so it serves as an independent check.
+    rows, the rows ``quotient_basis`` reduces, over the integer monomial
+    codes of ``_code_weights``.  The degrees are the census's integer keys
+    nu * L, so the degree below is the key minus L, and the census stores
+    its points at height n.  The rank is the number of singleton columns
+    that ``_relation_rows`` peels plus the pivot count of the forward
+    elimination (``linalg.echelon``) of the rows left, fed shortest first:
+    a rank does not depend on the pivot order, no row is back substituted
+    and no ``Fraction`` row is built.  The elimination stays per degree,
+    which bounds the rows held at once.  The mass must be the normalized
+    volume, else :class:`TruncationError`.  Uses neither the box formula
+    nor the oracle, so it serves as an independent check.
     """
     mu = model.normalized_volume()
-    leading = _leading_terms(model, leading_classes(p, model))
+    weights = _code_weights(model)
+    leading = _leading_terms(leading_classes(p, model), weights)
     scale = model.value_scale
-    monomials = model._census(model.n)
     dims: Dict[int, int] = {}
-    for key, here in monomials.items():
-        prev = monomials.get(key - scale, [])
-        _, _, rows = _relation_rows(model, leading, here, prev)
-        dim = len(here) - len(linalg.echelon(rows))
+    codes: Dict[int, List[int]] = {}
+    for key, here in model._points(model.n).items():
+        codes[key] = _codes(weights, here)
+        # the degree below is read once more, here, and then dropped
+        singles, rows = _relation_rows(leading, set(codes[key]), codes.pop(key - scale, ()))
+        dim = len(here) - len(singles) - len(linalg.echelon(sorted(rows, key=len)))
         if dim:
             dims[key] = dim
     total = sum(dims.values())

@@ -13,7 +13,7 @@ sparse pivoting of Faugere's F4 on Macaulay matrices, and one row
 format, ``{pivot col: {col: entry}}`` with no zero entry.  ``echelon``
 is its forward half: it eliminates sparse integer rows against
 leftmost-column pivots, and its pivot count is the rank, which is all
-the Koszul route reads.  ``rref`` scales rational rows to primitive
+the Koszul route reads of the rows its singleton pivots leave.  ``rref`` scales rational rows to primitive
 integers, runs ``echelon``, back substitutes and divides each row by
 its pivot, so its rows are the same sparse rows with ``Fraction``
 entries; only ``quotient_basis`` needs that.  ``solve_unique`` reads the

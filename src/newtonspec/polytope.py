@@ -33,9 +33,12 @@ scaled form, each coordinate in turn ranges over the interval that the
 forms leave it.  Its groups are keyed by the integers nu(v) * L, and so
 are the box points' values; ``Fraction`` values are built only by the
 public views (:meth:`PolytopeModel.value_histogram`,
-:meth:`PolytopeModel.points_by_value`, ``BoxPoint.nu``).  The census
-reads the facet forms alone, never the triangulation or the box points,
-so the oracle built on it checks the box route independently.
+:meth:`PolytopeModel.points_by_value`, ``BoxPoint.nu``).  Points are
+stored only where the graded quotient reads them, at heights up to n;
+the counts above the stored height come from a walk that counts the
+points of each interval and builds none.  The census reads the facet
+forms alone, never the triangulation or the box points, so the oracle
+built on it checks the box route independently.
 
 The hull comes from :mod:`newtonspec.hull`, in the integers, with each
 facet's points and the hull's vertices as bitmasks; only the level-one
@@ -62,6 +65,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, prod
@@ -233,8 +237,10 @@ class PolytopeModel:
         ]
         self._max_coord = max((c for v in vertices for c in v), default=0)
         self._box_cache: dict = {}
-        self._census_height = -1
-        self._census_groups: dict = {}
+        self._points_height = -1
+        self._point_groups: dict = {}
+        self._counts_height = -1
+        self._count_groups: dict = {}
         self._triangulation: Optional[Tuple[Face, ...]] = None
         self._volume: Optional[int] = None
 
@@ -507,25 +513,45 @@ class PolytopeModel:
             )
         return self._volume
 
-    def _census(self, height: int) -> dict:
+    def _points(self, height: int) -> dict:
         """Lattice points with nu(v) <= height, as {nu * L: points}.
 
         The keys are the integers nu(v) * L, L = ``value_scale``; they
         ascend, and each group keeps ``itertools.product`` order.
-        :meth:`_scan_region` visits only the points of the region, never
-        the whole box [0, height * max_coord]^n.  The tallest scan so far
-        is kept; a query at or below its height filters it, and filtering
+        :meth:`_walk` visits only the points of the region, never the
+        whole box [0, height * max_coord]^n.  The tallest walk so far is
+        kept; a query at or below its height filters it, and filtering
         keeps the product order.  The groups are the cached lists, for
-        reading only.
+        reading only.  Only the graded quotient reads points, at heights
+        up to n.
         """
-        if height > self._census_height:
-            self._census_groups = self._scan_region(height)
-            self._census_height = height
+        if height > self._points_height:
+            self._point_groups = self._walk(height, points=True)
+            self._points_height = height
         top = height * self.value_scale
-        return {key: pts for key, pts in self._census_groups.items() if key <= top}
+        return {key: pts for key, pts in self._point_groups.items() if key <= top}
 
-    def _scan_region(self, height: int) -> dict:
-        """The lattice points with nu(v) <= height, grouped by value.
+    def _counts(self, height: int) -> dict:
+        """The number of lattice points with nu(v) <= height, as
+        {nu * L: count}, keys ascending.
+
+        Read off the stored points at or below their height; above it, a
+        count-only :meth:`_walk` builds no point.  The tallest count walk
+        is kept for lower queries to filter.
+        """
+        top = height * self.value_scale
+        if height <= self._points_height:
+            return {key: len(pts) for key, pts in self._point_groups.items() if key <= top}
+        if height > self._counts_height:
+            self._count_groups = self._walk(height, points=False)
+            self._counts_height = height
+        return {key: count for key, count in self._count_groups.items() if key <= top}
+
+    def _intervals(self, height: int):
+        """The region nu(v) <= height as intervals of the last coordinate:
+        yields ``(prefix, sums, column, lo, hi)`` for each prefix of the
+        other coordinates whose interval lo..hi is not empty, with the
+        forms' partial sums at the prefix and their last entries.
 
         Works in the integers nu(v) * L = max (global) or min (local) of
         the scaled forms <S_F, v>, against the threshold H = height * L.
@@ -541,26 +567,24 @@ class PolytopeModel:
           below H, which bounds x above only, as every S_Fk > 0.
 
         At the last coordinate r_F = 0, so each point of the interval is
-        in the region.  The groups are keyed by these integers, in
-        ascending order.
+        in the region.
         """
         n = self.n
         forms = self._scaled_forms
         top = height * self.value_scale
         cap = height * self._max_coord
         take_max = self.mode == GLOBAL
+        columns = list(zip(*forms))
         # rests[k][F]: the least that coordinates k+1.. can add to form F
         rests = [[0] * len(forms) for _ in range(n)]
         if take_max:
             for k in range(n - 2, -1, -1):
-                rests[k] = [r + min(0, w[k + 1]) * cap for r, w in zip(rests[k + 1], forms)]
-        pick = max if take_max else min
-        groups: dict = {}
+                rests[k] = [r + min(0, a) * cap for r, a in zip(rests[k + 1], columns[k + 1])]
         stack = [((), (0,) * len(forms))]
         while stack:
             prefix, sums = stack.pop()
             k = len(prefix)
-            column = [w[k] for w in forms]
+            column = columns[k]
             if take_max:
                 lo, hi = 0, cap
                 for s, a, r in zip(sums, column, rests[k]):
@@ -578,16 +602,34 @@ class PolytopeModel:
                 ))
             if lo > hi:
                 continue
-            if k < n - 1:
-                for x in range(hi, lo - 1, -1):
-                    stack.append((prefix + (x,), tuple(s + a * x for s, a in zip(sums, column))))
+            if k == n - 1:
+                yield prefix, sums, column, lo, hi
                 continue
-            # along the last coordinate each form is an arithmetic progression
+            for x in range(hi, lo - 1, -1):
+                stack.append((prefix + (x,), tuple(s + a * x for s, a in zip(sums, column))))
+
+    def _walk(self, height: int, points: bool) -> dict:
+        """The lattice points with nu(v) <= height, grouped by value, over
+        :meth:`_intervals`: lists of points, or with ``points`` false
+        their numbers.
+
+        Along an interval each form is an arithmetic progression, and the
+        values are their max (global) or min (local).  The groups are
+        keyed by these integers, in ascending order.  A count-only walk
+        feeds the values of each interval to a ``Counter`` and builds no
+        tuple.
+        """
+        pick = max if self.mode == GLOBAL else min
+        groups: dict = {} if points else Counter()
+        for prefix, sums, column, lo, hi in self._intervals(height):
             lines = [
                 range(s + a * lo, s + a * (hi + 1), a) if a else itertools.repeat(s, hi + 1 - lo)
                 for s, a in zip(sums, column)
             ]
             keys = map(pick, *lines) if len(lines) > 1 else lines[0]
+            if not points:
+                groups.update(keys)
+                continue
             for x, key in zip(range(lo, hi + 1), keys):
                 group = groups.get(key)
                 if group is None:
@@ -600,17 +642,20 @@ class PolytopeModel:
         """Number of lattice points v >= 0 with nu(v) <= ell."""
         if ell < 0:
             raise InputError("dilation factor must be nonnegative")
-        return sum(len(pts) for pts in self._census(ell).values())
+        if ell > max(self._points_height, self._counts_height):
+            # above every stored height: the lengths of the intervals
+            return sum(hi + 1 - lo for *_, lo, hi in self._intervals(ell))
+        return sum(self._counts(ell).values())
 
     def value_histogram(self, bound: int) -> dict:
         """Multiset of Newton values <= bound, as {Fraction: multiplicity}."""
         scale = self.value_scale
-        return {Fraction(key, scale): len(pts) for key, pts in self._census(bound).items()}
+        return {Fraction(key, scale): count for key, count in self._counts(bound).items()}
 
     def points_by_value(self, bound: int) -> dict:
         """Lattice points grouped by Newton value, for values <= bound."""
         scale = self.value_scale
-        return {Fraction(key, scale): list(pts) for key, pts in self._census(bound).items()}
+        return {Fraction(key, scale): list(pts) for key, pts in self._points(bound).items()}
 
     # -- serialization -----------------------------------------------------
 

@@ -6,7 +6,7 @@ outside the coordinate hyperplanes.  nu is linear on the cone over each
 simplex and every vertex sits at level one, so the formula holds on any
 fan (Stapledon's weighted Ehrhart theory).  The generating-series
 oracle, (1-z)^n times the sum of z^{nu(v)} over the lattice points with
-nu(v) <= n + 1, is an independent check run by ``check`` and the tests.
+nu(v) <= n, is an independent check run by ``check`` and the tests.
 
 The spectrum at infinity (global mode) and the local singularity
 spectrum (local mode) are the alternating sum of the toric spectra of
@@ -33,17 +33,23 @@ def _box_sum(model: PolytopeModel, restrictions: bool) -> SpectrumSeries:
     over the simplices S of the triangulation, Z the coordinates on which
     S vanishes: over those with Z empty, or with ``restrictions`` over all
     of them and (-1)^n.  The exponents are integers over L, the model's
-    ``value_scale``.
+    ``value_scale``.  The weight depends on |Z| and dim S alone, so each
+    pair's is built once.
     """
     n = model.n
     scale = model.value_scale
     terms = [(0, (-1) ** n)] if restrictions else []
+    weights = {}
     for simplex in model.triangulation():
         zeros = len(model._zero_coordinates(sum(1 << i for i in simplex.vertex_indices)))
         if zeros and not restrictions:
             continue
-        weight = [(e, (-1) ** zeros * c)
-                  for e, c in z_minus_one_pow(n - zeros - 1 - simplex.dim).numerators(scale)]
+        weight = weights.get((zeros, simplex.dim))
+        if weight is None:
+            weight = weights[zeros, simplex.dim] = [
+                (e, (-1) ** zeros * c)
+                for e, c in z_minus_one_pow(n - zeros - 1 - simplex.dim).numerators(scale)
+            ]
         terms.extend(
             (bp.value + e, c) for bp in model.box_points(simplex) for e, c in weight
         )
@@ -59,23 +65,22 @@ def toric_spectrum_box(model: PolytopeModel) -> SpectrumSeries:
 def toric_spectrum_oracle(model: PolytopeModel) -> SpectrumSeries:
     """Toric Newton spectrum via the truncated generating series.
 
-    Computes (1-z)^n * sum_{nu(v) <= T} z^{nu(v)} at T = n + 1 and keeps
-    the exponents <= T.  The coefficient at z^e involves only the values
+    Computes (1-z)^n * sum_{nu(v) <= T} z^{nu(v)} at T = n and keeps the
+    exponents <= T.  The coefficient at z^e involves only the values
     e - j for j = 0..n, all <= e, so every kept coefficient equals that of
     the full lattice sum; as all exponents lie in [0, n], the kept part is
     the exact spectrum.  It must be nonnegative with mass equal to the
-    normalized volume, or :class:`TruncationError` is raised.
+    normalized volume, or :class:`TruncationError` is raised: a spectrum
+    term lost above T would show in the mass.  The census counts are read
+    off the points the Koszul route stores at height n, when it has run.
     """
     n = model.n
-    t = n + 1
     mu = model.normalized_volume()
-    partial = SpectrumSeries(
-        {key: len(pts) for key, pts in model._census(t).items()}, model.value_scale
-    )
-    kept = partial.mul_one_minus_z_pow(n).truncate_above(t)
+    partial = SpectrumSeries(model._counts(n), model.value_scale)
+    kept = partial.mul_one_minus_z_pow(n).truncate_above(n)
     if not (kept.is_nonnegative() and kept.eval_at_one() == mu):
         raise TruncationError(
-            f"generating series at truncation {t} is not a spectrum of mass {mu}: {kept}"
+            f"generating series at truncation {n} is not a spectrum of mass {mu}: {kept}"
         )
     return kept
 
@@ -127,4 +132,4 @@ def milnor_number(model: PolytopeModel, _at_infinity: Optional[SpectrumSeries] =
 
 def boundary_lattice_points(model: PolytopeModel) -> int:
     """Number of lattice points with Newton value exactly one."""
-    return len(model._census(1).get(model.value_scale, ()))
+    return model._counts(1).get(model.value_scale, 0)

@@ -257,6 +257,33 @@ def test_memory_error_exits_2_with_message(capsys, monkeypatch):
     assert "too large" in err and "MemoryError" in err
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
+def test_running_out_of_memory_exits_2_with_message():
+    # the child caps its own address space, and the boxes of
+    # u^1000+v^1000+w^1000 outgrow it; the message needs memory of its own,
+    # which the computation's data, still held by the traceback's frames,
+    # could leave it without
+    child = (
+        "import resource, sys\n"
+        "limit = 256 * 2**20\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+        "from newtonspec.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                      os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "milnor", "u^1000+v^1000+w^1000"],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == b""
+    assert proc.stderr.decode().splitlines() == [
+        "internal failure: the computation is too large for this machine (MemoryError: )"
+    ]
+
+
 @pytest.mark.parametrize("argv", [
     ("spectrum", "u^2 + u^2*v^2 + v^2"),
     ("product-table", "u^2 + u^2*v^2 + v^2"),

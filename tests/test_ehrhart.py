@@ -52,17 +52,19 @@ def test_delta_from_counts(square_model, quintic_model):
 
 
 def test_delta_from_counts_scans_the_region_once(monkeypatch):
-    heights = []
-    scan = PolytopeModel._scan_region
+    # one count-only walk at height n, and no point stored
+    walks = []
+    walk = PolytopeModel._walk
 
-    def counted(model, height):
-        heights.append(height)
-        return scan(model, height)
+    def counted(model, height, points):
+        walks.append((height, points))
+        return walk(model, height, points)
 
-    monkeypatch.setattr(PolytopeModel, "_scan_region", counted)
+    monkeypatch.setattr(PolytopeModel, "_walk", counted)
     m = build_model(parse_polynomial("u^3 + v^4 + w^5 + u*v*w"))
     assert delta_from_counts(m) == delta_from_spectrum(toric_spectrum_box(m), 3)
-    assert heights == [3]
+    assert walks == [(3, False)]
+    assert m._point_groups == {}
 
 
 def test_ehrhart_polynomial_text_and_values(quintic_model):

@@ -6,6 +6,8 @@ import random
 import sys
 from datetime import timedelta
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +19,11 @@ from newtonspec import (
     DimensionMismatchError,
     GradedClass,
     HintError,
+    Poly,
+    SpectrumSeries,
     b_product,
     build_model,
+    koszul_hilbert_series,
     leading_classes,
     monomial_text,
     parse_monomial,
@@ -329,6 +334,130 @@ def test_normal_forms_lie_on_the_basis_and_differ_by_relations(corpus):
                     diff[col] = diff.get(col, Fraction(0)) - coeff
                 stacked = list(block.rows.values()) + [diff]
                 assert len(linalg.rref(stacked)) == rank, (entry.poly, m)
+
+
+def _reference_leading_terms(model, leading):
+    """``graded._leading_terms`` as it was before the monomial codes, kept
+    verbatim as part of the reference: ``(vec, coeff, mask)`` terms."""
+    out = []
+    for cls in leading:
+        den = lcm(*(c.denominator for _, c in cls.terms))
+        coeffs = [c.numerator * (den // c.denominator) for _, c in cls.terms]
+        g = gcd(*coeffs)
+        out.append([
+            (vec, x // g, model.cone_key(vec)[1])
+            for (vec, _), x in zip(cls.terms, coeffs)
+        ])
+    return out
+
+
+def _reference_relation_rows(model, leading, monomials_here, monomials_prev, hint=None):
+    """``graded._relation_rows`` as it was before the monomial codes, kept
+    verbatim as the reference: tuple sums, a column-index dict and the cone
+    masks, and no singleton peeled."""
+    if hint is None:
+        ordered = sorted(monomials_here, key=lambda m: (sum(m), m))
+    else:
+        hint_set = set(hint)
+        ordered = sorted(
+            (m for m in monomials_here if m not in hint_set), key=lambda m: (sum(m), m)
+        ) + list(hint)
+    index = {m: i for i, m in enumerate(ordered)}
+    prev = [(m, model.cone_key(m)[1]) for m in monomials_prev]
+    rows = []
+    for terms in leading:
+        for m_prev, prev_mask in prev:
+            row = {
+                index[tuple(map(add, vec, m_prev))]: c
+                for vec, c, mask in terms if mask & prev_mask
+            }
+            if row:
+                rows.append(row)
+    return ordered, index, rows
+
+
+def _reference_koszul(p, model):
+    """The per-degree Koszul dimensions as computed before: each degree's
+    monomial count less the rank ``linalg.echelon`` gives its reference
+    rows."""
+    leading = _reference_leading_terms(model, leading_classes(p, model))
+    monomials = model.points_by_value(model.n)
+    dims = {}
+    for degree, here in monomials.items():
+        prev = monomials.get(degree - 1, [])
+        _, _, rows = _reference_relation_rows(model, leading, here, prev)
+        dims[degree] = len(here) - len(linalg.echelon(rows))
+    return SpectrumSeries(dims)
+
+
+def _assert_blocks_equal_reference(p, model, basis, hint=None):
+    """Each block's columns and reduced rows equal those of the reference
+    rows reduced by ``linalg.rref``, with the hint last if one is given."""
+    leading = _reference_leading_terms(model, leading_classes(p, model))
+    monomials = model.points_by_value(model.n)
+    for degree, block in basis.blocks.items():
+        block_hint = None if hint is None else [
+            m for m in hint if model.newton_value(m) == degree]
+        ordered, index, rows = _reference_relation_rows(
+            model, leading, monomials[degree], monomials.get(degree - 1, []), block_hint)
+        assert block.monomials == ordered, (p, degree)
+        assert block.index == index, (p, degree)
+        assert block.rows == linalg.rref(rows), (p, degree)
+
+
+def _assert_koszul_equals_reference(p):
+    model = build_model(p)
+    assert koszul_hilbert_series(p, model) == _reference_koszul(p, model), p
+
+
+def test_koszul_equals_reference_on_corpus(corpus):
+    for entry in corpus:
+        assert entry.koszul == _reference_koszul(entry.poly, entry.model), entry.poly
+
+
+@pytest.mark.parametrize("text", FOUR_VARIABLE_POLYS)
+def test_koszul_equals_reference_in_four_variables(text):
+    _assert_koszul_equals_reference(parse_polynomial(text))
+
+
+@pytest.mark.parametrize("text", LOCAL_GERMS)
+def test_koszul_equals_reference_on_local_germs(text):
+    _assert_koszul_equals_reference(parse_polynomial(text, mode=LOCAL))
+
+
+@settings(max_examples=40, deadline=timedelta(seconds=20))
+@given(st.integers(0, 2**32), st.sampled_from([1, 2, 3]), st.sampled_from([GLOBAL, LOCAL]))
+def test_koszul_equals_reference_on_random_supports(seed, n, mode):
+    p = random_convenient_poly(random.Random(seed), n)
+    _assert_koszul_equals_reference(Poly(names=p.names, terms=p.terms, mode=mode))
+
+
+def test_blocks_equal_reference_reduction_on_corpus(corpus):
+    rng = random.Random(5)
+    for entry in corpus:
+        basis = quotient_basis(entry.poly, entry.model, spectrum=entry.box)
+        _assert_blocks_equal_reference(entry.poly, entry.model, basis)
+        hint = list(basis.elements)
+        rng.shuffle(hint)
+        hinted = quotient_basis(entry.poly, entry.model, basis_hint=hint, spectrum=entry.box)
+        _assert_blocks_equal_reference(entry.poly, entry.model, hinted, hint)
+
+
+@settings(max_examples=30, deadline=timedelta(seconds=20))
+@given(st.integers(0, 2**32), st.sampled_from([2, 3]), st.sampled_from([GLOBAL, LOCAL]),
+       st.booleans())
+def test_blocks_equal_reference_reduction_on_random_supports(seed, n, mode, hinted):
+    rng = random.Random(seed)
+    p = random_convenient_poly(rng, n)
+    p = Poly(names=p.names, terms=p.terms, mode=mode)
+    model = build_model(p)
+    basis = quotient_basis(p, model)
+    hint = None
+    if hinted:
+        hint = list(basis.elements)
+        rng.shuffle(hint)
+        basis = quotient_basis(p, model, basis_hint=hint)
+    _assert_blocks_equal_reference(p, model, basis, hint)
 
 
 # corpus entries 38, 40, 47 and 55 (the last has a non-simplicial fan),

@@ -501,7 +501,7 @@ def _census_items(model, height):
     """The census's (value, points) groups, its integer keys nu * L read
     as ``Fraction(key, L)``."""
     scale = model.value_scale
-    return [(Fraction(key, scale), pts) for key, pts in model._census(height).items()]
+    return [(Fraction(key, scale), pts) for key, pts in model._points(height).items()]
 
 
 def _assert_census_matches_box_sweep(p):
@@ -512,6 +512,83 @@ def _assert_census_matches_box_sweep(p):
         assert _census_items(model, h) == want[h], (p, h)
     for h in reversed(heights):  # the lower ones filter the tallest scan
         assert _census_items(model, h) == want[h], (p, h)
+
+
+def _reference_scan_region(model, height):
+    """The point census as a region scan that stores every point, kept
+    verbatim from before the census stored points only up to height n
+    and counted above it, as the reference for both walks."""
+    n = model.n
+    forms = model._scaled_forms
+    top = height * model.value_scale
+    cap = height * model._max_coord
+    take_max = model.mode == GLOBAL
+    # rests[k][F]: the least that coordinates k+1.. can add to form F
+    rests = [[0] * len(forms) for _ in range(n)]
+    if take_max:
+        for k in range(n - 2, -1, -1):
+            rests[k] = [r + min(0, w[k + 1]) * cap for r, w in zip(rests[k + 1], forms)]
+    pick = max if take_max else min
+    groups: dict = {}
+    stack = [((), (0,) * len(forms))]
+    while stack:
+        prefix, sums = stack.pop()
+        k = len(prefix)
+        column = [w[k] for w in forms]
+        if take_max:
+            lo, hi = 0, cap
+            for s, a, r in zip(sums, column, rests[k]):
+                room = top - s - r
+                if a > 0:
+                    hi = min(hi, room // a)
+                elif a < 0:
+                    lo = max(lo, -(room // -a))
+                elif room < 0:
+                    hi = -1
+        else:
+            lo, hi = 0, min(cap, max(
+                ((top - s) // a for s, a in zip(sums, column) if s <= top),
+                default=-1,
+            ))
+        if lo > hi:
+            continue
+        if k < n - 1:
+            for x in range(hi, lo - 1, -1):
+                stack.append((prefix + (x,), tuple(s + a * x for s, a in zip(sums, column))))
+            continue
+        # along the last coordinate each form is an arithmetic progression
+        lines = [
+            range(s + a * lo, s + a * (hi + 1), a) if a else itertools.repeat(s, hi + 1 - lo)
+            for s, a in zip(sums, column)
+        ]
+        keys = map(pick, *lines) if len(lines) > 1 else lines[0]
+        for x, key in zip(range(lo, hi + 1), keys):
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [prefix + (x,)]
+            else:
+                group.append(prefix + (x,))
+    return {key: groups[key] for key in sorted(groups)}
+
+def _assert_walks_match_point_census(p):
+    """At every height 0..n+1: the point walk equals the reference scan,
+    the count-only walk and the interval lengths of a model that stores no
+    point equal its group sizes, and so do the counts read off points
+    stored at height n, with the count above them walked."""
+    n = p.nvars
+    stored = build_model(p)
+    stored._points(n)
+    for h in range(n + 2):
+        want = _reference_scan_region(stored, h)
+        counts = {key: len(pts) for key, pts in want.items()}
+        fresh = build_model(p)
+        assert fresh._walk(h, points=True) == want, (p, h)
+        assert fresh._counts(h) == counts, (p, h)
+        assert build_model(p).lattice_count(h) == sum(counts.values()), (p, h)
+        assert fresh._point_groups == {}, (p, h)
+        assert stored._counts(h) == counts, (p, h)
+        assert stored.lattice_count(h) == sum(counts.values()), (p, h)
+    assert stored._points_height == n
 
 
 # global supports with a facet form that has a negative entry, such as
@@ -550,6 +627,19 @@ def test_census_matches_box_sweep_on_corpus(corpus):
 )
 def test_census_matches_box_sweep(p):
     _assert_census_matches_box_sweep(p)
+
+
+def test_walks_match_point_census_on_corpus(corpus):
+    for entry in corpus:
+        _assert_walks_match_point_census(entry.poly)
+
+
+@pytest.mark.parametrize(
+    "p", CENSUS_INPUTS,
+    ids=[f"{p.mode}-n{p.nvars}-{i}" for i, p in enumerate(CENSUS_INPUTS)],
+)
+def test_walks_match_point_census(p):
+    _assert_walks_match_point_census(p)
 
 
 def _reference_box_points(model, face):

@@ -205,6 +205,34 @@ def test_routes_agree_on_random_supports(p):
     assert box == koszul_hilbert_series(p, m)
 
 
+def _oracle_at_n_plus_one(model):
+    """The oracle as computed before it truncated at T = n: the series at
+    T = n + 1, from the census histogram, kept as the reference."""
+    n = model.n
+    t = n + 1
+    partial = SpectrumSeries(model.value_histogram(t))
+    return partial.mul_one_minus_z_pow(n).truncate_above(t)
+
+
+def test_oracle_at_n_equals_the_series_at_n_plus_one_on_corpus(corpus):
+    for entry in corpus:
+        assert entry.oracle == _oracle_at_n_plus_one(build_model(entry.poly)), entry.poly
+
+
+@pytest.mark.parametrize("text,mode", [(t, GLOBAL) for t in FOUR_VARIABLE_POLYS]
+                         + [(t, LOCAL) for t in LOCAL_GERMS])
+def test_oracle_at_n_equals_the_series_at_n_plus_one(text, mode):
+    m = build_model(parse_polynomial(text, mode=mode))
+    assert toric_spectrum_oracle(m) == _oracle_at_n_plus_one(m)
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=20))
+@given(convenient_polys(min_n=2))
+def test_oracle_at_n_equals_the_series_at_n_plus_one_on_random_supports(p):
+    m = build_model(p)
+    assert toric_spectrum_oracle(m) == _oracle_at_n_plus_one(m)
+
+
 def assert_routes_agree(text, n):
     p = parse_polynomial(text)
     m = build_model(p)
