@@ -17,7 +17,6 @@ import sys
 from pathlib import Path
 
 from .ehrhart import (
-    _orbifold_cones,
     delta_from_counts,
     delta_from_spectrum,
     ehrhart_polynomial,
@@ -29,6 +28,7 @@ from .graded import product_table, quotient_basis
 from .invariants import run_checks
 from .poly import GLOBAL, LOCAL, monomial_text, parse_monomial, parse_polynomial
 from .polytope import build_model
+from .series import exponent_text
 from .spectrum import milnor_number, spectrum_at_infinity, toric_spectrum
 
 SCHEMA = 1
@@ -184,10 +184,10 @@ def _cmd_ehrhart(args) -> int:
 def _cmd_orbifold(args) -> int:
     p = _parse_input(args)
     model = build_model(p)
-    # one walk of the open boxes, one Hodge-Deligne polynomial per cone
-    cones = _orbifold_cones(model)
-    total = orbifold_dimensions(model, _cones=cones)
-    contribs = orbifold_contributions(model, _cones=cones)
+    # the series reads the model's value histograms; the printed terms
+    # walk the points of each open box, once
+    total = orbifold_dimensions(model)
+    contribs = orbifold_contributions(model)
     payload = {
         "schema": SCHEMA,
         "command": "orbifold",
@@ -227,7 +227,8 @@ def _cmd_product_table(args) -> int:
     basis = quotient_basis(p, model, basis_hint=hint)
     table = product_table(basis)
     labels = [monomial_text(v, p.names) for v in basis.elements]
-    gradings = [str(model.newton_value(v)) for v in basis.elements]
+    scale = model.value_scale
+    gradings = [exponent_text(model.cone_key(v)[0], scale) for v in basis.elements]
     rows = [{} for _ in table]
     texts = {}
     for i, row in enumerate(table):

@@ -13,6 +13,19 @@ degree-2*alpha orbifold cohomology of the stack of the fan.  That union
 is the disjoint union of the open boxes of the cones, and the points of
 one open box share their smallest cone, so each cone's polynomial is
 built once and no point's cone is looked up.
+
+A cone's Hodge-Deligne polynomials E_sigma and E*_sigma are read off the
+star counts of the face lattice (:attr:`PolytopeModel.face_stars`), one
+pass over the lattice per model.  The orbifold sum reads the value
+histograms of the open boxes (:attr:`PolytopeModel.open_boxes`), the
+same histograms as the box formula of :mod:`newtonspec.spectrum`: on a
+simplicial fan the two sums differ only in their weights, the stars in
+the face lattice here and the stars in the triangulation there, so the
+orbifold check of ``check`` compares those two star counts over one
+histogram.  The per-point terms of ``orbifold`` walk the points of each
+open box (:meth:`PolytopeModel.box_points`), as they are printed.  The
+delta-vector from the lattice counts reads the census alone, and stays
+independent of the boxes.
 """
 
 from __future__ import annotations
@@ -21,15 +34,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import ExponentRangeError, NegativeDeltaError, NotSimplicialError
 from .polytope import BoxPoint, Face, PolytopeModel
 from .series import SpectrumSeries, z_minus_one_pow
+from .spectrum import open_box_terms
 
 Vec = Tuple[int, ...]
-# each cone's relative Hodge-Deligne polynomial with the points of its open box
-Cones = List[Tuple[SpectrumSeries, List[BoxPoint]]]
 
 
 @dataclass(frozen=True)
@@ -137,26 +149,18 @@ def ehrhart_polynomial(delta: DeltaVector) -> EhrhartPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def _hodge_deligne_of_cone(model: PolytopeModel, sigma: Face, relative: bool) -> SpectrumSeries:
-    """The sum of (z - 1)^(n - 1 - dim f) over the faces f that contain
-    sigma: the faces are counted by that power first, so each power of
-    (z - 1) is built once per call."""
-    n = model.n
-    counts = [0] * (n + 1)
-    if not relative and sigma.dim == -1:
-        # the zero cone belongs to the full fan only
-        counts[n] = 1
-    vs = sigma.vertex_indices
-    for f in model.faces:
-        if relative and f.in_coordinate_hyperplane:
-            continue
-        if all(map(f.vertex_indices.__contains__, vs)):
-            counts[n - 1 - f.dim] += 1
+def _star_polynomial(counts: Sequence[int]) -> SpectrumSeries:
+    """The sum of counts[k] * (z - 1)^k: a cone's Hodge-Deligne
+    polynomial from its star counts, each power of (z - 1) built once."""
     return SpectrumSeries(
         ((e, count * c) for k, count in enumerate(counts) if count
          for e, c in z_minus_one_pow(k).numerators()),
         1,
     )
+
+
+def _cone_mask(sigma: Face) -> int:
+    return sum(1 << i for i in sigma.vertex_indices)
 
 
 def hodge_deligne(model: PolytopeModel, v: Sequence[int], relative: bool = False) -> SpectrumSeries:
@@ -165,10 +169,17 @@ def hodge_deligne(model: PolytopeModel, v: Sequence[int], relative: bool = False
     ``relative`` restricts the sum to the cones not contained in the
     coordinate hyperplanes; the zero cone is a member of the full fan
     only.  For v = 0 this is the (relative) Hodge-Deligne polynomial of
-    the toric variety of the fan itself.
+    the toric variety of the fan itself.  The sum of (z - 1)^(n - 1 -
+    dim f) over the faces f that contain sigma(v) is read off the star
+    counts of the face lattice, taken once per model.
     """
     sigma = model.smallest_cone(tuple(v))
-    return _hodge_deligne_of_cone(model, sigma, relative)
+    every, outside = model.face_stars[_cone_mask(sigma)]
+    counts = list(outside if relative else every)
+    if not relative and sigma.dim == -1:
+        # the zero cone belongs to the full fan only
+        counts[model.n] = 1
+    return _star_polynomial(counts)
 
 
 def _open_boxes(model: PolytopeModel) -> List[Tuple[Face, List[BoxPoint]]]:
@@ -182,7 +193,9 @@ def _open_boxes(model: PolytopeModel) -> List[Tuple[Face, List[BoxPoint]]]:
     the half-open boxes of the faces outside them is the disjoint union
     of the open boxes of all faces, the zero cone's being the origin.
     The open box of sigma is the part of its half-open box where every
-    d*q entry is positive.  The faces must be simplices.
+    d*q entry is positive.  The faces must be simplices.  Only the
+    printed points are walked here; the sums read
+    :attr:`PolytopeModel.open_boxes`.
     """
     out = []
     for sigma in (model.zero_cone, *model.faces):
@@ -203,47 +216,51 @@ def box_point_union(model: PolytopeModel) -> List[Tuple[Vec, int]]:
     )
 
 
-def _orbifold_cones(model: PolytopeModel) -> Cones:
-    """Each cone of :func:`_open_boxes` as the relative Hodge-Deligne
-    polynomial E*_sigma, built once per cone, with the points of its open
-    box.  The fan must be simplicial."""
+def _require_simplicial(model: PolytopeModel) -> None:
     if not model.simplicial_fan:
         raise NotSimplicialError("orbifold dimensions need a simplicial fan")
-    return [
-        (_hodge_deligne_of_cone(model, sigma, relative=True), points)
-        for sigma, points in _open_boxes(model)
-    ]
 
 
-def orbifold_contributions(
-    model: PolytopeModel, _cones: Optional[Cones] = None
-) -> List[Tuple[Vec, SpectrumSeries]]:
+def orbifold_contributions(model: PolytopeModel) -> List[Tuple[Vec, SpectrumSeries]]:
     """Per-box-point terms E*_v(z) * z^{nu(v)}, sorted by (value, point).
 
     E*_v is the relative Hodge-Deligne polynomial of the smallest cone of
-    v, the face whose open box holds v.  A caller that already holds
-    :func:`_orbifold_cones` of the model passes it in.
+    v, the face whose open box holds v, built once per cone from the star
+    counts of the face lattice.  The fan must be simplicial.
     """
-    cones = _orbifold_cones(model) if _cones is None else _cones
+    _require_simplicial(model)
+    stars = model.face_stars
     scale = model.value_scale
-    out = [(bp.value, bp.point, e_rel) for e_rel, points in cones for bp in points]
+    out = []
+    for sigma, points in _open_boxes(model):
+        e_rel = _star_polynomial(stars[_cone_mask(sigma)][1])
+        out.extend((bp.value, bp.point, e_rel) for bp in points)
     out.sort(key=lambda t: t[:2])
     return [(point, e_rel.shift(value, scale)) for value, point, e_rel in out]
 
 
-def orbifold_dimensions(model: PolytopeModel, _cones: Optional[Cones] = None) -> SpectrumSeries:
+def orbifold_dimensions(model: PolytopeModel) -> SpectrumSeries:
     """Graded dimensions of the orbifold cohomology of the stacky fan.
 
     The sum over the cones sigma of E*_sigma(z) times the sum of
     z^{nu(v)} over the open box of sigma, with the exponents as integers
     over L, the model's ``value_scale``; coefficient-for-coefficient
-    equal to the toric Newton spectrum on simplicial fans.  A caller that
-    already holds :func:`_orbifold_cones` of the model passes it in.
+    equal to the toric Newton spectrum on simplicial fans.  The open
+    boxes are the value histograms of :attr:`PolytopeModel.open_boxes`,
+    the triangulation of a simplicial fan being its face lattice, and
+    each E*_sigma comes from the star counts of the face lattice, built
+    once per distinct star.  The fan must be simplicial.
     """
-    cones = _orbifold_cones(model) if _cones is None else _cones
+    _require_simplicial(model)
+    stars = model.face_stars
     scale = model.value_scale
-    terms = []
-    for e_rel, points in cones:
-        weight = list(e_rel.numerators(scale))
-        terms.extend((bp.value + e, c) for bp in points for e, c in weight)
-    return SpectrumSeries(terms, scale)
+    weights: dict = {}   # a cone's relative star counts -> E* over L
+
+    def relative_polynomial(g: int) -> list:
+        counts = tuple(stars[g][1])
+        weight = weights.get(counts)
+        if weight is None:
+            weight = weights[counts] = list(_star_polynomial(counts).numerators(scale))
+        return weight
+
+    return SpectrumSeries(open_box_terms(model, relative_polynomial), scale)

@@ -27,6 +27,19 @@ group's generators, one of order s_i per row of U, and an odometer over
 their digits reaches each of its prod(s) points once, in the integers,
 with no candidate rejected.
 
+Every box sum reads one walk per model (:attr:`PolytopeModel.open_boxes`).
+The half-open box of a simplex is the disjoint union of the open boxes
+of its faces, so the boxes of the top simplices of the triangulation
+hold the open box of every simplex, and each open box is kept, as a
+histogram of its values, from the first top simplex that holds it; a
+sum over the half-open boxes of weighted simplices is then a sum over
+the open boxes, each weighted by the star of its simplex, as in
+Stapledon's weighted Ehrhart theory.  The star
+counts are taken once per model, over the triangulation
+(:attr:`PolytopeModel.triangulation_stars`) and over the face lattice
+(:attr:`PolytopeModel.face_stars`).  :meth:`PolytopeModel.box_points`
+builds the points of one box where they are printed.
+
 The lattice census (the points with nu(v) <= T, grouped by value) walks
 only that region, not a bounding box: with one integer partial sum per
 scaled form, each coordinate in turn ranges over the interval that the
@@ -55,7 +68,7 @@ vertices that are nonzero on some coordinate.
 The pulling triangulation reads the ridges of the faces that are not
 simplices only, memoised per model; a simplex facet is its own piece.
 So the volume and the box route build no face lattice.  The lattice is
-built the first time ``faces``, ``f_of_p``,
+built the first time ``faces``, ``f_of_p``, ``face_stars``,
 :meth:`PolytopeModel.smallest_cone` or :meth:`PolytopeModel.to_json`
 reads it, from the top down, one dimension at a time, through the same
 ridge memo.  A face's dimension is its level, so no rank is taken.
@@ -151,6 +164,16 @@ def _bits(mask: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
+def _submasks(mask: int) -> List[int]:
+    """Every submask of ``mask``, 0 included."""
+    out = [mask]
+    sub = mask
+    while sub:
+        sub = (sub - 1) & mask
+        out.append(sub)
+    return out
+
+
 def _diagonal_form(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int]]:
     """``(U, s)`` with U unimodular, s > 0 and U*V*W = diag(s) for some
     unimodular W, V the k x n integer matrix ``rows`` of rank k.
@@ -206,8 +229,8 @@ class PolytopeModel:
     Use :func:`build_model`; the constructor is internal.  The model
     holds the facet forms and the walls (the hull facets as vertex
     bitmasks).  The face lattice, ``faces`` with ``f_of_p``, is built
-    the first time it is read; the volume, the triangulation and the box
-    points never read it.
+    the first time it is read; the volume, the triangulation, the open
+    boxes and the box points never read it.
     """
 
     # the cone of the zero vector, the same in every model
@@ -236,7 +259,6 @@ class PolytopeModel:
             for ff in facets
         ]
         self._max_coord = max((c for v in vertices for c in v), default=0)
-        self._box_cache: dict = {}
         self._points_height = -1
         self._point_groups: dict = {}
         self._counts_height = -1
@@ -411,14 +433,11 @@ class PolytopeModel:
         carries d*q and nu * L as integers, no ``Fraction``; the points
         are sorted.
         """
-        key = face.vertex_indices
-        if key in self._box_cache:
-            return self._box_cache[key]
         if not face.is_simplex:
             raise NotSimplexError(
                 f"face with vertices {face.vertex_indices} is not a simplex"
             )
-        verts = [self.vertices[i] for i in key]
+        verts = [self.vertices[i] for i in face.vertex_indices]
         u, s = _diagonal_form(verts)
         d = prod(s)
         found: list = [None] * d
@@ -440,9 +459,59 @@ class PolytopeModel:
         found.sort()
         # every vertex is at level one, so nu * L = sum(q) * L, an integer
         scale = self.value_scale
-        out = [BoxPoint(point, sum(nq) * scale // d, nq, d) for point, nq in found]
-        self._box_cache[key] = out
-        return out
+        return [BoxPoint(point, sum(nq) * scale // d, nq, d) for point, nq in found]
+
+    @functools.cached_property
+    def open_boxes(self) -> dict:
+        """The open box of every simplex of the triangulation as a value
+        histogram, ``{G: {nu * L: count}}``, G the simplex's vertex
+        bitmask, for each G whose open box holds a point; the origin is
+        the open box of the empty simplex, mask 0.  Walked once per model.
+
+        A point v = sum q_l * b_l of the half-open box of a simplex lies in
+        the open box of the face spanned by the vertices with q_l > 0, so
+        the boxes of the top simplices hold every open box.  Each open box
+        is taken from the first top simplex that holds it, and each top
+        simplex's box is the group of :meth:`box_points`, one diagonal
+        form per top simplex.  Its points are walked one vertex at a time,
+        the column of the d*q_l of every point, each generator adding its
+        step to every point found so far, and folded into one integer key
+        per point: sum(d*q) shifted past the vertex bits, plus the bits of
+        the vertices with d*q_l > 0.  No point and no ``BoxPoint`` is
+        built.  The key list is sized d before the walk, so a box too
+        large to hold fails at once (``OverflowError``, ``MemoryError``).
+        """
+        scale = self.value_scale
+        shift = len(self.vertices)
+        low = (1 << shift) - 1
+        boxes: dict = {}
+        for piece in self._top_simplices:
+            u, s = _diagonal_form([self.vertices[i] for i in piece])
+            d = prod(s)
+            keys = [0] * d
+            generators = [(row, order) for row, order in zip(u, s) if order > 1]
+            for l, i in enumerate(piece):
+                column = [0]
+                for row, order in generators:
+                    step = row[l] * (d // order) % d
+                    column = ([(x + c) % d for c in range(0, order * step, step) for x in column]
+                              if step else column * order)
+                bit = 1 << i
+                keys = [key + (x << shift | bit) if x else key for key, x in zip(keys, column)]
+            counts = Counter(keys)
+            del keys, column
+            found: dict = {}
+            for key, count in counts.items():
+                g = key & low
+                values = found.get(g)
+                if values is None:
+                    if g in boxes:   # an earlier top simplex holds it
+                        continue
+                    values = found[g] = {}
+                # every vertex is at level one, so nu * L = sum(q) * L
+                values[(key >> shift) * scale // d] = count
+            boxes.update(found)
+        return boxes
 
     # -- triangulation, volumes and lattice counts ----------------------
 
@@ -482,22 +551,77 @@ class PolytopeModel:
             memo[face] = pieces
         return pieces
 
+    @functools.cached_property
+    def _simplices(self) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+        """Every simplex of the pulling triangulation, each once, as its
+        vertex bitmask with the coordinates on which it vanishes, in
+        ascending order of the masks."""
+        simplices = set()
+        for piece in self._top_simplices:
+            simplices.update(_submasks(sum(1 << i for i in piece)))
+        simplices.discard(0)
+        return tuple((mask, self._zero_coordinates(mask)) for mask in sorted(simplices))
+
     def triangulation(self) -> Tuple[Face, ...]:
         """Every face of every top simplex of the pulling triangulation of
         the Newton boundary, sorted by dimension and then vertices.  Each
         vertex sits at level one and nu is linear on the cone over each.
         """
         if self._triangulation is None:
-            simplices = set()
-            for piece in self._top_simplices:
-                top = sub = sum(1 << i for i in piece)
-                while sub:   # every nonempty submask of the piece
-                    simplices.add(sub)
-                    sub = (sub - 1) & top
-            faces = sorted((self._face(s, s.bit_count() - 1) for s in simplices),
+            faces = sorted((self._face(mask, mask.bit_count() - 1) for mask, _ in self._simplices),
                            key=lambda f: (f.dim, f.vertex_indices))
             self._triangulation = tuple(faces)
         return self._triangulation
+
+    @functools.cached_property
+    def triangulation_stars(self) -> dict:
+        """The star of each simplex G of :attr:`open_boxes` in the
+        triangulation: ``{G: {(|Z|, dim S): number}}``, the simplices S
+        that contain G counted by the number of coordinates Z on which S
+        vanishes and by their dimension.  One pass over the submasks of
+        every simplex; the star of the empty simplex, mask 0, is the whole
+        triangulation."""
+        stars = {g: {} for g in self.open_boxes}
+        for mask, zeros in self._simplices:
+            key = (len(zeros), mask.bit_count() - 1)
+            for sub in _submasks(mask):
+                star = stars.get(sub)
+                if star is not None:
+                    star[key] = star.get(key, 0) + 1
+        return stars
+
+    @functools.cached_property
+    def face_stars(self) -> dict:
+        """The star of each face sigma of the Newton boundary, and of the
+        zero cone (mask 0), in the face lattice: ``{sigma: (every,
+        outside)}``, where ``every[k]`` counts the faces f that contain
+        sigma with n - 1 - dim f = k, and ``outside[k]`` those of them
+        outside the coordinate hyperplanes.
+
+        One pass over the lattice, from the bottom up: the faces of a
+        simplex are its nonempty submasks, and those of any other face are
+        itself and the faces of its ridges, kept for the faces above."""
+        n = self.n
+        stars: dict = {}
+        below: dict = {}   # a face that is no simplex: its faces, 0 included
+        for face in self.faces:
+            mask = sum(1 << i for i in face.vertex_indices)
+            if face.is_simplex:
+                subs = _submasks(mask)
+            else:
+                subs = below[mask] = {mask}
+                for ridge in self._ridges(mask):
+                    subs.update(below.get(ridge) or _submasks(ridge))
+            k = n - 1 - face.dim
+            outside = not face.in_coordinate_hyperplane
+            for sigma in subs:
+                counts = stars.get(sigma)
+                if counts is None:
+                    counts = stars[sigma] = ([0] * (n + 1), [0] * (n + 1))
+                counts[0][k] += 1
+                if outside:
+                    counts[1][k] += 1
+        return stars
 
     def normalized_volume(self) -> int:
         """n! times the volume of the model region (an integer).

@@ -44,7 +44,7 @@ def _over_one_denominator(pairs) -> Tuple[list, int]:
     return [(num * (den // d), c) for (num, d), c in terms], den
 
 
-def _exponent_text(num: int, den: int) -> str:
+def exponent_text(num: int, den: int) -> str:
     """num/den as ``str(Fraction(num, den))`` writes it."""
     g = gcd(num, den)
     return str(num // g) if g == den else f"{num // g}/{den // g}"
@@ -132,6 +132,9 @@ class SpectrumSeries:
         return not self._terms
 
     def max_exponent(self) -> Fraction:
+        """The largest exponent; the zero series has none (``ValueError``)."""
+        if not self._terms:
+            raise ValueError("the zero series has no largest exponent")
         return Fraction(next(reversed(self._terms)), self._den)
 
     def __bool__(self) -> bool:
@@ -242,7 +245,7 @@ class SpectrumSeries:
                 elif k % den == 0:
                     zpart = f"z^{k // den}"
                 else:
-                    zpart = f"z^{{{_exponent_text(k, den)}}}"
+                    zpart = f"z^{{{exponent_text(k, den)}}}"
                 body = zpart if mag == 1 else f"{mag} {zpart}"
             if i == 0:
                 parts.append(body if c > 0 else f"-{body}")
@@ -257,7 +260,7 @@ class SpectrumSeries:
         """Serialize as ``[{"exponent": "p/q", "coefficient": c}, ...]``."""
         den = self._den
         return [
-            {"exponent": _exponent_text(k, den), "coefficient": c}
+            {"exponent": exponent_text(k, den), "coefficient": c}
             for k, c in self._terms.items()
         ]
 

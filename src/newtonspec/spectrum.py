@@ -4,55 +4,95 @@ The toric Newton spectrum comes from the box formula, summed over the
 simplices of the pulling triangulation of the Newton boundary that lie
 outside the coordinate hyperplanes.  nu is linear on the cone over each
 simplex and every vertex sits at level one, so the formula holds on any
-fan (Stapledon's weighted Ehrhart theory).  The generating-series
-oracle, (1-z)^n times the sum of z^{nu(v)} over the lattice points with
-nu(v) <= n, is an independent check run by ``check`` and the tests.
+fan (Stapledon's weighted Ehrhart theory).  Every box sum reads the
+model's one walk of the open boxes of the top simplices
+(:attr:`PolytopeModel.open_boxes`): a half-open box is the disjoint
+union of the open boxes of its simplex's faces, so the formula is the
+sum of each open box's value histogram times the weights of the
+simplices that contain it, its star in the triangulation.
+
+Two routes stay independent of the boxes, and ``check`` and the tests
+compare each with the box formula.  The generating-series oracle,
+(1-z)^n times the sum of z^{nu(v)} over the lattice points with
+nu(v) <= n, counts the census, which reads the facet forms alone; the
+Koszul route (:func:`newtonspec.graded.koszul_hilbert_series`) takes
+the ranks of the relation matrices degree by degree.
 
 The spectrum at infinity (global mode) and the local singularity
 spectrum (local mode) are the alternating sum of the toric spectra of
 the coordinate restrictions.  A restriction's Newton boundary is the
 part of p's in its coordinate subspace, so one pass over the simplices
 S of p's triangulation sums them all, S counting for the restriction to
-the coordinates where it does not vanish.  The Milnor number is the mass
-of that series, cross checked against the alternating sum of normalized
-volumes (Kouchnirenko), by determinants over the same simplices.
+the coordinates where it does not vanish: the same histogram, with
+signed weights.  The Milnor number is the mass of that series, cross
+checked against the alternating sum of normalized volumes
+(Kouchnirenko), by determinants over the same simplices.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Optional
 
 from . import linalg
 from .errors import MismatchError, TruncationError
-from .polytope import PolytopeModel
+from .polytope import PolytopeModel, _bits
 from .series import SpectrumSeries, z_minus_one_pow
+
+
+def open_box_terms(model: PolytopeModel, weight):
+    """The terms of the sum of OB_G(z) * weight(G) over the open boxes G
+    of :attr:`PolytopeModel.open_boxes`, lazily, as (exponent * L,
+    coefficient) pairs, L the model's ``value_scale``: ``weight`` maps a
+    simplex's mask to its weight's terms over L, and is called once per
+    open box.  A series built from them draws them one at a time, so no
+    list holds them."""
+    return (
+        (v + e, count * c)
+        for g, values in model.open_boxes.items() for terms in [weight(g)]
+        for v, count in values.items() for e, c in terms
+    )
 
 
 def _box_sum(model: PolytopeModel, restrictions: bool) -> SpectrumSeries:
     """Sums (-1)^|Z| (z-1)^(n-|Z|-1-dim S) * sum_{v in Box(S)} z^{nu(v)}
     over the simplices S of the triangulation, Z the coordinates on which
     S vanishes: over those with Z empty, or with ``restrictions`` over all
-    of them and (-1)^n.  The exponents are integers over L, the model's
-    ``value_scale``.  The weight depends on |Z| and dim S alone, so each
-    pair's is built once.
+    of them and (-1)^n.
+
+    Box(S) is the disjoint union of the open boxes of the faces G of S,
+    so the sum is that of OB_G(z) * W_G(z) over the open boxes, W_G the
+    sum of the weights of the simplices S that contain G, read off their
+    star counts (:attr:`PolytopeModel.triangulation_stars`).  A weight
+    depends on |Z| and dim S alone, so each pair's is built once, and
+    each distinct star's sum once.
     """
     n = model.n
     scale = model.value_scale
-    terms = [(0, (-1) ** n)] if restrictions else []
-    weights = {}
-    for simplex in model.triangulation():
-        zeros = len(model._zero_coordinates(sum(1 << i for i in simplex.vertex_indices)))
-        if zeros and not restrictions:
-            continue
-        weight = weights.get((zeros, simplex.dim))
-        if weight is None:
-            weight = weights[zeros, simplex.dim] = [
-                (e, (-1) ** zeros * c)
-                for e, c in z_minus_one_pow(n - zeros - 1 - simplex.dim).numerators(scale)
-            ]
-        terms.extend(
-            (bp.value + e, c) for bp in model.box_points(simplex) for e, c in weight
-        )
+    stars = model.triangulation_stars
+    weights: dict = {}   # (|Z|, dim S) -> the weight's terms over L
+    sums: dict = {}      # a star's counts -> the terms of its W_G over L
+
+    def star_sum(g: int) -> list:
+        star = tuple(sorted(item for item in stars[g].items() if restrictions or not item[0][0]))
+        total = sums.get(star)
+        if total is None:
+            acc: dict = {}
+            for (zeros, dim), count in star:
+                weight = weights.get((zeros, dim))
+                if weight is None:
+                    weight = weights[zeros, dim] = [
+                        (e, (-1) ** zeros * c)
+                        for e, c in z_minus_one_pow(n - zeros - 1 - dim).numerators(scale)
+                    ]
+                for e, c in weight:
+                    acc[e] = acc.get(e, 0) + count * c
+            total = sums[star] = [(e, c) for e, c in acc.items() if c]
+        return total
+
+    terms = open_box_terms(model, star_sum)
+    if restrictions:
+        terms = chain([(0, (-1) ** n)], terms)
     return SpectrumSeries(terms, scale)
 
 
@@ -116,11 +156,10 @@ def milnor_number(model: PolytopeModel, _at_infinity: Optional[SpectrumSeries] =
     via_spectrum = _at_infinity.eval_at_one()
     n = model.n
     via_volumes = (-1) ** n
-    for simplex in model.triangulation():
-        zeros = model._zero_coordinates(sum(1 << i for i in simplex.vertex_indices))
-        if simplex.dim == n - 1 - len(zeros):
+    for mask, zeros in model._simplices:
+        if mask.bit_count() == n - len(zeros):
             rows = [[x for j, x in enumerate(model.vertices[i]) if j not in zeros]
-                    for i in simplex.vertex_indices]
+                    for i in _bits(mask)]
             via_volumes += (-1) ** len(zeros) * abs(linalg.int_det(rows))
     if via_spectrum != via_volumes:
         raise MismatchError(

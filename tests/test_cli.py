@@ -76,25 +76,21 @@ def test_orbifold(capsys):
     ["x^4 + y^5 + z^6 + x*y*z^2 + x^2*y^2", "--local"],
 ])
 def test_orbifold_walks_the_open_boxes_once(capsys, monkeypatch, argv):
-    # the series and the per-point terms share one walk of the open
-    # boxes and one relative Hodge-Deligne polynomial per cone
-    walks, cones = [], []
-    open_boxes, of_cone = ehrhart._open_boxes, ehrhart._hodge_deligne_of_cone
+    # the per-point terms walk the open boxes once, and the series reads
+    # the model's value histograms, which count the same points
+    walks = []
+    open_boxes = ehrhart._open_boxes
 
     def counted_walk(model):
-        out = open_boxes(model)
-        walks.append(len(out))
-        return out
-
-    def counted_cone(model, sigma, relative):
-        cones.append(sigma)
-        return of_cone(model, sigma, relative)
+        walks.append(model)
+        return open_boxes(model)
 
     monkeypatch.setattr(ehrhart, "_open_boxes", counted_walk)
-    monkeypatch.setattr(ehrhart, "_hodge_deligne_of_cone", counted_cone)
     code, out, _ = run_cli(capsys, "orbifold", *argv)
     assert code == 0 and out
-    assert walks == [len(cones)] and len(set(cones)) == len(cones)
+    [model] = walks
+    points = sum(sum(values.values()) for values in model.open_boxes.values())
+    assert len(out.splitlines()) == 1 + points
 
 
 def test_product_table_with_hint(capsys):
