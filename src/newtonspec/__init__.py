@@ -52,7 +52,6 @@ from .poly import (
     monomial_text,
     parse_monomial,
     parse_polynomial,
-    restrict,
 )
 from .polytope import BoxPoint, Face, FacetForm, PolytopeModel, build_model
 from .series import SpectrumSeries, one_minus_z_pow, z_minus_one_pow

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .ehrhart import (
     delta_from_counts,
@@ -83,9 +84,11 @@ def _parse_input(args):
     return parse_polynomial(text, mode=mode, var_order=var_order)
 
 
-def _emit(args, payload: dict, text_lines) -> None:
+def _emit(args, payload: Callable[[], dict], text_lines) -> None:
+    """Print the JSON of ``payload()`` with ``--json``, else the text
+    lines: the payload is built only when it is printed."""
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload(), indent=2))
     else:
         for line in text_lines:
             print(line)
@@ -95,38 +98,35 @@ def _cmd_spectrum(args) -> int:
     p = _parse_input(args)
     model = build_model(p)
     series = toric_spectrum(model)
-    payload = {
+    _emit(args, lambda: {
         "schema": SCHEMA,
         "command": "spectrum",
         "mode": p.mode,
         "route": "box",
         "mu_P": model.normalized_volume(),
         "series": series.to_json(),
-    }
-    _emit(args, payload, [str(series), "route: box",
-                          f"mu_P: {model.normalized_volume()}"])
+    }, [str(series), "route: box", f"mu_P: {model.normalized_volume()}"])
     return 0
 
 
 def _cmd_spec_infinity(args) -> int:
     p = _parse_input(args)
     series = spectrum_at_infinity(build_model(p))
-    payload = {
+    _emit(args, lambda: {
         "schema": SCHEMA,
         "command": "spec-infinity",
         "mode": p.mode,
         "mu": series.eval_at_one(),
         "series": series.to_json(),
-    }
-    _emit(args, payload, [str(series), f"mu: {series.eval_at_one()}"])
+    }, [str(series), f"mu: {series.eval_at_one()}"])
     return 0
 
 
 def _cmd_milnor(args) -> int:
     p = _parse_input(args)
     mu = milnor_number(build_model(p))
-    payload = {"schema": SCHEMA, "command": "milnor", "mode": p.mode, "milnor": mu}
-    _emit(args, payload, [str(mu)])
+    _emit(args, lambda: {"schema": SCHEMA, "command": "milnor", "mode": p.mode, "milnor": mu},
+          [str(mu)])
     return 0
 
 
@@ -134,8 +134,8 @@ def _cmd_volume(args) -> int:
     p = _parse_input(args)
     model = build_model(p)
     mu = model.normalized_volume()
-    payload = {"schema": SCHEMA, "command": "volume", "mode": p.mode, "mu_P": mu}
-    _emit(args, payload, [str(mu)])
+    _emit(args, lambda: {"schema": SCHEMA, "command": "volume", "mode": p.mode, "mu_P": mu},
+          [str(mu)])
     return 0
 
 
@@ -149,14 +149,13 @@ def _cmd_delta(args) -> int:
         raise InternalCheckError(
             f"delta from spectrum {delta.entries} != delta from counts {counted.entries}"
         )
-    payload = {
+    _emit(args, lambda: {
         "schema": SCHEMA,
         "command": "delta",
         "mode": p.mode,
         "delta": delta.to_json(),
         "mu_P": model.normalized_volume(),
-    }
-    _emit(args, payload, [str(delta), f"vector: {list(delta.entries)}"])
+    }, [str(delta), f"vector: {list(delta.entries)}"])
     return 0
 
 
@@ -167,17 +166,16 @@ def _cmd_ehrhart(args) -> int:
     delta = delta_from_spectrum(series, model.n)
     ehr = ehrhart_polynomial(delta)
     values = [[ell, ehr.evaluate(ell)] for ell in range(model.n + 2)]
-    payload = {
+    lines = [str(ehr), f"delta: {delta}"]
+    lines += [f"L({ell}) = {val}" for ell, val in values]
+    _emit(args, lambda: {
         "schema": SCHEMA,
         "command": "ehrhart",
         "mode": p.mode,
         "delta": delta.to_json(),
         "binomial_terms": ehr.to_json(),
         "values": values,
-    }
-    lines = [str(ehr), f"delta: {delta}"]
-    lines += [f"L({ell}) = {val}" for ell, val in values]
-    _emit(args, payload, lines)
+    }, lines)
     return 0
 
 
@@ -185,10 +183,13 @@ def _cmd_orbifold(args) -> int:
     p = _parse_input(args)
     model = build_model(p)
     # the series reads the model's value histograms; the printed terms
-    # walk the points of each open box, once
+    # walk the boxes of the top simplices, once
     total = orbifold_dimensions(model)
     contribs = orbifold_contributions(model)
-    payload = {
+    lines = [str(total)]
+    for v, s in contribs:
+        lines.append(f"v=({','.join(str(x) for x in v)}): {s}")
+    _emit(args, lambda: {
         "schema": SCHEMA,
         "command": "orbifold",
         "mode": p.mode,
@@ -196,11 +197,7 @@ def _cmd_orbifold(args) -> int:
         "contributions": [
             {"point": list(v), "series": s.to_json()} for v, s in contribs
         ],
-    }
-    lines = [str(total)]
-    for v, s in contribs:
-        lines.append(f"v=({','.join(str(x) for x in v)}): {s}")
-    _emit(args, payload, lines)
+    }, lines)
     return 0
 
 
@@ -239,21 +236,14 @@ def _cmd_product_table(args) -> int:
                 text = texts[id(cls)] = cls.render(p.names)
             cells[j] = rows[j][i] = text
     if args.json:
-        entries = []
-        for cells in rows:
-            entry = ["0"] * len(rows)
-            for j, text in cells.items():
-                entry[j] = text
-            entries.append(entry)
-        payload = {
+        _emit(args, lambda: {
             "schema": SCHEMA,
             "command": "product-table",
             "mode": p.mode,
             "basis": labels,
             "grading": gradings,
-            "entries": entries,
-        }
-        _emit(args, payload, ())
+            "entries": [[cells.get(j, "0") for j in range(len(rows))] for cells in rows],
+        }, ())
         return 0
     # column j holds row j's texts, the table being symmetric
     widths = [max([len(lbl), *map(len, cells.values())]) for lbl, cells in zip(labels, rows)]
@@ -275,13 +265,6 @@ def _cmd_check(args) -> int:
     p = _parse_input(args)
     results = run_checks(p)
     ok = all(r.ok for r in results)
-    payload = {"schema": SCHEMA, "command": "check", "mode": p.mode, "ok": ok}
-    if args.json:
-        # every detail is built here; text builds those of FAIL and SKIP only
-        payload["results"] = [
-            {"name": r.name, "ok": r.ok, "skipped": r.skipped, "detail": r.detail}
-            for r in results
-        ]
     lines = []
     for r in results:
         if r.skipped:
@@ -291,7 +274,17 @@ def _cmd_check(args) -> int:
         else:
             lines.append(f"FAIL {r.name}: {r.detail}")
     lines.append("all checks passed" if ok else "some checks FAILED")
-    _emit(args, payload, lines)
+    # every detail is built in the payload; text builds those of FAIL and SKIP only
+    _emit(args, lambda: {
+        "schema": SCHEMA,
+        "command": "check",
+        "mode": p.mode,
+        "ok": ok,
+        "results": [
+            {"name": r.name, "ok": r.ok, "skipped": r.skipped, "detail": r.detail}
+            for r in results
+        ],
+    }, lines)
     return 0 if ok else 2
 
 

@@ -16,16 +16,18 @@ built once and no point's cone is looked up.
 
 A cone's Hodge-Deligne polynomials E_sigma and E*_sigma are read off the
 star counts of the face lattice (:attr:`PolytopeModel.face_stars`), one
-pass over the lattice per model.  The orbifold sum reads the value
-histograms of the open boxes (:attr:`PolytopeModel.open_boxes`), the
-same histograms as the box formula of :mod:`newtonspec.spectrum`: on a
-simplicial fan the two sums differ only in their weights, the stars in
-the face lattice here and the stars in the triangulation there, so the
-orbifold check of ``check`` compares those two star counts over one
-histogram.  The per-point terms of ``orbifold`` walk the points of each
-open box (:meth:`PolytopeModel.box_points`), as they are printed.  The
-delta-vector from the lattice counts reads the census alone, and stays
-independent of the boxes.
+pass over the lattice per model.  The orbifold sum is the
+:func:`newtonspec.spectrum.star_sum` of the box formula with other
+weights: on a simplicial fan the triangulation is the face lattice, and
+the two sums differ only in their star counts, those of the face lattice
+here and those of the triangulation there, so the orbifold check of
+``check`` compares those two star counts over one histogram.  The
+per-point terms of ``orbifold`` and the box-point union read the points
+of the top simplices' boxes (:meth:`PolytopeModel.box_points`), each
+point grouped by its open box as :attr:`PolytopeModel.open_boxes`
+groups it; no other face's box is walked.  The delta-vector from the
+lattice counts reads the census alone, and stays independent of the
+boxes.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ from math import comb
 from typing import List, Sequence, Tuple
 
 from .errors import ExponentRangeError, NegativeDeltaError, NotSimplicialError
-from .polytope import BoxPoint, Face, PolytopeModel
-from .series import SpectrumSeries, z_minus_one_pow
-from .spectrum import open_box_terms
+from .polytope import PolytopeModel
+from .series import SpectrumSeries
+from .spectrum import star_polynomial, star_sum
 
 Vec = Tuple[int, ...]
 
@@ -149,20 +151,6 @@ def ehrhart_polynomial(delta: DeltaVector) -> EhrhartPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def _star_polynomial(counts: Sequence[int]) -> SpectrumSeries:
-    """The sum of counts[k] * (z - 1)^k: a cone's Hodge-Deligne
-    polynomial from its star counts, each power of (z - 1) built once."""
-    return SpectrumSeries(
-        ((e, count * c) for k, count in enumerate(counts) if count
-         for e, c in z_minus_one_pow(k).numerators()),
-        1,
-    )
-
-
-def _cone_mask(sigma: Face) -> int:
-    return sum(1 << i for i in sigma.vertex_indices)
-
-
 def hodge_deligne(model: PolytopeModel, v: Sequence[int], relative: bool = False) -> SpectrumSeries:
     """Alternating cone count over the fan cones containing sigma(v).
 
@@ -174,44 +162,46 @@ def hodge_deligne(model: PolytopeModel, v: Sequence[int], relative: bool = False
     counts of the face lattice, taken once per model.
     """
     sigma = model.smallest_cone(tuple(v))
-    every, outside = model.face_stars[_cone_mask(sigma)]
+    every, outside = model.face_stars[sum(1 << i for i in sigma.vertex_indices)]
     counts = list(outside if relative else every)
     if not relative and sigma.dim == -1:
         # the zero cone belongs to the full fan only
         counts[model.n] = 1
-    return _star_polynomial(counts)
+    return star_polynomial(counts)
 
 
-def _open_boxes(model: PolytopeModel) -> List[Tuple[Face, List[BoxPoint]]]:
-    """Each cone of the fan with the points of its open box, zero cone
-    first, the cones with an empty open box left out.
+def _open_box_points(model: PolytopeModel) -> dict:
+    """The points of each open box of the triangulation, ``{G: [BoxPoint]}``,
+    G the simplex's vertex bitmask, from the boxes of the top simplices.
 
-    A box point v = sum q_l * b_l of a face lies in the open box of the
-    face sigma spanned by the vertices with q_l > 0, and sigma is the
-    smallest cone of v.  Every face of the Newton boundary lies in a
-    facet, which is outside the coordinate hyperplanes, so the union of
-    the half-open boxes of the faces outside them is the disjoint union
-    of the open boxes of all faces, the zero cone's being the origin.
-    The open box of sigma is the part of its half-open box where every
-    d*q entry is positive.  The faces must be simplices.  Only the
-    printed points are walked here; the sums read
-    :attr:`PolytopeModel.open_boxes`.
+    A box point v = sum q_l * b_l lies in the open box of the simplex
+    spanned by the vertices with q_l > 0, so the boxes of the top
+    simplices hold every open box; each is taken from the first top
+    simplex that holds it, as in :attr:`PolytopeModel.open_boxes`.  On a
+    simplicial fan the triangulation is the face lattice, G is the
+    smallest cone of its points and the origin is the open box of the
+    zero cone, mask 0.
     """
-    out = []
-    for sigma in (model.zero_cone, *model.faces):
-        points = [bp for bp in model.box_points(sigma) if all(bp.dq)]
-        if points:
-            out.append((sigma, points))
-    return out
+    boxes: dict = {}
+    for piece in model._top_simplices:
+        found: dict = {}
+        for bp in model.box_points(model._face(sum(1 << i for i in piece), len(piece) - 1)):
+            g = sum(1 << i for i, x in zip(piece, bp.dq) if x)
+            if g not in boxes:
+                found.setdefault(g, []).append(bp)
+        boxes.update(found)
+    return boxes
 
 
 def box_point_union(model: PolytopeModel) -> List[Tuple[Vec, int]]:
     """The union of the half-open boxes of all faces outside the
     coordinate hyperplanes, as (point, nu * value_scale) pairs sorted by
-    value and then point.  Read off the open boxes of all faces, which
-    partition it."""
+    value and then point.  Every face lies in a facet, so the union is
+    the disjoint union of the open boxes of all faces, read off the boxes
+    of the top simplices.  The fan must be simplicial."""
+    _require_simplicial(model)
     return sorted(
-        ((bp.point, bp.value) for _, points in _open_boxes(model) for bp in points),
+        ((bp.point, bp.value) for points in _open_box_points(model).values() for bp in points),
         key=lambda pv: (pv[1], pv[0]),
     )
 
@@ -232,8 +222,8 @@ def orbifold_contributions(model: PolytopeModel) -> List[Tuple[Vec, SpectrumSeri
     stars = model.face_stars
     scale = model.value_scale
     out = []
-    for sigma, points in _open_boxes(model):
-        e_rel = _star_polynomial(stars[_cone_mask(sigma)][1])
+    for g, points in _open_box_points(model).items():
+        e_rel = star_polynomial(stars[g][1])
         out.extend((bp.value, bp.point, e_rel) for bp in points)
     out.sort(key=lambda t: t[:2])
     return [(point, e_rel.shift(value, scale)) for value, point, e_rel in out]
@@ -243,24 +233,12 @@ def orbifold_dimensions(model: PolytopeModel) -> SpectrumSeries:
     """Graded dimensions of the orbifold cohomology of the stacky fan.
 
     The sum over the cones sigma of E*_sigma(z) times the sum of
-    z^{nu(v)} over the open box of sigma, with the exponents as integers
-    over L, the model's ``value_scale``; coefficient-for-coefficient
-    equal to the toric Newton spectrum on simplicial fans.  The open
-    boxes are the value histograms of :attr:`PolytopeModel.open_boxes`,
-    the triangulation of a simplicial fan being its face lattice, and
-    each E*_sigma comes from the star counts of the face lattice, built
-    once per distinct star.  The fan must be simplicial.
+    z^{nu(v)} over the open box of sigma: a :func:`star_sum` of the open
+    boxes, the triangulation of a simplicial fan being its face lattice,
+    each weighted by the relative star counts of its cone in the face
+    lattice.  Coefficient-for-coefficient equal to the toric Newton
+    spectrum on simplicial fans.  The fan must be simplicial.
     """
     _require_simplicial(model)
     stars = model.face_stars
-    scale = model.value_scale
-    weights: dict = {}   # a cone's relative star counts -> E* over L
-
-    def relative_polynomial(g: int) -> list:
-        counts = tuple(stars[g][1])
-        weight = weights.get(counts)
-        if weight is None:
-            weight = weights[counts] = list(_star_polynomial(counts).numerators(scale))
-        return weight
-
-    return SpectrumSeries(open_box_terms(model, relative_polynomial), scale)
+    return star_sum(model, lambda g: stars[g][1])

@@ -1,4 +1,4 @@
-"""Polynomial input: parsing, convenience checking, coordinate restriction.
+"""Polynomial input: parsing and convenience checking.
 
 The accepted grammar is deliberately small::
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import InputError, NotConvenientError, PolynomialSyntaxError
 
@@ -307,23 +307,3 @@ def check_convenient(p: Poly):
         raise NotConvenientError(missing)
     return found
 
-
-def restrict(p: Poly, zero_set: Iterable[int]) -> Poly:
-    """Set the variables with indices in ``zero_set`` to zero.
-
-    Keeps the terms whose exponents vanish on ``zero_set`` and re-indexes
-    them over the surviving variables.  Restricting away every variable
-    is rejected; the caller owns that convention.
-    """
-    zeros = frozenset(zero_set)
-    bad = [i for i in zeros if not 0 <= i < p.nvars]
-    if bad:
-        raise InputError(f"variable index {bad[0]} out of range")
-    if len(zeros) == p.nvars:
-        raise InputError("cannot restrict away every variable")
-    keep = [i for i in range(p.nvars) if i not in zeros]
-    terms = {}
-    for vec, coeff in p.terms.items():
-        if all(vec[i] == 0 for i in zeros):
-            terms[tuple(vec[i] for i in keep)] = coeff
-    return Poly(names=tuple(p.names[i] for i in keep), terms=terms, mode=p.mode)

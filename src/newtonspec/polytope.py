@@ -25,7 +25,11 @@ diagonal form U*V*W = diag(s), U and W unimodular (Cohen, *A Course in
 Computational Algebraic Number Theory*, 1993, section 2.4), gives the
 group's generators, one of order s_i per row of U, and an odometer over
 their digits reaches each of its prod(s) points once, in the integers,
-with no candidate rejected.
+with no candidate rejected.  That walk is coded once,
+:meth:`PolytopeModel._box_group`, as the columns of the d*q_l of the
+points, one per vertex: :attr:`PolytopeModel.open_boxes` folds them into
+value histograms and :meth:`PolytopeModel.box_points` builds points
+from them.
 
 Every box sum reads one walk per model (:attr:`PolytopeModel.open_boxes`).
 The half-open box of a simplex is the disjoint union of the open boxes
@@ -37,8 +41,8 @@ the open boxes, each weighted by the star of its simplex, as in
 Stapledon's weighted Ehrhart theory.  The star
 counts are taken once per model, over the triangulation
 (:attr:`PolytopeModel.triangulation_stars`) and over the face lattice
-(:attr:`PolytopeModel.face_stars`).  :meth:`PolytopeModel.box_points`
-builds the points of one box where they are printed.
+(:attr:`PolytopeModel.face_stars`).  The points themselves are built
+only where they are printed, from the boxes of the top simplices.
 
 The lattice census (the points with nu(v) <= T, grouped by value) walks
 only that region, not a bounding box: with one integer partial sum per
@@ -82,8 +86,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, prod
-from operator import add, mul, or_, sub
-from typing import List, Optional, Sequence, Tuple
+from operator import mul, or_
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import (
@@ -408,58 +412,67 @@ class PolytopeModel:
 
     # -- box points -----------------------------------------------------
 
+    def _box_group(self, piece: Sequence[int]) -> Tuple[int, Iterator[List[int]]]:
+        """The box group of the simplex with the vertices ``piece``:
+        ``(d, columns)``, d its order and ``columns`` a lazy iterator that
+        yields, for each vertex l of ``piece`` in turn, the list of the
+        d*q_l of all d points, in one order of the points for every l.
+
+        V is the k x n matrix of the vertices as rows.  With U*V*W =
+        diag(s) from :func:`_diagonal_form`, row i of U*V is s_i times a
+        lattice vector, and these k vectors are a basis of Z^n meet span V.
+        So the group (Z^n meet span V) / Z*V is the direct sum of cyclic
+        groups of orders s_i, generated by the classes with q = U_i / s_i,
+        and d = prod(s).  A column is an odometer on the digits
+        0 <= c_i < s_i: each generator adds its step d*q_l = (d / s_i) *
+        U_il mod d to every entry found so far, so each entry costs one
+        addition and no candidate is rejected.
+        """
+        u, s = _diagonal_form([self.vertices[i] for i in piece])
+        d = prod(s)
+        generators = [(row, order) for row, order in zip(u, s) if order > 1]
+
+        def columns():
+            for l in range(len(piece)):
+                column = [0]
+                for row, order in generators:
+                    step = row[l] * (d // order) % d
+                    column = ([(x + c) % d for c in range(0, order * step, step) for x in column]
+                              if step else column * order)
+                yield column
+
+        return d, columns()
+
     def box_points(self, face: Face) -> List[BoxPoint]:
         """Lattice points of the half-open parallelepiped spanned by ``face``.
 
         These are the v in N^n with v = sum q_l * b_l over the face's
         vertices and every q_l in [0, 1).  The face must be a simplex so
         that the coordinates q are unique.  The points are one of each
-        class of the finite group (Z^n meet span V) / Z*V, V the k x n
-        matrix of the vertices as rows.  With U*V*W = diag(s) from
-        :func:`_diagonal_form`, row i of U*V is s_i times a lattice
-        vector, and these k vectors are a basis of Z^n meet span V.  So
-        the group is the direct sum of cyclic groups of orders s_i,
-        generated by the classes with q = U_i / s_i, and it has
-        d = prod(s) elements.
-
-        The walk is an odometer on the digits 0 <= c_i < s_i: the point
-        with index sum c_i * (s_0 ... s_{i-1}) is the one a digit c_i
-        lower plus generator i, d*q = (d / s_i) * U_i mod d and its point
-        (d*q)*V / d.  Each d*q_l that the addition carries past d is
-        brought back below d, and its vertex is taken off the point.  So
-        each point costs one addition and no candidate is rejected.  The
-        result list is sized d before the walk, so a box too large to hold
-        fails at once (``OverflowError``, ``MemoryError``).  Each point
-        carries d*q and nu * L as integers, no ``Fraction``; the points
-        are sorted.
+        class of the box group (:meth:`_box_group`), each built from its
+        d*q as (d*q)*V / d.  The list is sized d before the walk, so a box
+        too large to hold fails at once (``OverflowError``,
+        ``MemoryError``).  Each point carries d*q and nu * L as integers,
+        no ``Fraction``; the points are sorted.
         """
         if not face.is_simplex:
             raise NotSimplexError(
                 f"face with vertices {face.vertex_indices} is not a simplex"
             )
-        verts = [self.vertices[i] for i in face.vertex_indices]
-        u, s = _diagonal_form(verts)
-        d = prod(s)
-        found: list = [None] * d
-        found[0] = ((0,) * self.n, (0,) * len(verts))
-        size = 1
-        for row, order in zip(u, s):
-            step = [x * (d // order) % d for x in row]
-            move = [sum(map(mul, step, col)) // d for col in zip(*verts)]
-            for m in range(size, size * order):
-                point, dq = found[m - size]
-                point = list(map(add, point, move))
-                dq = list(map(add, dq, step))
-                for l, x in enumerate(dq):
-                    if x >= d:
-                        dq[l] = x - d
-                        point = list(map(sub, point, verts[l]))
-                found[m] = (tuple(point), tuple(dq))
-            size *= order
-        found.sort()
+        d, columns = self._box_group(face.vertex_indices)
+        # d * point, one list per coordinate, summed column by column
+        coords = [[0] * d for _ in range(self.n)]
+        walked = []
+        for i, column in zip(face.vertex_indices, columns):
+            walked.append(column)
+            for j, a in enumerate(self.vertices[i]):
+                if a:
+                    coords[j] = [p + a * x for p, x in zip(coords[j], column)]
+        points = zip(*([p // d for p in coord] for coord in coords))
+        found = sorted(zip(points, list(zip(*walked)) or [()]))
         # every vertex is at level one, so nu * L = sum(q) * L, an integer
         scale = self.value_scale
-        return [BoxPoint(point, sum(nq) * scale // d, nq, d) for point, nq in found]
+        return [BoxPoint(point, sum(dq) * scale // d, dq, d) for point, dq in found]
 
     @functools.cached_property
     def open_boxes(self) -> dict:
@@ -471,35 +484,26 @@ class PolytopeModel:
         A point v = sum q_l * b_l of the half-open box of a simplex lies in
         the open box of the face spanned by the vertices with q_l > 0, so
         the boxes of the top simplices hold every open box.  Each open box
-        is taken from the first top simplex that holds it, and each top
-        simplex's box is the group of :meth:`box_points`, one diagonal
-        form per top simplex.  Its points are walked one vertex at a time,
-        the column of the d*q_l of every point, each generator adding its
-        step to every point found so far, and folded into one integer key
-        per point: sum(d*q) shifted past the vertex bits, plus the bits of
-        the vertices with d*q_l > 0.  No point and no ``BoxPoint`` is
-        built.  The key list is sized d before the walk, so a box too
-        large to hold fails at once (``OverflowError``, ``MemoryError``).
+        is taken from the first top simplex that holds it.  The columns of
+        each top simplex's box group (:meth:`_box_group`) are folded into
+        one integer key per point: sum(d*q) shifted past the vertex bits,
+        plus the bits of the vertices with d*q_l > 0.  No point and no
+        ``BoxPoint`` is built.  The key list is sized d before the walk,
+        so a box too large to hold fails at once (``OverflowError``,
+        ``MemoryError``).
         """
         scale = self.value_scale
         shift = len(self.vertices)
         low = (1 << shift) - 1
         boxes: dict = {}
         for piece in self._top_simplices:
-            u, s = _diagonal_form([self.vertices[i] for i in piece])
-            d = prod(s)
+            d, columns = self._box_group(piece)
             keys = [0] * d
-            generators = [(row, order) for row, order in zip(u, s) if order > 1]
-            for l, i in enumerate(piece):
-                column = [0]
-                for row, order in generators:
-                    step = row[l] * (d // order) % d
-                    column = ([(x + c) % d for c in range(0, order * step, step) for x in column]
-                              if step else column * order)
+            for i, column in zip(piece, columns):
                 bit = 1 << i
                 keys = [key + (x << shift | bit) if x else key for key, x in zip(keys, column)]
             counts = Counter(keys)
-            del keys, column
+            del keys, column, columns
             found: dict = {}
             for key, count in counts.items():
                 g = key & low

@@ -9,7 +9,11 @@ model's one walk of the open boxes of the top simplices
 (:attr:`PolytopeModel.open_boxes`): a half-open box is the disjoint
 union of the open boxes of its simplex's faces, so the formula is the
 sum of each open box's value histogram times the weights of the
-simplices that contain it, its star in the triangulation.
+simplices that contain it, its star in the triangulation.  Every box
+sum, the orbifold sum of :mod:`newtonspec.ehrhart` included, is one
+:func:`star_sum`: the histogram of each open box G times
+sum_k c_k (z - 1)^k, c the star counts of G, each weight built once
+per distinct count tuple.  Only the counts differ from sum to sum.
 
 Two routes stay independent of the boxes, and ``check`` and the tests
 compare each with the box formula.  The generating-series oracle,
@@ -26,32 +30,50 @@ S of p's triangulation sums them all, S counting for the restriction to
 the coordinates where it does not vanish: the same histogram, with
 signed weights.  The Milnor number is the mass of that series, cross
 checked against the alternating sum of normalized volumes
-(Kouchnirenko), by determinants over the same simplices.
+(Kouchnirenko), by determinants over the same simplices, the
+unrestricted volume being the model's normalized volume.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Optional
+from math import comb
+from typing import Callable, Optional, Sequence
 
 from . import linalg
 from .errors import MismatchError, TruncationError
 from .polytope import PolytopeModel, _bits
-from .series import SpectrumSeries, z_minus_one_pow
+from .series import SpectrumSeries
 
 
-def open_box_terms(model: PolytopeModel, weight):
-    """The terms of the sum of OB_G(z) * weight(G) over the open boxes G
-    of :attr:`PolytopeModel.open_boxes`, lazily, as (exponent * L,
-    coefficient) pairs, L the model's ``value_scale``: ``weight`` maps a
-    simplex's mask to its weight's terms over L, and is called once per
-    open box.  A series built from them draws them one at a time, so no
-    list holds them."""
-    return (
-        (v + e, count * c)
-        for g, values in model.open_boxes.items() for terms in [weight(g)]
-        for v, count in values.items() for e, c in terms
+def star_polynomial(counts: Sequence[int]) -> SpectrumSeries:
+    """The sum of counts[k] * (z - 1)^k, expanded binomially: the weight
+    of an open box from the star counts of its simplex or cone."""
+    return SpectrumSeries(
+        ((j, count * comb(k, j) * (-1) ** (k - j))
+         for k, count in enumerate(counts) if count for j in range(k + 1)),
+        1,
     )
+
+
+def star_sum(model: PolytopeModel, star_counts: Callable[[int], Sequence[int]],
+             constant: int = 0) -> SpectrumSeries:
+    """The sum of OB_G(z) * sum_k c_k (z - 1)^k over the open boxes G of
+    :attr:`PolytopeModel.open_boxes`, c = ``star_counts(G)``, plus
+    ``constant``.  Each weight is built once per distinct count tuple.
+    The series draws its terms one at a time, so no list holds them."""
+    scale = model.value_scale
+    weights: dict = {}   # a count tuple -> its weight's terms over L
+    boxes = []
+    for g, values in model.open_boxes.items():
+        counts = tuple(star_counts(g))
+        weight = weights.get(counts)
+        if weight is None:
+            weight = weights[counts] = list(star_polynomial(counts).numerators(scale))
+        boxes.append((values, weight))
+    terms = ((v + e, count * c) for values, weight in boxes
+             for v, count in values.items() for e, c in weight)
+    return SpectrumSeries(chain([(0, constant)], terms), scale)
 
 
 def _box_sum(model: PolytopeModel, restrictions: bool) -> SpectrumSeries:
@@ -61,39 +83,21 @@ def _box_sum(model: PolytopeModel, restrictions: bool) -> SpectrumSeries:
     of them and (-1)^n.
 
     Box(S) is the disjoint union of the open boxes of the faces G of S,
-    so the sum is that of OB_G(z) * W_G(z) over the open boxes, W_G the
-    sum of the weights of the simplices S that contain G, read off their
-    star counts (:attr:`PolytopeModel.triangulation_stars`).  A weight
-    depends on |Z| and dim S alone, so each pair's is built once, and
-    each distinct star's sum once.
+    so the sum is a :func:`star_sum`: each simplex S in the star of G
+    (:attr:`PolytopeModel.triangulation_stars`) counts (-1)^|Z| at
+    k = n - |Z| - 1 - dim S.
     """
     n = model.n
-    scale = model.value_scale
     stars = model.triangulation_stars
-    weights: dict = {}   # (|Z|, dim S) -> the weight's terms over L
-    sums: dict = {}      # a star's counts -> the terms of its W_G over L
 
-    def star_sum(g: int) -> list:
-        star = tuple(sorted(item for item in stars[g].items() if restrictions or not item[0][0]))
-        total = sums.get(star)
-        if total is None:
-            acc: dict = {}
-            for (zeros, dim), count in star:
-                weight = weights.get((zeros, dim))
-                if weight is None:
-                    weight = weights[zeros, dim] = [
-                        (e, (-1) ** zeros * c)
-                        for e, c in z_minus_one_pow(n - zeros - 1 - dim).numerators(scale)
-                    ]
-                for e, c in weight:
-                    acc[e] = acc.get(e, 0) + count * c
-            total = sums[star] = [(e, c) for e, c in acc.items() if c]
-        return total
+    def signed_counts(g: int) -> list:
+        counts = [0] * n
+        for (zeros, dim), number in stars[g].items():
+            if restrictions or not zeros:
+                counts[n - zeros - 1 - dim] += (-1) ** zeros * number
+        return counts
 
-    terms = open_box_terms(model, star_sum)
-    if restrictions:
-        terms = chain([(0, (-1) ** n)], terms)
-    return SpectrumSeries(terms, scale)
+    return star_sum(model, signed_counts, (-1) ** n if restrictions else 0)
 
 
 def toric_spectrum_box(model: PolytopeModel) -> SpectrumSeries:
@@ -148,16 +152,17 @@ def milnor_number(model: PolytopeModel, _at_infinity: Optional[SpectrumSeries] =
     restrictions (the classical volume formula), with the empty
     restriction counting 1.  A restriction's volume is the sum of |det|
     over its top simplices, those S with dim S = n - 1 - |Z|, on the
-    coordinates outside Z.  A caller that already holds the spectrum at
-    infinity passes it in.
+    coordinates outside Z; with Z empty it is the model's normalized
+    volume.  A caller that already holds the spectrum at infinity passes
+    it in.
     """
     if _at_infinity is None:
         _at_infinity = spectrum_at_infinity(model)
     via_spectrum = _at_infinity.eval_at_one()
     n = model.n
-    via_volumes = (-1) ** n
+    via_volumes = (-1) ** n + model.normalized_volume()
     for mask, zeros in model._simplices:
-        if mask.bit_count() == n - len(zeros):
+        if zeros and mask.bit_count() == n - len(zeros):
             rows = [[x for j, x in enumerate(model.vertices[i]) if j not in zeros]
                     for i in _bits(mask)]
             via_volumes += (-1) ** len(zeros) * abs(linalg.int_det(rows))

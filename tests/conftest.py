@@ -10,13 +10,14 @@ work.
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 import pytest
 
 from newtonspec import (
     GLOBAL,
     LOCAL,
+    InputError,
     Poly,
     PolytopeModel,
     SpectrumSeries,
@@ -79,6 +80,28 @@ def random_convenient_poly(rng: random.Random, n: int) -> Poly:
             terms[v] = Fraction(rng.randint(1, 999983))
     return Poly(names=names, terms=terms, mode=GLOBAL)
 
+
+def restrict(p: Poly, zero_set: Iterable[int]) -> Poly:
+    """Set the variables with indices in ``zero_set`` to zero.
+
+    Keeps the terms whose exponents vanish on ``zero_set`` and re-indexes
+    them over the surviving variables.  Restricting away every variable
+    is rejected; the caller owns that convention.  The package reads every
+    restriction off one triangulation; the tests build the restrictions'
+    own models from this as the reference.
+    """
+    zeros = frozenset(zero_set)
+    bad = [i for i in zeros if not 0 <= i < p.nvars]
+    if bad:
+        raise InputError(f"variable index {bad[0]} out of range")
+    if len(zeros) == p.nvars:
+        raise InputError("cannot restrict away every variable")
+    keep = [i for i in range(p.nvars) if i not in zeros]
+    terms = {}
+    for vec, coeff in p.terms.items():
+        if all(vec[i] == 0 for i in zeros):
+            terms[tuple(vec[i] for i in keep)] = coeff
+    return Poly(names=tuple(p.names[i] for i in keep), terms=terms, mode=p.mode)
 
 @dataclass
 class CorpusEntry:

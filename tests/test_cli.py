@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from newtonspec import SpectrumSeries, cli, ehrhart
+from newtonspec import SpectrumSeries, cli, ehrhart, polytope
 from newtonspec.cli import main
 
 from conftest import LOCAL_GERMS, acceptance_polys
@@ -76,21 +76,48 @@ def test_orbifold(capsys):
     ["x^4 + y^5 + z^6 + x*y*z^2 + x^2*y^2", "--local"],
 ])
 def test_orbifold_walks_the_open_boxes_once(capsys, monkeypatch, argv):
-    # the per-point terms walk the open boxes once, and the series reads
-    # the model's value histograms, which count the same points
-    walks = []
-    open_boxes = ehrhart._open_boxes
+    # the series and the printed terms read the boxes of the top simplices
+    # and of no other face, and print one line per point that the
+    # histograms count
+    forms, models = [], []
+    diagonal_form, build = polytope._diagonal_form, cli.build_model
 
-    def counted_walk(model):
-        walks.append(model)
-        return open_boxes(model)
+    def counted_form(rows):
+        forms.append(tuple(map(tuple, rows)))
+        return diagonal_form(rows)
 
-    monkeypatch.setattr(ehrhart, "_open_boxes", counted_walk)
+    def counted_build(p):
+        models.append(build(p))
+        return models[-1]
+
+    monkeypatch.setattr(polytope, "_diagonal_form", counted_form)
+    monkeypatch.setattr(cli, "build_model", counted_build)
     code, out, _ = run_cli(capsys, "orbifold", *argv)
     assert code == 0 and out
-    [model] = walks
+    [model] = models
+    assert set(forms) == {tuple(model.vertices[i] for i in piece)
+                          for piece in model._top_simplices}
     points = sum(sum(values.values()) for values in model.open_boxes.values())
     assert len(out.splitlines()) == 1 + points
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "u + v + w + u^2*v^2*w^2 + v^2*w^2"],
+    ["spec-infinity", "u + v + w + u^2*v^2*w^2 + v^2*w^2"],
+    ["orbifold", "u + v + w + u^2*v^2*w^2 + v^2*w^2"],
+    ["delta", "u + v + w + u^2*v^2*w^2 + v^2*w^2"],
+    ["ehrhart", "--local", "x^5 + x^2*y^2 + y^5"],
+    ["check", "u + v + w + u^2*v^2*w^2 + v^2*w^2"],
+    ["check", "3*u+5*v+7*u*w+11*v*w+13*w^2"],
+])
+def test_text_output_builds_no_json_payload(capsys, monkeypatch, argv):
+    def refuse(self):
+        raise AssertionError("a JSON payload built in text mode")
+
+    for owner in (SpectrumSeries, ehrhart.DeltaVector, ehrhart.EhrhartPolynomial):
+        monkeypatch.setattr(owner, "to_json", refuse)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out
 
 
 def test_product_table_with_hint(capsys):

@@ -3,11 +3,15 @@
 The box formula, the spectrum at infinity, the orbifold sum and the
 Hodge-Deligne polynomials read the value histograms of
 ``PolytopeModel.open_boxes`` and the star counts of the triangulation
-and of the face lattice.  The references below are the per-face routes
-they replaced, kept verbatim: ``_box_sum`` read the half-open box of
-every simplex of the triangulation, ``_hodge_deligne_of_cone`` scanned
-every face for every cone, and ``orbifold_dimensions`` summed the points
-of every face's open box.
+and of the face lattice; the orbifold terms and the box-point union read
+the points of the top simplices' boxes.  The references below are the
+per-face routes they replaced, kept verbatim: ``_box_sum`` read the
+half-open box of every simplex of the triangulation,
+``_hodge_deligne_of_cone`` scanned every face for every cone, and
+``_open_boxes`` walked the half-open box of every face of the face
+lattice and of the zero cone, keeping the points with every d*q
+positive, for ``orbifold_dimensions``, ``orbifold_contributions`` and
+``box_point_union``.
 """
 
 import sys
@@ -21,8 +25,10 @@ from newtonspec import (
     LOCAL,
     NotSimplicialError,
     SpectrumSeries,
+    box_point_union,
     build_model,
     hodge_deligne,
+    orbifold_contributions,
     orbifold_dimensions,
     parse_polynomial,
     polytope,
@@ -30,13 +36,35 @@ from newtonspec import (
     toric_spectrum,
 )
 from newtonspec.cli import main
-from newtonspec.ehrhart import _open_boxes
 from newtonspec.polytope import PolytopeModel
 from newtonspec.series import z_minus_one_pow
 
 from conftest import FOUR_VARIABLE_POLYS, LOCAL_GERMS
 from test_polytope import PINNED_HULLS, _pinned_poly
 from test_spectrum import convenient_polys
+
+
+def _open_boxes(model):
+    """Each cone of the fan with the points of its open box, zero cone
+    first, the cones with an empty open box left out.
+
+    A box point v = sum q_l * b_l of a face lies in the open box of the
+    face sigma spanned by the vertices with q_l > 0, and sigma is the
+    smallest cone of v.  Every face of the Newton boundary lies in a
+    facet, which is outside the coordinate hyperplanes, so the union of
+    the half-open boxes of the faces outside them is the disjoint union
+    of the open boxes of all faces, the zero cone's being the origin.
+    The open box of sigma is the part of its half-open box where every
+    d*q entry is positive.  The faces must be simplices.  Only the
+    printed points are walked here; the sums read
+    :attr:`PolytopeModel.open_boxes`.
+    """
+    out = []
+    for sigma in (model.zero_cone, *model.faces):
+        points = [bp for bp in model.box_points(sigma) if all(bp.dq)]
+        if points:
+            out.append((sigma, points))
+    return out
 
 
 def _reference_box_sum(model, restrictions):
@@ -107,19 +135,39 @@ def _reference_orbifold_dimensions(model):
     return SpectrumSeries(terms, scale)
 
 
+def _reference_orbifold_contributions(model):
+    """The box-point union and the per-point orbifold terms, read off the
+    points of every face's open box (``_open_boxes``), each point's term
+    its cone's E*_sigma from the scan of every face shifted by its value;
+    both sorted by value and then point."""
+    scale = model.value_scale
+    points = sorted(
+        ((bp.value, bp.point, _reference_hodge_deligne_of_cone(model, sigma, relative=True))
+         for sigma, points in _open_boxes(model) for bp in points),
+        key=lambda t: t[:2],
+    )
+    return ([(point, value) for value, point, _ in points],
+            [(point, e_rel.shift(value, scale)) for value, point, e_rel in points])
+
+
 def _assert_matches_references(p, cones=None):
     """The box sums of a fresh model in both modes, and, on a simplicial
-    fan, the orbifold sum, against the per-face references; and the
-    Hodge-Deligne polynomials of the zero cone and of ``cones`` faces of
-    the lattice (every face when None), full and relative."""
+    fan, the orbifold sum, the orbifold terms and the box-point union,
+    against the per-face references; and the Hodge-Deligne polynomials of
+    the zero cone and of ``cones`` faces of the lattice (every face when
+    None), full and relative."""
     model = build_model(p)
     assert toric_spectrum(model) == _reference_box_sum(model, False), p
     assert spectrum_at_infinity(model) == _reference_box_sum(model, True), p
     if model.simplicial_fan:
         assert orbifold_dimensions(model) == _reference_orbifold_dimensions(model), p
+        union, contributions = _reference_orbifold_contributions(model)
+        assert box_point_union(model) == union, p
+        assert orbifold_contributions(model) == contributions, p
     else:
-        with pytest.raises(NotSimplicialError):
-            orbifold_dimensions(model)
+        for route in (orbifold_dimensions, orbifold_contributions, box_point_union):
+            with pytest.raises(NotSimplicialError):
+                route(model)
     faces = model.faces if cones is None else model.faces[::max(1, len(model.faces) // cones)]
     for sigma in (model.zero_cone, *faces):
         # a point of the cone's relative interior: the sum of its vertices

@@ -1,4 +1,5 @@
-"""Parser, convenience check and coordinate restriction."""
+"""Parser, convenience check, and the coordinate restriction that the
+tests build reference models from."""
 
 import random
 from fractions import Fraction
@@ -15,10 +16,9 @@ from newtonspec import (
     check_convenient,
     parse_monomial,
     parse_polynomial,
-    restrict,
 )
 
-from conftest import random_convenient_poly
+from conftest import random_convenient_poly, restrict
 
 
 def test_parse_square_example():

@@ -440,6 +440,14 @@ def test_box_points_need_simplex():
         m.box_points(square_face)
 
 
+def test_box_too_large_to_hold_fails_before_the_walk():
+    # the point list is sized d = 10^20 before any column is walked
+    m = build_model(parse_polynomial("u^99999999999999999999"))
+    [piece] = m._top_simplices
+    with pytest.raises(OverflowError):
+        m.box_points(m._face(1 << piece[0], 0))
+
+
 def test_box_count_equals_volume(corpus):
     # each simplex facet's half-open parallelepiped holds |det| points
     for entry in corpus:

@@ -26,7 +26,6 @@ from newtonspec import (
     milnor_number,
     orbifold_dimensions,
     parse_polynomial,
-    restrict,
     spectrum_at_infinity,
     toric_spectrum,
     toric_spectrum_box,
@@ -43,6 +42,7 @@ from conftest import (
     THREED_AT_INFINITY,
     THREED_SPECTRUM,
     acceptance_polys,
+    restrict,
     series,
 )
 from newtonspec.cli import main
