@@ -46,9 +46,11 @@ def enumerate_facets(points: Sequence[Vec], n: int) -> List[HullFacet]:
     dropped ray r+ and kept ray r- with s < 0 that are adjacent give the
     new ray s+ * r- - s- * r+, on which p is tight.  Two rays are adjacent
     when their common tight set holds at least n - 1 points and lies in
-    the tight set of no third ray.  At the end every point has been seen,
-    so each tight set is the facet's contact mask.  Facets are sorted by
-    (h, c); without n + 1 affinely independent points there are none.
+    the tight set of no third ray: one scan of the tight sets counts the
+    rays that hold it and stops at the third.  At the end every point has
+    been seen, so each tight set is the facet's contact mask.  Facets are
+    sorted by (h, c); without n + 1 affinely independent points there are
+    none.
     """
     simplex = [0]
     rows: list = []
@@ -88,18 +90,24 @@ def enumerate_facets(points: Sequence[Vec], n: int) -> List[HullFacet]:
                 kept.append((r, tight))
             else:
                 kept.append((r, tight | bit))
-        # distinct facets have distinct tight sets, so a tight set names
-        # its ray in the adjacency test
+        tights = [t for _, t in rays]
         for s_up, r_up, t_up in above:
             for s_down, r_down, t_down in below:
                 common = t_up & t_down
-                if common.bit_count() < n - 1 or any(
-                    t & common == common for _, t in rays if t != t_up and t != t_down
-                ):
+                if common.bit_count() < n - 1:
                     continue
-                r = [s_up * a - s_down * b for a, b in zip(r_down, r_up)]
-                g = gcd(*r)
-                kept.append((tuple(x // g for x in r), common | bit))
+                # both rays hold common, and distinct facets have distinct
+                # tight sets, so a third holder means they are not adjacent
+                holders = 0
+                for t in tights:
+                    if t & common == common:
+                        holders += 1
+                        if holders > 2:
+                            break
+                else:
+                    r = [s_up * a - s_down * b for a, b in zip(r_down, r_up)]
+                    g = gcd(*r)
+                    kept.append((tuple(x // g for x in r), common | bit))
         rays = kept
     return [HullFacet(r[:-1], r[-1], tight) for r, tight in sorted(rays)]
 

@@ -4,7 +4,8 @@
 matrices -- n is the number of variables of the input polynomial -- and
 use Bareiss's elimination, in which every entry is a minor of the input
 and each division is exact.  ``bareiss`` is the integer elimination
-behind these three.
+behind the first two; ``int_det`` has its own, for square matrices
+only, which stops at the last pivot.
 
 The graded blocks are Macaulay-style matrices of the logarithmic-
 derivative relations: hundreds of columns with a few percent of their
@@ -183,7 +184,36 @@ def solve_unique(a_rows, b):
 
 
 def int_det(rows):
-    """Determinant of a square integer matrix (Bareiss, fraction free)."""
-    n = len(rows)
-    _, pivots, d, sign = bareiss(rows, n, above=False)
-    return sign * d if len(pivots) == n else 0
+    """Determinant of a square integer matrix, by fraction-free elimination.
+
+    Bareiss's elimination on the square matrix alone: each step takes the
+    first row with a nonzero leading entry as the pivot row and leaves the
+    others' trailing entries (a * p - f * b) / d, exact minors of the
+    input, with d the previous pivot; a row whose leading entry f is 0 is
+    only scaled.  The matrix shrinks by a row and a column a step, and the
+    last pivot is the determinant up to the sign of the row moves.  A step
+    with no pivot means the matrix is singular.  The rows are read, never
+    changed.
+    """
+    work = list(rows)
+    sign = prev = 1
+    while work:
+        for i, prow in enumerate(work):
+            if prow[0]:
+                break
+        else:
+            return 0
+        del work[i]
+        if i % 2:
+            sign = -sign   # the pivot row moved up past i rows
+        p, tail = prow[0], prow[1:]
+        below = []
+        for row in work:
+            f = row[0]
+            if f:
+                below.append([(a * p - f * b) // prev for a, b in zip(row[1:], tail)])
+            else:
+                below.append([a * p // prev for a in row[1:]])
+        work = below
+        prev = p
+    return sign * prev

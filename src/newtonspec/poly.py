@@ -125,9 +125,11 @@ def _tokenize(text):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        # isdecimal, not isdigit: int() takes decimal digits only, and
+        # isdigit holds for superscripts such as '²' too
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j

@@ -58,11 +58,15 @@ forms alone, never the triangulation or the box points, so the oracle
 built on it checks the box route independently.
 
 The hull comes from :mod:`newtonspec.hull`, in the integers, with each
-facet's points and the hull's vertices as bitmasks; only the level-one
-facet forms of the model are rational.  :func:`build_model` remaps the
-hull masks onto the model vertices, dropping the points that are no
-vertices of the Newton boundary, and keeps the facet forms and the walls
-(all the hull facets' masks so cut down) and nothing else of the hull.
+facet's points and the hull's vertices as bitmasks.  A Newton-boundary
+hull facet is a primitive integer ray (h, c), so the scaled form L * h / c
+is read off the ray in the integers, with L the lcm of the |c|, and the
+model is built with no ``Fraction``: the rational level-one forms,
+``PolytopeModel.facets``, are built the first time they are read.
+:func:`build_model` remaps each hull mask once onto the model vertices,
+dropping the points that are no vertices of the Newton boundary, and
+keeps the scaled forms, their masks and the walls (all the hull facets'
+masks so cut down) and nothing else of the hull.
 
 A face is the bitmask of the model vertices on it, and the faces one
 dimension down inside a face are its ridges: its largest proper
@@ -231,37 +235,33 @@ class PolytopeModel:
     """Immutable-after-build model of a Newton polytope or polyhedron.
 
     Use :func:`build_model`; the constructor is internal.  The model
-    holds the facet forms and the walls (the hull facets as vertex
-    bitmasks).  The face lattice, ``faces`` with ``f_of_p``, is built
-    the first time it is read; the volume, the triangulation, the open
-    boxes and the box points never read it.
+    holds the scaled facet forms with their vertex bitmasks and the walls
+    (the hull facets as vertex bitmasks).  The face lattice, ``faces``
+    with ``f_of_p``, is built the first time it is read; the volume, the
+    triangulation, the open boxes and the box points never read it.
     """
 
     # the cone of the zero vector, the same in every model
     zero_cone = Face(vertex_indices=(), dim=-1, in_coordinate_hyperplane=True, is_simplex=True)
 
-    def __init__(self, mode, n, vertices, facets, walls):
+    def __init__(self, mode, n, vertices, value_scale, scaled_forms, facet_masks, walls):
         self.mode = mode
         self.n = n
         self.vertices: Tuple[Vec, ...] = vertices
-        self.facets: Tuple[FacetForm, ...] = facets
+        # L, the lcm of the form denominators, and the forms scaled by it:
+        # nu(v) * L is the max (global) or min (local) of their integer dot
+        # products with v, and evaluation reads nothing else
+        self.value_scale: int = value_scale
+        self._scaled_forms: List[Vec] = scaled_forms
+        self._facet_masks: Tuple[int, ...] = facet_masks
         # every face lies in a facet and every face of a simplex is a
         # simplex, so the fan is simplicial when every facet is
-        self.simplicial_fan: bool = all(len(ff.vertex_indices) == n for ff in facets)
-        self._facet_masks = tuple(sum(1 << i for i in ff.vertex_indices) for ff in facets)
+        self.simplicial_fan: bool = all(m.bit_count() == n for m in facet_masks)
         self._walls: Tuple[int, ...] = walls
         # bit i of _support[j] is set when vertex i has a nonzero coordinate j
         self._support = tuple(sum(1 << i for i, v in enumerate(vertices) if v[j])
                               for j in range(n))
         self._ridge_memo: dict = {}
-        # L, the lcm of the form denominators, and the forms scaled by it:
-        # nu(v) * L is the max (global) or min (local) of their integer dot
-        # products with v, and evaluation reads nothing else
-        self.value_scale = lcm(*(x.denominator for ff in facets for x in ff.normal))
-        self._scaled_forms = [
-            tuple(x.numerator * (self.value_scale // x.denominator) for x in ff.normal)
-            for ff in facets
-        ]
         self._max_coord = max((c for v in vertices for c in v), default=0)
         self._points_height = -1
         self._point_groups: dict = {}
@@ -269,6 +269,16 @@ class PolytopeModel:
         self._count_groups: dict = {}
         self._triangulation: Optional[Tuple[Face, ...]] = None
         self._volume: Optional[int] = None
+
+    @functools.cached_property
+    def facets(self) -> Tuple[FacetForm, ...]:
+        """The Newton-boundary facets as level-one forms with ``Fraction``
+        normals, in the order of the scaled forms; built on first read."""
+        scale = self.value_scale
+        return tuple(
+            FacetForm(normal=tuple(Fraction(x, scale) for x in form), vertex_indices=_bits(mask))
+            for form, mask in zip(self._scaled_forms, self._facet_masks)
+        )
 
     def _face(self, mask: int, dim: int) -> Face:
         """The face with vertex bitmask ``mask`` and dimension ``dim``."""
@@ -636,7 +646,7 @@ class PolytopeModel:
         """
         if self._volume is None:
             self._volume = sum(
-                abs(linalg.int_det([list(self.vertices[i]) for i in piece]))
+                abs(linalg.int_det([self.vertices[i] for i in piece]))
                 for piece in self._top_simplices
             )
         return self._volume
@@ -843,7 +853,10 @@ def build_model(p: Poly) -> PolytopeModel:
     if not nb_hull:
         raise InternalCheckError("no Newton-boundary facet found")
 
-    normals = []
+    # a hull facet is a primitive integer ray (h, c), so the denominator
+    # of its level-one form h / c is |c|: L is the lcm of the |c|, and
+    # L * h / c = h * (L // c) is the scaled form, whose sign comes out
+    # right in local mode, where c < 0
     for hf in nb_hull:
         c = hf.level
         if p.mode == GLOBAL:
@@ -852,10 +865,9 @@ def build_model(p: Poly) -> PolytopeModel:
         else:
             if c >= 0:
                 raise InternalCheckError("compact facet with outward level >= 0")
-        u = tuple(Fraction(h, c) for h in hf.normal)
-        if p.mode == LOCAL and any(x <= 0 for x in u):
-            raise InternalCheckError("compact facet without strictly positive normal")
-        normals.append(u)
+            if any(h >= 0 for h in hf.normal):
+                raise InternalCheckError("compact facet without strictly positive normal")
+    scale = lcm(*(abs(hf.level) for hf in nb_hull))
 
     # the model vertices are the hull vertices on the Newton boundary,
     # sorted; model vertex k is hull point hull_index[k]
@@ -864,34 +876,36 @@ def build_model(p: Poly) -> PolytopeModel:
                         key=pts.__getitem__)
     vertices = tuple(pts[i] for i in hull_index)
 
-    def to_model(contact: int) -> int:
-        """A hull contact mask as the mask of the model vertices in it."""
-        return sum(1 << k for k, i in enumerate(hull_index) if contact >> i & 1)
-
-    facet_forms = [
-        FacetForm(normal=u, vertex_indices=_bits(to_model(hf.contact)))
-        for u, hf in sorted(zip(normals, nb_hull), key=lambda pair: pair[0])
+    # every hull facet's contact as the mask of the model vertices on it
+    masks = [
+        sum(1 << k for k, i in enumerate(hull_index) if hf.contact >> i & 1)
+        for hf in hull_facets
     ]
-    # the walls: every hull facet as a bitmask over the model vertices
-    walls = tuple({to_model(hf.contact) for hf in hull_facets})
-
+    # the facet forms sorted by L * u, which is the order of the u as L > 0
+    forms = sorted(
+        (tuple(h * (scale // hf.level) for h in hf.normal), mask)
+        for hf, mask in zip(hull_facets, masks) if not hf.contact & forbidden
+    )
     model = PolytopeModel(
         mode=p.mode,
         n=n,
         vertices=vertices,
-        facets=tuple(facet_forms),
-        walls=walls,
+        value_scale=scale,
+        scaled_forms=[form for form, _ in forms],
+        facet_masks=tuple(mask for _, mask in forms),
+        # the walls: every hull facet as a bitmask over the model vertices
+        walls=tuple(set(masks)),
     )
 
-    # sanity: the defining inequalities really hold on the support
-    scale = model.value_scale
-    for a in support:
-        val = model._scaled_value(a)
+    # sanity: the defining inequalities really hold on the support, and
+    # every model vertex, a support point, sits at level one
+    values = {a: model._scaled_value(a) for a in support}
+    for a, val in values.items():
         if p.mode == GLOBAL and val > scale:
             raise InternalCheckError(f"support point {a} outside the polytope")
         if p.mode == LOCAL and val < scale:
             raise InternalCheckError(f"support point {a} below the Newton boundary")
-    for v in model.vertices:
-        if model._scaled_value(v) != scale:
+    for v in vertices:
+        if values[v] != scale:
             raise InternalCheckError(f"vertex {v} does not sit at level one")
     return model

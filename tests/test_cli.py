@@ -219,6 +219,26 @@ def test_syntax_error_exit_code(capsys):
     assert "offset" in err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("u^²+v^2", "error: unexpected character '²' (at offset 2)"),
+    ("12²*u+v^2", "error: unexpected character '²' (at offset 2)"),
+    ("u^①+v", "error: unexpected character '①' (at offset 2)"),
+])
+def test_non_decimal_digits_exit_1_without_traceback(text, message):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                      os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "newtonspec", "spectrum", text],
+        capture_output=True, env=env, timeout=60,
+    )
+    err = proc.stderr.decode()
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert err.splitlines() == [message], err
+    assert "Traceback" not in err
+
+
 def test_bad_usage_exit_code(capsys):
     code, _, err = run_cli(capsys, "no-such-command", "u + v")
     assert code == 1

@@ -145,7 +145,12 @@ def _leibniz_det(rows):
 
 def _squares():
     rng = random.Random(20261019)
-    out = [[], [[0]], [[-3]], [[0, 1], [1, 0]], [[0, 2, 1], [0, 0, 3], [4, 5, 6]]]
+    out = [
+        [], [[0]], [[-3]], [(7,)],                  # 0 x 0 and 1 x 1
+        [[0, 1], [1, 0]], [[0, 2, 1], [0, 0, 3], [4, 5, 6]],        # a zero leading pivot
+        [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+        [[0, 1], [0, 2]], [[1, 2], [2, 4]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]],   # singular
+    ]
     for _ in range(150):
         n = rng.randint(1, 5)
         cap = rng.choice([None, None, None, n - 1, max(n - 2, 0)])
@@ -163,10 +168,13 @@ def test_int_det_matches_leibniz():
     dets = []
     for rows in SQUARES:
         det = _leibniz_det(rows)
+        copy = [list(r) for r in rows]
         assert linalg.int_det(rows) == det, rows
+        assert [list(r) for r in rows] == copy   # the rows are only read
         dets.append(det)
     assert any(d == 0 for d in dets) and any(d < 0 for d in dets) and any(d > 0 for d in dets)
     assert sum(1 for rows, d in zip(SQUARES, dets) if d and rows and rows[0][0] == 0) >= 10
+    assert sum(1 for d in dets if d == 0) >= 10
 
 
 def _sparse_matrices():

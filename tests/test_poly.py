@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newtonspec import (
     GLOBAL,
@@ -62,6 +64,37 @@ def test_syntax_error_carries_offset():
     with pytest.raises(PolynomialSyntaxError) as err:
         parse_polynomial("u^2 + $")
     assert err.value.offset == 6
+
+
+@pytest.mark.parametrize("text,char,offset", [
+    ("u^²+v^2", "²", 2),
+    ("12²*u+v^2", "²", 2),
+    ("u^①+v", "①", 2),
+])
+def test_non_decimal_digits_are_syntax_errors(text, char, offset):
+    # '²' and '①' are digits to str.isdigit but no decimal digits, which
+    # are all that int() reads
+    with pytest.raises(PolynomialSyntaxError) as err:
+        parse_polynomial(text)
+    assert err.value.offset == offset
+    assert str(err.value) == f"unexpected character {char!r} (at offset {offset})"
+
+
+def test_decimal_digits_of_any_script_are_numbers():
+    assert parse_polynomial("u^٣ + ٢*v").terms == {(3, 0): 1, (0, 1): 2}
+
+
+def test_superscript_after_a_letter_stays_in_the_name():
+    assert parse_polynomial("u² + v^2").names == ("u²", "v")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="uv019+-*^/ ²①٣½", max_size=16))
+def test_text_over_the_grammar_parses_or_is_refused(text):
+    try:
+        parse_polynomial(text)
+    except InputError:
+        pass
 
 
 def test_negative_exponent_rejected():
