@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from .ehrhart import (
     delta_from_counts,
@@ -25,7 +25,7 @@ from .ehrhart import (
     orbifold_dimensions,
 )
 from .errors import InputError, InternalCheckError
-from .graded import product_table, quotient_basis
+from .graded import product_rows, quotient_basis
 from .invariants import run_checks
 from .poly import GLOBAL, LOCAL, monomial_text, parse_monomial, parse_polynomial
 from .polytope import build_model
@@ -84,13 +84,13 @@ def _parse_input(args):
     return parse_polynomial(text, mode=mode, var_order=var_order)
 
 
-def _emit(args, payload: Callable[[], dict], text_lines) -> None:
-    """Print the JSON of ``payload()`` with ``--json``, else the text
-    lines: the payload is built only when it is printed."""
+def _emit(args, payload: Callable[[], dict], text: Callable[[], Iterable[str]]) -> None:
+    """Print the JSON of ``payload()`` with ``--json``, else the lines of
+    ``text()``: each is built only when it is printed."""
     if args.json:
         print(json.dumps(payload(), indent=2))
     else:
-        for line in text_lines:
+        for line in text():
             print(line)
 
 
@@ -105,7 +105,7 @@ def _cmd_spectrum(args) -> int:
         "route": "box",
         "mu_P": model.normalized_volume(),
         "series": series.to_json(),
-    }, [str(series), "route: box", f"mu_P: {model.normalized_volume()}"])
+    }, lambda: [str(series), "route: box", f"mu_P: {model.normalized_volume()}"])
     return 0
 
 
@@ -118,7 +118,7 @@ def _cmd_spec_infinity(args) -> int:
         "mode": p.mode,
         "mu": series.eval_at_one(),
         "series": series.to_json(),
-    }, [str(series), f"mu: {series.eval_at_one()}"])
+    }, lambda: [str(series), f"mu: {series.eval_at_one()}"])
     return 0
 
 
@@ -126,7 +126,7 @@ def _cmd_milnor(args) -> int:
     p = _parse_input(args)
     mu = milnor_number(build_model(p))
     _emit(args, lambda: {"schema": SCHEMA, "command": "milnor", "mode": p.mode, "milnor": mu},
-          [str(mu)])
+          lambda: [str(mu)])
     return 0
 
 
@@ -135,7 +135,7 @@ def _cmd_volume(args) -> int:
     model = build_model(p)
     mu = model.normalized_volume()
     _emit(args, lambda: {"schema": SCHEMA, "command": "volume", "mode": p.mode, "mu_P": mu},
-          [str(mu)])
+          lambda: [str(mu)])
     return 0
 
 
@@ -155,7 +155,7 @@ def _cmd_delta(args) -> int:
         "mode": p.mode,
         "delta": delta.to_json(),
         "mu_P": model.normalized_volume(),
-    }, [str(delta), f"vector: {list(delta.entries)}"])
+    }, lambda: [str(delta), f"vector: {list(delta.entries)}"])
     return 0
 
 
@@ -166,8 +166,6 @@ def _cmd_ehrhart(args) -> int:
     delta = delta_from_spectrum(series, model.n)
     ehr = ehrhart_polynomial(delta)
     values = [[ell, ehr.evaluate(ell)] for ell in range(model.n + 2)]
-    lines = [str(ehr), f"delta: {delta}"]
-    lines += [f"L({ell}) = {val}" for ell, val in values]
     _emit(args, lambda: {
         "schema": SCHEMA,
         "command": "ehrhart",
@@ -175,7 +173,7 @@ def _cmd_ehrhart(args) -> int:
         "delta": delta.to_json(),
         "binomial_terms": ehr.to_json(),
         "values": values,
-    }, lines)
+    }, lambda: [str(ehr), f"delta: {delta}", *(f"L({ell}) = {val}" for ell, val in values)])
     return 0
 
 
@@ -186,9 +184,6 @@ def _cmd_orbifold(args) -> int:
     # walk the boxes of the top simplices, once
     total = orbifold_dimensions(model)
     contribs = orbifold_contributions(model)
-    lines = [str(total)]
-    for v, s in contribs:
-        lines.append(f"v=({','.join(str(x) for x in v)}): {s}")
     _emit(args, lambda: {
         "schema": SCHEMA,
         "command": "orbifold",
@@ -197,20 +192,21 @@ def _cmd_orbifold(args) -> int:
         "contributions": [
             {"point": list(v), "series": s.to_json()} for v, s in contribs
         ],
-    }, lines)
+    }, lambda: [str(total), *(f"v=({','.join(map(str, v))}): {s}" for v, s in contribs)])
     return 0
 
 
 def _cmd_product_table(args) -> int:
     """The product table of the quotient basis, streamed.
 
-    The table is symmetric, most cells are the shared zero class and
-    every cell of one product monomial holds the same class object.  So
-    the upper triangle is walked once into sparse rows ``{col: text}``
-    of the nonzero cells, each distinct class rendered once, memoised by
-    identity (the table keeps every class alive).  A column is as wide
-    as its label or its longest nonzero text: a "0" never sets a width,
-    as no label is empty.  Each text row copies the padded "0" cells,
+    The table is symmetric, most cells are zero and every cell of one
+    product monomial holds the same class object.  So ``product_rows``
+    gives the nonzero cells of the upper triangle, from which the
+    symmetric sparse rows ``{col: text}`` are built, each distinct class
+    rendered once, memoised by identity (the rows keep every class
+    alive); no grid of classes is built.  A column is as wide as its
+    label or its longest nonzero text: a "0" never sets a width, as no
+    label is empty.  Each text row copies the padded "0" cells,
     overwrites its nonzero ones and is written at once, so no grid of
     cell strings and no list of lines is held; ``--json`` builds its
     ``entries`` grid from the same rows.
@@ -222,15 +218,14 @@ def _cmd_product_table(args) -> int:
         hint = [parse_monomial(tok.strip(), p.names)
                 for tok in args.basis.split(",") if tok.strip()]
     basis = quotient_basis(p, model, basis_hint=hint)
-    table = product_table(basis)
     labels = [monomial_text(v, p.names) for v in basis.elements]
     scale = model.value_scale
-    gradings = [exponent_text(model.cone_key(v)[0], scale) for v in basis.elements]
-    rows = [{} for _ in table]
+    gradings = [exponent_text(key, scale) for key, _ in basis.cone_keys]
+    rows = [{} for _ in labels]
     texts = {}
-    for i, row in enumerate(table):
+    for i, classes in enumerate(product_rows(basis)):
         cells = rows[i]
-        for j, cls in [(j, cls) for j, cls in enumerate(row[i:], i) if cls.terms]:
+        for j, cls in classes.items():
             text = texts.get(id(cls))
             if text is None:
                 text = texts[id(cls)] = cls.render(p.names)
@@ -243,7 +238,7 @@ def _cmd_product_table(args) -> int:
             "basis": labels,
             "grading": gradings,
             "entries": [[cells.get(j, "0") for j in range(len(rows))] for cells in rows],
-        }, ())
+        }, tuple)
         return 0
     # column j holds row j's texts, the table being symmetric
     widths = [max([len(lbl), *map(len, cells.values())]) for lbl, cells in zip(labels, rows)]
@@ -284,7 +279,7 @@ def _cmd_check(args) -> int:
             {"name": r.name, "ok": r.ok, "skipped": r.skipped, "detail": r.detail}
             for r in results
         ],
-    }, lines)
+    }, lambda: lines)
     return 0 if ok else 2
 
 

@@ -19,22 +19,25 @@ elimination).  Two routes read it.  The Koszul route
 alone, the singletons plus the pivot count of the forward elimination
 ``linalg.echelon`` of the rows left: a third, linear-algebra route to
 the toric Newton spectrum.  Only ``quotient_basis`` back substitutes
-(``linalg.rref``), in its column order, with a hint last: it keeps each
-degree's reduced rows, the same sparse ``{pivot col: row}`` shape
-with ``Fraction`` entries, in a :class:`DegreeBlock`, and a product's
-normal form is read off the nonzeros of one reduced row of its
-degree's block, so structure-constant tables need no further
-elimination and no dense row is built.  ``product_table`` keys the
-blocks by the cone keys' integer degree nu * L and reduces each distinct
-product monomial once: the monomial fixes its degree, so a memo that
-lives for one call, keyed by an integer code of the monomial, hands its
-class to every cell whose operands sum to it, and every zero cell holds
-the one shared zero class.
+(``linalg.back_substitute`` of ``linalg.echelon``, on the integer rows),
+in its column order, with a hint last: it keeps each degree's reduced
+rows, the same sparse ``{pivot col: row}`` shape with ``Fraction``
+entries, in a :class:`DegreeBlock`, and a product's normal form is read
+off the nonzeros of one reduced row of its degree's block, so
+structure-constant tables need no further elimination and no dense row
+is built.  ``product_rows`` walks the pairs once, keys the blocks by the
+cone keys' integer degree nu * L and reduces each distinct product
+monomial once: the monomial fixes its degree, so a memo that lives for
+one call, keyed by an integer code of the monomial, hands its class to
+every cell whose operands sum to it.  It keeps only the nonzero cells of
+the upper triangle, as sparse rows; ``product_table`` spreads them over
+a dense grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import ceil, gcd, lcm
 from operator import add, mul
@@ -82,22 +85,20 @@ class GradedClass:
         return not self.terms
 
     def render(self, names: Sequence[str]) -> str:
+        """The class as text; each magnitude is written from the
+        numerator and denominator, as ``str(Fraction)`` writes it."""
         if not self.terms:
             return "0"
         parts = []
         for vec, coeff in self.terms:
+            num, den = coeff.numerator, coeff.denominator
+            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
             mono = monomial_text(vec, names)
-            mag = abs(coeff)
-            if mono == "1":
-                body = str(mag)
-            elif mag == 1:
-                body = mono
+            body = mag if mono == "1" else mono if mag == "1" else f"{mag}*{mono}"
+            if parts:
+                parts.append(("+ " if num > 0 else "- ") + body)
             else:
-                body = f"{mag}*{mono}"
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+                parts.append(body if num > 0 else "-" + body)
         return " ".join(parts)
 
 
@@ -261,18 +262,20 @@ def _relation_rows(leading, here, prev):
             return singles, rows
 
 
-def _build_block(weights, leading, degree, monomials_here, monomials_prev, hint=None):
-    """The block of one degree.  Its columns are the monomials of the
-    degree in code order, by total degree and then exponent, with the
-    hint's monomials last in the hint's order; the singleton columns of
+def _build_block(leading, degree, monomials, codes, prev, last=()):
+    """The block of one degree, from its monomials, their ``codes`` and
+    the codes ``prev`` of the degree below.  Its columns are the
+    monomials in code order, by total degree and then exponent, with the
+    hint's codes ``last`` last; the singleton columns of
     ``_relation_rows`` are pivots whose reduced rows are unit rows, and
-    ``linalg.rref`` reduces the rows left."""
-    by_code = dict(zip(_codes(weights, monomials_here), monomials_here))
-    last = [] if hint is None else _codes(weights, hint)
-    order = sorted(by_code.keys() - set(last)) + last
+    the integer rows left go to ``linalg.echelon`` and then
+    ``linalg.back_substitute``."""
+    by_code = dict(zip(codes, monomials))
+    order = sorted(by_code.keys() - set(last)) + list(last)
     column = {code: i for i, code in enumerate(order)}
-    singles, raw = _relation_rows(leading, set(by_code), _codes(weights, monomials_prev))
-    rows = linalg.rref([{column[j]: x for j, x in row.items()} for row in raw])
+    singles, raw = _relation_rows(leading, set(codes), prev)
+    rows = linalg.back_substitute(
+        linalg.echelon([{column[j]: x for j, x in row.items()} for row in raw]))
     rows.update((column[j], {column[j]: Fraction(1)}) for j in singles)
     ordered = [by_code[code] for code in order]
     return DegreeBlock(
@@ -301,6 +304,12 @@ class GradedBasis:
 
     def total_dimension(self) -> int:
         return sum(b.dim for b in self.blocks.values())
+
+    @cached_property
+    def cone_keys(self) -> List[Tuple[int, int]]:
+        """``model.cone_key`` of each element, in table order: the
+        gradings nu * L and facet masks that the table's walk reads."""
+        return [self.model.cone_key(x) for x in self.elements]
 
 
 def quotient_basis(
@@ -350,11 +359,15 @@ def quotient_basis(
                 )
             hint_by_key.setdefault(model.cone_key(vec)[0], []).append(vec)
 
+    # each group's codes serve its degree and then the degree above, the
+    # degrees coming in ascending order
+    codes: Dict[int, List[int]] = {}
     blocks: Dict[Fraction, DegreeBlock] = {}
     for degree, expected in spectrum.items():
         key = degree.numerator * (scale // degree.denominator)
         here = monomials.get(key, [])
-        prev = monomials.get(key - scale, [])
+        prev = codes.pop(key - scale, None) or _codes(weights, monomials.get(key - scale, ()))
+        codes[key] = _codes(weights, here)
         hint = hint_by_key.get(key)
         if hint is not None:
             here_set = set(here)
@@ -368,7 +381,8 @@ def quotient_basis(
                 raise HintError(
                     f"hint gives {len(hint)} monomials at degree {degree}, expected {expected}"
                 )
-        block = _build_block(weights, leading, degree, here, prev, hint)
+        last = () if hint is None else _codes(weights, hint)
+        block = _build_block(leading, degree, here, codes[key], prev, last)
         if block.dim != expected:
             raise DimensionMismatchError(
                 f"quotient dimension {block.dim} at degree {degree} does not match "
@@ -402,13 +416,14 @@ def reduce_product(basis: GradedBasis, m1: Vec, m2: Vec) -> GradedClass:
     return GradedClass.from_dict(block.reduce(vec, coeff), degree)
 
 
-def product_table(basis: GradedBasis) -> List[List[GradedClass]]:
-    """Structure-constant table over the basis monomials.
+def product_rows(basis: GradedBasis) -> List[Dict[int, GradedClass]]:
+    """The nonzero cells of the upper triangle of the symmetric product
+    table, as sparse rows: row i is ``{j: class}`` over the j >= i whose
+    product of elements i and j is not zero.
 
-    Symmetric, with the degree of every nonzero entry equal to the sum of
-    the operand degrees; entries whose degree falls outside the spectrum
-    support are zero.  Each element's cone key is computed once, and the
-    blocks are keyed by the same integer scaled degree nu * L.  The
+    A nonzero entry's degree is the sum of the operand degrees, and one
+    outside the spectrum support is zero.  The blocks are keyed by the
+    integer scaled degree nu * L of ``GradedBasis.cone_keys``.  The
     elements are walked in ascending scaled degree, each paired with
     itself and the ones after it, until the degree sum passes the top
     block.  A pair whose masks meet has a product monomial, which fixes
@@ -418,13 +433,13 @@ def product_table(basis: GradedBasis) -> List[List[GradedClass]]:
     integer monomial codes of the relation rows (``_code_weights``): a
     product in a block has Newton value at most n, so the code of the
     product monomial is the sum of its operands' codes, and the
-    exponent-sum tuple is built only on a memo miss.  Every other entry,
-    and every zero normal form, is the one shared zero class.
+    exponent-sum tuple is built only on a memo miss.  A zero normal
+    form, like every pair the walk skips, leaves no cell.
     """
     model = basis.model
     elements = basis.elements
     scale = model.value_scale
-    keys = [model.cone_key(x) for x in elements]
+    keys = basis.cone_keys
     codes = _codes(_code_weights(model), elements)
     order = sorted(range(len(elements)), key=lambda i: keys[i][0])
     walk = [(*keys[i], codes[i], i) for i in order]
@@ -434,10 +449,10 @@ def product_table(basis: GradedBasis) -> List[List[GradedClass]]:
     }
     top = max(blocks, default=-1)
     zero = GradedClass.zero()
-    table = [[zero] * len(elements) for _ in elements]
+    rows: List[Dict[int, GradedClass]] = [{} for _ in elements]
     normal_forms: Dict[int, GradedClass] = {}
     for pos, (key_i, mask_i, code_i, i) in enumerate(walk):
-        row = table[i]
+        row = rows[i]
         for key_j, mask_j, code_j, j in walk[pos:]:
             key = key_i + key_j
             if key > top:
@@ -454,7 +469,23 @@ def product_table(basis: GradedBasis) -> List[List[GradedClass]]:
                 cls = normal_forms[code] = GradedClass.from_dict(
                     block.reduce(total, 1), block.degree
                 )
-            row[j] = table[j][i] = cls
+            if cls is zero:
+                continue
+            if i <= j:
+                row[j] = cls
+            else:
+                rows[j][i] = cls
+    return rows
+
+
+def product_table(basis: GradedBasis) -> List[List[GradedClass]]:
+    """Structure-constant table over the basis monomials: the dense
+    symmetric grid of ``product_rows``, each other cell the zero class."""
+    zero = GradedClass.zero()
+    table = [[zero] * len(basis.elements) for _ in basis.elements]
+    for i, row in enumerate(product_rows(basis)):
+        for j, cls in row.items():
+            table[i][j] = table[j][i] = cls
     return table
 
 

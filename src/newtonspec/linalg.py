@@ -14,12 +14,15 @@ sparse pivoting of Faugere's F4 on Macaulay matrices, and one row
 format, ``{pivot col: {col: entry}}`` with no zero entry.  ``echelon``
 is its forward half: it eliminates sparse integer rows against
 leftmost-column pivots, and its pivot count is the rank, which is all
-the Koszul route reads of the rows its singleton pivots leave.  ``rref`` scales rational rows to primitive
-integers, runs ``echelon``, back substitutes and divides each row by
-its pivot, so its rows are the same sparse rows with ``Fraction``
-entries; only ``quotient_basis`` needs that.  ``solve_unique`` reads the
-solution of a small square system off the last column of ``rref``'s
-rows; nothing in the package calls it any more, and it remains only
+the Koszul route reads of the rows its singleton pivots leave.
+``back_substitute`` is the other half: it clears each pivot row's
+other pivot columns and divides the row by its pivot, so its rows are
+the same sparse rows with ``Fraction`` entries; only
+``quotient_basis`` needs that, and its relation rows are integers
+already, so it runs the two halves itself.  ``rref`` is the two halves
+after scaling rational rows to primitive integers.  ``solve_unique``
+reads the solution of a small square system off the last column of
+``rref``'s rows; nothing in the package calls it any more, and it remains only
 for the benchmark's layer tracer, which patches it by name, and for its
 own test.
 """
@@ -32,17 +35,27 @@ def rref(rows):
     """Reduced row echelon form of rational rows, as ``{pivot col: row}``.
 
     ``rows`` holds ints or Fractions, each row either a sequence or a
-    ``{col: entry}`` mapping.  The result has ``echelon``'s shape, back
-    substituted: one sparse row ``{col: Fraction}`` per pivot column, in
+    ``{col: entry}`` mapping.  The result is
+    ``back_substitute(echelon(...))`` of the rows scaled to primitive
+    integers: one sparse row ``{col: Fraction}`` per pivot column, in
     ascending pivot order, with 1 at its pivot, no other pivot column
-    and no zero entry.  ``echelon`` does the forward elimination on
-    primitive integer rows, so the pivot set is the greedy one for the
-    given column order, and as the reduced row echelon form of a row
-    space is unique, the result is the one dense rational elimination
-    gives.  Back substitution runs from the rightmost pivot leftwards,
-    and only the last step divides each row by its pivot.
+    and no zero entry.  ``echelon`` does the forward elimination, so the
+    pivot set is the greedy one for the given column order, and as the
+    reduced row echelon form of a row space is unique, the result is the
+    one dense rational elimination gives.
     """
-    pivot_of = echelon(map(_primitive_row, rows))
+    return back_substitute(echelon(map(_primitive_row, rows)))
+
+
+def back_substitute(pivot_of):
+    """``echelon``'s ``{pivot col: int row}`` in reduced row echelon
+    form, ``{pivot col: {col: Fraction}}`` in ascending pivot order.
+
+    Back substitution runs from the rightmost pivot leftwards, and only
+    the last step divides each row by its pivot, so the result does not
+    depend on the content of a row.  ``pivot_of`` is left unchanged.
+    """
+    pivot_of = dict(pivot_of)
     for col in sorted(pivot_of, reverse=True):
         # the pivot rows to the right are reduced: clearing one of their
         # pivots brings in no other pivot column
@@ -59,11 +72,11 @@ def rref(rows):
 def echelon(rows):
     """The forward half of ``rref``: ``{pivot col: int row}``.
 
-    ``rows`` are integer rows ``{col: int}`` with no zero entry.  An
-    incoming row's leftmost entry is cleared against the pivot row of
-    that column until it has none, and then it becomes the pivot row of
-    that column.  The number of pivots is the rank.  No row is back
-    substituted and no ``Fraction`` is built.
+    ``rows`` are integer rows ``{col: int}``, primitive or not, with no
+    zero entry.  An incoming row's leftmost entry is cleared against the
+    pivot row of that column until it has none, and then it becomes the
+    pivot row of that column.  The number of pivots is the rank.  No row
+    is back substituted and no ``Fraction`` is built.
     """
     pivot_of = {}
     for row in rows:

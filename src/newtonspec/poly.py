@@ -163,6 +163,17 @@ class _Parser:
     def fail(self, message):
         raise PolynomialSyntaxError(message, self.peek()[2])
 
+    def number(self):
+        """The value of the int token at hand, which is consumed.  A
+        number longer than the interpreter converts (``int`` raises
+        ValueError past its limit on digits) is refused at its offset."""
+        _, val, offset = self.advance()
+        try:
+            return int(val)
+        except ValueError:
+            raise PolynomialSyntaxError(f"number of {len(val)} digits is too long",
+                                        offset) from None
+
     def parse(self):
         """Return (terms, names) with names in first-appearance order."""
         names: list = []
@@ -197,15 +208,13 @@ class _Parser:
             neg_coeff = True
             kind, val, _ = self.peek()
         if kind == "int":
-            self.advance()
-            num = int(val)
+            num = self.number()
             if self.peek()[0] == "/":
                 self.advance()
-                dkind, dval, doff = self.peek()
+                dkind, _, doff = self.peek()
                 if dkind != "int":
                     self.fail("expected denominator")
-                self.advance()
-                den = int(dval)
+                den = self.number()
                 if den == 0:
                     raise PolynomialSyntaxError("zero denominator", doff)
                 coeff *= Fraction(num, den)
@@ -224,13 +233,12 @@ class _Parser:
             exp = 1
             if self.peek()[0] == "^":
                 self.advance()
-                ekind, eval_, eoff = self.peek()
+                ekind, _, eoff = self.peek()
                 if ekind == "-":
                     raise PolynomialSyntaxError("negative exponent", eoff)
                 if ekind != "int":
                     self.fail("expected exponent")
-                self.advance()
-                exp = int(eval_)
+                exp = self.number()
             powers[name] = powers.get(name, 0) + exp
             if self.peek()[0] == "*":
                 self.advance()

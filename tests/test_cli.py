@@ -120,6 +120,23 @@ def test_text_output_builds_no_json_payload(capsys, monkeypatch, argv):
     assert code == 0 and out
 
 
+def test_json_output_builds_no_text_lines(capsys, monkeypatch):
+    # one text line per box point, 256 of them here, each with the str of
+    # its series: --json prints none of them, so it builds none
+    calls = []
+    text = SpectrumSeries.__str__
+
+    def counted(self):
+        calls.append(self)
+        return text(self)
+
+    monkeypatch.setattr(SpectrumSeries, "__str__", counted)
+    code, out, _ = run_cli(capsys, "orbifold", "--json", "u^4 + v^4 + w^4 + x^4")
+    assert code == 0
+    assert len(json.loads(out)["contributions"]) == 256
+    assert calls == []
+
+
 def test_product_table_with_hint(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -236,6 +253,27 @@ def test_non_decimal_digits_exit_1_without_traceback(text, message):
     assert proc.returncode == 1
     assert proc.stdout == b""
     assert err.splitlines() == [message], err
+    assert "Traceback" not in err
+
+
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+    reason="needs the interpreter's limit on the digits int() converts, below 5000")
+@pytest.mark.parametrize("argv,offset", [
+    (["spectrum", "u^" + "9" * 5000 + "+v"], 2),
+    (["spectrum", "9" * 5000 + "*u+v"], 0),
+    (["product-table", "u^2+v^2", "--basis", "1,u^" + "9" * 5000], 2),
+], ids=["exponent", "coefficient", "hint-exponent"])
+def test_numbers_over_the_digit_limit_exit_1_without_traceback(argv, offset):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                      os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "newtonspec", *argv],
+                          capture_output=True, env=env, timeout=60)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert err.splitlines() == [f"error: number of 5000 digits is too long (at offset {offset})"]
     assert "Traceback" not in err
 
 

@@ -5,6 +5,7 @@ import io
 import random
 import sys
 from datetime import timedelta
+from unittest import mock
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
@@ -33,7 +34,8 @@ from newtonspec import (
 )
 from newtonspec import linalg
 from newtonspec.cli import main
-from newtonspec.graded import DegreeBlock, multiply_in_basis, reduce_product
+from newtonspec import graded
+from newtonspec.graded import DegreeBlock, multiply_in_basis, product_rows, reduce_product
 
 from conftest import FOUR_VARIABLE_POLYS, LOCAL_GERMS, random_convenient_poly, series
 
@@ -300,6 +302,93 @@ def test_product_table_equals_pairwise_products_on_random_supports(seed, n, hint
         assert basis.elements == hint
     size = len(basis.elements)
     assert_table_is_pairwise(basis, None if size <= 60 else rng.sample(range(size), 12))
+
+
+def assert_rows_are_upper_triangle(basis):
+    """``product_rows`` holds exactly the nonzero cells of the upper
+    triangle of ``product_table``, as the very objects the table holds,
+    and a second call gives equal rows."""
+    calls = []
+
+    def recorded(b):
+        calls.append(product_rows(b))
+        return calls[-1]
+
+    with mock.patch.object(graded, "product_rows", recorded):
+        table = product_table(basis)
+    [rows] = calls
+    assert len(rows) == len(table) == len(basis.elements)
+    for i, (row, cells) in enumerate(zip(rows, table)):
+        nonzero = {j: cls for j, cls in enumerate(cells[i:], i) if not cls.is_zero()}
+        assert row.keys() == nonzero.keys(), (basis.poly, i)
+        assert all(row[j] is cls for j, cls in nonzero.items()), (basis.poly, i)
+    assert product_rows(basis) == rows
+
+
+def test_product_rows_are_the_nonzero_upper_triangle_on_corpus(corpus):
+    for entry in corpus:
+        assert_rows_are_upper_triangle(
+            quotient_basis(entry.poly, entry.model, spectrum=entry.box))
+
+
+@pytest.mark.parametrize("text", LOCAL_GERMS)
+def test_product_rows_are_the_nonzero_upper_triangle_on_local_germs(text):
+    p = parse_polynomial(text, mode=LOCAL)
+    assert_rows_are_upper_triangle(quotient_basis(p, build_model(p)))
+
+
+def test_product_rows_are_the_nonzero_upper_triangle_with_hint(square_basis):
+    # the hint is not in ascending degree, so the walk meets pairs (i, j)
+    # with i > j, whose cell goes to row j
+    assert_rows_are_upper_triangle(square_basis)
+
+
+@settings(max_examples=30, deadline=timedelta(seconds=20))
+@given(st.integers(0, 2**32), st.sampled_from([2, 3]), st.booleans())
+def test_product_rows_are_the_nonzero_upper_triangle_on_random_supports(seed, n, hinted):
+    rng = random.Random(seed)
+    p = random_convenient_poly(rng, n)
+    model = build_model(p)
+    basis = quotient_basis(p, model)
+    if hinted:
+        hint = list(basis.elements)
+        rng.shuffle(hint)
+        basis = quotient_basis(p, model, basis_hint=hint)
+    assert_rows_are_upper_triangle(basis)
+
+
+def _reference_render(cls, names):
+    """``GradedClass.render`` as it was written with ``Fraction``
+    arithmetic: ``str`` of each magnitude and a sign test on the
+    coefficient."""
+    if not cls.terms:
+        return "0"
+    parts = []
+    for vec, coeff in cls.terms:
+        mono = monomial_text(vec, names)
+        mag = abs(coeff)
+        if mono == "1":
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag}*{mono}"
+        if not parts:
+            parts.append(body if coeff > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+_NONZERO_RATIONALS = st.fractions(max_denominator=12).filter(bool) | st.sampled_from(
+    [Fraction(1), Fraction(-1), Fraction(10**30, 7), Fraction(-3, 10**20)])
+
+
+@given(st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), _NONZERO_RATIONALS, max_size=5))
+def test_render_equals_fraction_reference(data):
+    names = ("u", "v", "w")
+    cls = GradedClass.from_dict(data, Fraction(1))
+    assert cls.render(names) == _reference_render(cls, names)
 
 
 def test_default_basis_dimensions_match_spectrum(corpus):

@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from newtonspec import linalg
 
@@ -260,6 +262,29 @@ def test_rref_equals_dense_rational_elimination(sparse_reference):
             assert all(row[col] == 1 for col, row in got.items()), rows
         # the forward elimination alone gives the rank
         assert len(linalg.echelon(_integer_rows(rows))) == len(expected[1]), rows
+
+
+# sparse integer rows {col: entry}, each scaled by a factor that is its
+# content when the row was primitive
+_INTEGER_ROWS = st.lists(
+    st.tuples(
+        st.dictionaries(st.integers(0, 9), st.integers(-6, 6).filter(bool),
+                        min_size=1, max_size=6),
+        st.integers(1, 6),
+    ),
+    max_size=10,
+).map(lambda rows: [{j: k * x for j, x in row.items()} for row, k in rows])
+
+
+@given(_INTEGER_ROWS)
+@example([{0: 2, 1: 4}, {1: 6, 2: 3}, {0: 4, 2: -8}])
+def test_back_substituted_echelon_equals_rref_on_integer_rows(rows):
+    # echelon takes integer rows as they come, primitive or not, and the
+    # reduced rows do not depend on a row's content
+    got = linalg.back_substitute(linalg.echelon([dict(row) for row in rows]))
+    want = linalg.rref(rows)
+    assert got == want
+    assert list(got) == list(want)
 
 
 def test_solve_unique():
