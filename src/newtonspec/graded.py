@@ -10,7 +10,8 @@ the sum of their scaled Newton values, so the sum is never evaluated.
 The relation classes are the leading parts of u_i * df/du_i.  Each is
 scaled once to primitive integers, and each degree's relations are
 sparse integer rows ``{col: int}`` over integer monomial codes
-(``_code_weights``), whose sums are the codes of the product monomials,
+(``PolytopeModel.code_weights``), the form in which the census hands
+out its points; sums of codes are the codes of the product monomials,
 so no exponent tuple is added.  One builder, ``_relation_rows``, makes
 them and takes each row of one entry as a pivot of its column, peeled
 from the other rows (the singleton pivots of structured Gaussian
@@ -39,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import islice
 from math import ceil, gcd, lcm
 from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -46,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .errors import DimensionMismatchError, HintError, TruncationError
 from .poly import Poly, monomial_text
-from .polytope import PolytopeModel
+from .polytope import PolytopeModel, _decode
 from .series import SpectrumSeries
 
 Vec = Tuple[int, ...]
@@ -122,7 +124,8 @@ def leading_classes(p: Poly, model: PolytopeModel) -> List[GradedClass]:
     """Degree-one classes of the logarithmic derivatives u_i * df/du_i.
 
     Only the terms sitting on the Newton boundary (value exactly one)
-    survive in the graded piece of degree one.
+    survive in the graded piece of degree one; the test reads the scaled
+    value nu * L in the integers.
     """
     out = []
     for i in range(p.nvars):
@@ -130,7 +133,7 @@ def leading_classes(p: Poly, model: PolytopeModel) -> List[GradedClass]:
         for vec, coeff in p.terms.items():
             if vec[i] == 0:
                 continue
-            if model.newton_value(vec) == 1:
+            if model._scaled_value(vec) == model.value_scale:
                 data[vec] = data.get(vec, Fraction(0)) + coeff * vec[i]
         out.append(GradedClass.from_dict(data, Fraction(1)))
     return out
@@ -171,21 +174,6 @@ class DegreeBlock:
         if row is None:
             return {vec: Fraction(coeff)}
         return {self.monomials[j]: -coeff * x for j, x in row.items() if j != col}
-
-
-def _code_weights(model):
-    """The weights w of the integer monomial code sum_k w_k * m_k.
-
-    The code is mixed radix: the total degree is the high digit, then the
-    exponents, m_0 first, in the radix R = n * max_coord + 1, one more
-    than the largest coordinate of a census point at height n.  So codes
-    order those points by total degree and then exponent, distinct points
-    get distinct codes, and as the code is linear, the code of m + t is
-    code(m) + code(t), with no carry.
-    """
-    n = model.n
-    radix = n * model._max_coord + 1
-    return tuple(radix ** n + radix ** (n - 1 - k) for k in range(n))
 
 
 def _codes(weights, monomials):
@@ -332,11 +320,13 @@ def quotient_basis(
         from .spectrum import toric_spectrum
 
         spectrum = toric_spectrum(model)
-    weights = _code_weights(model)
+    weights = model.code_weights
     leading = _leading_terms(leading_classes(p, model), weights)
     scale = model.value_scale
-    # the census's groups and the hint's, keyed by the integers nu * L
-    monomials = model._points(int(ceil(spectrum.max_exponent())))
+    # the census's code groups and the hint's monomials, keyed by the
+    # integers nu * L
+    height = int(ceil(spectrum.max_exponent()))
+    groups = model._point_codes(height)
 
     hint_by_key: Dict[int, List[Vec]] = {}
     if basis_hint is not None:
@@ -359,15 +349,16 @@ def quotient_basis(
                 )
             hint_by_key.setdefault(model.cone_key(vec)[0], []).append(vec)
 
-    # each group's codes serve its degree and then the degree above, the
-    # degrees coming in ascending order
-    codes: Dict[int, List[int]] = {}
+    degrees = [(degree, expected, degree.numerator * (scale // degree.denominator))
+               for degree, expected in spectrum.items()]
+    # the blocks' monomials are the one place that reads exponents: the
+    # codes of every degree, decoded in one pass
+    decoded = iter(_decode([code for *_, key in degrees for code in groups.get(key, ())],
+                           model.n, model._radix(height)))
     blocks: Dict[Fraction, DegreeBlock] = {}
-    for degree, expected in spectrum.items():
-        key = degree.numerator * (scale // degree.denominator)
-        here = monomials.get(key, [])
-        prev = codes.pop(key - scale, None) or _codes(weights, monomials.get(key - scale, ()))
-        codes[key] = _codes(weights, here)
+    for degree, expected, key in degrees:
+        codes = groups.get(key, [])
+        here = list(islice(decoded, len(codes)))
         hint = hint_by_key.get(key)
         if hint is not None:
             here_set = set(here)
@@ -382,7 +373,7 @@ def quotient_basis(
                     f"hint gives {len(hint)} monomials at degree {degree}, expected {expected}"
                 )
         last = () if hint is None else _codes(weights, hint)
-        block = _build_block(leading, degree, here, codes[key], prev, last)
+        block = _build_block(leading, degree, here, codes, groups.get(key - scale, ()), last)
         if block.dim != expected:
             raise DimensionMismatchError(
                 f"quotient dimension {block.dim} at degree {degree} does not match "
@@ -430,7 +421,7 @@ def product_rows(basis: GradedBasis) -> List[Dict[int, GradedClass]]:
     the degree, so a call-local memo maps each product monomial to its
     class: the block reduces a monomial once, and every cell whose
     operands sum to it holds the same object.  The memo is keyed by the
-    integer monomial codes of the relation rows (``_code_weights``): a
+    integer monomial codes of the relation rows (``code_weights``): a
     product in a block has Newton value at most n, so the code of the
     product monomial is the sum of its operands' codes, and the
     exponent-sum tuple is built only on a memo miss.  A zero normal
@@ -440,7 +431,7 @@ def product_rows(basis: GradedBasis) -> List[Dict[int, GradedClass]]:
     elements = basis.elements
     scale = model.value_scale
     keys = basis.cone_keys
-    codes = _codes(_code_weights(model), elements)
+    codes = _codes(model.code_weights, elements)
     order = sorted(range(len(elements)), key=lambda i: keys[i][0])
     walk = [(*keys[i], codes[i], i) for i in order]
     blocks = {
@@ -515,10 +506,11 @@ def koszul_hilbert_series(p: Poly, model: PolytopeModel) -> SpectrumSeries:
     degree below, and every exponent lies in [0, n]), each degree's
     dimension is its number of monomials minus the rank of its relation
     rows, the rows ``quotient_basis`` reduces, over the integer monomial
-    codes of ``_code_weights``.  The degrees are the census's integer keys
-    nu * L, so the degree below is the key minus L, and the census stores
-    its points at height n.  The rank is the number of singleton columns
-    that ``_relation_rows`` peels plus the pivot count of the forward
+    codes of ``PolytopeModel.code_weights``: the census hands its points
+    out as these codes, and no exponent tuple is built.  The degrees are
+    the census's integer keys nu * L, so the degree below is the key
+    minus L.  The rank is the number of singleton columns that
+    ``_relation_rows`` peels plus the pivot count of the forward
     elimination (``linalg.echelon``) of the rows left, fed shortest first:
     a rank does not depend on the pivot order, no row is back substituted
     and no ``Fraction`` row is built.  The elimination stays per degree,
@@ -527,15 +519,12 @@ def koszul_hilbert_series(p: Poly, model: PolytopeModel) -> SpectrumSeries:
     nor the oracle, so it serves as an independent check.
     """
     mu = model.normalized_volume()
-    weights = _code_weights(model)
-    leading = _leading_terms(leading_classes(p, model), weights)
+    leading = _leading_terms(leading_classes(p, model), model.code_weights)
     scale = model.value_scale
     dims: Dict[int, int] = {}
-    codes: Dict[int, List[int]] = {}
-    for key, here in model._points(model.n).items():
-        codes[key] = _codes(weights, here)
-        # the degree below is read once more, here, and then dropped
-        singles, rows = _relation_rows(leading, set(codes[key]), codes.pop(key - scale, ()))
+    groups = model._point_codes(model.n)
+    for key, here in groups.items():
+        singles, rows = _relation_rows(leading, set(here), groups.get(key - scale, ()))
         dim = len(here) - len(singles) - len(linalg.echelon(sorted(rows, key=len)))
         if dim:
             dims[key] = dim

@@ -89,8 +89,10 @@ def run_checks(p: Poly) -> List[CheckResult]:
     scale = model.value_scale
     mu = model.normalized_volume()
     spectrum = toric_spectrum(model)
-    # the Koszul route stores the census points at height n, and the
-    # oracle and the counts up to n are read off them
+    # one census walk: the points up to height n, which the Koszul route
+    # reads as codes and the oracle and the counts up to n as a
+    # histogram, and the number up to n + 1 for the Ehrhart check
+    model._census(n, total=n + 1)
     koszul = koszul_hilbert_series(p, model)
     oracle = toric_spectrum_oracle(model)
 

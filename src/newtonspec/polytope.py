@@ -47,15 +47,16 @@ only where they are printed, from the boxes of the top simplices.
 The lattice census (the points with nu(v) <= T, grouped by value) walks
 only that region, not a bounding box: with one integer partial sum per
 scaled form, each coordinate in turn ranges over the interval that the
-forms leave it.  Its groups are keyed by the integers nu(v) * L, and so
-are the box points' values; ``Fraction`` values are built only by the
-public views (:meth:`PolytopeModel.value_histogram`,
-:meth:`PolytopeModel.points_by_value`, ``BoxPoint.nu``).  Points are
-stored only where the graded quotient reads them, at heights up to n;
-the counts above the stored height come from a walk that counts the
-points of each interval and builds none.  The census reads the facet
-forms alone, never the triangulation or the box points, so the oracle
-built on it checks the box route independently.
+forms leave it, the last two as whole ranges, one ``map`` chain per
+form.  Points leave the walk as integer monomial codes
+(:func:`_code_weights`), grouped by the integers nu(v) * L, as the box
+points' values are; ``Fraction`` values and exponent tuples are built
+only by the public views and the graded quotient's blocks.  Codes are
+kept up to height n only, with their histogram, and the walk that
+``check`` takes also counts the points up to n + 1 from interval
+lengths.  The census reads the facet forms alone, never the
+triangulation or the box points, so the oracle built on it checks the
+box route independently.
 
 The hull comes from :mod:`newtonspec.hull`, in the integers, with each
 facet's points and the hull's vertices as bitmasks.  A Newton-boundary
@@ -85,12 +86,12 @@ ridge memo.  A face's dimension is its level, so no rank is taken.
 from __future__ import annotations
 
 import functools
-import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import factorial, lcm, prod
-from operator import mul, or_
+from operator import add, floordiv, mod, mul, neg, or_
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -226,6 +227,31 @@ def _diagonal_form(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List
     return u, s
 
 
+def _code_weights(n: int, radix: int) -> Vec:
+    """The weights w of the integer monomial code sum_k w_k * m_k: the
+    total degree, then m_0, m_1, ..., as digits in ``radix``, which
+    exceeds every coordinate coded.  Codes order points by total degree
+    and then exponent, and code(m + t) = code(m) + code(t) while the
+    coordinates of m + t stay below the radix."""
+    return tuple(radix ** n + radix ** (n - 1 - k) for k in range(n))
+
+
+def _decode(codes: Sequence[int], n: int, radix: int) -> List[Vec]:
+    """The points of :func:`_code_weights` codes: m_k is the digit of
+    radix ** (n - 1 - k)."""
+    return list(zip(*[
+        map(mod, map(floordiv, codes, repeat(radix ** j)), repeat(radix)) if j
+        else map(mod, codes, repeat(radix))
+        for j in range(n - 1, -1, -1)
+    ]))
+
+
+def _check_height(height) -> None:
+    """A census height must be a nonnegative integer, else ``InputError``."""
+    if not isinstance(height, int) or height < 0:
+        raise InputError(f"height must be a nonnegative integer, got {height!r}")
+
+
 # ---------------------------------------------------------------------------
 # the model
 # ---------------------------------------------------------------------------
@@ -263,10 +289,13 @@ class PolytopeModel:
                               for j in range(n))
         self._ridge_memo: dict = {}
         self._max_coord = max((c for v in vertices for c in v), default=0)
-        self._points_height = -1
-        self._point_groups: dict = {}
+        self._columns: Tuple[Vec, ...] = tuple(zip(*scaled_forms))
+        # the census: codes up to a height <= n, a histogram, totals
+        self._codes_height = -1
+        self._code_groups: dict = {}
         self._counts_height = -1
         self._count_groups: dict = {}
+        self._totals: dict = {}
         self._triangulation: Optional[Tuple[Face, ...]] = None
         self._volume: Optional[int] = None
 
@@ -651,149 +680,217 @@ class PolytopeModel:
             )
         return self._volume
 
-    def _points(self, height: int) -> dict:
-        """Lattice points with nu(v) <= height, as {nu * L: points}.
+    # -- lattice census -------------------------------------------------
 
-        The keys are the integers nu(v) * L, L = ``value_scale``; they
-        ascend, and each group keeps ``itertools.product`` order.
-        :meth:`_walk` visits only the points of the region, never the
-        whole box [0, height * max_coord]^n.  The tallest walk so far is
-        kept; a query at or below its height filters it, and filtering
-        keeps the product order.  The groups are the cached lists, for
-        reading only.  Only the graded quotient reads points, at heights
-        up to n.
-        """
-        if height > self._points_height:
-            self._point_groups = self._walk(height, points=True)
-            self._points_height = height
-        top = height * self.value_scale
-        return {key: pts for key, pts in self._point_groups.items() if key <= top}
+    def _radix(self, height: int) -> int:
+        """The code radix: above every coordinate up to max(height, n)."""
+        return max(height, self.n) * self._max_coord + 1
 
-    def _counts(self, height: int) -> dict:
-        """The number of lattice points with nu(v) <= height, as
-        {nu * L: count}, keys ascending.
+    @functools.cached_property
+    def code_weights(self) -> Vec:
+        """The :func:`_code_weights` of the census up to height n."""
+        return _code_weights(self.n, self._radix(self.n))
 
-        Read off the stored points at or below their height; above it, a
-        count-only :meth:`_walk` builds no point.  The tallest count walk
-        is kept for lower queries to filter.
-        """
-        top = height * self.value_scale
-        if height <= self._points_height:
-            return {key: len(pts) for key, pts in self._point_groups.items() if key <= top}
-        if height > self._counts_height:
-            self._count_groups = self._walk(height, points=False)
-            self._counts_height = height
-        return {key: count for key, count in self._count_groups.items() if key <= top}
+    def _limits(self, height: int):
+        """``(H, cap, rests)`` of the region nu(v) <= height: H = height * L,
+        cap = height * max_coord bounds every coordinate, and rests[k][F]
+        is the least that the coordinates after k can add to form F, the
+        sum of min(0, S_Fj) * cap over j > k (0 in local mode)."""
+        n = self.n
+        cap = height * self._max_coord
+        rests = [[0] * len(self._scaled_forms) for _ in range(n)]
+        if self.mode == GLOBAL:
+            for k in range(n - 2, -1, -1):
+                rests[k] = [r + min(0, a) * cap for r, a in zip(rests[k + 1], self._columns[k + 1])]
+        return height * self.value_scale, cap, rests
 
-    def _intervals(self, height: int):
-        """The region nu(v) <= height as intervals of the last coordinate:
-        yields ``(prefix, sums, column, lo, hi)`` for each prefix of the
-        other coordinates whose interval lo..hi is not empty, with the
-        forms' partial sums at the prefix and their last entries.
-
-        Works in the integers nu(v) * L = max (global) or min (local) of
-        the scaled forms <S_F, v>, against the threshold H = height * L.
-        The coordinates are fixed in product order, coordinate 0
-        outermost, each capped at height * max_coord, with one partial
-        sum s_F per form.  Every coordinate ranges over an interval:
+    def _span(self, sums: Sequence[int], k: int, limits) -> Tuple[int, int]:
+        """The interval lo..hi of coordinate k at a prefix of the region
+        with the forms' partial sums ``sums``, in the integers nu(v) * L =
+        max (global) or min (local) of the scaled forms <S_F, v>:
 
         * global: x is kept while some completion can keep every form at
-          or below H, i.e. s_F + S_Fk * x + r_F <= H for all F, where r_F
-          is the least that the later coordinates can add to form F (the
-          sum of min(0, S_Fj) * cap over j > k);
+          or below H, i.e. s_F + S_Fk * x + r_F <= H for all F, with r_F
+          from ``rests``;
         * local: x is kept while some form with s_F <= H stays at or
           below H, which bounds x above only, as every S_Fk > 0.
-
-        At the last coordinate r_F = 0, so each point of the interval is
-        in the region.
         """
-        n = self.n
-        forms = self._scaled_forms
-        top = height * self.value_scale
-        cap = height * self._max_coord
-        take_max = self.mode == GLOBAL
-        columns = list(zip(*forms))
-        # rests[k][F]: the least that coordinates k+1.. can add to form F
-        rests = [[0] * len(forms) for _ in range(n)]
-        if take_max:
-            for k in range(n - 2, -1, -1):
-                rests[k] = [r + min(0, a) * cap for r, a in zip(rests[k + 1], columns[k + 1])]
-        stack = [((), (0,) * len(forms))]
+        top, cap, rests = limits
+        column = self._columns[k]
+        if self.mode != GLOBAL:
+            return 0, min(cap, max(
+                ((top - s) // a for s, a in zip(sums, column) if s <= top), default=-1))
+        lo, hi = 0, cap
+        for s, a, r in zip(sums, column, rests[k]):
+            room = top - s - r
+            if a > 0:
+                hi = min(hi, room // a)
+            elif a < 0:
+                lo = max(lo, -(room // -a))
+            elif room < 0:
+                hi = -1
+        return lo, hi
+
+    def _nodes(self, limits, weights: Sequence[int]):
+        """The region's prefixes of coordinates 0..n-3 (the empty one if
+        n <= 2) in product order, as ``(code, partial sums)``."""
+        depth = self.n - 2
+        stack = [(0, 0, (0,) * len(self._scaled_forms))]
         while stack:
-            prefix, sums = stack.pop()
-            k = len(prefix)
-            column = columns[k]
-            if take_max:
-                lo, hi = 0, cap
-                for s, a, r in zip(sums, column, rests[k]):
-                    room = top - s - r
-                    if a > 0:
-                        hi = min(hi, room // a)
-                    elif a < 0:
-                        lo = max(lo, -(room // -a))
-                    elif room < 0:
-                        hi = -1
-            else:
-                lo, hi = 0, min(cap, max(
-                    ((top - s) // a for s, a in zip(sums, column) if s <= top),
-                    default=-1,
-                ))
-            if lo > hi:
+            k, code, sums = stack.pop()
+            if k >= depth:
+                yield code, sums
                 continue
-            if k == n - 1:
-                yield prefix, sums, column, lo, hi
-                continue
+            lo, hi = self._span(sums, k, limits)
+            column, w = self._columns[k], weights[k]
             for x in range(hi, lo - 1, -1):
-                stack.append((prefix + (x,), tuple(s + a * x for s, a in zip(sums, column))))
+                stack.append((k + 1, code + w * x, tuple(s + a * x for s, a in zip(sums, column))))
 
-    def _walk(self, height: int, points: bool) -> dict:
-        """The lattice points with nu(v) <= height, grouped by value, over
-        :meth:`_intervals`: lists of points, or with ``points`` false
-        their numbers.
+    def _intervals(self, sums: Sequence[int], limits):
+        """At a prefix of :meth:`_nodes`, the last coordinate's interval
+        at each x of the span of coordinate n - 2 (x = 0 alone if n = 1):
+        ``(lo2, width, nlos, his)``, x = lo2 .. lo2 + width - 1 and the
+        last coordinate -nlo .. hi.  Each form's room H - s_F - a_F * x
+        is a ``range`` over the span, and room // b_F bounds the last
+        coordinate above if b_F > 0 and, negated, below if b_F < 0
+        (global); locally the bound is the max over the forms, as a form
+        with s_F > H has a negative room.  A global form with b_F = 0
+        bounds nothing: the span keeps its room >= 0."""
+        n = self.n
+        top, cap, _ = limits
+        last = self._columns[-1]
+        if n == 1:
+            lo2, hi2, column = 0, 0, (0,) * len(last)
+        else:
+            lo2, hi2 = self._span(sums, n - 2, limits)
+            column = self._columns[n - 2]
+        width = hi2 + 1 - lo2
+        if width <= 0:
+            return lo2, 0, (), ()
+        rooms = [
+            (range(top - s - a * lo2, top - s - a * (hi2 + 1), -a) if a
+             else repeat(top - s, width), b)
+            for s, a, b in zip(sums, column, last)
+        ]
+        caps = repeat(cap, width)
+        if self.mode == GLOBAL:
+            his = [map(floordiv, room, repeat(b)) for room, b in rooms if b > 0]
+            nlos = [map(floordiv, room, repeat(-b)) for room, b in rooms if b < 0]
+            return (lo2, width, map(min, repeat(0, width), *nlos) if nlos else repeat(0, width),
+                    map(min, caps, *his) if his else caps)
+        his = [map(floordiv, room, repeat(b)) for room, b in rooms]
+        return lo2, width, repeat(0, width), map(min, caps, map(max, *his) if len(his) > 1 else his[0])
 
-        Along an interval each form is an arithmetic progression, and the
-        values are their max (global) or min (local).  The groups are
-        keyed by these integers, in ascending order.  A count-only walk
-        feeds the values of each interval to a ``Counter`` and builds no
-        tuple.
-        """
+    def _walk(self, height: Optional[int], weights: Optional[Sequence[int]] = None,
+              total: Optional[int] = None) -> Tuple[dict, int]:
+        """``(groups, number)`` from one walk of the region: the points
+        with nu(v) <= height as {nu * L: codes} (their codes under
+        ``weights``, in ``itertools.product`` order) or without
+        ``weights`` as {nu * L: count}, keys ascending; and the number of
+        points with nu(v) <= ``total`` >= height, the sum of the lengths
+        of the taller region's :meth:`_intervals`.  Along an interval each
+        form is a ``range``, and so are the codes; a value is the forms'
+        max (global) or min (local)."""
+        n = self.n
+        inner = None if height is None else self._limits(height)
+        outer = inner if total is None else self._limits(total)
         pick = max if self.mode == GLOBAL else min
-        groups: dict = {} if points else Counter()
-        for prefix, sums, column, lo, hi in self._intervals(height):
-            lines = [
-                range(s + a * lo, s + a * (hi + 1), a) if a else itertools.repeat(s, hi + 1 - lo)
-                for s, a in zip(sums, column)
-            ]
-            keys = map(pick, *lines) if len(lines) > 1 else lines[0]
-            if not points:
-                groups.update(keys)
+        last = self._columns[-1]
+        column = self._columns[n - 2] if n > 1 else (0,) * len(last)
+        w2, w1 = (weights[n - 2] if n > 1 else 0, weights[-1]) if weights else (0, 0)
+        groups = defaultdict(list) if weights else Counter()
+        number = 0
+        for code, sums in self._nodes(outer, weights or (0,) * n):
+            if total is not None:
+                _, width, nlos, his = self._intervals(sums, outer)
+                number += width + sum(map(max, repeat(-1, width), map(add, his, nlos)))
+            if inner is None:
                 continue
-            for x, key in zip(range(lo, hi + 1), keys):
-                group = groups.get(key)
-                if group is None:
-                    groups[key] = [prefix + (x,)]
-                else:
-                    group.append(prefix + (x,))
-        return {key: groups[key] for key in sorted(groups)}
+            lo2, width, nlos, his = self._intervals(sums, inner)
+            # the forms' partial sums at each x of the span
+            starts = zip(*[range(s + a * lo2, s + a * (lo2 + width), a) if a else repeat(s, width)
+                           for s, a in zip(sums, column)])
+            base = code + w2 * lo2
+            for sp, lo, stop in zip(starts, map(neg, nlos), map(add, his, repeat(1))):
+                if lo < stop:
+                    lines = [range(s + b * lo, s + b * stop, b) if b else repeat(s, stop - lo)
+                             for s, b in zip(sp, last)]
+                    keys = map(pick, *lines) if len(lines) > 1 else lines[0]
+                    if weights:
+                        for c, key in zip(range(base + w1 * lo, base + w1 * stop, w1), keys):
+                            groups[key].append(c)
+                    else:
+                        groups.update(keys)
+                base += w2
+        return {key: groups[key] for key in sorted(groups)}, number
+
+    def _census(self, height: int, total: Optional[int] = None) -> None:
+        """Walk the census at ``height`` <= n and keep the codes
+        (:attr:`code_weights`), for the graded quotient, and their
+        histogram, for the count readers; with ``total``, the number of
+        points up to it from the same walk.  ``check`` takes n and n + 1."""
+        groups, number = self._walk(height, self.code_weights, total)
+        self._codes_height, self._code_groups = height, groups
+        if height >= self._counts_height:
+            self._counts_height = height
+            self._count_groups = {key: len(codes) for key, codes in groups.items()}
+        if total is not None:
+            self._totals[total] = number
+
+    def _point_codes(self, height: int) -> dict:
+        """{nu * L: codes} of the points with nu(v) <= height <= n: the
+        tallest :meth:`_census`, filtered, or itself at its height; for
+        reading only."""
+        if height > self._codes_height:
+            self._census(height)
+        if height == self._codes_height:
+            return self._code_groups
+        top = height * self.value_scale
+        return {key: codes for key, codes in self._code_groups.items() if key <= top}
+
+    def _points(self, height: int) -> dict:
+        """{nu * L: points} with nu(v) <= height, decoded from
+        :meth:`_point_codes`, or above n from a walk kept by no one."""
+        radix = self._radix(height)
+        groups = (self._point_codes(height) if height <= self.n
+                  else self._walk(height, _code_weights(self.n, radix))[0])
+        return {key: _decode(codes, self.n, radix) for key, codes in groups.items()}
+
+    def _counts(self, height: int) -> dict:
+        """{nu * L: count} with nu(v) <= height: the tallest histogram,
+        filtered, or itself at its height, for reading only; above it, a
+        count-only :meth:`_walk` builds no code."""
+        if height > self._counts_height:
+            self._count_groups = self._walk(height)[0]
+            self._counts_height = height
+        if height == self._counts_height:
+            return self._count_groups
+        top = height * self.value_scale
+        return {key: count for key, count in self._count_groups.items() if key <= top}
 
     def lattice_count(self, ell: int) -> int:
-        """Number of lattice points v >= 0 with nu(v) <= ell."""
-        if ell < 0:
-            raise InputError("dilation factor must be nonnegative")
-        if ell > max(self._points_height, self._counts_height):
-            # above every stored height: the lengths of the intervals
-            return sum(hi + 1 - lo for *_, lo, hi in self._intervals(ell))
-        return sum(self._counts(ell).values())
+        """Number of lattice points v >= 0 with nu(v) <= ell: from the
+        histogram, a total that :meth:`_census` took, or interval lengths."""
+        _check_height(ell)
+        if ell <= self._counts_height:
+            top = ell * self.value_scale
+            return sum(count for key, count in self._count_groups.items() if key <= top)
+        number = self._totals.get(ell)
+        if number is None:
+            number = self._totals[ell] = self._walk(None, total=ell)[1]
+        return number
 
     def value_histogram(self, bound: int) -> dict:
         """Multiset of Newton values <= bound, as {Fraction: multiplicity}."""
+        _check_height(bound)
         scale = self.value_scale
         return {Fraction(key, scale): count for key, count in self._counts(bound).items()}
 
     def points_by_value(self, bound: int) -> dict:
         """Lattice points grouped by Newton value, for values <= bound."""
+        _check_height(bound)
         scale = self.value_scale
-        return {Fraction(key, scale): list(pts) for key, pts in self._points(bound).items()}
+        return {Fraction(key, scale): pts for key, pts in self._points(bound).items()}
 
     # -- serialization -----------------------------------------------------
 

@@ -15,7 +15,8 @@ coefficients of equal exponents, drops zero sums, sorts and reduces the
 denominator.  It takes either rational exponents or integer numerators
 over a given denominator; the arithmetic methods hand it their raw
 integer (numerator, coefficient) pairs and keep no accumulator of their
-own.
+own.  Only :meth:`SpectrumSeries.shift`, which merges nothing, builds
+its result directly.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ class SpectrumSeries:
         one.  Without ``den`` the exponents are rationals (``Fraction``,
         ``int`` or ``str``); with it they are the integer numerators of
         exponents over ``den``, a positive integer.  Every arithmetic
-        method builds its result here."""
+        method but :meth:`shift` builds its result here."""
         items = () if terms is None else terms.items() if isinstance(terms, Mapping) else terms
         if den is None:
             items, den = _over_one_denominator(items)
@@ -184,11 +185,19 @@ class SpectrumSeries:
 
     def shift(self, exponent: ExponentLike, den: Optional[int] = None) -> "SpectrumSeries":
         """Multiply by ``z**exponent``; with ``den``, by
-        ``z**(exponent / den)`` for an integer ``exponent``."""
+        ``z**(exponent / den)`` for an integer ``exponent``.  A shift keeps
+        the terms sorted and distinct, so the result is built directly,
+        its denominator reduced as the constructor reduces it."""
         num, d = (exponent, den) if den is not None else _ratio(exponent)
         new = lcm(self._den, d)
         a = num * (new // d)
-        return SpectrumSeries(((k + a, c) for k, c in self.numerators(new)), new)
+        scale = new // self._den
+        keys = [k * scale + a for k in self._terms]
+        g = gcd(new, *keys)
+        out = SpectrumSeries.__new__(SpectrumSeries)
+        out._den = new // g
+        out._terms = dict(zip([k // g for k in keys] if g > 1 else keys, self._terms.values()))
+        return out
 
     def mul_one_minus_z_pow(self, k: int) -> "SpectrumSeries":
         """Exact product with ``(1 - z)**k``, expanded binomially."""

@@ -106,6 +106,20 @@ def toric_spectrum_box(model: PolytopeModel) -> SpectrumSeries:
     return _box_sum(model, restrictions=False)
 
 
+def _truncated_product(counts: dict, n: int, scale: int) -> SpectrumSeries:
+    """(1-z)^n times the sum of count * z^(e / scale) over ``counts``,
+    {e: count} with e >= 0, cut to the exponents <= n: only the terms of
+    e times the j-th term of (1-z)^n with e + j * scale <= n * scale are
+    built."""
+    top = n * scale
+    row = [(j * scale, (-1) ** j * comb(n, j)) for j in range(n + 1)]
+    return SpectrumSeries(
+        ((e + step, count * w) for e, count in counts.items()
+         for step, w in row[:max(0, (top - e) // scale + 1)]),
+        scale,
+    )
+
+
 def toric_spectrum_oracle(model: PolytopeModel) -> SpectrumSeries:
     """Toric Newton spectrum via the truncated generating series.
 
@@ -113,15 +127,15 @@ def toric_spectrum_oracle(model: PolytopeModel) -> SpectrumSeries:
     exponents <= T.  The coefficient at z^e involves only the values
     e - j for j = 0..n, all <= e, so every kept coefficient equals that of
     the full lattice sum; as all exponents lie in [0, n], the kept part is
-    the exact spectrum.  It must be nonnegative with mass equal to the
-    normalized volume, or :class:`TruncationError` is raised: a spectrum
-    term lost above T would show in the mass.  The census counts are read
-    off the points the Koszul route stores at height n, when it has run.
+    the exact spectrum.  Only the kept terms are built
+    (:func:`_truncated_product`).  It must be nonnegative with mass equal
+    to the normalized volume, or :class:`TruncationError` is raised: a
+    spectrum term lost above T would show in the mass.  The counts are
+    the census histogram, which reads the facet forms alone.
     """
     n = model.n
     mu = model.normalized_volume()
-    partial = SpectrumSeries(model._counts(n), model.value_scale)
-    kept = partial.mul_one_minus_z_pow(n).truncate_above(n)
+    kept = _truncated_product(model._counts(n), n, model.value_scale)
     if not (kept.is_nonnegative() and kept.eval_at_one() == mu):
         raise TruncationError(
             f"generating series at truncation {n} is not a spectrum of mass {mu}: {kept}"

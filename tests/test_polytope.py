@@ -579,24 +579,32 @@ def _reference_scan_region(model, height):
     return {key: groups[key] for key in sorted(groups)}
 
 def _assert_walks_match_point_census(p):
-    """At every height 0..n+1: the point walk equals the reference scan,
-    the count-only walk and the interval lengths of a model that stores no
-    point equal its group sizes, and so do the counts read off points
-    stored at height n, with the count above them walked."""
+    """At every height 0..n+1: the decoded codes of a walk equal the
+    reference scan, groups, key order and product order included, and so
+    do those of the census that ``check`` takes (points at n, the total
+    at n + 1, one traversal) up to n; the count-only walk, the interval
+    lengths of a model that stores nothing and the counts and lattice
+    counts read off that census equal the reference's group sizes."""
     n = p.nvars
     stored = build_model(p)
-    stored._points(n)
+    stored._census(n, total=n + 1)
     for h in range(n + 2):
-        want = _reference_scan_region(stored, h)
-        counts = {key: len(pts) for key, pts in want.items()}
+        want = list(_reference_scan_region(stored, h).items())
+        counts = {key: len(pts) for key, pts in want}
         fresh = build_model(p)
-        assert fresh._walk(h, points=True) == want, (p, h)
+        radix = fresh._radix(h)
+        groups, _ = fresh._walk(h, polytope._code_weights(n, radix))
+        assert [(key, polytope._decode(codes, n, radix)) for key, codes in groups.items()] == want, (p, h)
+        if h <= n:
+            decoded = [(key, polytope._decode(codes, n, radix))
+                       for key, codes in stored._point_codes(h).items()]
+            assert decoded == want, (p, h)
         assert fresh._counts(h) == counts, (p, h)
         assert build_model(p).lattice_count(h) == sum(counts.values()), (p, h)
-        assert fresh._point_groups == {}, (p, h)
-        assert stored._counts(h) == counts, (p, h)
+        assert fresh._code_groups == {}, (p, h)
         assert stored.lattice_count(h) == sum(counts.values()), (p, h)
-    assert stored._points_height == n
+        assert stored._counts(h) == counts, (p, h)
+    assert stored._codes_height == n
 
 
 # global supports with a facet form that has a negative entry, such as
@@ -648,6 +656,40 @@ def test_walks_match_point_census_on_corpus(corpus):
 )
 def test_walks_match_point_census(p):
     _assert_walks_match_point_census(p)
+
+
+@pytest.mark.parametrize("text,mode", [
+    ("u^5", GLOBAL), ("u^7 + v^2", GLOBAL), ("u^3 + v^4 + w^5 + u*v*w", GLOBAL),
+    (NEGATIVE_FORM_POLYS[2], GLOBAL), (FOUR_VARIABLE_POLYS[0], GLOBAL), (LOCAL_GERMS[0], LOCAL),
+])
+def test_check_traverses_the_census_region_once(text, mode, monkeypatch):
+    # one walk of the region at height n + 1 gives the points up to n and
+    # the total up to n + 1; every other census reader reads what it stored
+    walks, traversals = [], []
+    walk, nodes = polytope.PolytopeModel._walk, polytope.PolytopeModel._nodes
+
+    def counted_walk(model, height, weights=None, total=None):
+        walks.append((height, weights is not None, total))
+        return walk(model, height, weights, total)
+
+    def counted_nodes(model, limits, weights):
+        traversals.append(limits[0])
+        return nodes(model, limits, weights)
+
+    monkeypatch.setattr(polytope.PolytopeModel, "_walk", counted_walk)
+    monkeypatch.setattr(polytope.PolytopeModel, "_nodes", counted_nodes)
+    p = parse_polynomial(text, mode=mode)
+    assert _run_quietly("check", p) == 0
+    n = p.nvars
+    assert walks == [(n, True, n + 1)], text
+    assert len(traversals) == 1, text
+
+
+@pytest.mark.parametrize("reader", ["lattice_count", "value_histogram", "points_by_value"])
+@pytest.mark.parametrize("height", [-1, -2, 1.5, 2.0, "1", None])
+def test_census_readers_refuse_a_bad_height(square_model, reader, height):
+    with pytest.raises(InputError, match="nonnegative integer"):
+        getattr(square_model, reader)(height)
 
 
 def _reference_box_points(model, face):

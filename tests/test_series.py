@@ -253,6 +253,20 @@ def test_canonical_methods_match_reference(pairs, x, n, k):
     assert s.coefficient(num, den) == s.coefficient(x)
 
 
+@given(mixed_pairs, probe_exponents, st.integers(-40, 40), st.integers(1, 14))
+def test_shift_equals_the_constructor_built_series(pairs, x, num, den):
+    # shift builds its result without the constructor: the same terms in
+    # the same order over the same least denominator, for int, Fraction
+    # and (num, den) shifts
+    s = SpectrumSeries(pairs)
+    for shifted, by in ((s.shift(num), Fraction(num)), (s.shift(x), x),
+                        (s.shift(num, den), Fraction(num, den))):
+        want = SpectrumSeries([(e + by, c) for e, c in s.items()])
+        assert shifted == want
+        assert shifted.denominator == want.denominator
+        assert list(shifted.numerators()) == list(want.numerators())
+
+
 @given(mixed_pairs, mixed_exponents, st.integers(1, 4))
 def test_equal_series_have_equal_hashes(pairs, e, m):
     s = SpectrumSeries(pairs)

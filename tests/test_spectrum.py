@@ -233,6 +233,18 @@ def test_oracle_at_n_equals_the_series_at_n_plus_one_on_random_supports(p):
     assert toric_spectrum_oracle(m) == _oracle_at_n_plus_one(m)
 
 
+@given(st.integers(1, 5), st.integers(1, 12), st.data())
+def test_truncated_product_equals_the_cut_full_product(n, scale, data):
+    # the oracle builds only the terms at exponents <= n of (1 - z)^n
+    # times the census series, whose values lie in [0, n]
+    counts = data.draw(st.dictionaries(st.integers(0, n * scale), st.integers(1, 10**6),
+                                       max_size=30))
+    want = SpectrumSeries(counts, scale).mul_one_minus_z_pow(n).truncate_above(n)
+    got = spectrum._truncated_product(dict(sorted(counts.items())), n, scale)
+    assert got == want
+    assert list(got.numerators()) == list(want.numerators())
+
+
 def assert_routes_agree(text, n):
     p = parse_polynomial(text)
     m = build_model(p)
