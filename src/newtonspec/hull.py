@@ -1,12 +1,15 @@
 """Exact convex hull of a point set by the double description method.
 
-The facets of a simplex on n + 1 of the points come first, then one
-point at a time goes in, each cutting off the facets it sees and
-joining the adjacent pairs it separates.  A facet is its primitive
-integer (normal, level) and the bitmask of the points on it; adjacency
-is read from those masks, so after the n + 1 kernel solves of the
-simplex every step is an integer dot product, a combination of two
-facets or a mask test.  No ``Fraction`` is built.
+A point p is its homogeneous row (p, -1) and a facet <h, x> <= c its
+ray (h, c); p lies on, below or above the facet as their dot product is
+0, negative or positive.  The facets of a simplex come first: its points
+are the first n + 1 whose rows ``linalg.add_row`` takes in, and each
+facet is the kernel vector of n of the rows.  Then one point at a time
+goes in, each cutting off the facets it sees and joining the adjacent
+pairs it separates.  A facet is its primitive integer (normal, level)
+and the bitmask of the points on it; adjacency is read from those
+masks, so after the simplex every step is an integer dot product, a
+combination of two facets or a mask test.  No ``Fraction`` is built.
 
 The masks leave the module as they are, as each :class:`HullFacet`'s
 contact and as the :func:`hull_vertices` mask; no set is built.
@@ -40,24 +43,24 @@ def enumerate_facets(points: Sequence[Vec], n: int) -> List[HullFacet]:
     <h, x> <= c valid on the points seen so far, kept as its primitive
     integer vector together with its tight set, the bitmask of the seen
     points on it.  The cone starts from the facets of a simplex on the
-    first n + 1 affinely independent points; each other point p then
-    goes in, in index order.  With s = <h, p> - c, the rays with s > 0
-    are dropped and those with s = 0 gain p in their tight sets.  Each
-    dropped ray r+ and kept ray r- with s < 0 that are adjacent give the
-    new ray s+ * r- - s- * r+, on which p is tight.  Two rays are adjacent
-    when their common tight set holds at least n - 1 points and lies in
-    the tight set of no third ray: one scan of the tight sets counts the
-    rays that hold it and stops at the third.  At the end every point has
-    been seen, so each tight set is the facet's contact mask.  Facets are
-    sorted by (h, c); without n + 1 affinely independent points there are
-    none.
+    first n + 1 affinely independent points, those whose rows (p, -1)
+    are independent of the rows taken before them; each other point p
+    then goes in, in index order.  With s = <h, p> - c, the rays with
+    s > 0 are dropped and those with s = 0 gain p in their tight sets.
+    Each dropped ray r+ and kept ray r- with s < 0 that are adjacent give
+    the new ray s+ * r- - s- * r+, on which p is tight.  Two rays are
+    adjacent when their common tight set holds at least n - 1 points and
+    lies in the tight set of no third ray: one scan of the tight sets
+    counts the rays that hold it and stops at the third.  At the end
+    every point has been seen, so each tight set is the facet's contact
+    mask.  Facets are sorted by (h, c); without n + 1 affinely
+    independent points there are none.
     """
-    simplex = [0]
-    rows: list = []
-    for i in range(1, len(points)):
-        row = [a - b for a, b in zip(points[i], points[0])]
-        if linalg.rank(rows + [row], n) > len(rows):
-            rows.append(row)
+    rows = [tuple(p) + (-1,) for p in points]
+    pivot_of: dict = {}
+    simplex = []
+    for i, q in enumerate(rows):
+        if linalg.add_row(pivot_of, {j: x for j, x in enumerate(q) if x}):
             simplex.append(i)
             if len(simplex) == n + 1:
                 break
@@ -66,19 +69,14 @@ def enumerate_facets(points: Sequence[Vec], n: int) -> List[HullFacet]:
     rays = []   # (h + (c,), tight set)
     for j in simplex:
         face = [i for i in simplex if i != j]
-        base = points[face[0]]
-        h = linalg.nullspace_vector(
-            [[a - b for a, b in zip(points[i], base)] for i in face[1:]], n
-        )
-        c = sum(map(mul, h, base))
-        g = gcd(c, *h)
-        if sum(map(mul, h, points[j])) > c:
-            g = -g   # flip h so that the simplex lies in <h, x> <= c
-        rays.append((tuple(x // g for x in h) + (c // g,), sum(1 << i for i in face)))
-    for i, p in enumerate(points):
+        r = linalg.nullspace_vector([rows[i] for i in face], n + 1)
+        g = gcd(*r)
+        if sum(map(mul, r, rows[j])) > 0:
+            g = -g   # flip r so that the simplex lies in <h, x> <= c
+        rays.append((tuple(x // g for x in r), sum(1 << i for i in face)))
+    for i, q in enumerate(rows):
         if i in simplex:
             continue
-        q = tuple(p) + (-1,)
         bit = 1 << i
         above, below, kept = [], [], []
         for r, tight in rays:

@@ -1,30 +1,23 @@
 """Exact linear algebra, all of it fraction-free.
 
-``rank``, ``nullspace_vector`` and ``int_det`` take small dense integer
-matrices -- n is the number of variables of the input polynomial -- and
-use Bareiss's elimination, in which every entry is a minor of the input
-and each division is exact.  ``bareiss`` is the integer elimination
-behind the first two; ``int_det`` has its own, for square matrices
-only, which stops at the last pivot.
-
-The graded blocks are Macaulay-style matrices of the logarithmic-
-derivative relations: hundreds of columns with a few percent of their
-entries nonzero.  They have one sparse eliminator, in the manner of the
-sparse pivoting of Faugere's F4 on Macaulay matrices, and one row
-format, ``{pivot col: {col: entry}}`` with no zero entry.  ``echelon``
-is its forward half: it eliminates sparse integer rows against
-leftmost-column pivots, and its pivot count is the rank, which is all
-the Koszul route reads of the rows its singleton pivots leave.
-``back_substitute`` is the other half: it clears each pivot row's
-other pivot columns and divides the row by its pivot, so its rows are
-the same sparse rows with ``Fraction`` entries; only
-``quotient_basis`` needs that, and its relation rows are integers
-already, so it runs the two halves itself.  ``rref`` is the two halves
-after scaling rational rows to primitive integers.  ``solve_unique``
-reads the solution of a small square system off the last column of
-``rref``'s rows; nothing in the package calls it any more, and it remains only
+One integer step, ``add_row``, eliminates every row space in the
+package: an incoming sparse row ``{col: int}`` has its leftmost entry
+cleared against that column's pivot row until none matches, and what is
+left becomes a pivot row, in the manner of the sparse pivoting of
+Faugere's F4 on Macaulay matrices.  ``echelon`` is a loop of it, and
+its pivot count is the rank: ``rank`` and the Koszul route read that,
+``nullspace_vector`` back substitutes the pivot rows in the integers,
+and the hull's simplex seed calls ``add_row`` one point at a time.
+``back_substitute`` clears each pivot row's other pivot columns and
+divides it by its pivot, which gives the same sparse rows with
+``Fraction`` entries; only ``quotient_basis`` needs them.  ``rref`` is
+the two halves after scaling the rows to primitive integers
+(``primitive_row``).  ``solve_unique`` reads a small square system's
+solution off ``rref``; nothing in the package calls it, and it remains
 for the benchmark's layer tracer, which patches it by name, and for its
-own test.
+own test.  Only ``int_det`` keeps Bareiss's elimination, as its last
+pivot is the determinant, and ``polytope._diagonal_form`` its own, as it
+keeps the unimodular row operations.
 """
 
 from fractions import Fraction
@@ -44,7 +37,7 @@ def rref(rows):
     reduced row echelon form of a row space is unique, the result is the
     one dense rational elimination gives.
     """
-    return back_substitute(echelon(map(_primitive_row, rows)))
+    return back_substitute(echelon(map(primitive_row, rows)))
 
 
 def back_substitute(pivot_of):
@@ -70,27 +63,39 @@ def back_substitute(pivot_of):
 
 
 def echelon(rows):
-    """The forward half of ``rref``: ``{pivot col: int row}``.
+    """The forward half of ``rref``: ``{pivot col: int row}``, each row
+    taken in by ``add_row``.
 
     ``rows`` are integer rows ``{col: int}``, primitive or not, with no
-    zero entry.  An incoming row's leftmost entry is cleared against the
-    pivot row of that column until it has none, and then it becomes the
-    pivot row of that column.  The number of pivots is the rank.  No row
-    is back substituted and no ``Fraction`` is built.
+    zero entry.  The number of pivots is the rank.  No row is back
+    substituted and no ``Fraction`` is built.
     """
     pivot_of = {}
     for row in rows:
-        while row:
-            col = min(row)
-            prow = pivot_of.get(col)
-            if prow is None:
-                pivot_of[col] = row
-                break
-            row = _clear(row, prow, col)
+        add_row(pivot_of, row)
     return pivot_of
 
 
-def _primitive_row(r):
+def add_row(pivot_of, row):
+    """Take the integer row ``{col: int}`` into ``echelon``'s pivot rows.
+
+    The row's leftmost entry is cleared against the pivot row of that
+    column until no pivot row matches, and what is left becomes the pivot
+    row of its leftmost column.  Returns True when the row was
+    independent of the pivot rows, which then grow by one; else
+    ``pivot_of`` is left as it was.
+    """
+    while row:
+        col = min(row)
+        prow = pivot_of.get(col)
+        if prow is None:
+            pivot_of[col] = row
+            return True
+        row = _clear(row, prow, col)
+    return False
+
+
+def primitive_row(r):
     """A row of ints or Fractions as ``{col: int}``: its nonzero entries
     times the lcm of their denominators, divided by their gcd."""
     pairs = r.items() if isinstance(r, dict) else enumerate(r)
@@ -98,6 +103,10 @@ def _primitive_row(r):
     den = lcm(*(x.denominator for _, x in entries))
     row = {j: x.numerator * (den // x.denominator) for j, x in entries}
     return _divide_content(row)
+
+
+def _sparse(r):
+    return {j: x for j, x in enumerate(r) if x}
 
 
 def _clear(row, prow, col):
@@ -121,69 +130,36 @@ def _divide_content(row):
     return row
 
 
-def bareiss(rows, ncols, above):
-    """Fraction-free elimination of integer rows, pivots chosen as in rref.
-
-    Returns ``(pivot_rows, pivot_cols, d, sign)``.  Every row below a
-    pivot is cleared in its column; with ``above`` the rows above are
-    cleared too (fraction-free Gauss-Jordan), and then each pivot entry
-    equals ``d``, and ``pivot_rows`` is d times the reduced row echelon
-    form.  ``d`` is the minor on the pivot columns of the rows in their
-    swapped order, and ``sign`` is the parity of the row swaps, so on a
-    square matrix of full rank the determinant is ``sign * d``.
-    """
-    work = [list(r) for r in rows]
-    nrows = len(work)
-    pivot_cols = []
-    prev = 1
-    sign = 1
-    row_at = 0
-    for col in range(ncols):
-        for pivot_row in range(row_at, nrows):
-            if work[pivot_row][col]:
-                break
-        else:
-            continue
-        if pivot_row != row_at:
-            work[row_at], work[pivot_row] = work[pivot_row], work[row_at]
-            sign = -sign
-        prow = work[row_at]
-        p = prow[col]
-        for i in range(0 if above else row_at + 1, nrows):
-            if i != row_at:
-                f = work[i][col]
-                work[i] = [(a * p - f * b) // prev for a, b in zip(work[i], prow)]
-        prev = p
-        pivot_cols.append(col)
-        row_at += 1
-    return work[:row_at], pivot_cols, prev, sign
-
-
 def rank(rows, ncols):
-    """Rank of an integer matrix, by fraction-free elimination.
-
-    Its one caller in the package, the search for affinely independent
-    points that starts ``hull.enumerate_facets``, passes integer rows.
-    """
-    return len(bareiss(rows, ncols, above=False)[1])
+    """Rank of an integer matrix: the pivot count of ``echelon`` on its
+    rows as sparse rows."""
+    return len(echelon(map(_sparse, rows)))
 
 
 def nullspace_vector(rows, ncols):
     """An integer kernel vector of integer rows when the kernel is
     one-dimensional, else None.
 
-    The vector is d times the one ``rref`` gives (free entry d, pivot
-    entries minus the reduced rows' free column), where d is the pivot
-    minor of the fraction-free Gauss-Jordan form.
+    ``echelon``'s pivot rows are solved in the integers, from the
+    rightmost pivot leftwards, with 1 at the free column: before a pivot's
+    entry is solved the vector is scaled by p / gcd(p, s), where p is the
+    pivot and s the sum of the row's other entries times the vector, so
+    that the entry -s / gcd(p, s) is an integer.  The vector is some
+    integer multiple of the one ``rref`` gives, not a fixed one.
     """
-    reduced, pivots, d, _ = bareiss(rows, ncols, above=True)
-    if len(pivots) != ncols - 1:
+    pivot_of = echelon(map(_sparse, rows))
+    if len(pivot_of) != ncols - 1:
         return None
-    f = next(c for c in range(ncols) if c not in pivots)
     vec = [0] * ncols
-    vec[f] = d
-    for row, p in zip(reduced, pivots):
-        vec[p] = -row[f]
+    vec[next(c for c in range(ncols) if c not in pivot_of)] = 1
+    for col in sorted(pivot_of, reverse=True):
+        row = pivot_of[col]
+        s = sum(x * vec[j] for j, x in row.items())   # vec[col] is still 0
+        g = gcd(row[col], s)
+        k = row[col] // g
+        if k != 1:
+            vec = [k * x for x in vec]
+        vec[col] = -s // g
     return vec
 
 

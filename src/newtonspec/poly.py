@@ -283,14 +283,21 @@ def parse_polynomial(text: str, mode: str = GLOBAL, var_order: Optional[Sequence
 
 
 def parse_monomial(text: str, names: Sequence[str]) -> ExpVec:
-    """Parse a single monomial (coefficient one) over the given variables."""
-    p = parse_polynomial(text, mode=GLOBAL, var_order=names)
+    """Parse a single monomial (coefficient one) over the given variables,
+    the polynomial's: a monomial with another variable is refused."""
+    p = parse_polynomial(text, mode=GLOBAL)
+    unknown = [v for v in p.names if v not in names]
+    if unknown:
+        raise InputError(
+            f"basis monomial {text!r} has variable(s) {', '.join(unknown)}, "
+            "which the polynomial lacks")
     if len(p.terms) != 1:
         raise InputError(f"{text!r} is not a single monomial")
     vec, coeff = next(iter(p.terms.items()))
     if coeff != 1:
         raise InputError(f"{text!r} must have coefficient one")
-    return vec
+    exps = dict(zip(p.names, vec))
+    return tuple(exps.get(v, 0) for v in names)
 
 
 # -- structural operations ---------------------------------------------

@@ -213,6 +213,16 @@ def test_repeated_basis_entry_exit_code(capsys):
     assert "hint monomial u is listed twice" in err
 
 
+def test_basis_variable_missing_from_the_polynomial_exit_code(capsys):
+    code, out, err = run_cli(capsys, "product-table", "u^2+v^2", "--basis", "1,u,v,w")
+    assert code == 1 and out == ""
+    assert err == "error: basis monomial 'w' has variable(s) w, which the polynomial lacks\n"
+    # a --vars list that misses a variable keeps its own message
+    code, out, err = run_cli(capsys, "spectrum", "u^2+v^2+w^2", "--vars", "u,v")
+    assert code == 1 and out == ""
+    assert err == "error: variable(s) w not in --vars list\n"
+
+
 def test_local_constant_exit_code(capsys):
     code, _, err = run_cli(capsys, "spectrum", "--local", "1 + x + y")
     assert code == 1

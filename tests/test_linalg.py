@@ -120,6 +120,46 @@ def test_nullspace_vector_is_an_integer_kernel_vector():
                    for i in range(ncols) for j in range(ncols)), rows
 
 
+# small dense integer matrices: rows of one length, some of them zero or
+# repeated, as the hull and the tests' references pass them
+_DENSE_ROWS = st.integers(1, 6).flatmap(lambda ncols: st.tuples(
+    st.lists(st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols), max_size=7),
+    st.just(ncols),
+))
+
+
+@given(_DENSE_ROWS)
+@example(([[1, 2, 3], [2, 4, 6], [0, 0, 0], [0, 1, 1]], 3))
+def test_add_row_accepts_exactly_the_rows_that_raise_the_rank(drawn):
+    rows, ncols = drawn
+    pivot_of = {}
+    for i, row in enumerate(rows):
+        before = dict(pivot_of)
+        taken = linalg.add_row(pivot_of, linalg.primitive_row(row))
+        grew = linalg.rank(rows[:i + 1], ncols) > linalg.rank(rows[:i], ncols)
+        assert taken == grew, rows[:i + 1]
+        assert len(pivot_of) == len(before) + taken
+        if not taken:
+            assert pivot_of == before
+    assert len(pivot_of) == len(_dense_rref(rows, ncols)[1])
+
+
+@given(_DENSE_ROWS)
+@example(([[2, 3, 5], [0, 4, -6]], 3))
+@example(([[-3, 1, 0, 2], [0, -2, 5, 1], [0, 0, -7, 3]], 4))
+def test_nullspace_vector_is_parallel_to_the_rref_kernel_vector(drawn):
+    rows, ncols = drawn
+    vec = linalg.nullspace_vector(rows, ncols)
+    expected = _rref_kernel(rows, ncols)
+    if expected is None:
+        assert vec is None
+        return
+    assert all(type(x) is int for x in vec)
+    assert any(vec)
+    assert all(vec[i] * expected[j] == vec[j] * expected[i]
+               for i in range(ncols) for j in range(ncols))
+
+
 def test_nullspace_of_no_rows_in_one_column():
     assert linalg.nullspace_vector([], 1) == [1]
 

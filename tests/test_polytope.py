@@ -773,16 +773,17 @@ def test_box_points_match_reference_on_random_supports(seed, n):
 
 
 def _box_elimination(model, face):
-    """The rows [d*E*V | d*E] and d of the fraction-free Gauss-Jordan
-    elimination of [V | I]: R is the greedy set of independent
-    coordinates, E the inverse of V's columns R and d V's minor on R."""
-    k = len(face.vertex_indices)
-    rows, _, d, _ = linalg.bareiss(
-        [list(model.vertices[i]) + [int(i == j) for j in range(k)]
-         for i in face.vertex_indices],
-        model.n + k, above=True,
+    """E and |d| of the box over R: E is the right block of the reduced
+    row echelon form [E*V | E] of [V | I], with R the greedy set of
+    independent coordinates, its pivot columns, so that E is the inverse
+    of V's columns R; d is V's minor on R."""
+    verts = [model.vertices[i] for i in face.vertex_indices]
+    k, n = len(verts), model.n
+    reduced = linalg.rref(
+        list(v) + [int(i == j) for j in range(k)] for i, v in enumerate(verts)
     )
-    return rows, d
+    e = [[row.get(n + j, 0) for j in range(k)] for row in reduced.values()]
+    return e, abs(linalg.int_det([[v[c] for c in reduced] for v in verts]))
 
 
 def _box_kinds(model, face):
@@ -792,12 +793,11 @@ def _box_kinds(model, face):
     integer, so the box holds fewer than d points, "negative" when d*E
     has a negative entry, so that some d*q_l falls as a coordinate in R
     grows."""
-    rows, d = _box_elimination(model, face)
-    n = model.n
+    e, d = _box_elimination(model, face)
     kinds = set()
-    if len(face.vertex_indices) < n and len(model.box_points(face)) < abs(d):
+    if len(face.vertex_indices) < model.n and len(model.box_points(face)) < d:
         kinds.add("divisibility")
-    if any(x * d < 0 for row in rows for x in row[n:]):
+    if any(x < 0 for row in e for x in row):
         kinds.add("negative")
     return kinds
 
@@ -821,7 +821,7 @@ def test_box_holds_a_divisor_of_d_points(corpus):
     for entry in corpus:
         m = entry.model
         for face in m.triangulation():
-            d = abs(_box_elimination(m, face)[1])
+            d = _box_elimination(m, face)[1]
             found = len(m.box_points(face))
             assert d % found == 0
             if len(face.vertex_indices) == m.n:
@@ -1174,24 +1174,79 @@ def test_hull_makes_at_most_n_plus_one_kernel_solves(monkeypatch):
         assert 0 < len(calls) <= n + 1, (points, calls)
 
 
-def test_build_model_ranks_only_to_seed_the_hull(monkeypatch):
-    # the hull's simplex seed tests each point's independence with one
-    # rank, at most npts - 1 in all; the face lattice reads each
-    # dimension from its level, where a rank per face would take
-    # thousands on these inputs
-    rank = linalg.rank
+def _greedy_simplex(points, n):
+    """Point 0, then each point whose difference from point 0 raises the
+    rank of the differences taken, until n + 1 points are taken; None if
+    they run out first.  The seed of the hull before it took homogeneous
+    rows, kept as the reference."""
+    simplex = [0]
+    rows: list = []
+    for i in range(1, len(points)):
+        row = [a - b for a, b in zip(points[i], points[0])]
+        if linalg.rank(rows + [row], n) > len(rows):
+            rows.append(row)
+            simplex.append(i)
+            if len(simplex) == n + 1:
+                return simplex
+    return None
+
+
+def test_hull_seeds_the_simplex_of_the_greedy_rank_test(monkeypatch):
+    # the n + 1 kernel solves of the seed read the homogeneous rows
+    # (p, -1) of its points, so their points are the simplex
+    solve = linalg.nullspace_vector
     calls = []
 
-    def counted(rows, ncols):
-        calls.append(ncols)
+    def recorded(rows, ncols):
+        calls.append(rows)
+        return solve(rows, ncols)
+
+    monkeypatch.setattr(linalg, "nullspace_vector", recorded)
+    inputs = REFERENCE_HULL_INPUTS + [
+        (_hull_points(_pinned_poly(mode, support)), len(support[0]))
+        for mode, support, _ in PINNED_HULLS[-2:]
+    ]
+    for points, n in inputs:
+        calls.clear()
+        hull.enumerate_facets(points, n)
+        want = {tuple(points[i]) + (-1,) for i in _greedy_simplex(points, n)}
+        assert len(calls) == n + 1, points
+        assert {tuple(row) for rows in calls for row in rows} == want, points
+
+
+def test_build_model_ranks_only_to_seed_the_hull(monkeypatch):
+    # the hull's simplex seed takes each point's homogeneous row into one
+    # elimination, at most npts rows in all, and its kernel solves make
+    # no rank call; the face lattice reads each dimension from its level,
+    # where a rank per face would take thousands on these inputs
+    add_row, solve, rank = linalg.add_row, linalg.nullspace_vector, linalg.rank
+    seeded, ranks, solving = [], [], []
+
+    def counted_add_row(pivot_of, row):
+        if not solving:
+            seeded.append(row)
+        return add_row(pivot_of, row)
+
+    def counted_solve(rows, ncols):
+        solving.append(ncols)
+        try:
+            return solve(rows, ncols)
+        finally:
+            solving.pop()
+
+    monkeypatch.setattr(linalg, "add_row", counted_add_row)
+    monkeypatch.setattr(linalg, "nullspace_vector", counted_solve)
+    def counted_rank(rows, ncols):
+        ranks.append(ncols)
         return rank(rows, ncols)
 
-    monkeypatch.setattr(linalg, "rank", counted)
+    monkeypatch.setattr(linalg, "rank", counted_rank)
     for mode, support, _ in PINNED_HULLS:
         p = _pinned_poly(mode, support)
-        calls.clear()
+        seeded.clear()
         build_model(p)
-        assert len(calls) <= len(_hull_points(p)) - 1, (support, len(calls))
+        assert p.nvars + 1 <= len(seeded) <= len(_hull_points(p)), (support, len(seeded))
+        assert ranks == [], support
 
 
 def _affine_dim(vectors):
