@@ -85,10 +85,12 @@ def _parse_input(args):
 
 
 def _emit(args, payload: Callable[[], dict], text: Callable[[], Iterable[str]]) -> None:
-    """Print the JSON of ``payload()`` with ``--json``, else the lines of
-    ``text()``: each is built only when it is printed."""
+    """Print the JSON of ``payload()`` with ``--json``, after the schema,
+    the command and the mode, else the lines of ``text()``: each is built
+    only when it is printed."""
     if args.json:
-        print(json.dumps(payload(), indent=2))
+        head = {"schema": SCHEMA, "command": args.command, "mode": LOCAL if args.local else GLOBAL}
+        print(json.dumps({**head, **payload()}, indent=2))
     else:
         for line in text():
             print(line)
@@ -99,9 +101,6 @@ def _cmd_spectrum(args) -> int:
     model = build_model(p)
     series = toric_spectrum(model)
     _emit(args, lambda: {
-        "schema": SCHEMA,
-        "command": "spectrum",
-        "mode": p.mode,
         "route": "box",
         "mu_P": model.normalized_volume(),
         "series": series.to_json(),
@@ -113,9 +112,6 @@ def _cmd_spec_infinity(args) -> int:
     p = _parse_input(args)
     series = spectrum_at_infinity(build_model(p))
     _emit(args, lambda: {
-        "schema": SCHEMA,
-        "command": "spec-infinity",
-        "mode": p.mode,
         "mu": series.eval_at_one(),
         "series": series.to_json(),
     }, lambda: [str(series), f"mu: {series.eval_at_one()}"])
@@ -125,8 +121,7 @@ def _cmd_spec_infinity(args) -> int:
 def _cmd_milnor(args) -> int:
     p = _parse_input(args)
     mu = milnor_number(build_model(p))
-    _emit(args, lambda: {"schema": SCHEMA, "command": "milnor", "mode": p.mode, "milnor": mu},
-          lambda: [str(mu)])
+    _emit(args, lambda: {"milnor": mu}, lambda: [str(mu)])
     return 0
 
 
@@ -134,8 +129,7 @@ def _cmd_volume(args) -> int:
     p = _parse_input(args)
     model = build_model(p)
     mu = model.normalized_volume()
-    _emit(args, lambda: {"schema": SCHEMA, "command": "volume", "mode": p.mode, "mu_P": mu},
-          lambda: [str(mu)])
+    _emit(args, lambda: {"mu_P": mu}, lambda: [str(mu)])
     return 0
 
 
@@ -150,9 +144,6 @@ def _cmd_delta(args) -> int:
             f"delta from spectrum {delta.entries} != delta from counts {counted.entries}"
         )
     _emit(args, lambda: {
-        "schema": SCHEMA,
-        "command": "delta",
-        "mode": p.mode,
         "delta": delta.to_json(),
         "mu_P": model.normalized_volume(),
     }, lambda: [str(delta), f"vector: {list(delta.entries)}"])
@@ -167,9 +158,6 @@ def _cmd_ehrhart(args) -> int:
     ehr = ehrhart_polynomial(delta)
     values = [[ell, ehr.evaluate(ell)] for ell in range(model.n + 2)]
     _emit(args, lambda: {
-        "schema": SCHEMA,
-        "command": "ehrhart",
-        "mode": p.mode,
         "delta": delta.to_json(),
         "binomial_terms": ehr.to_json(),
         "values": values,
@@ -185,9 +173,6 @@ def _cmd_orbifold(args) -> int:
     total = orbifold_dimensions(model)
     contribs = orbifold_contributions(model)
     _emit(args, lambda: {
-        "schema": SCHEMA,
-        "command": "orbifold",
-        "mode": p.mode,
         "series": total.to_json(),
         "contributions": [
             {"point": list(v), "series": s.to_json()} for v, s in contribs
@@ -232,9 +217,6 @@ def _cmd_product_table(args) -> int:
             cells[j] = rows[j][i] = text
     if args.json:
         _emit(args, lambda: {
-            "schema": SCHEMA,
-            "command": "product-table",
-            "mode": p.mode,
             "basis": labels,
             "grading": gradings,
             "entries": [[cells.get(j, "0") for j in range(len(rows))] for cells in rows],
@@ -271,9 +253,6 @@ def _cmd_check(args) -> int:
     lines.append("all checks passed" if ok else "some checks FAILED")
     # every detail is built in the payload; text builds those of FAIL and SKIP only
     _emit(args, lambda: {
-        "schema": SCHEMA,
-        "command": "check",
-        "mode": p.mode,
         "ok": ok,
         "results": [
             {"name": r.name, "ok": r.ok, "skipped": r.skipped, "detail": r.detail}

@@ -159,12 +159,14 @@ def hodge_deligne(model: PolytopeModel, v: Sequence[int], relative: bool = False
     only.  For v = 0 this is the (relative) Hodge-Deligne polynomial of
     the toric variety of the fan itself.  The sum of (z - 1)^(n - 1 -
     dim f) over the faces f that contain sigma(v) is read off the star
-    counts of the face lattice, taken once per model.
+    counts of the face lattice, taken once per model, at the vertex
+    bitmask of sigma(v), 0 for the zero cone.
     """
-    sigma = model.smallest_cone(tuple(v))
-    every, outside = model.face_stars[sum(1 << i for i in sigma.vertex_indices)]
+    v = model._exponent(v)
+    sigma = model._cone_mask(v) if any(v) else 0
+    every, outside = model.face_stars[sigma]
     counts = list(outside if relative else every)
-    if not relative and sigma.dim == -1:
+    if not relative and not sigma:
         # the zero cone belongs to the full fan only
         counts[model.n] = 1
     return star_polynomial(counts)

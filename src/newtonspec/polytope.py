@@ -77,10 +77,14 @@ vertices that are nonzero on some coordinate.
 The pulling triangulation reads the ridges of the faces that are not
 simplices only, memoised per model; a simplex facet is its own piece.
 So the volume and the box route build no face lattice.  The lattice is
-built the first time ``faces``, ``f_of_p``, ``face_stars``,
+built the first time ``face_stars``, ``faces``,
 :meth:`PolytopeModel.smallest_cone` or :meth:`PolytopeModel.to_json`
 reads it, from the top down, one dimension at a time, through the same
-ridge memo.  A face's dimension is its level, so no rank is taken.
+ridge memo, as ``{vertex bitmask: dim}``.  A face's dimension is its
+level, so no rank is taken, and it is a simplex when it has dim + 1
+vertices.  Every reader inside the package keeps faces as bitmasks; a
+:class:`Face` is built only where one leaves the model: ``faces``, the
+face ``smallest_cone`` returns and the faces handed to ``box_points``.
 """
 
 from __future__ import annotations
@@ -132,11 +136,6 @@ class Face:
     dim: int
     in_coordinate_hyperplane: bool
     is_simplex: bool
-
-    @property
-    def cone_dim(self) -> int:
-        """Dimension of the cone spanned by the face from the origin."""
-        return self.dim + 1
 
 
 @dataclass(frozen=True)
@@ -262,8 +261,8 @@ class PolytopeModel:
 
     Use :func:`build_model`; the constructor is internal.  The model
     holds the scaled facet forms with their vertex bitmasks and the walls
-    (the hull facets as vertex bitmasks).  The face lattice, ``faces``
-    with ``f_of_p``, is built the first time it is read; the volume, the
+    (the hull facets as vertex bitmasks).  The face lattice, as vertex
+    bitmasks, is built the first time it is read; the volume, the
     triangulation, the open boxes and the box points never read it.
     """
 
@@ -296,7 +295,6 @@ class PolytopeModel:
         self._counts_height = -1
         self._count_groups: dict = {}
         self._totals: dict = {}
-        self._triangulation: Optional[Tuple[Face, ...]] = None
         self._volume: Optional[int] = None
 
     @functools.cached_property
@@ -340,43 +338,38 @@ class PolytopeModel:
             ridges = self._ridge_memo[face] = tuple(found)
         return ridges
 
-    def _face_lattice(self) -> List[Face]:
-        """Every face of the Newton boundary, sorted by dimension and
-        vertices.  The facets make the top level; the faces one level
-        down are the ridges of those of this level, a simplex's being
+    def _face_lattice(self) -> dict:
+        """Every face of the Newton boundary as ``{vertex bitmask: dim}``,
+        from the top down.  The facets make the top level; the faces one
+        level down are the ridges of those of this level, a simplex's being
         itself less one vertex.  A face's dimension is its level."""
-        faces = []
+        faces: dict = {}
         level = set(self._facet_masks)
         for dim in range(self.n - 1, -1, -1):
             below = set()
             for f in level:
-                face = self._face(f, dim)
-                faces.append(face)
-                if dim == 0:
+                faces[f] = dim
+                if not dim:
                     continue
-                if face.is_simplex:
-                    below.update(f ^ (1 << i) for i in face.vertex_indices)
+                if f.bit_count() == dim + 1:
+                    below.update(f ^ (1 << i) for i in _bits(f))
                 else:
                     below.update(self._ridges(f))
             level = below
-        faces.sort(key=lambda f: (f.dim, f.vertex_indices))
         return faces
+
+    @functools.cached_property
+    def _face_dims(self) -> dict:
+        """The face lattice, ``{vertex bitmask: dim}`` from the top down;
+        built on first read."""
+        return self._face_lattice()
 
     @functools.cached_property
     def faces(self) -> Tuple[Face, ...]:
         """Every face of the Newton boundary, sorted by dimension and
         vertices; built on first read."""
-        return tuple(self._face_lattice())
-
-    @functools.cached_property
-    def f_of_p(self) -> Tuple[int, ...]:
-        """Indices into ``faces`` of the faces outside the coordinate
-        hyperplanes."""
-        return tuple(i for i, f in enumerate(self.faces) if not f.in_coordinate_hyperplane)
-
-    @functools.cached_property
-    def _face_index(self) -> dict:
-        return {sum(1 << i for i in f.vertex_indices): k for k, f in enumerate(self.faces)}
+        return tuple(sorted((self._face(mask, dim) for mask, dim in self._face_dims.items()),
+                            key=lambda f: (f.dim, f.vertex_indices)))
 
     # -- Newton function ----------------------------------------------
 
@@ -424,18 +417,13 @@ class PolytopeModel:
         """True when nu is additive on a and b, i.e. they share a fan cone."""
         return bool(self.cone_key(a)[1] & self.cone_key(b)[1])
 
-    def smallest_cone(self, v: Sequence[int]) -> Face:
-        """The inclusion-minimal Newton-boundary face whose cone contains v.
-
-        Returns the zero cone for v = 0.  Scaled onto the Newton boundary,
-        v lies on the hull facets of the facet forms in its cone-key mask
-        and on the coordinate hyperplanes where v is 0, and on no others.
-        So the face is the common vertex set of the masked forms, cut down
-        to the vertices that are 0 wherever v is.
-        """
-        v = self._exponent(v)
-        if not any(v):
-            return self.zero_cone
+    def _cone_mask(self, v: Vec) -> int:
+        """The vertex bitmask of the smallest cone of v, a point of N^n
+        other than 0.  Scaled onto the Newton boundary, v lies on the hull
+        facets of the facet forms in its cone-key mask and on the
+        coordinate hyperplanes where v is 0, and on no others.  So the
+        face is the common vertex set of the masked forms, cut down to the
+        vertices that are 0 wherever v is."""
         mask = self.cone_key(v)[1]
         face = -1
         for i, facet in enumerate(self._facet_masks):
@@ -444,10 +432,18 @@ class PolytopeModel:
         for x, support in zip(v, self._support):
             if not x:
                 face &= ~support
-        idx = self._face_index.get(face)
-        if idx is None:
+        if face not in self._face_dims:
             raise InternalCheckError(f"face lookup failed for {v}")
-        return self.faces[idx]
+        return face
+
+    def smallest_cone(self, v: Sequence[int]) -> Face:
+        """The inclusion-minimal Newton-boundary face whose cone contains
+        v (:meth:`_cone_mask`); the zero cone for v = 0."""
+        v = self._exponent(v)
+        if not any(v):
+            return self.zero_cone
+        mask = self._cone_mask(v)
+        return self._face(mask, self._face_dims[mask])
 
     # -- box points -----------------------------------------------------
 
@@ -605,17 +601,6 @@ class PolytopeModel:
         simplices.discard(0)
         return tuple((mask, self._zero_coordinates(mask)) for mask in sorted(simplices))
 
-    def triangulation(self) -> Tuple[Face, ...]:
-        """Every face of every top simplex of the pulling triangulation of
-        the Newton boundary, sorted by dimension and then vertices.  Each
-        vertex sits at level one and nu is linear on the cone over each.
-        """
-        if self._triangulation is None:
-            faces = sorted((self._face(mask, mask.bit_count() - 1) for mask, _ in self._simplices),
-                           key=lambda f: (f.dim, f.vertex_indices))
-            self._triangulation = tuple(faces)
-        return self._triangulation
-
     @functools.cached_property
     def triangulation_stars(self) -> dict:
         """The star of each simplex G of :attr:`open_boxes` in the
@@ -641,22 +626,24 @@ class PolytopeModel:
         sigma with n - 1 - dim f = k, and ``outside[k]`` those of them
         outside the coordinate hyperplanes.
 
-        One pass over the lattice, from the bottom up: the faces of a
-        simplex are its nonempty submasks, and those of any other face are
-        itself and the faces of its ridges, kept for the faces above."""
+        One pass over the lattice's bitmasks, from the bottom up: the
+        faces of a simplex are its submasks, 0 included, and those of any
+        other face are itself and the faces of its ridges, kept for the
+        faces above.  A face is outside the coordinate hyperplanes when it
+        meets the support mask of every coordinate."""
         n = self.n
+        support = self._support
         stars: dict = {}
         below: dict = {}   # a face that is no simplex: its faces, 0 included
-        for face in self.faces:
-            mask = sum(1 << i for i in face.vertex_indices)
-            if face.is_simplex:
+        for mask, dim in reversed(self._face_dims.items()):
+            if mask.bit_count() == dim + 1:
                 subs = _submasks(mask)
             else:
                 subs = below[mask] = {mask}
                 for ridge in self._ridges(mask):
                     subs.update(below.get(ridge) or _submasks(ridge))
-            k = n - 1 - face.dim
-            outside = not face.in_coordinate_hyperplane
+            k = n - 1 - dim
+            outside = all(mask & s for s in support)
             for sigma in subs:
                 counts = stars.get(sigma)
                 if counts is None:
@@ -669,8 +656,8 @@ class PolytopeModel:
     def normalized_volume(self) -> int:
         """n! times the volume of the model region (an integer).
 
-        The sum of |det| over the top-dimensional simplices of
-        :meth:`triangulation`, i.e. over the pyramids with apex at the
+        The sum of |det| over the top-dimensional simplices of the
+        pulling triangulation, i.e. over the pyramids with apex at the
         origin.
         """
         if self._volume is None:

@@ -124,9 +124,10 @@ def test_relative_hd_nonnegative_and_counts_top_cones(corpus):
             sset = frozenset(sigma.vertex_indices)
             top = sum(
                 1
-                for k in m.f_of_p
-                if m.faces[k].dim == m.n - 1
-                and sset <= frozenset(m.faces[k].vertex_indices)
+                for f in m.faces
+                if not f.in_coordinate_hyperplane
+                and f.dim == m.n - 1
+                and sset <= frozenset(f.vertex_indices)
             )
             assert e.eval_at_one() == top
 
@@ -181,8 +182,10 @@ def _reference_orbifold_contributions(model):
     point, each point's relative Hodge-Deligne polynomial read from its
     smallest cone and shifted by its Newton value."""
     seen = {}
-    for i in model.f_of_p:
-        for bp in model.box_points(model.faces[i]):
+    for face in model.faces:
+        if face.in_coordinate_hyperplane:
+            continue
+        for bp in model.box_points(face):
             seen.setdefault(bp.point, bp.value)
     union = sorted(seen.items(), key=lambda kv: (kv[1], kv[0]))
     return union, [

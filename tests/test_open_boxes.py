@@ -11,7 +11,8 @@ half-open box of every simplex of the triangulation,
 ``_open_boxes`` walked the half-open box of every face of the face
 lattice and of the zero cone, keeping the points with every d*q
 positive, for ``orbifold_dimensions``, ``orbifold_contributions`` and
-``box_point_union``.
+``box_point_union``, and ``_reference_face_stars`` took the star
+counts of the face lattice from its ``Face`` objects.
 """
 
 import sys
@@ -36,11 +37,11 @@ from newtonspec import (
     toric_spectrum,
 )
 from newtonspec.cli import main
-from newtonspec.polytope import PolytopeModel
+from newtonspec.polytope import PolytopeModel, _submasks
 from newtonspec.series import z_minus_one_pow
 
 from conftest import FOUR_VARIABLE_POLYS, LOCAL_GERMS
-from test_polytope import PINNED_HULLS, _pinned_poly
+from test_polytope import PINNED_HULLS, _pinned_poly, _triangulation
 from test_spectrum import convenient_polys
 
 
@@ -67,6 +68,39 @@ def _open_boxes(model):
     return out
 
 
+def _reference_face_stars(model):
+    """The star of each face sigma of the Newton boundary, and of the
+    zero cone (mask 0), in the face lattice: ``{sigma: (every,
+    outside)}``, where ``every[k]`` counts the faces f that contain
+    sigma with n - 1 - dim f = k, and ``outside[k]`` those of them
+    outside the coordinate hyperplanes.
+
+    One pass over the lattice, from the bottom up: the faces of a
+    simplex are its nonempty submasks, and those of any other face are
+    itself and the faces of its ridges, kept for the faces above."""
+    n = model.n
+    stars: dict = {}
+    below: dict = {}   # a face that is no simplex: its faces, 0 included
+    for face in model.faces:
+        mask = sum(1 << i for i in face.vertex_indices)
+        if face.is_simplex:
+            subs = _submasks(mask)
+        else:
+            subs = below[mask] = {mask}
+            for ridge in model._ridges(mask):
+                subs.update(below.get(ridge) or _submasks(ridge))
+        k = n - 1 - face.dim
+        outside = not face.in_coordinate_hyperplane
+        for sigma in subs:
+            counts = stars.get(sigma)
+            if counts is None:
+                counts = stars[sigma] = ([0] * (n + 1), [0] * (n + 1))
+            counts[0][k] += 1
+            if outside:
+                counts[1][k] += 1
+    return stars
+
+
 def _reference_box_sum(model, restrictions):
     """Sums (-1)^|Z| (z-1)^(n-|Z|-1-dim S) * sum_{v in Box(S)} z^{nu(v)}
     over the simplices S of the triangulation, Z the coordinates on which
@@ -79,7 +113,7 @@ def _reference_box_sum(model, restrictions):
     scale = model.value_scale
     terms = [(0, (-1) ** n)] if restrictions else []
     weights = {}
-    for simplex in model.triangulation():
+    for simplex in _triangulation(model):
         zeros = len(model._zero_coordinates(sum(1 << i for i in simplex.vertex_indices)))
         if zeros and not restrictions:
             continue
@@ -153,10 +187,15 @@ def _reference_orbifold_contributions(model):
 def _assert_matches_references(p, cones=None):
     """The box sums of a fresh model in both modes, and, on a simplicial
     fan, the orbifold sum, the orbifold terms and the box-point union,
-    against the per-face references; and the Hodge-Deligne polynomials of
-    the zero cone and of ``cones`` faces of the lattice (every face when
-    None), full and relative."""
+    against the per-face references; the star counts of the face lattice
+    against those taken from its ``Face`` objects, and its bitmasks
+    against ``faces``; and the Hodge-Deligne polynomials of the zero cone
+    and of ``cones`` faces of the lattice (every face when None), full
+    and relative."""
     model = build_model(p)
+    assert model.face_stars == _reference_face_stars(model), p
+    assert model._face_dims == {
+        sum(1 << i for i in f.vertex_indices): f.dim for f in model.faces}, p
     assert toric_spectrum(model) == _reference_box_sum(model, False), p
     assert spectrum_at_infinity(model) == _reference_box_sum(model, True), p
     if model.simplicial_fan:

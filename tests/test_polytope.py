@@ -58,7 +58,8 @@ def test_square_model_geometry(square_model):
         assert (2, 2) in [m.vertices[i] for i in f.vertex_indices]
     # F(P): both edges and the corner vertex
     f_sets = sorted(
-        tuple(m.vertices[i] for i in m.faces[k].vertex_indices) for k in m.f_of_p
+        tuple(m.vertices[i] for i in f.vertex_indices)
+        for f in m.faces if not f.in_coordinate_hyperplane
     )
     assert f_sets == [((0, 2), (2, 2)), ((2, 0), (2, 2)), ((2, 2),)]
     assert m.simplicial_fan
@@ -121,7 +122,8 @@ def test_zero_cone_is_one_face_for_every_model(square_model, quintic_model):
     assert polytope.PolytopeModel.zero_cone == zero
     assert square_model.zero_cone is quintic_model.zero_cone
     assert square_model.smallest_cone((0, 0)) == zero
-    assert quintic_model.zero_cone.cone_dim == 0
+    # the cone of a face of dimension dim has dimension dim + 1
+    assert quintic_model.zero_cone.dim + 1 == 0
 
 
 def test_newton_value_on_support_points(corpus):
@@ -301,6 +303,13 @@ def test_hull_vertices_match_the_rank_rule(corpus, mode):
         assert set(_indices(hull.hull_vertices(len(pts), facets))) == want, p
 
 
+def _triangulation(model):
+    """Every simplex of the pulling triangulation as a ``Face``, sorted by
+    dimension and then vertices."""
+    return tuple(sorted((model._face(mask, mask.bit_count() - 1) for mask, _ in model._simplices),
+                        key=lambda f: (f.dim, f.vertex_indices)))
+
+
 def _reference_smallest_cone(model, reference, v):
     """The smallest cone by intersecting the hull facets through v scaled
     onto the Newton boundary, kept from before ``smallest_cone`` read the
@@ -320,17 +329,17 @@ def _reference_smallest_cone(model, reference, v):
     ]
     assert meets, f"{v} lies on no boundary facet"
     common = frozenset.intersection(*meets)
-    model_mask = sum(1 << hull_to_model[i] for i in common)
-    idx = model._face_index.get(model_mask)
-    assert idx is not None, f"face lookup failed for {v}"
-    return model.faces[idx]
+    vidx = tuple(sorted(hull_to_model[i] for i in common))
+    face = next((f for f in model.faces if f.vertex_indices == vidx), None)
+    assert face is not None, f"face lookup failed for {v}"
+    return face
 
 
 def _assert_smallest_cone_matches_reference(p, model):
     reference = _hull_reference(p, model)
     points = set(model.vertices)
     points.update(itertools.product(range(4), repeat=model.n))
-    for face in list(model.triangulation()) + [f for f in model.faces if f.is_simplex]:
+    for face in list(_triangulation(model)) + [f for f in model.faces if f.is_simplex]:
         points.update(bp.point for bp in model.box_points(face))
     for v in sorted(points):
         want = _reference_smallest_cone(model, reference, v)
@@ -369,11 +378,11 @@ def test_smallest_cone_examples(square_model):
     m = square_model
     ray = m.smallest_cone((1, 1))
     assert [m.vertices[i] for i in ray.vertex_indices] == [(2, 2)]
-    assert ray.cone_dim == 1
+    assert ray.dim + 1 == 1
 
     zero = m.smallest_cone((0, 0))
     assert zero.vertex_indices == ()
-    assert zero.cone_dim == 0
+    assert zero.dim + 1 == 0
     assert zero.in_coordinate_hyperplane
 
     edge = m.smallest_cone((2, 1))
@@ -744,7 +753,7 @@ def _reference_box_points(model, face):
 
 
 def _assert_box_points_match_reference(model):
-    faces = [model.zero_cone] + list(model.triangulation())
+    faces = [model.zero_cone] + list(_triangulation(model))
     faces += [f for f in model.faces if f.is_simplex]
     for face in faces:
         pts = model.box_points(face)
@@ -809,7 +818,7 @@ def test_random_supports_reach_every_kind_of_box():
         kinds = set()
         for seed in range(20):
             model = build_model(random_convenient_poly(random.Random(seed), n))
-            for face in model.triangulation():
+            for face in _triangulation(model):
                 kinds |= _box_kinds(model, face)
         assert kinds == {"divisibility", "negative"}, n
 
@@ -820,7 +829,7 @@ def test_box_holds_a_divisor_of_d_points(corpus):
     # coordinates are integers, a subgroup, so a divisor of d of them
     for entry in corpus:
         m = entry.model
-        for face in m.triangulation():
+        for face in _triangulation(m):
             d = _box_elimination(m, face)[1]
             found = len(m.box_points(face))
             assert d % found == 0
@@ -892,8 +901,9 @@ def test_census_leaves_no_reference_cycle():
 def test_f_of_p_faces_avoid_hyperplanes(corpus):
     for entry in corpus:
         m = entry.model
-        for k in m.f_of_p:
-            f = m.faces[k]
+        for f in m.faces:
+            if f.in_coordinate_hyperplane:
+                continue
             vecs = [m.vertices[i] for i in f.vertex_indices]
             assert not any(all(v[j] == 0 for v in vecs) for j in range(m.n))
 
@@ -902,7 +912,7 @@ def test_facets_are_in_f_of_p(corpus):
     for entry in corpus:
         m = entry.model
         nb_sets = {f.vertex_indices for f in m.facets}
-        f_of_p_sets = {m.faces[k].vertex_indices for k in m.f_of_p}
+        f_of_p_sets = {f.vertex_indices for f in m.faces if not f.in_coordinate_hyperplane}
         assert nb_sets <= f_of_p_sets
 
 
@@ -1438,7 +1448,7 @@ def _assert_triangulation_matches_reference(p):
     # face lattice, then the reference reads it
     model = build_model(p)
     got = model._top_simplices
-    triangulation = model.triangulation()
+    triangulation = _triangulation(model)
     want = _reference_top_simplices(model)
     assert got == want, model.to_json()
     simplices = {
@@ -1475,14 +1485,16 @@ def test_triangulation_and_volume_pull_once(monkeypatch):
         return pull(self, face, dim, memo)
 
     monkeypatch.setattr(polytope.PolytopeModel, "_pull", counted)
+    steps = {"triangulation": _triangulation,
+             "normalized_volume": polytope.PolytopeModel.normalized_volume}
     for support in NON_SIMPLICIAL_SUPPORTS:
         for first, second in (("triangulation", "normalized_volume"),
                               ("normalized_volume", "triangulation")):
             model = build_model(_pinned_poly(GLOBAL, support))
             calls.clear()
-            getattr(model, first)()
+            steps[first](model)
             once = len(calls)
-            getattr(model, second)()
+            steps[second](model)
             assert len(calls) == once > len(model.facets), (support, first)
 
 
@@ -1503,7 +1515,7 @@ def test_box_points_fill_the_box_group(p):
     # distinct points of the box, as many as the group has elements (the
     # gcd of the k x k minors), are the whole box
     model = build_model(p)
-    for face in model.triangulation():
+    for face in _triangulation(model):
         verts = [model.vertices[i] for i in face.vertex_indices]
         points = model.box_points(face)
         assert len({bp.point for bp in points}) == len(points) == _minor_gcd(verts)
@@ -1549,8 +1561,20 @@ def test_lattice_free_commands_build_no_lattice(corpus, monkeypatch):
         for command in ("volume", "spectrum", "spec-infinity", "milnor", "ehrhart"):
             assert _run_quietly(command, p) == 0, (command, str(p))
         model = build_model(p)
-        assert model.triangulation()
+        assert model._simplices
         assert not model.simplicial_fan
+
+
+def test_check_builds_no_face(corpus, monkeypatch):
+    # check reads the face lattice as vertex bitmasks only: its
+    # Hodge-Deligne and orbifold checks read the star counts of the
+    # lattice, and no Face is built
+    def refuse(self, mask, dim):
+        raise AssertionError("Face built")
+
+    monkeypatch.setattr(polytope.PolytopeModel, "_face", refuse)
+    for entry in corpus:
+        assert _run_quietly("check", entry.poly) == 0, str(entry.poly)
 
 
 def test_check_and_orbifold_build_the_lattice_once(corpus, monkeypatch):
