@@ -188,8 +188,10 @@ def _cmd_product_table(args) -> int:
     product monomial holds the same class object.  So ``product_rows``
     gives the nonzero cells of the upper triangle, from which the
     symmetric sparse rows ``{col: text}`` are built, each distinct class
-    rendered once, memoised by identity (the rows keep every class
-    alive); no grid of classes is built.  A column is as wide as its
+    rendered once, memoised by identity (the rows and the basis keep every
+    class alive); no grid of classes is built.  The memo starts with the
+    labels of the basis elements' unit classes, so only a class of a
+    reduced pivot row is rendered.  A column is as wide as its
     label or its longest nonzero text: a "0" never sets a width, as no
     label is empty.  Each text row copies the padded "0" cells,
     overwrites its nonzero ones and is written at once, so no grid of
@@ -205,9 +207,10 @@ def _cmd_product_table(args) -> int:
     basis = quotient_basis(p, model, basis_hint=hint)
     labels = [monomial_text(v, p.names) for v in basis.elements]
     scale = model.value_scale
-    gradings = [exponent_text(key, scale) for key, _ in basis.cone_keys]
+    gradings = [exponent_text(key, scale) for key in basis.keys]
     rows = [{} for _ in labels]
-    texts = {}
+    # a basis element's own class is written as its label
+    texts = {id(unit): label for unit, label in zip(basis.units, labels)}
     for i, classes in enumerate(product_rows(basis)):
         cells = rows[i]
         for j, cls in classes.items():

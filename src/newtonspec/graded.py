@@ -19,20 +19,22 @@ elimination).  Two routes read it.  The Koszul route
 (``koszul_hilbert_series``) takes each degree's dimension from the rank
 alone, the singletons plus the pivot count of the forward elimination
 ``linalg.echelon`` of the rows left: a third, linear-algebra route to
-the toric Newton spectrum.  Only ``quotient_basis`` back substitutes
-(``linalg.back_substitute`` of ``linalg.echelon``, on the integer rows),
-in its column order, with a hint last: it keeps each degree's reduced
-rows, the same sparse ``{pivot col: row}`` shape with ``Fraction``
-entries, in a :class:`DegreeBlock`, and a product's normal form is read
-off the nonzeros of one reduced row of its degree's block, so
-structure-constant tables need no further elimination and no dense row
-is built.  ``product_rows`` walks the pairs once, keys the blocks by the
-cone keys' integer degree nu * L and reduces each distinct product
-monomial once: the monomial fixes its degree, so a memo that lives for
-one call, keyed by an integer code of the monomial, hands its class to
-every cell whose operands sum to it.  It keeps only the nonzero cells of
-the upper triangle, as sparse rows; ``product_table`` spreads them over
-a dense grid.
+the toric Newton spectrum.  ``quotient_basis`` keeps, per degree of the
+spectrum (keyed by the integer nu * L), a :class:`DegreeBlock` over the
+codes: its singleton columns, whose normal form is zero, the reduced
+rows of the pivots of the rows left, and its basis columns.  A block
+whose singletons close it has no row left and costs no elimination;
+only the rows left go to ``linalg.echelon`` and
+``linalg.back_substitute``, with a hint last in the column order.  Only
+the basis codes are decoded to exponents, and each basis element gets
+one unit class, its monomial with coefficient one.  ``product_rows``
+walks the pairs once and reads each product's normal form by the code
+of the product monomial, the sum of its operands' codes: a singleton
+code gives zero, a basis code that element's unit class, and only a
+pivot code builds a class, once per call, off its reduced row, so no
+exponent tuple is summed and no ``Fraction`` is multiplied for a zero
+or unit cell.  It keeps only the nonzero cells of the upper triangle,
+as sparse rows; ``product_table`` spreads them over a dense grid.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import islice
-from math import ceil
-from operator import add, mul
+from math import ceil, gcd, lcm
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -143,55 +145,112 @@ def leading_classes(p: Poly, model: PolytopeModel) -> List[GradedClass]:
 # per-degree reduction blocks
 # ---------------------------------------------------------------------------
 
+_ONE = Fraction(1)
 
-@dataclass
+
 class DegreeBlock:
-    """Row-reduced relation data for a single degree of the quotient.
+    """Row-reduced relation data for a single degree of the quotient, over
+    the integer monomial codes of its columns.
 
-    Built once per degree by ``_build_block``; ``reduce`` reads normal
-    forms off the reduced rows and performs no row operation.
+    Every column is a singleton of ``_relation_rows`` (its normal form is
+    zero), a pivot of the rows left (``pivots``: its reduced row
+    ``{code: Fraction}``, 1 at the pivot) or a basis column.  ``units``
+    maps each basis code, in column order, to its monomial's class with
+    coefficient one, built once and shared by every product that lands on
+    it.  ``monomials``, ``index`` and ``rows`` (the full ``linalg.rref``,
+    a unit row per singleton included) are built on first read; the
+    product table reads none of them.  ``reduce`` reads normal forms off
+    the reduced rows and performs no row operation.
     """
 
-    degree: Fraction
-    monomials: List[Vec]                 # column order used by the reduction
-    index: Dict[Vec, int]
-    rows: Dict[int, Dict[int, Fraction]]  # ``linalg.rref``: pivot col -> its row
-    basis: List[Vec]                     # non-pivot columns, in column order
+    def __init__(self, model, key, degree, order, singles, pivots, basis, units):
+        self.key = key                   # the integer degree nu * L
+        self.degree = degree
+        self.basis = basis               # non-pivot monomials, in column order
+        self.units = units               # basis code -> its unit class
+        self.singles = singles           # singleton codes
+        self.pivots = pivots             # pivot code -> its reduced row
+        self._model = model
+        self._order = order              # the codes in column order
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def reduce(self, vec: Vec, coeff: Fraction) -> Dict[Vec, Fraction]:
-        """Express coeff * [vec] in the basis modulo the relation rows.
+    @cached_property
+    def monomials(self) -> List[Vec]:
+        """The column order used by the reduction."""
+        return _decode(self._order, self._model.n, self._model._radix(self._model.n))
 
-        A basis monomial is its own normal form.  A pivot monomial's
-        sparse row has 1 at its pivot and no other pivot column, so the
-        row says [vec] = -(its nonzeros at the basis columns).
+    @cached_property
+    def index(self) -> Dict[Vec, int]:
+        return {m: i for i, m in enumerate(self.monomials)}
+
+    @cached_property
+    def rows(self) -> Dict[int, Dict[int, Fraction]]:
+        """``linalg.rref`` of the relation rows: pivot col -> its row."""
+        column = {code: i for i, code in enumerate(self._order)}
+        rows = {column[c]: {column[j]: x for j, x in row.items()}
+                for c, row in self.pivots.items()}
+        rows.update((column[c], {column[c]: _ONE}) for c in self.singles)
+        return dict(sorted(rows.items()))
+
+    def reduce(self, vec: Vec, coeff: Fraction) -> Dict[Vec, Fraction]:
+        """Express coeff * [vec] in the basis modulo the relation rows;
+        ``vec`` is a monomial of the block's degree.
+
+        A basis monomial is its own normal form and a singleton's is zero.
+        A pivot monomial's reduced row has 1 at its pivot and no other
+        pivot column, so the row says [vec] = -(its nonzeros at the basis
+        columns).
         """
-        col = self.index[vec]
-        row = self.rows.get(col)
-        if row is None:
-            return {vec: Fraction(coeff)}
-        return {self.monomials[j]: -coeff * x for j, x in row.items() if j != col}
+        code = sum(map(mul, self._model.code_weights, vec))
+        row = self.pivots.get(code)
+        if row is not None:
+            return {self.units[j].terms[0][0]: -coeff * x for j, x in row.items() if j != code}
+        if code in self.singles:
+            return {}
+        if code not in self.units:
+            raise KeyError(vec)
+        return {vec: Fraction(coeff)}
+
+    def _pivot_class(self, code: int) -> GradedClass:
+        """The normal form of the pivot column ``code`` as a class: minus
+        its reduced row's entries at the basis columns, or the zero class
+        when the row has no other entry."""
+        row = self.pivots[code]
+        terms = tuple(sorted((self.units[j].terms[0][0], -x)
+                             for j, x in row.items() if j != code))
+        return GradedClass(terms, self.degree) if terms else _ZERO
 
 
 def _codes(weights, monomials):
     return [sum(map(mul, weights, m)) for m in monomials]
 
 
-def _leading_terms(leading, weights):
-    """Each leading class as a list of ``(code, coeff)`` terms.
+def _leading_terms(p, model):
+    """The classes of ``leading_classes`` as lists of ``(code, coeff)``
+    terms over the monomial codes, each scaled to primitive integers,
+    which leaves the row space of the relations unchanged.
 
-    The coefficients are scaled once to primitive integers
-    (``linalg.primitive_row``; a class has no zero term), which leaves the
-    row space of the relations unchanged.
+    Each term of the Newton boundary (scaled value L) is found once, and
+    its coefficient read once as an integer over the least common
+    denominator of them all, so no ``Fraction`` is multiplied; the terms
+    of a class are in exponent order, as in ``leading_classes``.
     """
-    return [
-        list(zip(_codes(weights, [v for v, _ in cls.terms]),
-                 linalg.primitive_row([c for _, c in cls.terms]).values()))
-        for cls in leading
-    ]
+    scale = model.value_scale
+    boundary = sorted((vec, c) for vec, c in p.terms.items()
+                      if model._scaled_value(vec) == scale)
+    den = lcm(*[c.denominator for _, c in boundary])
+    terms = list(zip([vec for vec, _ in boundary],
+                     _codes(model.code_weights, [vec for vec, _ in boundary]),
+                     [c.numerator * (den // c.denominator) for _, c in boundary]))
+    out = []
+    for i in range(p.nvars):
+        row = [(code, x * vec[i]) for vec, code, x in terms if vec[i]]
+        g = gcd(*[x for _, x in row])
+        out.append([(code, x // g) for code, x in row] if g > 1 else row)
+    return out
 
 
 def _relation_rows(leading, here, prev):
@@ -246,29 +305,28 @@ def _relation_rows(leading, here, prev):
             return singles, rows
 
 
-def _build_block(leading, degree, monomials, codes, prev, last=()):
-    """The block of one degree, from its monomials, their ``codes`` and
-    the codes ``prev`` of the degree below.  Its columns are the
-    monomials in code order, by total degree and then exponent, with the
-    hint's codes ``last`` last; the singleton columns of
-    ``_relation_rows`` are pivots whose reduced rows are unit rows, and
-    the integer rows left go to ``linalg.echelon`` and then
-    ``linalg.back_substitute``."""
-    by_code = dict(zip(codes, monomials))
-    order = sorted(by_code.keys() - set(last)) + list(last)
-    column = {code: i for i, code in enumerate(order)}
-    singles, raw = _relation_rows(leading, set(codes), prev)
-    rows = linalg.back_substitute(
-        linalg.echelon([{column[j]: x for j, x in row.items()} for row in raw]))
-    rows.update((column[j], {column[j]: Fraction(1)}) for j in singles)
-    ordered = [by_code[code] for code in order]
-    return DegreeBlock(
-        degree=degree,
-        monomials=ordered,
-        index={m: i for i, m in enumerate(ordered)},
-        rows=rows,
-        basis=[m for i, m in enumerate(ordered) if i not in rows],
-    )
+def _build_block(leading, codes, prev, last=()):
+    """The reduction of one degree, from the ``codes`` of its monomials and
+    the codes ``prev`` of the degree below: ``(order, singles, pivots,
+    basis)``.  The columns are in code order, by total degree and then
+    exponent, with the hint's codes ``last`` last.  The singleton columns
+    of ``_relation_rows`` are pivots whose reduced rows are unit rows, so
+    only the integer rows left, when there are any, go through a column
+    map to ``linalg.echelon`` and ``linalg.back_substitute``; ``pivots``
+    holds their reduced rows over the codes.  The basis codes are the
+    columns that are neither."""
+    here = set(codes)
+    order = sorted(here - set(last)) + list(last) if last else sorted(codes)
+    singles, raw = _relation_rows(leading, here, prev)
+    pivots = {}
+    if raw:
+        column = {code: i for i, code in enumerate(order)}
+        reduced = linalg.back_substitute(
+            linalg.echelon([{column[j]: x for j, x in row.items()} for row in raw]))
+        pivots = {order[col]: {order[j]: x for j, x in row.items()}
+                  for col, row in reduced.items()}
+    basis = [code for code in order if code not in singles and code not in pivots]
+    return order, singles, pivots, basis
 
 
 # ---------------------------------------------------------------------------
@@ -278,22 +336,46 @@ def _build_block(leading, degree, monomials, codes, prev, last=()):
 
 @dataclass
 class GradedBasis:
-    """Per-degree bases of the graded quotient with reduction data."""
+    """Per-degree bases of the graded quotient with reduction data.
+
+    ``by_key`` holds the blocks in ascending degree, keyed by the integer
+    degree nu * L; ``blocks`` keys them by the degree itself, built on
+    first read.  ``codes``, ``keys`` and ``units`` run parallel to
+    ``elements``: each element's monomial code, the integer degree of its
+    block and its unit class, the one its block's ``units`` holds.
+    """
 
     poly: Poly
     model: PolytopeModel
     spectrum: SpectrumSeries
-    blocks: Dict[Fraction, DegreeBlock]
+    by_key: Dict[int, DegreeBlock]
     elements: List[Vec]                  # basis monomials in table order
+    codes: List[int]
+    keys: List[int]
+    units: List[GradedClass]
+
+    @cached_property
+    def blocks(self) -> Dict[Fraction, DegreeBlock]:
+        return {block.degree: block for block in self.by_key.values()}
 
     def total_dimension(self) -> int:
-        return sum(b.dim for b in self.blocks.values())
+        return sum(b.dim for b in self.by_key.values())
 
     @cached_property
     def cone_keys(self) -> List[Tuple[int, int]]:
         """``model.cone_key`` of each element, in table order: the
-        gradings nu * L and facet masks that the table's walk reads."""
-        return [self.model.cone_key(x) for x in self.elements]
+        gradings nu * L and facet masks that the table's walk reads.  The
+        key is the block's, so only the mask is evaluated, as the forms
+        that take the key at the element."""
+        forms = self.model._scaled_forms
+        out = []
+        for vec, key in zip(self.elements, self.keys):
+            mask = 0
+            for i, w in enumerate(forms):
+                if sum(map(mul, w, vec)) == key:
+                    mask |= 1 << i
+            out.append((key, mask if any(vec) else -1))
+        return out
 
 
 def quotient_basis(
@@ -310,7 +392,9 @@ def quotient_basis(
     coefficient.  A hint fixes the basis instead: the hint monomials are
     placed last in the column order, so the reduction must find all its
     pivots among the other monomials, and the surviving columns are
-    exactly the hint.
+    exactly the hint.  The degrees are the spectrum's integer numerators
+    nu * L, the keys of the census's code groups; each block reduces over
+    the codes, and only the basis codes are decoded, in one pass.
 
     Dimensions are checked only at the spectrum's degrees, so a
     Newton-degenerate input whose quotient is too large at some other
@@ -323,14 +407,21 @@ def quotient_basis(
 
         spectrum = toric_spectrum(model)
     weights = model.code_weights
-    leading = _leading_terms(leading_classes(p, model), weights)
+    leading = _leading_terms(p, model)
     scale = model.value_scale
-    # the census's code groups and the hint's monomials, keyed by the
-    # integers nu * L
+    if scale % spectrum.denominator:
+        # an exponent whose denominator does not divide L is the Newton
+        # value of no monomial
+        degree, expected = next((e, c) for e, c in spectrum.items() if scale % e.denominator)
+        raise DimensionMismatchError(
+            f"quotient dimension 0 at degree {degree} does not match "
+            f"spectrum coefficient {expected}"
+        )
     height = int(ceil(spectrum.max_exponent()))
     groups = model._point_codes(height)
 
     hint_by_key: Dict[int, List[Vec]] = {}
+    hint_keys: List[int] = []
     if basis_hint is not None:
         total_expected = spectrum.eval_at_one()
         if len(basis_hint) != total_expected:
@@ -349,22 +440,19 @@ def quotient_basis(
                     f"hint monomial {monomial_text(vec, p.names)} has degree {deg} "
                     "outside the spectrum"
                 )
-            hint_by_key.setdefault(model.cone_key(vec)[0], []).append(vec)
+            hint_keys.append(model.cone_key(vec)[0])
+            hint_by_key.setdefault(hint_keys[-1], []).append(vec)
 
-    degrees = [(degree, expected, degree.numerator * (scale // degree.denominator))
-               for degree, expected in spectrum.items()]
-    # the blocks' monomials are the one place that reads exponents: the
-    # codes of every degree, decoded in one pass
-    decoded = iter(_decode([code for *_, key in degrees for code in groups.get(key, ())],
-                           model.n, model._radix(height)))
-    blocks: Dict[Fraction, DegreeBlock] = {}
-    for degree, expected, key in degrees:
-        codes = groups.get(key, [])
-        here = list(islice(decoded, len(codes)))
+    reductions = []
+    for key, expected in spectrum.numerators(scale):
+        degree = Fraction(key, scale)
+        codes = groups.get(key, ())
         hint = hint_by_key.get(key)
+        last = ()
         if hint is not None:
-            here_set = set(here)
-            missing = [m for m in hint if m not in here_set]
+            last = _codes(weights, hint)
+            here = set(codes)
+            missing = [m for m, code in zip(hint, last) if code not in here]
             if missing:
                 raise HintError(
                     f"hint monomial {monomial_text(missing[0], p.names)} has no class "
@@ -374,26 +462,45 @@ def quotient_basis(
                 raise HintError(
                     f"hint gives {len(hint)} monomials at degree {degree}, expected {expected}"
                 )
-        last = () if hint is None else _codes(weights, hint)
-        block = _build_block(leading, degree, here, codes, groups.get(key - scale, ()), last)
-        if block.dim != expected:
+        order, singles, pivots, basis = _build_block(
+            leading, codes, groups.get(key - scale, ()), last)
+        if len(basis) != expected:
             raise DimensionMismatchError(
-                f"quotient dimension {block.dim} at degree {degree} does not match "
+                f"quotient dimension {len(basis)} at degree {degree} does not match "
                 f"spectrum coefficient {expected}"
             )
-        if hint is not None and set(block.basis) != set(hint):
+        if hint is not None and set(basis) != set(last):
             raise HintError(
                 f"hint monomials at degree {degree} do not span the quotient"
             )
-        blocks[degree] = block
+        reductions.append((key, degree, order, singles, pivots, basis))
 
-    if basis_hint is not None:
-        elements = [tuple(v) for v in basis_hint]
+    # the basis codes of every degree, decoded in one pass: the only
+    # exponents the blocks read
+    decoded = iter(_decode([code for *_, basis in reductions for code in basis],
+                           model.n, model._radix(model.n)))
+    blocks: Dict[int, DegreeBlock] = {}
+    for key, degree, order, singles, pivots, basis in reductions:
+        monomials = list(islice(decoded, len(basis)))
+        units = {code: GradedClass(((vec, _ONE),), degree)
+                 for code, vec in zip(basis, monomials)}
+        blocks[key] = DegreeBlock(model, key, degree, order, singles, pivots,
+                                  monomials, units)
+
+    if basis_hint is None:
+        # the blocks were built in ascending degree
+        elements = [vec for block in blocks.values() for vec in block.basis]
+        codes = [code for block in blocks.values() for code in block.units]
+        keys = [block.key for block in blocks.values() for _ in block.basis]
+        units = [unit for block in blocks.values() for unit in block.units.values()]
     else:
-        elements = []
-        for degree in sorted(blocks):
-            elements.extend(blocks[degree].basis)
-    return GradedBasis(poly=p, model=model, spectrum=spectrum, blocks=blocks, elements=elements)
+        elements = [tuple(v) for v in basis_hint]
+        codes = _codes(weights, elements)
+        keys = hint_keys
+        unit_of = {code: unit for block in blocks.values() for code, unit in block.units.items()}
+        units = [unit_of[code] for code in codes]
+    return GradedBasis(poly=p, model=model, spectrum=spectrum, by_key=blocks,
+                       elements=elements, codes=codes, keys=keys, units=units)
 
 
 def reduce_product(basis: GradedBasis, m1: Vec, m2: Vec) -> GradedClass:
@@ -416,34 +523,32 @@ def product_rows(basis: GradedBasis) -> List[Dict[int, GradedClass]]:
 
     A nonzero entry's degree is the sum of the operand degrees, and one
     outside the spectrum support is zero.  The blocks are keyed by the
-    integer scaled degree nu * L of ``GradedBasis.cone_keys``.  The
-    elements are walked in ascending scaled degree, each paired with
-    itself and the ones after it, until the degree sum passes the top
-    block.  A pair whose masks meet has a product monomial, which fixes
-    the degree, so a call-local memo maps each product monomial to its
-    class: the block reduces a monomial once, and every cell whose
-    operands sum to it holds the same object.  The memo is keyed by the
-    integer monomial codes of the relation rows (``code_weights``): a
-    product in a block has Newton value at most n, so the code of the
-    product monomial is the sum of its operands' codes, and the
-    exponent-sum tuple is built only on a memo miss.  A zero normal
-    form, like every pair the walk skips, leaves no cell.
+    integer degree nu * L of ``GradedBasis.cone_keys``.  The elements are
+    walked in ascending degree, each paired with itself and the ones
+    after it, until the degree sum passes the top block.  A pair whose
+    masks meet has a product monomial, which fixes the degree; a product
+    in a block has Newton value at most n, so its integer code is the sum
+    of its operands' codes (``GradedBasis.codes``), and no exponent is
+    summed.  The normal form is read by the code: a memo that lives for
+    one call is seeded with every block's singleton codes (the zero
+    class) and basis codes (the element's unit class, the object
+    ``GradedBasis.units`` holds), so only a pivot code of a block's
+    eliminated rows builds a class, once, and every cell whose operands
+    sum to it holds the same object.  A zero normal form, like every
+    pair the walk skips, leaves no cell.
     """
-    model = basis.model
-    elements = basis.elements
-    scale = model.value_scale
     keys = basis.cone_keys
-    codes = _codes(model.code_weights, elements)
-    order = sorted(range(len(elements)), key=lambda i: keys[i][0])
+    codes = basis.codes
+    order = sorted(range(len(codes)), key=basis.keys.__getitem__)
     walk = [(*keys[i], codes[i], i) for i in order]
-    blocks = {
-        degree.numerator * (scale // degree.denominator): block
-        for degree, block in basis.blocks.items()
-    }
+    blocks = basis.by_key
     top = max(blocks, default=-1)
     zero = GradedClass.zero()
-    rows: List[Dict[int, GradedClass]] = [{} for _ in elements]
     normal_forms: Dict[int, GradedClass] = {}
+    for block in blocks.values():
+        normal_forms.update(dict.fromkeys(block.singles, zero))
+        normal_forms.update(block.units)
+    rows: List[Dict[int, GradedClass]] = [{} for _ in codes]
     for pos, (key_i, mask_i, code_i, i) in enumerate(walk):
         row = rows[i]
         for key_j, mask_j, code_j, j in walk[pos:]:
@@ -452,16 +557,13 @@ def product_rows(basis: GradedBasis) -> List[Dict[int, GradedClass]]:
                 break
             if not mask_i & mask_j:
                 continue
-            block = blocks.get(key)
-            if block is None:
-                continue
             code = code_i + code_j
             cls = normal_forms.get(code)
             if cls is None:
-                total = tuple(map(add, elements[i], elements[j]))
-                cls = normal_forms[code] = GradedClass.from_dict(
-                    block.reduce(total, 1), block.degree
-                )
+                block = blocks.get(key)
+                if block is None:
+                    continue
+                cls = normal_forms[code] = block._pivot_class(code)
             if cls is zero:
                 continue
             if i <= j:
@@ -521,7 +623,7 @@ def koszul_hilbert_series(p: Poly, model: PolytopeModel) -> SpectrumSeries:
     nor the oracle, so it serves as an independent check.
     """
     mu = model.normalized_volume()
-    leading = _leading_terms(leading_classes(p, model), model.code_weights)
+    leading = _leading_terms(p, model)
     scale = model.value_scale
     dims: Dict[int, int] = {}
     groups = model._point_codes(model.n)

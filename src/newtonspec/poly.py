@@ -195,7 +195,9 @@ class _Parser:
         return raw, tuple(names)
 
     def parse_term(self, names, sign):
-        coeff = Fraction(sign)
+        """(coeff, powers) of one term: the coefficient an int, or a
+        ``Fraction`` for an ``a/b`` coefficient."""
+        coeff = sign
         saw_anything = False
         kind, val, _ = self.peek()
         neg_coeff = False
@@ -268,24 +270,31 @@ def parse_polynomial(text: str, mode: str = GLOBAL, var_order: Optional[Sequence
     else:
         names = seen
     index = {name: i for i, name in enumerate(names)}
+    # ints and Fractions are summed as they come; each stored term is made
+    # a Fraction once
     terms: dict = {}
     for coeff, powers in raw:
         vec = [0] * len(names)
         for name, e in powers.items():
             vec[index[name]] = e
         vec = tuple(vec)
-        total = terms.get(vec, Fraction(0)) + coeff
+        total = terms.get(vec, 0) + coeff
         if total:
             terms[vec] = total
         else:
             terms.pop(vec, None)
-    return Poly(names=names, terms=terms, mode=mode)
+    return Poly(names=names, terms={vec: Fraction(c) for vec, c in terms.items()}, mode=mode)
 
 
 def parse_monomial(text: str, names: Sequence[str]) -> ExpVec:
     """Parse a single monomial (coefficient one) over the given variables,
-    the polynomial's: a monomial with another variable is refused."""
-    p = parse_polynomial(text, mode=GLOBAL)
+    the polynomial's: a monomial with another variable is refused, and a
+    syntax error names the monomial, as its offset is into it."""
+    try:
+        p = parse_polynomial(text, mode=GLOBAL)
+    except PolynomialSyntaxError as exc:
+        exc.args = (f"basis monomial {text!r}: {exc}",)
+        raise
     unknown = [v for v in p.names if v not in names]
     if unknown:
         raise InputError(

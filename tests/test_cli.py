@@ -213,6 +213,18 @@ def test_repeated_basis_entry_exit_code(capsys):
     assert "hint monomial u is listed twice" in err
 
 
+@pytest.mark.parametrize("basis,message", [
+    ("1,u,v,u*v*1", "basis monomial 'u*v*1': expected '+' or '-', found '1' (at offset 4)"),
+    ("1,u,v^,u*v", "basis monomial 'v^': expected exponent (at offset 2)"),
+    ("1,u,2/0*v,u*v", "basis monomial '2/0*v': zero denominator (at offset 2)"),
+])
+def test_basis_syntax_error_names_the_basis_monomial(capsys, basis, message):
+    # the offset is into the one monomial, so the message names it
+    code, out, err = run_cli(capsys, "product-table", "u^2+v^2", "--basis", basis)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_basis_variable_missing_from_the_polynomial_exit_code(capsys):
     code, out, err = run_cli(capsys, "product-table", "u^2+v^2", "--basis", "1,u,v,w")
     assert code == 1 and out == ""
@@ -269,12 +281,14 @@ def test_non_decimal_digits_exit_1_without_traceback(text, message):
 @pytest.mark.skipif(
     not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
     reason="needs the interpreter's limit on the digits int() converts, below 5000")
-@pytest.mark.parametrize("argv,offset", [
-    (["spectrum", "u^" + "9" * 5000 + "+v"], 2),
-    (["spectrum", "9" * 5000 + "*u+v"], 0),
-    (["product-table", "u^2+v^2", "--basis", "1,u^" + "9" * 5000], 2),
+@pytest.mark.parametrize("argv,offset,prefix", [
+    (["spectrum", "u^" + "9" * 5000 + "+v"], 2, ""),
+    (["spectrum", "9" * 5000 + "*u+v"], 0, ""),
+    # the offset is into the basis monomial, which the message names
+    (["product-table", "u^2+v^2", "--basis", "1,u^" + "9" * 5000], 2,
+     "basis monomial 'u^" + "9" * 5000 + "': "),
 ], ids=["exponent", "coefficient", "hint-exponent"])
-def test_numbers_over_the_digit_limit_exit_1_without_traceback(argv, offset):
+def test_numbers_over_the_digit_limit_exit_1_without_traceback(argv, offset, prefix):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
                       os.environ.get("PYTHONPATH")])))
@@ -283,7 +297,8 @@ def test_numbers_over_the_digit_limit_exit_1_without_traceback(argv, offset):
     err = proc.stderr.decode()
     assert proc.returncode == 1
     assert proc.stdout == b""
-    assert err.splitlines() == [f"error: number of 5000 digits is too long (at offset {offset})"]
+    assert err.splitlines() == [
+        f"error: {prefix}number of 5000 digits is too long (at offset {offset})"]
     assert "Traceback" not in err
 
 

@@ -175,6 +175,17 @@ def test_wrong_spectrum_raises_dimension_mismatch(square_poly, square_model):
         )
 
 
+def test_spectrum_degree_of_no_monomial_raises_dimension_mismatch(square_poly, square_model):
+    # no monomial has a degree whose denominator does not divide the
+    # model's value scale
+    assert square_model.value_scale % 3
+    with pytest.raises(DimensionMismatchError, match="dimension 0 at degree 1/3"):
+        quotient_basis(
+            square_poly, square_model,
+            spectrum=series(("0", 1), ("1/3", 4), ("1", 2), ("3/2", 1)),
+        )
+
+
 def test_reference_product_table(square_basis, square_poly, square_model):
     table = product_table(square_basis)
     for i, row in enumerate(table):
@@ -287,12 +298,16 @@ def test_product_table_equals_pairwise_products_in_four_variables(text):
 
 
 @settings(max_examples=30, deadline=timedelta(seconds=20))
-@given(st.integers(0, 2**32), st.sampled_from([2, 3]), st.booleans())
-def test_product_table_equals_pairwise_products_on_random_supports(seed, n, hinted):
+@given(st.integers(0, 2**32), st.sampled_from([2, 3]), st.sampled_from([GLOBAL, LOCAL]),
+       st.booleans())
+def test_product_table_equals_pairwise_products_on_random_supports(seed, n, mode, hinted):
     # a hint, here the default basis shuffled, is placed last in each
-    # block's column order and sets the table's element order
+    # block's column order and sets the table's element order; a local
+    # germ has other blocks, unit classes and cone masks than a global
+    # polynomial of the same support
     rng = random.Random(seed)
     p = random_convenient_poly(rng, n)
+    p = Poly(names=p.names, terms=p.terms, mode=mode)
     model = build_model(p)
     basis = quotient_basis(p, model)
     if hinted:
@@ -318,6 +333,8 @@ def assert_rows_are_upper_triangle(basis):
         table = product_table(basis)
     [rows] = calls
     assert len(rows) == len(table) == len(basis.elements)
+    # the walk's keys come from the blocks, and only the masks are evaluated
+    assert basis.cone_keys == [basis.model.cone_key(x) for x in basis.elements]
     for i, (row, cells) in enumerate(zip(rows, table)):
         nonzero = {j: cls for j, cls in enumerate(cells[i:], i) if not cls.is_zero()}
         assert row.keys() == nonzero.keys(), (basis.poly, i)
@@ -344,10 +361,12 @@ def test_product_rows_are_the_nonzero_upper_triangle_with_hint(square_basis):
 
 
 @settings(max_examples=30, deadline=timedelta(seconds=20))
-@given(st.integers(0, 2**32), st.sampled_from([2, 3]), st.booleans())
-def test_product_rows_are_the_nonzero_upper_triangle_on_random_supports(seed, n, hinted):
+@given(st.integers(0, 2**32), st.sampled_from([2, 3]), st.sampled_from([GLOBAL, LOCAL]),
+       st.booleans())
+def test_product_rows_are_the_nonzero_upper_triangle_on_random_supports(seed, n, mode, hinted):
     rng = random.Random(seed)
     p = random_convenient_poly(rng, n)
+    p = Poly(names=p.names, terms=p.terms, mode=mode)
     model = build_model(p)
     basis = quotient_basis(p, model)
     if hinted:
@@ -605,8 +624,9 @@ def test_local_product_table_is_pinned(capsys):
 
 
 def test_product_table_reduces_and_renders_each_class_once(monkeypatch, capsys):
-    # product_table reduces each distinct product monomial once, and the
-    # command renders each distinct nonzero class once, where one per
+    # the table reads every normal form off the blocks by its code and
+    # calls no DegreeBlock.reduce, and the command renders each distinct
+    # class that is not a basis element's own class once, where one per
     # pair would take thousands of calls on these inputs
     reduce, render = DegreeBlock.reduce, GradedClass.render
     calls = {"reduce": 0, "render": 0}
@@ -623,24 +643,77 @@ def test_product_table_reduces_and_renders_each_class_once(monkeypatch, capsys):
     for text, names in cases:
         p = parse_polynomial(text, var_order=names.split(","))
         basis = quotient_basis(p, build_model(p))
-        products = {}
-        for x in basis.elements:
-            for y in basis.elements:
-                total = product_monomial(basis, x, y)
-                if total is not None:
-                    products[total] = reduce_product(basis, x, y)
-        nonzero = sum(not cls.is_zero() for cls in products.values())
-
+        rendered = _rendered_classes(basis)
         monkeypatch.setattr(DegreeBlock, "reduce", counted_reduce)
         monkeypatch.setattr(GradedClass, "render", counted_render)
         calls.update(reduce=0, render=0)
         product_table(basis)
-        assert calls["reduce"] <= len(products), (text, calls, len(products))
-        calls.update(reduce=0, render=0)
+        assert calls["reduce"] == 0, (text, calls)
         assert main(["product-table", text, "--vars", names]) == 0
         capsys.readouterr()
-        assert calls["render"] <= nonzero, (text, calls, nonzero)
+        assert calls["render"] == len(rendered), (text, calls, len(rendered))
         monkeypatch.undo()
+
+
+def _rendered_classes(basis):
+    """The distinct nonzero classes of ``product_rows`` (by identity) that
+    are not a basis element's own unit class: the ones the command
+    renders."""
+    units = {id(unit) for unit in basis.units}
+    assert len(units) == len(basis.elements)
+    for unit, vec in zip(basis.units, basis.elements):
+        assert unit.terms == ((vec, 1),), (basis.poly, vec)
+    classes = {id(cls): cls for row in product_rows(basis) for cls in row.values()}
+    return [cls for key, cls in classes.items() if key not in units]
+
+
+def test_blocks_eliminate_only_rows_left_by_the_peeling(monkeypatch, corpus):
+    # linalg.echelon and back_substitute run once for each block whose
+    # relation rows outlive the singleton peeling, and for no other block
+    counts = {"echelon": 0, "back_substitute": 0}
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(linalg, name)):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(linalg, name, counted)
+    surviving = blocks = 0
+    for entry in corpus:
+        model = entry.model
+        basis = quotient_basis(entry.poly, model, spectrum=entry.box)
+        leading = graded._leading_terms(entry.poly, model)
+        groups = model._point_codes(model.n)
+        scale = model.value_scale
+        for block in basis.blocks.values():
+            _, rows = graded._relation_rows(
+                leading, set(groups[block.key]), groups.get(block.key - scale, ()))
+            surviving += bool(rows)
+            blocks += 1
+    monkeypatch.undo()
+    assert counts == {"echelon": surviving, "back_substitute": surviving}
+    # most blocks are closed by their singletons
+    assert 0 < surviving < blocks // 5, (surviving, blocks)
+
+
+def test_product_table_renders_only_non_unit_classes_on_corpus(monkeypatch, corpus, capsys):
+    # a cell whose product is a basis element is written as that element's
+    # label; GradedClass.render runs once per other distinct nonzero class
+    render = GradedClass.render
+    count = [0]
+
+    def counted_render(self, names):
+        count[0] += 1
+        return render(self, names)
+
+    for entry in corpus:
+        basis = quotient_basis(entry.poly, entry.model, spectrum=entry.box)
+        want = len(_rendered_classes(basis))
+        monkeypatch.setattr(GradedClass, "render", counted_render)
+        count[0] = 0
+        argv = ["product-table", str(entry.poly), "--vars", ",".join(entry.poly.names)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.undo()
+        assert count[0] == want, (entry.poly, count[0], want)
 
 
 def _reference_table_text(basis):

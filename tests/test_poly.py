@@ -55,6 +55,15 @@ def test_parse_rational_coefficients():
     assert p.terms[(0, 0)] == 7
 
 
+def test_parsed_coefficients_are_fractions():
+    # the parser sums plain ints, with a Fraction only for a/b, and
+    # stores every term's coefficient as a Fraction
+    p = parse_polynomial("u^2 - 2*u^2 + 1/2*u*v + 1/2*u*v - 3*v^2 + 4 + -5/6*u")
+    assert p.terms == {(2, 0): -1, (1, 1): 1, (0, 2): -3, (0, 0): 4, (1, 0): Fraction(-5, 6)}
+    assert all(type(c) is Fraction for c in p.terms.values())
+    assert list(p.terms) == [(2, 0), (1, 1), (0, 2), (0, 0), (1, 0)]
+
+
 def test_parse_repeated_variable_in_term():
     p = parse_polynomial("u*u*v + u^2*v")
     assert p.terms == {(2, 1): Fraction(2)}
