@@ -88,7 +88,7 @@ def delta_from_counts(model: PolytopeModel) -> DeltaVector:
     scale = model.value_scale
     # one census at height n: a point of value nu counts in L(ell) from ell = ceil(nu) on
     first = [0] * (n + 1)
-    for key, count in model._counts(n).items():
+    for key, count in model._histogram.items():
         first[-(-key // scale)] += count
     counts = list(accumulate(first))
     entries = []

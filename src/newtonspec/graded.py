@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import islice
-from math import ceil, gcd, lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -358,9 +358,6 @@ class GradedBasis:
     def blocks(self) -> Dict[Fraction, DegreeBlock]:
         return {block.degree: block for block in self.by_key.values()}
 
-    def total_dimension(self) -> int:
-        return sum(b.dim for b in self.by_key.values())
-
     @cached_property
     def cone_keys(self) -> List[Tuple[int, int]]:
         """``model.cone_key`` of each element, in table order: the
@@ -417,8 +414,7 @@ def quotient_basis(
             f"quotient dimension 0 at degree {degree} does not match "
             f"spectrum coefficient {expected}"
         )
-    height = int(ceil(spectrum.max_exponent()))
-    groups = model._point_codes(height)
+    groups = model._codes
 
     hint_by_key: Dict[int, List[Vec]] = {}
     hint_keys: List[int] = []
@@ -626,7 +622,7 @@ def koszul_hilbert_series(p: Poly, model: PolytopeModel) -> SpectrumSeries:
     leading = _leading_terms(p, model)
     scale = model.value_scale
     dims: Dict[int, int] = {}
-    groups = model._point_codes(model.n)
+    groups = model._codes
     for key, here in groups.items():
         singles, rows = _relation_rows(leading, set(here), groups.get(key - scale, ()))
         dim = len(here) - len(singles) - len(linalg.echelon(sorted(rows, key=len)))

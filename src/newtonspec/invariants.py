@@ -89,10 +89,6 @@ def run_checks(p: Poly) -> List[CheckResult]:
     scale = model.value_scale
     mu = model.normalized_volume()
     spectrum = toric_spectrum(model)
-    # one census walk: the points up to height n, which the Koszul route
-    # reads as codes and the oracle and the counts up to n as a
-    # histogram, and the number up to n + 1 for the Ehrhart check
-    model._census(n, total=n + 1)
     koszul = koszul_hilbert_series(p, model)
     oracle = toric_spectrum_oracle(model)
 
@@ -116,7 +112,7 @@ def run_checks(p: Poly) -> List[CheckResult]:
         skip("exponents lie in [0, n)", "fan not simplicial")
 
     sub_one = SpectrumSeries(
-        {key: count for key, count in model._counts(1).items() if key < scale}, scale
+        {key: count for key, count in model._histogram.items() if key < scale}, scale
     )
     add("sub-one part counts lattice points below the boundary",
         spectrum.restrict_below(1) == sub_one)

@@ -51,10 +51,14 @@ forms leave it, the last two as whole ranges, one ``map`` chain per
 form.  Points leave the walk as integer monomial codes
 (:func:`_code_weights`), grouped by the integers nu(v) * L, as the box
 points' values are; ``Fraction`` values and exponent tuples are built
-only by the public views and the graded quotient's blocks.  Codes are
-kept up to height n only, with their histogram, and the walk that
-``check`` takes also counts the points up to n + 1 from interval
-lengths.  The census reads the facet forms alone, never the
+only by the public views and the graded quotient's blocks.  Every
+reader inside the package reads the census at height n, the one height
+that the spectrum needs: the codes (:attr:`PolytopeModel._codes`), one
+walk per model, or their histogram (:attr:`PolytopeModel._histogram`),
+which a count-only walk builds when no code has been walked.  A count
+above n, which the Ehrhart check takes at n + 1, is a sum of interval
+lengths (:meth:`PolytopeModel._number`), no point built.  The census
+reads the facet forms alone, never the
 triangulation or the box points, so the oracle built on it checks the
 box route independently.
 
@@ -247,7 +251,7 @@ def _decode(codes: Sequence[int], n: int, radix: int) -> List[Vec]:
 
 def _check_height(height) -> None:
     """A census height must be a nonnegative integer, else ``InputError``."""
-    if not isinstance(height, int) or height < 0:
+    if isinstance(height, bool) or not isinstance(height, int) or height < 0:
         raise InputError(f"height must be a nonnegative integer, got {height!r}")
 
 
@@ -289,12 +293,6 @@ class PolytopeModel:
         self._ridge_memo: dict = {}
         self._max_coord = max((c for v in vertices for c in v), default=0)
         self._columns: Tuple[Vec, ...] = tuple(zip(*scaled_forms))
-        # the census: codes up to a height <= n, a histogram, totals
-        self._codes_height = -1
-        self._code_groups: dict = {}
-        self._counts_height = -1
-        self._count_groups: dict = {}
-        self._totals: dict = {}
         self._volume: Optional[int] = None
 
     @functools.cached_property
@@ -338,11 +336,13 @@ class PolytopeModel:
             ridges = self._ridge_memo[face] = tuple(found)
         return ridges
 
-    def _face_lattice(self) -> dict:
+    @functools.cached_property
+    def _face_dims(self) -> dict:
         """Every face of the Newton boundary as ``{vertex bitmask: dim}``,
-        from the top down.  The facets make the top level; the faces one
-        level down are the ridges of those of this level, a simplex's being
-        itself less one vertex.  A face's dimension is its level."""
+        from the top down; built on first read.  The facets make the top
+        level; the faces one level down are the ridges of those of this
+        level, a simplex's being itself less one vertex.  A face's
+        dimension is its level."""
         faces: dict = {}
         level = set(self._facet_masks)
         for dim in range(self.n - 1, -1, -1):
@@ -357,12 +357,6 @@ class PolytopeModel:
                     below.update(self._ridges(f))
             level = below
         return faces
-
-    @functools.cached_property
-    def _face_dims(self) -> dict:
-        """The face lattice, ``{vertex bitmask: dim}`` from the top down;
-        built on first read."""
-        return self._face_lattice()
 
     @functools.cached_property
     def faces(self) -> Tuple[Face, ...]:
@@ -768,32 +762,22 @@ class PolytopeModel:
         his = [map(floordiv, room, repeat(b)) for room, b in rooms]
         return lo2, width, repeat(0, width), map(min, caps, map(max, *his) if len(his) > 1 else his[0])
 
-    def _walk(self, height: Optional[int], weights: Optional[Sequence[int]] = None,
-              total: Optional[int] = None) -> Tuple[dict, int]:
-        """``(groups, number)`` from one walk of the region: the points
-        with nu(v) <= height as {nu * L: codes} (their codes under
-        ``weights``, in ``itertools.product`` order) or without
-        ``weights`` as {nu * L: count}, keys ascending; and the number of
-        points with nu(v) <= ``total`` >= height, the sum of the lengths
-        of the taller region's :meth:`_intervals`.  Along an interval each
-        form is a ``range``, and so are the codes; a value is the forms'
-        max (global) or min (local)."""
+    def _walk(self, height: int, weights: Optional[Sequence[int]] = None) -> dict:
+        """The points with nu(v) <= height from one walk of the region, as
+        {nu * L: codes} (their codes under ``weights``, in
+        ``itertools.product`` order) or without ``weights`` as
+        {nu * L: count}, keys ascending.  Along an interval of
+        :meth:`_intervals` each form is a ``range``, and so are the codes;
+        a value is the forms' max (global) or min (local)."""
         n = self.n
-        inner = None if height is None else self._limits(height)
-        outer = inner if total is None else self._limits(total)
+        limits = self._limits(height)
         pick = max if self.mode == GLOBAL else min
         last = self._columns[-1]
         column = self._columns[n - 2] if n > 1 else (0,) * len(last)
         w2, w1 = (weights[n - 2] if n > 1 else 0, weights[-1]) if weights else (0, 0)
         groups = defaultdict(list) if weights else Counter()
-        number = 0
-        for code, sums in self._nodes(outer, weights or (0,) * n):
-            if total is not None:
-                _, width, nlos, his = self._intervals(sums, outer)
-                number += width + sum(map(max, repeat(-1, width), map(add, his, nlos)))
-            if inner is None:
-                continue
-            lo2, width, nlos, his = self._intervals(sums, inner)
+        for code, sums in self._nodes(limits, weights or (0,) * n):
+            lo2, width, nlos, his = self._intervals(sums, limits)
             # the forms' partial sums at each x of the span
             starts = zip(*[range(s + a * lo2, s + a * (lo2 + width), a) if a else repeat(s, width)
                            for s, a in zip(sums, column)])
@@ -809,69 +793,61 @@ class PolytopeModel:
                     else:
                         groups.update(keys)
                 base += w2
-        return {key: groups[key] for key in sorted(groups)}, number
+        return {key: groups[key] for key in sorted(groups)}
 
-    def _census(self, height: int, total: Optional[int] = None) -> None:
-        """Walk the census at ``height`` <= n and keep the codes
-        (:attr:`code_weights`), for the graded quotient, and their
-        histogram, for the count readers; with ``total``, the number of
-        points up to it from the same walk.  ``check`` takes n and n + 1."""
-        groups, number = self._walk(height, self.code_weights, total)
-        self._codes_height, self._code_groups = height, groups
-        if height >= self._counts_height:
-            self._counts_height = height
-            self._count_groups = {key: len(codes) for key, codes in groups.items()}
-        if total is not None:
-            self._totals[total] = number
+    def _number(self, height: int) -> int:
+        """The number of points with nu(v) <= height: the sum of the
+        lengths of the region's :meth:`_intervals`; no point is built."""
+        limits = self._limits(height)
+        number = 0
+        for _, sums in self._nodes(limits, (0,) * self.n):
+            _, width, nlos, his = self._intervals(sums, limits)
+            number += width + sum(map(max, repeat(-1, width), map(add, his, nlos)))
+        return number
 
-    def _point_codes(self, height: int) -> dict:
-        """{nu * L: codes} of the points with nu(v) <= height <= n: the
-        tallest :meth:`_census`, filtered, or itself at its height; for
-        reading only."""
-        if height > self._codes_height:
-            self._census(height)
-        if height == self._codes_height:
-            return self._code_groups
+    @functools.cached_property
+    def _codes(self) -> dict:
+        """The census: {nu * L: codes} of the points with nu(v) <= n, under
+        :attr:`code_weights`, from one walk; built on first read."""
+        return self._walk(self.n, self.code_weights)
+
+    @functools.cached_property
+    def _histogram(self) -> dict:
+        """{nu * L: count} of the points with nu(v) <= n: the sizes of
+        :attr:`_codes` once they are walked, else a count-only
+        :meth:`_walk`, which builds no code; built on first read."""
+        codes = self.__dict__.get("_codes")
+        if codes is None:
+            return self._walk(self.n)
+        return {key: len(group) for key, group in codes.items()}
+
+    def _below(self, groups: dict, height: int) -> dict:
+        """The groups of the census ``groups`` with nu <= height."""
         top = height * self.value_scale
-        return {key: codes for key, codes in self._code_groups.items() if key <= top}
+        return {key: group for key, group in groups.items() if key <= top}
 
     def _points(self, height: int) -> dict:
         """{nu * L: points} with nu(v) <= height, decoded from
-        :meth:`_point_codes`, or above n from a walk kept by no one."""
+        :attr:`_codes`, or above n from a walk kept by no one."""
         radix = self._radix(height)
-        groups = (self._point_codes(height) if height <= self.n
-                  else self._walk(height, _code_weights(self.n, radix))[0])
+        groups = (self._below(self._codes, height) if height <= self.n
+                  else self._walk(height, _code_weights(self.n, radix)))
         return {key: _decode(codes, self.n, radix) for key, codes in groups.items()}
-
-    def _counts(self, height: int) -> dict:
-        """{nu * L: count} with nu(v) <= height: the tallest histogram,
-        filtered, or itself at its height, for reading only; above it, a
-        count-only :meth:`_walk` builds no code."""
-        if height > self._counts_height:
-            self._count_groups = self._walk(height)[0]
-            self._counts_height = height
-        if height == self._counts_height:
-            return self._count_groups
-        top = height * self.value_scale
-        return {key: count for key, count in self._count_groups.items() if key <= top}
 
     def lattice_count(self, ell: int) -> int:
         """Number of lattice points v >= 0 with nu(v) <= ell: from the
-        histogram, a total that :meth:`_census` took, or interval lengths."""
+        histogram up to n, above it from interval lengths."""
         _check_height(ell)
-        if ell <= self._counts_height:
-            top = ell * self.value_scale
-            return sum(count for key, count in self._count_groups.items() if key <= top)
-        number = self._totals.get(ell)
-        if number is None:
-            number = self._totals[ell] = self._walk(None, total=ell)[1]
-        return number
+        if ell > self.n:
+            return self._number(ell)
+        return sum(self._below(self._histogram, ell).values())
 
     def value_histogram(self, bound: int) -> dict:
         """Multiset of Newton values <= bound, as {Fraction: multiplicity}."""
         _check_height(bound)
+        groups = self._below(self._histogram, bound) if bound <= self.n else self._walk(bound)
         scale = self.value_scale
-        return {Fraction(key, scale): count for key, count in self._counts(bound).items()}
+        return {Fraction(key, scale): count for key, count in groups.items()}
 
     def points_by_value(self, bound: int) -> dict:
         """Lattice points grouped by Newton value, for values <= bound."""

@@ -273,10 +273,6 @@ class SpectrumSeries:
             for k, c in self._terms.items()
         ]
 
-    @classmethod
-    def from_json(cls, payload: Iterable[Mapping]) -> "SpectrumSeries":
-        return cls({Fraction(t["exponent"]): int(t["coefficient"]) for t in payload})
-
 
 def z_minus_one_pow(k: int) -> SpectrumSeries:
     """The polynomial ``(z - 1)**k``."""

@@ -135,7 +135,7 @@ def toric_spectrum_oracle(model: PolytopeModel) -> SpectrumSeries:
     """
     n = model.n
     mu = model.normalized_volume()
-    kept = _truncated_product(model._counts(n), n, model.value_scale)
+    kept = _truncated_product(model._histogram, n, model.value_scale)
     if not (kept.is_nonnegative() and kept.eval_at_one() == mu):
         raise TruncationError(
             f"generating series at truncation {n} is not a spectrum of mass {mu}: {kept}"
@@ -190,4 +190,4 @@ def milnor_number(model: PolytopeModel, _at_infinity: Optional[SpectrumSeries] =
 
 def boundary_lattice_points(model: PolytopeModel) -> int:
     """Number of lattice points with Newton value exactly one."""
-    return model._counts(1).get(model.value_scale, 0)
+    return model._histogram.get(model.value_scale, 0)

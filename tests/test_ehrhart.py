@@ -56,15 +56,14 @@ def test_delta_from_counts_scans_the_region_once(monkeypatch):
     walks = []
     walk = PolytopeModel._walk
 
-    def counted(model, height, weights=None, total=None):
-        walks.append((height, weights is not None, total))
-        return walk(model, height, weights, total)
+    def counted(model, height, weights=None):
+        walks.append((height, weights is not None))
+        return walk(model, height, weights)
 
     monkeypatch.setattr(PolytopeModel, "_walk", counted)
     m = build_model(parse_polynomial("u^3 + v^4 + w^5 + u*v*w"))
     assert delta_from_counts(m) == delta_from_spectrum(toric_spectrum_box(m), 3)
-    assert walks == [(3, False, None)]
-    assert m._code_groups == {}
+    assert walks == [(3, False)]
 
 
 def test_ehrhart_polynomial_text_and_values(quintic_model):

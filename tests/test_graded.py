@@ -122,7 +122,7 @@ def test_quotient_basis_accepts_reference_hint(square_basis, square_model):
         Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2),
         Fraction(1, 2), Fraction(1, 2), Fraction(1), Fraction(1),
     ]
-    assert square_basis.total_dimension() == 8
+    assert len(square_basis.elements) == 8
 
 
 def test_quotient_dimension_at_degree_one(square_poly, square_model):
@@ -681,7 +681,7 @@ def test_blocks_eliminate_only_rows_left_by_the_peeling(monkeypatch, corpus):
         model = entry.model
         basis = quotient_basis(entry.poly, model, spectrum=entry.box)
         leading = graded._leading_terms(entry.poly, model)
-        groups = model._point_codes(model.n)
+        groups = model._codes
         scale = model.value_scale
         for block in basis.blocks.values():
             _, rows = graded._relation_rows(

@@ -1,6 +1,7 @@
 """Polytope models: facets, faces, cones, boxes, volumes, counts."""
 
 import contextlib
+import functools
 import gc
 import hashlib
 import itertools
@@ -590,30 +591,32 @@ def _reference_scan_region(model, height):
 def _assert_walks_match_point_census(p):
     """At every height 0..n+1: the decoded codes of a walk equal the
     reference scan, groups, key order and product order included, and so
-    do those of the census that ``check`` takes (points at n, the total
-    at n + 1, one traversal) up to n; the count-only walk, the interval
-    lengths of a model that stores nothing and the counts and lattice
-    counts read off that census equal the reference's group sizes."""
+    do the model's census codes up to n; the count-only walk, the
+    interval lengths and the lattice counts and histograms read off the
+    census, whether its histogram counts the codes or a count-only walk
+    built it, equal the reference's group sizes."""
     n = p.nvars
     stored = build_model(p)
-    stored._census(n, total=n + 1)
+    stored_codes = stored._codes
+    counted = build_model(p)
     for h in range(n + 2):
         want = list(_reference_scan_region(stored, h).items())
         counts = {key: len(pts) for key, pts in want}
+        values = {Fraction(key, stored.value_scale): c for key, c in counts.items()}
         fresh = build_model(p)
         radix = fresh._radix(h)
-        groups, _ = fresh._walk(h, polytope._code_weights(n, radix))
+        groups = fresh._walk(h, polytope._code_weights(n, radix))
         assert [(key, polytope._decode(codes, n, radix)) for key, codes in groups.items()] == want, (p, h)
         if h <= n:
-            decoded = [(key, polytope._decode(codes, n, radix))
-                       for key, codes in stored._point_codes(h).items()]
+            decoded = [(key, polytope._decode(group, n, radix))
+                       for key, group in stored_codes.items() if key <= h * stored.value_scale]
             assert decoded == want, (p, h)
-        assert fresh._counts(h) == counts, (p, h)
-        assert build_model(p).lattice_count(h) == sum(counts.values()), (p, h)
-        assert fresh._code_groups == {}, (p, h)
-        assert stored.lattice_count(h) == sum(counts.values()), (p, h)
-        assert stored._counts(h) == counts, (p, h)
-    assert stored._codes_height == n
+        assert fresh._walk(h) == counts, (p, h)
+        assert fresh._number(h) == sum(counts.values()), (p, h)
+        for model in (counted, stored):
+            assert model.lattice_count(h) == sum(counts.values()), (p, h)
+            assert model.value_histogram(h) == values, (p, h)
+        assert "_codes" not in fresh.__dict__ and "_codes" not in counted.__dict__, (p, h)
 
 
 # global supports with a facet form that has a negative entry, such as
@@ -667,35 +670,51 @@ def test_walks_match_point_census(p):
     _assert_walks_match_point_census(p)
 
 
-@pytest.mark.parametrize("text,mode", [
+# the census walks that each command takes at n = p.nvars: ("codes", h)
+# a walk of the codes up to h, ("counts", h) a count-only walk and
+# ("number", h) a sum of interval lengths
+WALK_PLANS = {
+    "check": lambda n: [("codes", n), ("number", n + 1)],
+    "product-table": lambda n: [("codes", n)],
+    "delta": lambda n: [("counts", n)],
+    **{command: lambda n: [] for command in
+       ("spectrum", "spec-infinity", "milnor", "volume", "orbifold", "ehrhart")},
+}
+
+WALK_PLAN_INPUTS = [
     ("u^5", GLOBAL), ("u^7 + v^2", GLOBAL), ("u^3 + v^4 + w^5 + u*v*w", GLOBAL),
     (NEGATIVE_FORM_POLYS[2], GLOBAL), (FOUR_VARIABLE_POLYS[0], GLOBAL), (LOCAL_GERMS[0], LOCAL),
-])
-def test_check_traverses_the_census_region_once(text, mode, monkeypatch):
-    # one walk of the region at height n + 1 gives the points up to n and
-    # the total up to n + 1; every other census reader reads what it stored
-    walks, traversals = [], []
-    walk, nodes = polytope.PolytopeModel._walk, polytope.PolytopeModel._nodes
+    # acceptance corpus input 6: its spectrum tops out at 5/6, below n
+    ("43470*v^2 + 942646*v^6 + 915339*u", GLOBAL),
+]
 
-    def counted_walk(model, height, weights=None, total=None):
-        walks.append((height, weights is not None, total))
-        return walk(model, height, weights, total)
 
-    def counted_nodes(model, limits, weights):
-        traversals.append(limits[0])
-        return nodes(model, limits, weights)
+@pytest.mark.parametrize("text,mode", WALK_PLAN_INPUTS)
+@pytest.mark.parametrize("command", list(WALK_PLANS))
+def test_census_walk_plan(command, text, mode, monkeypatch):
+    # every reader takes the census at height n, whatever the spectrum's
+    # top exponent; only the Ehrhart check counts above it
+    walks = []
+    walk, number = polytope.PolytopeModel._walk, polytope.PolytopeModel._number
+
+    def counted_walk(model, height, weights=None):
+        walks.append(("codes" if weights else "counts", height))
+        return walk(model, height, weights)
+
+    def counted_number(model, height):
+        walks.append(("number", height))
+        return number(model, height)
 
     monkeypatch.setattr(polytope.PolytopeModel, "_walk", counted_walk)
-    monkeypatch.setattr(polytope.PolytopeModel, "_nodes", counted_nodes)
+    monkeypatch.setattr(polytope.PolytopeModel, "_number", counted_number)
     p = parse_polynomial(text, mode=mode)
-    assert _run_quietly("check", p) == 0
-    n = p.nvars
-    assert walks == [(n, True, n + 1)], text
-    assert len(traversals) == 1, text
+    code = _run_quietly(command, p)
+    assert code == (1 if command == "orbifold" and not build_model(p).simplicial_fan else 0)
+    assert walks == WALK_PLANS[command](p.nvars), (command, text)
 
 
 @pytest.mark.parametrize("reader", ["lattice_count", "value_histogram", "points_by_value"])
-@pytest.mark.parametrize("height", [-1, -2, 1.5, 2.0, "1", None])
+@pytest.mark.parametrize("height", [-1, -2, 1.5, 2.0, "1", None, True, False])
 def test_census_readers_refuse_a_bad_height(square_model, reader, height):
     with pytest.raises(InputError, match="nonnegative integer"):
         getattr(square_model, reader)(height)
@@ -1544,7 +1563,7 @@ def test_lattice_free_commands_build_no_lattice(corpus, monkeypatch):
     def refuse(self):
         raise AssertionError("face lattice built")
 
-    monkeypatch.setattr(polytope.PolytopeModel, "_face_lattice", refuse)
+    monkeypatch.setattr(polytope.PolytopeModel, "_face_dims", property(refuse))
     # every command on the corpus and the pinned hulls but the last two
     polys = [entry.poly for entry in corpus]
     polys += [_pinned_poly(mode, support) for mode, support, _ in PINNED_HULLS[:-2]]
@@ -1578,14 +1597,16 @@ def test_check_builds_no_face(corpus, monkeypatch):
 
 
 def test_check_and_orbifold_build_the_lattice_once(corpus, monkeypatch):
-    build = polytope.PolytopeModel._face_lattice
+    build = polytope.PolytopeModel._face_dims.func
     built = []
 
     def counted(self):
         built.append(self)
         return build(self)
 
-    monkeypatch.setattr(polytope.PolytopeModel, "_face_lattice", counted)
+    counted_dims = functools.cached_property(counted)
+    counted_dims.__set_name__(polytope.PolytopeModel, "_face_dims")
+    monkeypatch.setattr(polytope.PolytopeModel, "_face_dims", counted_dims)
     # check on the pinned hulls with a non-simplicial fan takes seconds
     # and reads no lattice, as the corpus's non-simplicial inputs show
     polys = [entry.poly for entry in corpus]
