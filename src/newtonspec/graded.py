@@ -20,21 +20,23 @@ elimination).  Two routes read it.  The Koszul route
 alone, the singletons plus the pivot count of the forward elimination
 ``linalg.echelon`` of the rows left: a third, linear-algebra route to
 the toric Newton spectrum.  ``quotient_basis`` keeps, per degree of the
-spectrum (keyed by the integer nu * L), a :class:`DegreeBlock` over the
-codes: its singleton columns, whose normal form is zero, the reduced
-rows of the pivots of the rows left, and its basis columns.  A block
-whose singletons close it has no row left and costs no elimination;
-only the rows left go to ``linalg.echelon`` and
+toric Newton spectrum (keyed by the integer nu * L), a
+:class:`DegreeBlock` over the codes: its singleton columns, whose normal
+form is zero, the reduced rows of the pivots of the rows left, and its
+basis columns.  A block whose singletons close it has no row left and
+costs no elimination; only the rows left go to ``linalg.echelon`` and
 ``linalg.back_substitute``, with a hint last in the column order.  Only
 the basis codes are decoded to exponents, and each basis element gets
-one unit class, its monomial with coefficient one.  ``product_rows``
-walks the pairs once and reads each product's normal form by the code
-of the product monomial, the sum of its operands' codes: a singleton
-code gives zero, a basis code that element's unit class, and only a
-pivot code builds a class, once per call, off its reduced row, so no
-exponent tuple is summed and no ``Fraction`` is multiplied for a zero
-or unit cell.  It keeps only the nonzero cells of the upper triangle,
-as sparse rows; ``product_table`` spreads them over a dense grid.
+one unit class, its monomial with coefficient one.  One method,
+``DegreeBlock.normal_form``, reads a normal form off a block by the
+code of its monomial: a basis code gives that element's unit class, a
+singleton code zero, and only a pivot code builds a class, off its
+reduced row.  ``product_rows`` walks the pairs once and reads each
+product's normal form by the code of the product monomial, the sum of
+its operands' codes, memoised for the call, so no exponent tuple is
+summed and no ``Fraction`` is multiplied.  It keeps only the nonzero
+cells of the upper triangle, as sparse rows; ``product_table`` spreads
+them over a dense grid.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ from . import linalg
 from .errors import DimensionMismatchError, HintError, TruncationError
 from .poly import Poly, monomial_text
 from .polytope import PolytopeModel, _decode
-from .series import SpectrumSeries
+from .series import SpectrumSeries, exponent_text
+from .spectrum import toric_spectrum
 
 Vec = Tuple[int, ...]
 
@@ -157,10 +160,10 @@ class DegreeBlock:
     ``{code: Fraction}``, 1 at the pivot) or a basis column.  ``units``
     maps each basis code, in column order, to its monomial's class with
     coefficient one, built once and shared by every product that lands on
-    it.  ``monomials``, ``index`` and ``rows`` (the full ``linalg.rref``,
-    a unit row per singleton included) are built on first read; the
-    product table reads none of them.  ``reduce`` reads normal forms off
-    the reduced rows and performs no row operation.
+    it.  ``normal_form`` is the one reader of a normal form; ``reduce``
+    scales its class.  ``monomials``, ``index`` and ``rows`` (the full
+    ``linalg.rref``, a unit row per singleton included) are built on first
+    read; the product table reads none of them.
     """
 
     def __init__(self, model, key, degree, order, singles, pivots, basis, units):
@@ -195,37 +198,32 @@ class DegreeBlock:
         rows.update((column[c], {column[c]: _ONE}) for c in self.singles)
         return dict(sorted(rows.items()))
 
-    def reduce(self, vec: Vec, coeff: Fraction) -> Dict[Vec, Fraction]:
-        """Express coeff * [vec] in the basis modulo the relation rows;
-        ``vec`` is a monomial of the block's degree.
+    def normal_form(self, code: int) -> GradedClass:
+        """The class of the block's monomial of code ``code`` in the basis,
+        read off the reduced rows with no row operation.
 
-        A basis monomial is its own normal form and a singleton's is zero.
-        A pivot monomial's reduced row has 1 at its pivot and no other
-        pivot column, so the row says [vec] = -(its nonzeros at the basis
-        columns).
+        A basis code gives its unit class, the object ``units`` holds, and
+        a singleton the shared zero class.  A pivot's reduced row has 1 at
+        its pivot and no other pivot or singleton column, so the row says
+        the monomial is minus its nonzeros at the basis columns.  A code
+        that is not a column of the block raises ``KeyError``.
         """
-        code = sum(map(mul, self._model.code_weights, vec))
-        row = self.pivots.get(code)
-        if row is not None:
-            return {self.units[j].terms[0][0]: -coeff * x for j, x in row.items() if j != code}
+        unit = self.units.get(code)
+        if unit is not None:
+            return unit
         if code in self.singles:
-            return {}
-        if code not in self.units:
-            raise KeyError(vec)
-        return {vec: Fraction(coeff)}
-
-    def _pivot_class(self, code: int) -> GradedClass:
-        """The normal form of the pivot column ``code`` as a class: minus
-        its reduced row's entries at the basis columns, or the zero class
-        when the row has no other entry."""
+            return _ZERO
         row = self.pivots[code]
         terms = tuple(sorted((self.units[j].terms[0][0], -x)
                              for j, x in row.items() if j != code))
         return GradedClass(terms, self.degree) if terms else _ZERO
 
-
-def _codes(weights, monomials):
-    return [sum(map(mul, weights, m)) for m in monomials]
+    def reduce(self, vec: Vec, coeff: Fraction) -> Dict[Vec, Fraction]:
+        """Express coeff * [vec] in the basis modulo the relation rows, as
+        ``{basis monomial: coefficient}``; ``vec`` is a monomial of the
+        block's degree (:meth:`normal_form`)."""
+        cls = self.normal_form(sum(map(mul, self._model.code_weights, vec)))
+        return {m: coeff * x for m, x in cls.terms}
 
 
 def _leading_terms(p, model):
@@ -242,9 +240,9 @@ def _leading_terms(p, model):
     boundary = sorted((vec, c) for vec, c in p.terms.items()
                       if model._scaled_value(vec) == scale)
     den = lcm(*[c.denominator for _, c in boundary])
-    terms = list(zip([vec for vec, _ in boundary],
-                     _codes(model.code_weights, [vec for vec, _ in boundary]),
-                     [c.numerator * (den // c.denominator) for _, c in boundary]))
+    weights = model.code_weights
+    terms = [(vec, sum(map(mul, weights, vec)), c.numerator * (den // c.denominator))
+             for vec, c in boundary]
     out = []
     for i in range(p.nvars):
         row = [(code, x * vec[i]) for vec, code, x in terms if vec[i]]
@@ -339,24 +337,17 @@ class GradedBasis:
     """Per-degree bases of the graded quotient with reduction data.
 
     ``by_key`` holds the blocks in ascending degree, keyed by the integer
-    degree nu * L; ``blocks`` keys them by the degree itself, built on
-    first read.  ``codes``, ``keys`` and ``units`` run parallel to
+    degree nu * L.  ``codes``, ``keys`` and ``units`` run parallel to
     ``elements``: each element's monomial code, the integer degree of its
     block and its unit class, the one its block's ``units`` holds.
     """
 
-    poly: Poly
     model: PolytopeModel
-    spectrum: SpectrumSeries
     by_key: Dict[int, DegreeBlock]
     elements: List[Vec]                  # basis monomials in table order
     codes: List[int]
     keys: List[int]
     units: List[GradedClass]
-
-    @cached_property
-    def blocks(self) -> Dict[Fraction, DegreeBlock]:
-        return {block.degree: block for block in self.by_key.values()}
 
     @cached_property
     def cone_keys(self) -> List[Tuple[int, int]]:
@@ -379,19 +370,21 @@ def quotient_basis(
     p: Poly,
     model: PolytopeModel,
     basis_hint: Optional[Sequence[Vec]] = None,
-    spectrum: Optional[SpectrumSeries] = None,
 ) -> GradedBasis:
     """Monomial bases of the graded quotient, degree by degree.
 
-    For every degree in the spectrum's support, the relation subspace
-    generated in that degree is row reduced and the non-pivot monomials
-    are taken as the basis; the dimension must match the spectrum
-    coefficient.  A hint fixes the basis instead: the hint monomials are
-    placed last in the column order, so the reduction must find all its
-    pivots among the other monomials, and the surviving columns are
-    exactly the hint.  The degrees are the spectrum's integer numerators
-    nu * L, the keys of the census's code groups; each block reduces over
-    the codes, and only the basis codes are decoded, in one pass.
+    For every degree in the support of the toric Newton spectrum
+    (``toric_spectrum``), the relation subspace generated in that degree
+    is row reduced and the non-pivot monomials are taken as the basis;
+    the dimension must match the spectrum coefficient.  A hint fixes the
+    basis instead: the hint monomials are placed last in the column
+    order, so the reduction must find all its pivots among the other
+    monomials, and the surviving columns are exactly the hint.  The
+    degrees are the spectrum's integer numerators nu * L, the keys of the
+    census's code groups; each block reduces over the codes, and only the
+    basis codes are decoded, in one pass.  The table order is ascending
+    degree, or the hint's order; either way each element is read off its
+    block's unit class.
 
     Dimensions are checked only at the spectrum's degrees, so a
     Newton-degenerate input whose quotient is too large at some other
@@ -399,25 +392,16 @@ def quotient_basis(
     the volume, where ``check`` finds the quotient dimensions summing to
     6.  Seeing it would take a rank at every other degree of the census.
     """
-    if spectrum is None:
-        from .spectrum import toric_spectrum
-
-        spectrum = toric_spectrum(model)
+    spectrum = toric_spectrum(model)
     weights = model.code_weights
     leading = _leading_terms(p, model)
     scale = model.value_scale
-    if scale % spectrum.denominator:
-        # an exponent whose denominator does not divide L is the Newton
-        # value of no monomial
-        degree, expected = next((e, c) for e, c in spectrum.items() if scale % e.denominator)
-        raise DimensionMismatchError(
-            f"quotient dimension 0 at degree {degree} does not match "
-            f"spectrum coefficient {expected}"
-        )
     groups = model._codes
 
-    hint_by_key: Dict[int, List[Vec]] = {}
-    hint_keys: List[int] = []
+    # the hint's (key, code) pairs in its order, and its (monomial, code)
+    # pairs per key
+    picks: List[Tuple[int, int]] = []
+    hint_by_key: Dict[int, List[Tuple[Vec, int]]] = {}
     if basis_hint is not None:
         total_expected = spectrum.eval_at_one()
         if len(basis_hint) != total_expected:
@@ -430,14 +414,15 @@ def quotient_basis(
             if vec in seen:
                 raise HintError(f"hint monomial {monomial_text(vec, p.names)} is listed twice")
             seen.add(vec)
-            deg = model.newton_value(vec)
-            if spectrum.coefficient(deg) == 0:
+            key = model.cone_key(vec)[0]
+            if spectrum.coefficient(key, scale) == 0:
                 raise HintError(
-                    f"hint monomial {monomial_text(vec, p.names)} has degree {deg} "
-                    "outside the spectrum"
+                    f"hint monomial {monomial_text(vec, p.names)} has degree "
+                    f"{exponent_text(key, scale)} outside the spectrum"
                 )
-            hint_keys.append(model.cone_key(vec)[0])
-            hint_by_key.setdefault(hint_keys[-1], []).append(vec)
+            code = sum(map(mul, weights, vec))
+            picks.append((key, code))
+            hint_by_key.setdefault(key, []).append((vec, code))
 
     reductions = []
     for key, expected in spectrum.numerators(scale):
@@ -446,9 +431,9 @@ def quotient_basis(
         hint = hint_by_key.get(key)
         last = ()
         if hint is not None:
-            last = _codes(weights, hint)
+            last = [code for _, code in hint]
             here = set(codes)
-            missing = [m for m, code in zip(hint, last) if code not in here]
+            missing = [vec for vec, code in hint if code not in here]
             if missing:
                 raise HintError(
                     f"hint monomial {monomial_text(missing[0], p.names)} has no class "
@@ -484,32 +469,26 @@ def quotient_basis(
                                   monomials, units)
 
     if basis_hint is None:
-        # the blocks were built in ascending degree
-        elements = [vec for block in blocks.values() for vec in block.basis]
-        codes = [code for block in blocks.values() for code in block.units]
-        keys = [block.key for block in blocks.values() for _ in block.basis]
-        units = [unit for block in blocks.values() for unit in block.units.values()]
-    else:
-        elements = [tuple(v) for v in basis_hint]
-        codes = _codes(weights, elements)
-        keys = hint_keys
-        unit_of = {code: unit for block in blocks.values() for code, unit in block.units.items()}
-        units = [unit_of[code] for code in codes]
-    return GradedBasis(poly=p, model=model, spectrum=spectrum, by_key=blocks,
-                       elements=elements, codes=codes, keys=keys, units=units)
+        picks = [(key, code) for key, block in blocks.items() for code in block.units]
+    units = [blocks[key].units[code] for key, code in picks]
+    return GradedBasis(model=model, by_key=blocks,
+                       elements=[unit.terms[0][0] for unit in units],
+                       codes=[code for _, code in picks], keys=[key for key, _ in picks],
+                       units=units)
 
 
 def reduce_product(basis: GradedBasis, m1: Vec, m2: Vec) -> GradedClass:
-    """The product of two basis classes, expressed in the basis."""
-    raw = b_product(basis.model, m1, m2)
-    if raw.is_zero():
-        return raw
-    degree = raw.degree
-    block = basis.blocks.get(degree)
-    if block is None or block.dim == 0:
+    """The product of two basis classes, expressed in the basis: zero
+    when m1 and m2 share no cone or their degree has no block, else the
+    block's normal form of the product monomial, whose code is the sum
+    of theirs."""
+    model = basis.model
+    (key1, mask1), (key2, mask2) = model.cone_key(m1), model.cone_key(m2)
+    block = basis.by_key.get(key1 + key2)
+    if block is None or not mask1 & mask2:
         return GradedClass.zero()
-    (vec, coeff), = raw.terms
-    return GradedClass.from_dict(block.reduce(vec, coeff), degree)
+    weights = model.code_weights
+    return block.normal_form(sum(map(mul, weights, m1)) + sum(map(mul, weights, m2)))
 
 
 def product_rows(basis: GradedBasis) -> List[Dict[int, GradedClass]]:
@@ -525,13 +504,11 @@ def product_rows(basis: GradedBasis) -> List[Dict[int, GradedClass]]:
     masks meet has a product monomial, which fixes the degree; a product
     in a block has Newton value at most n, so its integer code is the sum
     of its operands' codes (``GradedBasis.codes``), and no exponent is
-    summed.  The normal form is read by the code: a memo that lives for
-    one call is seeded with every block's singleton codes (the zero
-    class) and basis codes (the element's unit class, the object
-    ``GradedBasis.units`` holds), so only a pivot code of a block's
-    eliminated rows builds a class, once, and every cell whose operands
-    sum to it holds the same object.  A zero normal form, like every
-    pair the walk skips, leaves no cell.
+    summed.  The normal form is ``DegreeBlock.normal_form`` of that code,
+    memoised for the call, so each code is read once and every cell whose
+    operands sum to it holds the same object; a basis code gives the
+    element's unit class, the object ``GradedBasis.units`` holds.  A zero
+    normal form, like every pair the walk skips, leaves no cell.
     """
     keys = basis.cone_keys
     codes = basis.codes
@@ -541,9 +518,6 @@ def product_rows(basis: GradedBasis) -> List[Dict[int, GradedClass]]:
     top = max(blocks, default=-1)
     zero = GradedClass.zero()
     normal_forms: Dict[int, GradedClass] = {}
-    for block in blocks.values():
-        normal_forms.update(dict.fromkeys(block.singles, zero))
-        normal_forms.update(block.units)
     rows: List[Dict[int, GradedClass]] = [{} for _ in codes]
     for pos, (key_i, mask_i, code_i, i) in enumerate(walk):
         row = rows[i]
@@ -559,7 +533,7 @@ def product_rows(basis: GradedBasis) -> List[Dict[int, GradedClass]]:
                 block = blocks.get(key)
                 if block is None:
                     continue
-                cls = normal_forms[code] = block._pivot_class(code)
+                cls = normal_forms[code] = block.normal_form(code)
             if cls is zero:
                 continue
             if i <= j:

@@ -395,8 +395,10 @@ class PolytopeModel:
         nu is the max (global) or min (local) of the forms, so
         nu(a + b) = nu(a) + nu(b) exactly when one form attains nu at both
         a and b: a and b share a fan cone when their masks meet.  The zero
-        vector lies in every cone and gets (0, -1).
+        vector lies in every cone and gets (0, -1).  v must be a point of
+        N^n, else :class:`InputError`.
         """
+        v = self._exponent(v)
         if not any(v):
             return 0, -1
         values = [sum(map(mul, w, v)) for w in self._scaled_forms]

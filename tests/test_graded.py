@@ -20,6 +20,7 @@ from newtonspec import (
     DimensionMismatchError,
     GradedClass,
     HintError,
+    InputError,
     Poly,
     SpectrumSeries,
     b_product,
@@ -37,7 +38,7 @@ from newtonspec.cli import main
 from newtonspec import graded
 from newtonspec.graded import DegreeBlock, multiply_in_basis, product_rows, reduce_product
 
-from conftest import FOUR_VARIABLE_POLYS, LOCAL_GERMS, random_convenient_poly, series
+from conftest import FOUR_VARIABLE_POLYS, LOCAL_GERMS, random_convenient_poly
 
 HINT = ["1", "u*v", "u^2*v^2", "u^3*v^3", "u", "v", "u^2*v", "u*v^2"]
 
@@ -127,7 +128,7 @@ def test_quotient_basis_accepts_reference_hint(square_basis, square_model):
 
 def test_quotient_dimension_at_degree_one(square_poly, square_model):
     basis = quotient_basis(square_poly, square_model)
-    block = basis.blocks[Fraction(1)]
+    block = basis.by_key[square_model.value_scale]
     assert len(block.monomials) == 5
     assert len(block.rows) == 2
     assert block.dim == 3
@@ -167,23 +168,24 @@ def test_hint_monomial_outside_the_spectrum_is_named_as_text():
         quotient_basis(p, build_model(p), basis_hint=hint)
 
 
-def test_wrong_spectrum_raises_dimension_mismatch(square_poly, square_model):
-    with pytest.raises(DimensionMismatchError):
-        quotient_basis(
-            square_poly, square_model,
-            spectrum=series(("0", 1), ("1/2", 4), ("1", 2), ("3/2", 1)),
-        )
+# (u+v)^3 is Newton degenerate: on its one facet it vanishes to order 3
+# along u = -v, so the quotient at degree 4/3 is larger than the toric
+# Newton spectrum says
+CUBE_OF_SUM = "u^3+v^3+3*u^2*v+3*u*v^2"
+CUBE_OF_SUM_MISMATCH = "quotient dimension 2 at degree 4/3 does not match spectrum coefficient 1"
 
 
-def test_spectrum_degree_of_no_monomial_raises_dimension_mismatch(square_poly, square_model):
-    # no monomial has a degree whose denominator does not divide the
-    # model's value scale
-    assert square_model.value_scale % 3
-    with pytest.raises(DimensionMismatchError, match="dimension 0 at degree 1/3"):
-        quotient_basis(
-            square_poly, square_model,
-            spectrum=series(("0", 1), ("1/3", 4), ("1", 2), ("3/2", 1)),
-        )
+def test_degenerate_input_raises_dimension_mismatch():
+    p = parse_polynomial(CUBE_OF_SUM)
+    with pytest.raises(DimensionMismatchError, match=f"^{CUBE_OF_SUM_MISMATCH}$"):
+        quotient_basis(p, build_model(p))
+
+
+def test_degenerate_input_exits_2_from_product_table(capsys):
+    assert main(["product-table", CUBE_OF_SUM]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert CUBE_OF_SUM_MISMATCH in err
 
 
 def test_reference_product_table(square_basis, square_poly, square_model):
@@ -238,10 +240,10 @@ def product_monomial(basis, x, y):
     """The monomial of x * y when the pair shares a cone and its degree
     has a block, else None."""
     raw = b_product(basis.model, x, y)
-    if raw.is_zero() or raw.degree not in basis.blocks:
+    if raw.is_zero():
         return None
     (total, _), = raw.terms
-    return total
+    return total if basis.model.cone_key(total)[0] in basis.by_key else None
 
 
 def assert_table_is_pairwise(basis, rows=None):
@@ -259,13 +261,13 @@ def assert_table_is_pairwise(basis, rows=None):
         for j, y in enumerate(elements):
             got = table[i][j]
             want = reduce_product(basis, x, y)
-            assert got == want == table[j][i], (basis.poly, x, y)
-            assert got is table[j][i], (basis.poly, x, y)
+            assert got == want == table[j][i], (x, y)
+            assert got is table[j][i], (x, y)
             if want.is_zero():
-                assert got is zero, (basis.poly, x, y)
+                assert got is zero, (x, y)
             total = product_monomial(basis, x, y)
             if total is not None:
-                assert cells.setdefault(total, got) is got, (basis.poly, x, y)
+                assert cells.setdefault(total, got) is got, (x, y)
 
 
 def test_product_table_equals_pairwise_products_on_corpus(corpus):
@@ -273,7 +275,7 @@ def test_product_table_equals_pairwise_products_on_corpus(corpus):
     # stay within the suite's time
     rng = random.Random(9)
     for entry in corpus:
-        basis = quotient_basis(entry.poly, entry.model, spectrum=entry.box)
+        basis = quotient_basis(entry.poly, entry.model)
         size = len(basis.elements)
         rows = None if size <= 100 else rng.sample(range(size), 24)
         assert_table_is_pairwise(basis, rows)
@@ -337,15 +339,15 @@ def assert_rows_are_upper_triangle(basis):
     assert basis.cone_keys == [basis.model.cone_key(x) for x in basis.elements]
     for i, (row, cells) in enumerate(zip(rows, table)):
         nonzero = {j: cls for j, cls in enumerate(cells[i:], i) if not cls.is_zero()}
-        assert row.keys() == nonzero.keys(), (basis.poly, i)
-        assert all(row[j] is cls for j, cls in nonzero.items()), (basis.poly, i)
+        assert row.keys() == nonzero.keys(), i
+        assert all(row[j] is cls for j, cls in nonzero.items()), i
     assert product_rows(basis) == rows
 
 
 def test_product_rows_are_the_nonzero_upper_triangle_on_corpus(corpus):
     for entry in corpus:
         assert_rows_are_upper_triangle(
-            quotient_basis(entry.poly, entry.model, spectrum=entry.box))
+            quotient_basis(entry.poly, entry.model))
 
 
 @pytest.mark.parametrize("text", LOCAL_GERMS)
@@ -413,9 +415,9 @@ def test_render_equals_fraction_reference(data):
 def test_default_basis_dimensions_match_spectrum(corpus):
     # greedy bases exist and have the spectrum's per-degree dimensions
     for entry in corpus[:12]:
-        basis = quotient_basis(entry.poly, entry.model, spectrum=entry.oracle)
-        for degree, coeff in entry.oracle.items():
-            assert basis.blocks[degree].dim == coeff
+        basis = quotient_basis(entry.poly, entry.model)
+        dims = {key: block.dim for key, block in basis.by_key.items()}
+        assert dims == dict(entry.oracle.numerators(entry.model.value_scale)), entry.poly
 
 
 def test_koszul_dimensions_equal_quotient_blocks_on_corpus(corpus):
@@ -423,15 +425,66 @@ def test_koszul_dimensions_equal_quotient_blocks_on_corpus(corpus):
     # Koszul route counts the pivots of the forward elimination alone,
     # quotient_basis back substitutes
     for entry in corpus:
-        basis = quotient_basis(entry.poly, entry.model, spectrum=entry.box)
-        dims = {degree: block.dim for degree, block in basis.blocks.items()}
+        basis = quotient_basis(entry.poly, entry.model)
+        dims = {block.degree: block.dim for block in basis.by_key.values()}
         assert dims == dict(entry.koszul.items()), entry.poly
+
+
+def assert_normal_forms_read_the_columns(basis):
+    """``DegreeBlock.normal_form`` on every column of every block: a basis
+    code gives the block's unit class itself, a singleton the shared zero
+    class, a pivot a class over the basis monomials; a code of a
+    neighbouring census degree raises ``KeyError``; and ``reduce`` scales
+    the class."""
+    model = basis.model
+    zero = GradedClass.zero()
+    census = list(model._codes)
+    basis_vecs = {unit.terms[0][0] for unit in basis.units}
+    for block in basis.by_key.values():
+        assert set(block.units) | block.singles | set(block.pivots) == set(block._order)
+        for code, unit in block.units.items():
+            assert block.normal_form(code) is unit
+        for code in block.singles:
+            assert block.normal_form(code) is zero
+        for code in block.pivots:
+            cls = block.normal_form(code)
+            assert cls is zero or cls.degree == block.degree
+            assert {vec for vec, _ in cls.terms} <= basis_vecs
+        at = census.index(block.key)
+        for other in census[max(at - 1, 0):at] + census[at + 1:at + 2]:
+            with pytest.raises(KeyError):
+                block.normal_form(model._codes[other][0])
+        for vec, code in zip(block.monomials, block._order):
+            terms = block.normal_form(code).terms
+            for k in (1, Fraction(-3, 2)):
+                assert block.reduce(vec, k) == {m: k * x for m, x in terms}, (vec, k)
+
+
+def test_normal_form_reads_every_column_on_corpus(corpus):
+    for entry in corpus:
+        assert_normal_forms_read_the_columns(quotient_basis(entry.poly, entry.model))
+
+
+@pytest.mark.parametrize("text", LOCAL_GERMS)
+def test_normal_form_reads_every_column_on_local_germs(text):
+    p = parse_polynomial(text, mode=LOCAL)
+    assert_normal_forms_read_the_columns(quotient_basis(p, build_model(p)))
+
+
+@pytest.mark.parametrize("v", [(1,), (1, 1, 1), (-1, 3), (-1, 0)])
+def test_products_refuse_a_malformed_vector(square_basis, v):
+    # (-1, 0) times (1, 0) was the class of 1 at degree 0
+    for other in [(1, 0), (0, 0)]:
+        with pytest.raises(InputError):
+            b_product(square_basis.model, v, other)
+        with pytest.raises(InputError):
+            reduce_product(square_basis, other, v)
 
 
 def test_normal_forms_lie_on_the_basis_and_differ_by_relations(corpus):
     for entry in corpus[:12]:
-        basis = quotient_basis(entry.poly, entry.model, spectrum=entry.oracle)
-        for block in basis.blocks.values():
+        basis = quotient_basis(entry.poly, entry.model)
+        for block in basis.by_key.values():
             rank = len(block.rows)
             for m in block.monomials:
                 normal = block.reduce(m, 1)
@@ -503,7 +556,8 @@ def _assert_blocks_equal_reference(p, model, basis, hint=None):
     rows reduced by ``linalg.rref``, with the hint last if one is given."""
     leading = _reference_leading_terms(model, leading_classes(p, model))
     monomials = model.points_by_value(model.n)
-    for degree, block in basis.blocks.items():
+    for block in basis.by_key.values():
+        degree = block.degree
         block_hint = None if hint is None else [
             m for m in hint if model.newton_value(m) == degree]
         ordered, index, rows = _reference_relation_rows(
@@ -543,11 +597,11 @@ def test_koszul_equals_reference_on_random_supports(seed, n, mode):
 def test_blocks_equal_reference_reduction_on_corpus(corpus):
     rng = random.Random(5)
     for entry in corpus:
-        basis = quotient_basis(entry.poly, entry.model, spectrum=entry.box)
+        basis = quotient_basis(entry.poly, entry.model)
         _assert_blocks_equal_reference(entry.poly, entry.model, basis)
         hint = list(basis.elements)
         rng.shuffle(hint)
-        hinted = quotient_basis(entry.poly, entry.model, basis_hint=hint, spectrum=entry.box)
+        hinted = quotient_basis(entry.poly, entry.model, basis_hint=hint)
         _assert_blocks_equal_reference(entry.poly, entry.model, hinted, hint)
 
 
@@ -624,16 +678,21 @@ def test_local_product_table_is_pinned(capsys):
 
 
 def test_product_table_reduces_and_renders_each_class_once(monkeypatch, capsys):
-    # the table reads every normal form off the blocks by its code and
-    # calls no DegreeBlock.reduce, and the command renders each distinct
-    # class that is not a basis element's own class once, where one per
-    # pair would take thousands of calls on these inputs
-    reduce, render = DegreeBlock.reduce, GradedClass.render
-    calls = {"reduce": 0, "render": 0}
+    # the table reads the normal form of each distinct product code once,
+    # by DegreeBlock.normal_form, and calls no DegreeBlock.reduce, and the
+    # command renders each distinct class that is not a basis element's own
+    # class once, where one per pair would take thousands of calls on these
+    # inputs
+    reduce, normal_form, render = DegreeBlock.reduce, DegreeBlock.normal_form, GradedClass.render
+    calls = {"reduce": 0, "normal_form": 0, "render": 0}
 
     def counted_reduce(self, vec, coeff):
         calls["reduce"] += 1
         return reduce(self, vec, coeff)
+
+    def counted_normal_form(self, code):
+        calls["normal_form"] += 1
+        return normal_form(self, code)
 
     def counted_render(self, names):
         calls["render"] += 1
@@ -644,11 +703,15 @@ def test_product_table_reduces_and_renders_each_class_once(monkeypatch, capsys):
         p = parse_polynomial(text, var_order=names.split(","))
         basis = quotient_basis(p, build_model(p))
         rendered = _rendered_classes(basis)
+        products = {total for x in basis.elements for y in basis.elements
+                    if (total := product_monomial(basis, x, y)) is not None}
         monkeypatch.setattr(DegreeBlock, "reduce", counted_reduce)
+        monkeypatch.setattr(DegreeBlock, "normal_form", counted_normal_form)
         monkeypatch.setattr(GradedClass, "render", counted_render)
-        calls.update(reduce=0, render=0)
+        calls.update(reduce=0, normal_form=0, render=0)
         product_table(basis)
         assert calls["reduce"] == 0, (text, calls)
+        assert calls["normal_form"] == len(products), (text, calls, len(products))
         assert main(["product-table", text, "--vars", names]) == 0
         capsys.readouterr()
         assert calls["render"] == len(rendered), (text, calls, len(rendered))
@@ -662,7 +725,7 @@ def _rendered_classes(basis):
     units = {id(unit) for unit in basis.units}
     assert len(units) == len(basis.elements)
     for unit, vec in zip(basis.units, basis.elements):
-        assert unit.terms == ((vec, 1),), (basis.poly, vec)
+        assert unit.terms == ((vec, 1),), vec
     classes = {id(cls): cls for row in product_rows(basis) for cls in row.values()}
     return [cls for key, cls in classes.items() if key not in units]
 
@@ -679,11 +742,11 @@ def test_blocks_eliminate_only_rows_left_by_the_peeling(monkeypatch, corpus):
     surviving = blocks = 0
     for entry in corpus:
         model = entry.model
-        basis = quotient_basis(entry.poly, model, spectrum=entry.box)
+        basis = quotient_basis(entry.poly, model)
         leading = graded._leading_terms(entry.poly, model)
         groups = model._codes
         scale = model.value_scale
-        for block in basis.blocks.values():
+        for block in basis.by_key.values():
             _, rows = graded._relation_rows(
                 leading, set(groups[block.key]), groups.get(block.key - scale, ()))
             surviving += bool(rows)
@@ -705,7 +768,7 @@ def test_product_table_renders_only_non_unit_classes_on_corpus(monkeypatch, corp
         return render(self, names)
 
     for entry in corpus:
-        basis = quotient_basis(entry.poly, entry.model, spectrum=entry.box)
+        basis = quotient_basis(entry.poly, entry.model)
         want = len(_rendered_classes(basis))
         monkeypatch.setattr(GradedClass, "render", counted_render)
         count[0] = 0
@@ -716,11 +779,10 @@ def test_product_table_renders_only_non_unit_classes_on_corpus(monkeypatch, corp
         assert count[0] == want, (entry.poly, count[0], want)
 
 
-def _reference_table_text(basis):
+def _reference_table_text(basis, names):
     """The product-table text as the command built it before streaming:
     every cell rendered into a dense grid of strings, the column widths
     taken over all cells, and every line built before any is printed."""
-    names = basis.poly.names
     table = product_table(basis)
     labels = [monomial_text(v, names) for v in basis.elements]
     gradings = [str(basis.model.newton_value(v)) for v in basis.elements]
@@ -748,16 +810,16 @@ def table_argv(p, hint=None):
     return argv
 
 
-def assert_text_is_reference(capsys, p, model=None, hint=None, spectrum=None):
+def assert_text_is_reference(capsys, p, model=None, hint=None):
     model = model or build_model(p)
-    basis = quotient_basis(p, model, basis_hint=hint, spectrum=spectrum)
+    basis = quotient_basis(p, model, basis_hint=hint)
     assert main(table_argv(p, hint)) == 0
-    assert capsys.readouterr().out == _reference_table_text(basis), str(p)
+    assert capsys.readouterr().out == _reference_table_text(basis, p.names), str(p)
 
 
 def test_streamed_text_equals_dense_reference_on_corpus(corpus, capsys):
     for entry in corpus:
-        assert_text_is_reference(capsys, entry.poly, entry.model, spectrum=entry.box)
+        assert_text_is_reference(capsys, entry.poly, entry.model)
 
 
 @pytest.mark.parametrize("text", LOCAL_GERMS)
@@ -772,9 +834,9 @@ def test_streamed_text_equals_dense_reference_with_hints(corpus, capsys, square_
     assert_text_is_reference(capsys, square_poly, hint=hint)
     rng = random.Random(5)
     for entry in corpus[::7]:
-        hint = list(quotient_basis(entry.poly, entry.model, spectrum=entry.box).elements)
+        hint = list(quotient_basis(entry.poly, entry.model).elements)
         rng.shuffle(hint)
-        assert_text_is_reference(capsys, entry.poly, entry.model, hint, entry.box)
+        assert_text_is_reference(capsys, entry.poly, entry.model, hint)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -118,6 +118,21 @@ def test_vectors_of_the_wrong_length_are_refused(square_model):
         square_model.smallest_cone((-1, 0))
 
 
+MALFORMED_VECTORS = [(1,), (1, 1, 1), (-1, 3)]
+
+
+@pytest.mark.parametrize("v", MALFORMED_VECTORS)
+def test_every_reader_of_the_newton_function_refuses_a_malformed_vector(v):
+    # cone_key read such vectors through zip, which truncated (1,) and
+    # gave (-1, 3) a cone key of its own
+    m = build_model(parse_polynomial("u^2+v^2"))
+    readers = [m.cone_key, m.newton_value, m.smallest_cone,
+               lambda v: m.same_cone(v, (1, 0)), lambda v: m.same_cone((1, 0), v)]
+    for read in readers:
+        with pytest.raises(InputError):
+            read(v)
+
+
 def test_zero_cone_is_one_face_for_every_model(square_model, quintic_model):
     zero = Face(vertex_indices=(), dim=-1, in_coordinate_hyperplane=True, is_simplex=True)
     assert polytope.PolytopeModel.zero_cone == zero
