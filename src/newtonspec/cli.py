@@ -279,10 +279,23 @@ _DISPATCH = {
 }
 
 
+def _parse_args(parser: _ArgumentParser, argv) -> argparse.Namespace:
+    """The parsed argv.  No option starts with "-" and a digit, so such a
+    token in a refused argv is a polynomial, say -2*u^2-v^2, read as one."""
+    try:
+        return parser.parse_args(argv)
+    except InputError as exc:
+        for token in argv:
+            if token[:1] == "-" and token[1:2].isdecimal():
+                raise InputError(f"the polynomial {token!r} was taken for an option: "
+                                 f"put -- before it ({exc})") from None
+        raise
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(parser, sys.argv[1:] if argv is None else argv)
         code = _DISPATCH[args.command](args)
         sys.stdout.flush()
         return code

@@ -1,15 +1,15 @@
-"""Exact convex hull of a point set by the double description method.
+"""Exact convex hull of points plus a cone of directions, by double description.
 
-A point p is its homogeneous row (p, -1) and a facet <h, x> <= c its
-ray (h, c); p lies on, below or above the facet as their dot product is
-0, negative or positive.  The facets of a simplex come first: its points
-are the first n + 1 whose rows ``linalg.add_row`` takes in, and each
-facet is the kernel vector of n of the rows.  Then one point at a time
-goes in, each cutting off the facets it sees and joining the adjacent
-pairs it separates.  A facet is its primitive integer (normal, level)
-and the bitmask of the points on it; adjacency is read from those
-masks, so after the simplex every step is an integer dot product, a
-combination of two facets or a mask test.  No ``Fraction`` is built.
+A point p is its homogeneous row (p, -1), a direction d its row (d, 0),
+and a facet <h, x> <= c its ray (h, c); a row lies on, inside or outside
+the facet as their dot product is 0, negative or positive.  The facets
+of a simplex come first: its rows are the first n + 1 that
+``linalg.add_row`` takes in, and each facet is the kernel vector of n of
+them.  Then one row at a time goes in, each cutting off the facets it
+sees and joining the adjacent pairs it separates.  A facet is its
+primitive integer (normal, level) and the bitmask of the rows on it;
+adjacency is read from those masks, so after the simplex every step is
+an integer dot product, a combination of two facets or a mask test.
 
 The masks leave the module as they are, as each :class:`HullFacet`'s
 contact and as the :func:`hull_vertices` mask; no set is built.
@@ -28,35 +28,36 @@ Vec = Tuple[int, ...]
 
 class HullFacet(NamedTuple):
     """A facet <normal, x> <= level of the hull, (normal, level) primitive
-    integers; bit i of ``contact`` is set when point i lies on it."""
+    integers; bit i of ``contact`` is set when row i lies on it."""
 
     normal: Vec
     level: int
     contact: int
 
 
-def enumerate_facets(points: Sequence[Vec], n: int) -> List[HullFacet]:
-    """All facets of conv(points), with outward normals and contact masks.
+def enumerate_facets(points: Sequence[Vec], n: int, directions: Sequence[Vec] = ()) -> List[HullFacet]:
+    """All facets of conv(points) + cone(directions), with outward normals
+    and contact masks.
 
     The double description method (Fukuda and Prodon, 1996), in the
-    integers.  A facet is the ray r = (h, c) of the cone of inequalities
-    <h, x> <= c valid on the points seen so far, kept as its primitive
-    integer vector together with its tight set, the bitmask of the seen
-    points on it.  The cone starts from the facets of a simplex on the
-    first n + 1 affinely independent points, those whose rows (p, -1)
-    are independent of the rows taken before them; each other point p
-    then goes in, in index order.  With s = <h, p> - c, the rays with
-    s > 0 are dropped and those with s = 0 gain p in their tight sets.
-    Each dropped ray r+ and kept ray r- with s < 0 that are adjacent give
-    the new ray s+ * r- - s- * r+, on which p is tight.  Two rays are
-    adjacent when their common tight set holds at least n - 1 points and
+    integers, with no ``Fraction``.  A facet is the ray r = (h, c) of the
+    cone of inequalities <h, x> <= c valid on the rows seen so far, kept
+    as its primitive integer vector together with its tight set, the
+    bitmask of the seen rows on it: rows 0 to len(points) - 1 are the
+    points, the rest the directions.  The cone starts from the facets of
+    a simplex on the first n + 1 independent rows; each other row q then
+    goes in, in index order.  With s = <r, q>, the rays with s > 0 are
+    dropped and those with s = 0 gain q in their tight sets.  Each
+    dropped ray r+ and kept ray r- with s < 0 that are adjacent give the
+    new ray s+ * r- - s- * r+, on which q is tight.  Two rays are
+    adjacent when their common tight set holds at least n - 1 rows and
     lies in the tight set of no third ray: one scan of the tight sets
-    counts the rays that hold it and stops at the third.  At the end
-    every point has been seen, so each tight set is the facet's contact
-    mask.  Facets are sorted by (h, c); without n + 1 affinely
-    independent points there are none.
+    counts the rays that hold it and stops at the third.  At the end each
+    tight set is a contact mask.  The ray (0, ..., 0, 1), tight on the
+    directions alone, is the face at infinity and is left out.  Facets
+    are sorted by (h, c); without n + 1 independent rows there are none.
     """
-    rows = [tuple(p) + (-1,) for p in points]
+    rows = [tuple(p) + (-1,) for p in points] + [tuple(d) + (0,) for d in directions]
     pivot_of: dict = {}
     simplex = []
     for i, q in enumerate(rows):
@@ -107,7 +108,7 @@ def enumerate_facets(points: Sequence[Vec], n: int) -> List[HullFacet]:
                     g = gcd(*r)
                     kept.append((tuple(x // g for x in r), common | bit))
         rays = kept
-    return [HullFacet(r[:-1], r[-1], tight) for r, tight in sorted(rays)]
+    return [HullFacet(r[:-1], r[-1], tight) for r, tight in sorted(rays) if any(r[:-1])]
 
 
 def hull_vertices(npts: int, facets: Sequence[HullFacet]) -> int:

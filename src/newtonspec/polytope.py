@@ -1,8 +1,8 @@
 """Newton polytope / Newton polyhedron models with exact arithmetic.
 
 Global mode builds the convex hull of the origin and the support; local
-mode builds the Newton polyhedron of a power series, i.e. the region
-under the compact faces of the positive-orthant hull of the support.
+mode builds the Newton polyhedron conv(supp) + R^n_{>=0} of a power
+series, the orthant's rays e_i being the hull's directions.
 Both expose the same interface: level-one facet forms, the Newton
 function (max of the forms globally, min locally), the face lattice of
 the Newton boundary and its pulling triangulation, half-open box points
@@ -98,7 +98,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from math import factorial, lcm, prod
+from math import lcm, prod
 from operator import add, floordiv, mod, mul, neg, or_
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -888,26 +888,21 @@ def build_model(p: Poly) -> PolytopeModel:
 
     Requires a convenient polynomial.  Global mode takes the facets of
     conv({0} u supp p) that avoid the origin; local mode takes the compact
-    facets of the positive-orthant hull of the support, found by
-    augmenting the support with far-out anchor points K*e_i so a single
-    finite-hull pass yields the compact face structure.
+    facets of conv(supp p) + R^n_{>=0}, those that hold no direction e_i.
     """
     check_convenient(p)
     n = p.nvars
     support = tuple(sorted(p.terms))
     if p.mode == GLOBAL:
         pts = list(dict.fromkeys(((0,) * n,) + support))
+        directions = ()
         forbidden = 1 << pts.index((0,) * n)
     else:
-        top = max(c for v in support for c in v)
-        anchor_scale = factorial(n) * top**n + top + 1
-        anchors = tuple(
-            tuple(anchor_scale if j == i else 0 for j in range(n)) for i in range(n)
-        )
-        pts = list(dict.fromkeys(support + anchors))
-        forbidden = sum(1 << pts.index(a) for a in anchors)
+        pts = support
+        directions = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        forbidden = ((1 << n) - 1) << len(pts)
 
-    hull_facets = enumerate_facets(pts, n)
+    hull_facets = enumerate_facets(pts, n, directions)
     if not hull_facets:
         raise InternalCheckError("support is not full dimensional")
 

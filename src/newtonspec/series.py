@@ -132,12 +132,6 @@ class SpectrumSeries:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def max_exponent(self) -> Fraction:
-        """The largest exponent; the zero series has none (``ValueError``)."""
-        if not self._terms:
-            raise ValueError("the zero series has no largest exponent")
-        return Fraction(next(reversed(self._terms)), self._den)
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 

@@ -32,7 +32,7 @@ def _fraction_route(p):
     the forms sorted by their normals, L the lcm of the normals'
     denominators.  Kept as the reference for the integer route.  The
     inputs have no constant term, so the hull points outside the support
-    are the origin (global) or the anchors (local)."""
+    are the origin (global) or the anchors of ``_hull_points`` (local)."""
     n = p.nvars
     pts = _hull_points(p)
     forbidden = sum(1 << i for i, v in enumerate(pts) if v not in p.terms)
@@ -116,10 +116,11 @@ QUINTIC = "x^5 + x^2*y^2 + y^5"     # compact facets 2x + 3y >= 10 and 3x + 2y >
 def _corrupt_hull(monkeypatch, p, change):
     """Make build_model read ``change(boundary facets, other facets)`` in
     place of p's hull facets; the boundary facets are those that miss
-    the origin (global) or the anchors (local), in hull order."""
-    def corrupted(points, n):
+    the origin (global) or the directions (local), in hull order."""
+    def corrupted(points, n, directions):
         forbidden = sum(1 << i for i, v in enumerate(points) if v not in p.terms)
-        facets = enumerate_facets(points, n)
+        forbidden |= ((1 << len(directions)) - 1) << len(points)
+        facets = enumerate_facets(points, n, directions)
         return change([hf for hf in facets if not hf.contact & forbidden],
                       [hf for hf in facets if hf.contact & forbidden])
 

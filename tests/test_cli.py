@@ -307,6 +307,20 @@ def test_bad_usage_exit_code(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("options", [[], ["--local"]])
+def test_polynomial_that_starts_with_minus_is_named_as_taken_for_an_option(capsys, options):
+    # argparse reads a token with no space that starts with "-" as an option
+    text = "-2*u^2-v^2"
+    for argv in (["spectrum", text, *options], ["spectrum", *options, text]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == (f"error: the polynomial '{text}' was taken for an option: put -- "
+                       f"before it (the following arguments are required: poly)\n")
+    code, out, err = run_cli(capsys, "spectrum", *options, "--", text)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "1 + 2 z^{1/2} + z"
+
+
 def test_threads_option_is_gone(capsys):
     code, _, _ = run_cli(capsys, "spectrum", "--threads", "2", "u + v")
     assert code == 1

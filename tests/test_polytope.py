@@ -263,8 +263,12 @@ def test_subadditivity(corpus):
 
 
 def _hull_points(p):
-    """The point set that ``build_model`` hulls: the origin and the
-    support globally, the support and the far anchors locally."""
+    """The origin and the support globally, the point set that
+    ``build_model`` hulls; locally the support and far anchors K*e_i,
+    K = n! * top^n + top + 1, which ``build_model`` no longer hulls: it
+    takes the orthant's rays e_i as directions, and the models of this
+    anchored set are kept as the reference that its models must equal.
+    Anchor K*e_i is point len(support) + i, at the bit of direction e_i."""
     n = p.nvars
     support = tuple(sorted(p.terms))
     if p.mode == GLOBAL:
@@ -1120,6 +1124,78 @@ def _shaped_support(rng, n, emax, extra):
         if sum(1 for x in v if x) >= 2:
             support.add(v)
     return sorted(support)
+
+
+def _anchored_model(p):
+    """``build_model(p)`` from the hull of ``_hull_points(p)``, the anchors
+    in place of the orthant's rays."""
+    points = _hull_points(p)
+
+    def anchored(pts, n, directions):
+        # the support leads both sets, and anchor i takes direction i's bit
+        assert list(pts) == points[:len(pts)] and len(pts) + len(directions) == len(points)
+        return hull.enumerate_facets(points, n)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polytope, "enumerate_facets", anchored)
+        return build_model(p)
+
+
+def _assert_matches_anchored_model(p):
+    assert p.mode == LOCAL
+    model, want = build_model(p), _anchored_model(p)
+    assert model.vertices == want.vertices, str(p)
+    assert model.value_scale == want.value_scale, str(p)
+    assert model._scaled_forms == want._scaled_forms, str(p)
+    assert model._facet_masks == want._facet_masks, str(p)
+    assert model._face_dims == want._face_dims, str(p)
+    assert model._top_simplices == want._top_simplices, str(p)
+
+
+def test_local_models_match_the_anchored_hull_on_corpus(corpus):
+    for entry in corpus:
+        _assert_matches_anchored_model(Poly(entry.poly.names, entry.poly.terms, LOCAL))
+
+
+def _local_model_inputs():
+    # x^3: in one variable the seed simplex takes a direction row;
+    # x^2+y^2 and the four squares: fewer than n + 1 affinely
+    # independent support points
+    texts = LOCAL_GERMS + ["x^3", "x^2+y^2", "x^2+y^2+z^2+w^2"]
+    polys = [parse_polynomial(t, mode=LOCAL) for t in texts]
+    rng = random.Random(58)
+    for n, emax, extra in [(2, 9, 2), (2, 9, 4), (3, 6, 2), (3, 6, 5), (4, 4, 3), (4, 4, 6)]:
+        for _ in range(4):
+            terms = {v: Fraction(1) for v in _shaped_support(rng, n, emax, extra)}
+            polys.append(Poly(names=tuple("xyzw"[:n]), terms=terms, mode=LOCAL))
+    return polys
+
+
+LOCAL_MODEL_INPUTS = _local_model_inputs()
+
+
+@pytest.mark.parametrize(
+    "p", LOCAL_MODEL_INPUTS,
+    ids=[f"n{p.nvars}-{len(p.terms)}terms-{i}" for i, p in enumerate(LOCAL_MODEL_INPUTS)],
+)
+def test_local_models_match_the_anchored_hull(p):
+    _assert_matches_anchored_model(p)
+
+
+def test_hull_with_the_orthant_returns_the_facets_of_the_polyhedron():
+    # x^5 + x^2*y^2 + y^5: rows 0-2 the sorted support, rows 3 and 4 the
+    # directions e_1 and e_2; the face at infinity (0, 0 | 1) is left out
+    points = [(0, 5), (2, 2), (5, 0)]
+    facets = hull.enumerate_facets(points, 2, [(1, 0), (0, 1)])
+    assert _facet_list(facets) == [
+        ((-3, -2), -10, 0b00011),
+        ((-2, -3), -10, 0b00110),
+        ((-1, 0), 0, 0b10001),
+        ((0, -1), 0, 0b01100),
+    ]
+    assert all(any(hf.normal) for hf in facets)
+    # in one variable the seed simplex is the point and the direction
+    assert _facet_list(hull.enumerate_facets([(3,)], 1, [(1,)])) == [((-1,), -3, 0b01)]
 
 
 # point sets with many points on each facet: a full cube, points on the

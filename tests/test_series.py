@@ -296,14 +296,3 @@ def test_integer_numerators_need_a_positive_denominator_multiple():
     with pytest.raises(ValueError):
         list(series(("1/2", 1)).numerators(3))
     assert list(series(("1/2", 1)).numerators(6)) == [(3, 1)]
-
-
-def test_max_exponent():
-    assert series(("1/3", 2), ("5/2", 1)).max_exponent() == Fraction(5, 2)
-    assert SpectrumSeries.one().max_exponent() == 0
-
-
-def test_max_exponent_of_the_zero_series_is_a_value_error():
-    # a ValueError that names the empty series, not a bare StopIteration
-    with pytest.raises(ValueError, match="zero series"):
-        SpectrumSeries.zero().max_exponent()
