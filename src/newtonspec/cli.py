@@ -66,13 +66,19 @@ def _build_parser() -> _ArgumentParser:
 
 
 def _load_text(arg: str) -> str:
+    """The text of the file ``arg`` names, else ``arg`` itself.  Only a
+    failed path test (an over-long name, a NUL byte) falls back to the
+    text; a file that cannot be read or decoded is an ``InputError``."""
+    path = Path(arg)
     try:
-        path = Path(arg)
-        if path.is_file():
-            return path.read_text(encoding="utf-8").strip()
+        if not path.is_file():
+            return arg
     except (OSError, ValueError):
-        pass
-    return arg
+        return arg
+    try:
+        return path.read_text(encoding="utf-8").strip()
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read the polynomial file {arg!r}: {exc}") from None
 
 
 def _parse_input(args):

@@ -10,9 +10,9 @@ the sum of their scaled Newton values, so the sum is never evaluated.
 The relation classes are the leading parts of u_i * df/du_i.  Each is
 scaled once to primitive integers, and each degree's relations are
 sparse integer rows ``{col: int}`` over integer monomial codes
-(``PolytopeModel.code_weights``), the form in which the census hands
-out its points; sums of codes are the codes of the product monomials,
-so no exponent tuple is added.  One builder, ``_relation_rows``, makes
+(``PolytopeModel.encode``), the form in which the census hands out its
+points; sums of codes are the codes of the product monomials, so no
+exponent tuple is added.  One builder, ``_relation_rows``, makes
 them and takes each row of one entry as a pivot of its column, peeled
 from the other rows (the singleton pivots of structured Gaussian
 elimination).  Two routes read it.  The Koszul route
@@ -21,38 +21,38 @@ alone, the singletons plus the pivot count of the forward elimination
 ``linalg.echelon`` of the rows left: a third, linear-algebra route to
 the toric Newton spectrum.  ``quotient_basis`` keeps, per degree of the
 toric Newton spectrum (keyed by the integer nu * L), a
-:class:`DegreeBlock` over the codes: its singleton columns, whose normal
-form is zero, the reduced rows of the pivots of the rows left, and its
-basis columns.  A block whose singletons close it has no row left and
-costs no elimination; only the rows left go to ``linalg.echelon`` and
+:class:`DegreeBlock` over the codes, holding only what a normal form
+reads: its singleton columns, whose normal form is zero, the reduced
+rows of the pivots of the rows left, and a unit class per basis column.
+A block whose singletons close it has no row left and costs no
+elimination; only the rows left go to ``linalg.echelon`` and
 ``linalg.back_substitute``, with a hint last in the column order.  Only
-the basis codes are decoded to exponents, and each basis element gets
-one unit class, its monomial with coefficient one.  One method,
+the basis codes are decoded to exponents (``PolytopeModel.decode``), in
+one batch, and each basis element gets one unit class, its monomial
+with coefficient one.  One method,
 ``DegreeBlock.normal_form``, reads a normal form off a block by the
 code of its monomial: a basis code gives that element's unit class, a
 singleton code zero, and only a pivot code builds a class, off its
-reduced row.  ``product_rows`` walks the pairs once and reads each
-product's normal form by the code of the product monomial, the sum of
-its operands' codes, memoised for the call, so no exponent tuple is
-summed and no ``Fraction`` is multiplied.  It keeps only the nonzero
-cells of the upper triangle, as sparse rows; ``product_table`` spreads
-them over a dense grid.
+reduced row.  ``product_rows`` walks the pairs once, on each element's
+``PolytopeModel.cone_key``, and reads each product's normal form by the
+code of the product monomial, the sum of its operands' codes, memoised
+for the call, so no exponent tuple is summed and no ``Fraction`` is
+multiplied.  It keeps only the nonzero cells of the upper triangle, as
+sparse rows; ``product_table`` spreads them over a dense grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
-from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import DimensionMismatchError, HintError, TruncationError
 from .poly import Poly, monomial_text
-from .polytope import PolytopeModel, _decode
+from .polytope import PolytopeModel
 from .series import SpectrumSeries, exponent_text
 from .spectrum import toric_spectrum
 
@@ -153,50 +153,28 @@ _ONE = Fraction(1)
 
 class DegreeBlock:
     """Row-reduced relation data for a single degree of the quotient, over
-    the integer monomial codes of its columns.
+    the integer monomial codes of its columns: only what a normal form
+    reads.
 
-    Every column is a singleton of ``_relation_rows`` (its normal form is
-    zero), a pivot of the rows left (``pivots``: its reduced row
-    ``{code: Fraction}``, 1 at the pivot) or a basis column.  ``units``
-    maps each basis code, in column order, to its monomial's class with
-    coefficient one, built once and shared by every product that lands on
-    it.  ``normal_form`` is the one reader of a normal form; ``reduce``
-    scales its class.  ``monomials``, ``index`` and ``rows`` (the full
-    ``linalg.rref``, a unit row per singleton included) are built on first
-    read; the product table reads none of them.
+    Every column is a singleton of ``_relation_rows`` (``singles``: its
+    normal form is zero), a pivot of the rows left (``pivots``: its
+    reduced row ``{code: Fraction}``, 1 at the pivot) or a basis column.
+    ``units`` maps each basis code, in column order, to its monomial's
+    class with coefficient one, built once and shared by every product
+    that lands on it.  ``normal_form`` is the one reader of a normal
+    form; ``reduce`` scales its class.
     """
 
-    def __init__(self, model, key, degree, order, singles, pivots, basis, units):
-        self.key = key                   # the integer degree nu * L
+    def __init__(self, model, degree, singles, pivots, units):
         self.degree = degree
-        self.basis = basis               # non-pivot monomials, in column order
         self.units = units               # basis code -> its unit class
         self.singles = singles           # singleton codes
         self.pivots = pivots             # pivot code -> its reduced row
         self._model = model
-        self._order = order              # the codes in column order
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
-
-    @cached_property
-    def monomials(self) -> List[Vec]:
-        """The column order used by the reduction."""
-        return _decode(self._order, self._model.n, self._model._radix(self._model.n))
-
-    @cached_property
-    def index(self) -> Dict[Vec, int]:
-        return {m: i for i, m in enumerate(self.monomials)}
-
-    @cached_property
-    def rows(self) -> Dict[int, Dict[int, Fraction]]:
-        """``linalg.rref`` of the relation rows: pivot col -> its row."""
-        column = {code: i for i, code in enumerate(self._order)}
-        rows = {column[c]: {column[j]: x for j, x in row.items()}
-                for c, row in self.pivots.items()}
-        rows.update((column[c], {column[c]: _ONE}) for c in self.singles)
-        return dict(sorted(rows.items()))
+        return len(self.units)
 
     def normal_form(self, code: int) -> GradedClass:
         """The class of the block's monomial of code ``code`` in the basis,
@@ -222,7 +200,7 @@ class DegreeBlock:
         """Express coeff * [vec] in the basis modulo the relation rows, as
         ``{basis monomial: coefficient}``; ``vec`` is a monomial of the
         block's degree (:meth:`normal_form`)."""
-        cls = self.normal_form(sum(map(mul, self._model.code_weights, vec)))
+        cls = self.normal_form(self._model.encode(vec))
         return {m: coeff * x for m, x in cls.terms}
 
 
@@ -240,8 +218,7 @@ def _leading_terms(p, model):
     boundary = sorted((vec, c) for vec, c in p.terms.items()
                       if model._scaled_value(vec) == scale)
     den = lcm(*[c.denominator for _, c in boundary])
-    weights = model.code_weights
-    terms = [(vec, sum(map(mul, weights, vec)), c.numerator * (den // c.denominator))
+    terms = [(vec, model.encode(vec), c.numerator * (den // c.denominator))
              for vec, c in boundary]
     out = []
     for i in range(p.nvars):
@@ -303,16 +280,16 @@ def _relation_rows(leading, here, prev):
             return singles, rows
 
 
-def _build_block(leading, codes, prev, last=()):
+def _build_block(leading, codes, prev, last):
     """The reduction of one degree, from the ``codes`` of its monomials and
-    the codes ``prev`` of the degree below: ``(order, singles, pivots,
-    basis)``.  The columns are in code order, by total degree and then
-    exponent, with the hint's codes ``last`` last.  The singleton columns
-    of ``_relation_rows`` are pivots whose reduced rows are unit rows, so
-    only the integer rows left, when there are any, go through a column
-    map to ``linalg.echelon`` and ``linalg.back_substitute``; ``pivots``
-    holds their reduced rows over the codes.  The basis codes are the
-    columns that are neither."""
+    the codes ``prev`` of the degree below: ``(singles, pivots, basis)``.
+    The columns are in code order, by total degree and then exponent, with
+    the hint's codes ``last`` (empty without a hint) last.  The singleton
+    columns of ``_relation_rows`` are pivots whose reduced rows are unit
+    rows, so only the integer rows left, when there are any, go through a
+    column map to ``linalg.echelon`` and ``linalg.back_substitute``;
+    ``pivots`` holds their reduced rows over the codes.  The basis codes
+    are the columns that are neither, in column order."""
     here = set(codes)
     order = sorted(here - set(last)) + list(last) if last else sorted(codes)
     singles, raw = _relation_rows(leading, here, prev)
@@ -324,7 +301,7 @@ def _build_block(leading, codes, prev, last=()):
         pivots = {order[col]: {order[j]: x for j, x in row.items()}
                   for col, row in reduced.items()}
     basis = [code for code in order if code not in singles and code not in pivots]
-    return order, singles, pivots, basis
+    return singles, pivots, basis
 
 
 # ---------------------------------------------------------------------------
@@ -348,22 +325,6 @@ class GradedBasis:
     codes: List[int]
     keys: List[int]
     units: List[GradedClass]
-
-    @cached_property
-    def cone_keys(self) -> List[Tuple[int, int]]:
-        """``model.cone_key`` of each element, in table order: the
-        gradings nu * L and facet masks that the table's walk reads.  The
-        key is the block's, so only the mask is evaluated, as the forms
-        that take the key at the element."""
-        forms = self.model._scaled_forms
-        out = []
-        for vec, key in zip(self.elements, self.keys):
-            mask = 0
-            for i, w in enumerate(forms):
-                if sum(map(mul, w, vec)) == key:
-                    mask |= 1 << i
-            out.append((key, mask if any(vec) else -1))
-        return out
 
 
 def quotient_basis(
@@ -393,7 +354,6 @@ def quotient_basis(
     6.  Seeing it would take a rank at every other degree of the census.
     """
     spectrum = toric_spectrum(model)
-    weights = model.code_weights
     leading = _leading_terms(p, model)
     scale = model.value_scale
     groups = model._codes
@@ -420,7 +380,7 @@ def quotient_basis(
                     f"hint monomial {monomial_text(vec, p.names)} has degree "
                     f"{exponent_text(key, scale)} outside the spectrum"
                 )
-            code = sum(map(mul, weights, vec))
+            code = model.encode(vec)
             picks.append((key, code))
             hint_by_key.setdefault(key, []).append((vec, code))
 
@@ -438,7 +398,7 @@ def quotient_basis(
                 raise HintError(
                     f"hint gives {len(hint)} monomials at degree {degree}, expected {expected}"
                 )
-        order, singles, pivots, basis = _build_block(
+        singles, pivots, basis = _build_block(
             leading, codes, groups.get(key - scale, ()), last)
         if len(basis) != expected:
             raise DimensionMismatchError(
@@ -449,19 +409,16 @@ def quotient_basis(
             raise HintError(
                 f"hint monomials at degree {degree} do not span the quotient"
             )
-        reductions.append((key, degree, order, singles, pivots, basis))
+        reductions.append((key, degree, singles, pivots, basis))
 
     # the basis codes of every degree, decoded in one pass: the only
     # exponents the blocks read
-    decoded = iter(_decode([code for *_, basis in reductions for code in basis],
-                           model.n, model._radix(model.n)))
+    decoded = iter(model.decode([code for *_, basis in reductions for code in basis]))
     blocks: Dict[int, DegreeBlock] = {}
-    for key, degree, order, singles, pivots, basis in reductions:
-        monomials = list(islice(decoded, len(basis)))
+    for key, degree, singles, pivots, basis in reductions:
         units = {code: GradedClass(((vec, _ONE),), degree)
-                 for code, vec in zip(basis, monomials)}
-        blocks[key] = DegreeBlock(model, key, degree, order, singles, pivots,
-                                  monomials, units)
+                 for code, vec in zip(basis, islice(decoded, len(basis)))}
+        blocks[key] = DegreeBlock(model, degree, singles, pivots, units)
 
     if basis_hint is None:
         picks = [(key, code) for key, block in blocks.items() for code in block.units]
@@ -482,8 +439,7 @@ def reduce_product(basis: GradedBasis, m1: Vec, m2: Vec) -> GradedClass:
     block = basis.by_key.get(key1 + key2)
     if block is None or not mask1 & mask2:
         return GradedClass.zero()
-    weights = model.code_weights
-    return block.normal_form(sum(map(mul, weights, m1)) + sum(map(mul, weights, m2)))
+    return block.normal_form(model.encode(m1) + model.encode(m2))
 
 
 def product_rows(basis: GradedBasis) -> List[Dict[int, GradedClass]]:
@@ -493,7 +449,8 @@ def product_rows(basis: GradedBasis) -> List[Dict[int, GradedClass]]:
 
     A nonzero entry's degree is the sum of the operand degrees, and one
     outside the spectrum support is zero.  The blocks are keyed by the
-    integer degree nu * L of ``GradedBasis.cone_keys``.  The elements are
+    integer degree nu * L of each element's ``PolytopeModel.cone_key``,
+    which also gives its facet mask.  The elements are
     walked in ascending degree, each paired with itself and the ones
     after it, until the degree sum passes the top block.  A pair whose
     masks meet has a product monomial, which fixes the degree; a product
@@ -505,7 +462,7 @@ def product_rows(basis: GradedBasis) -> List[Dict[int, GradedClass]]:
     element's unit class, the object ``GradedBasis.units`` holds.  A zero
     normal form, like every pair the walk skips, leaves no cell.
     """
-    keys = basis.cone_keys
+    keys = [basis.model.cone_key(vec) for vec in basis.elements]
     codes = basis.codes
     order = sorted(range(len(codes)), key=basis.keys.__getitem__)
     walk = [(*keys[i], codes[i], i) for i in order]
@@ -575,7 +532,7 @@ def koszul_hilbert_series(p: Poly, model: PolytopeModel) -> SpectrumSeries:
     degree below, and every exponent lies in [0, n]), each degree's
     dimension is its number of monomials minus the rank of its relation
     rows, the rows ``quotient_basis`` reduces, over the integer monomial
-    codes of ``PolytopeModel.code_weights``: the census hands its points
+    codes of ``PolytopeModel.encode``: the census hands its points
     out as these codes, and no exponent tuple is built.  The degrees are
     the census's integer keys nu * L, so the degree below is the key
     minus L.  The rank is the number of singleton columns that

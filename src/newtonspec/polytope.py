@@ -51,7 +51,10 @@ forms leave it, the last two as whole ranges, one ``map`` chain per
 form.  Points leave the walk as integer monomial codes
 (:func:`_code_weights`), grouped by the integers nu(v) * L, as the box
 points' values are; ``Fraction`` values and exponent tuples are built
-only by the public views and the graded quotient's blocks.  Every
+only by the public views and the graded quotient's bases.  Outside the
+walk, a monomial's code is read only through
+:meth:`PolytopeModel.encode` and a code's point only through
+:meth:`PolytopeModel.decode`, both at the census's radix.  Every
 reader inside the package reads the census at height n, the one height
 that the spectrum needs: the codes (:attr:`PolytopeModel._codes`), one
 walk per model, or their histogram (:attr:`PolytopeModel._histogram`),
@@ -673,6 +676,14 @@ class PolytopeModel:
     def code_weights(self) -> Vec:
         """The :func:`_code_weights` of the census up to height n."""
         return _code_weights(self.n, self._radix(self.n))
+
+    def encode(self, vec: Sequence[int]) -> int:
+        """The integer monomial code of ``vec`` under :attr:`code_weights`."""
+        return sum(map(mul, self.code_weights, vec))
+
+    def decode(self, codes: Sequence[int]) -> List[Vec]:
+        """The points of the codes of :meth:`encode`, in order."""
+        return _decode(codes, self.n, self._radix(self.n))
 
     def _limits(self, height: int):
         """``(H, cap, rests)`` of the region nu(v) <= height: H = height * L,

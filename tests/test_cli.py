@@ -187,6 +187,16 @@ def test_file_input(tmp_path, capsys):
     assert code == 0 and out.strip() == "5"
 
 
+def test_unreadable_file_input_is_named(tmp_path, capsys):
+    # a file that exists but is not UTF-8 is refused, not parsed as its path
+    path = tmp_path / "badpoly.txt"
+    path.write_bytes(b"u^2+v^2\xff")
+    code, out, err = run_cli(capsys, "spectrum", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot read the polynomial file {str(path)!r}: ")
+    assert "can't decode byte 0xff" in err and "Traceback" not in err
+
+
 def test_vars_flag_pins_order(capsys):
     code, out, _ = run_cli(
         capsys, "spectrum", "--json", "--vars", "u,v", "v^2 + u^2*v^2 + u^2"

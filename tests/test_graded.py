@@ -129,8 +129,8 @@ def test_quotient_basis_accepts_reference_hint(square_basis, square_model):
 def test_quotient_dimension_at_degree_one(square_poly, square_model):
     basis = quotient_basis(square_poly, square_model)
     block = basis.by_key[square_model.value_scale]
-    assert len(block.monomials) == 5
-    assert len(block.rows) == 2
+    assert len(block.units) + len(block.singles) + len(block.pivots) == 5
+    assert len(_block_rows(block)) == 2
     assert block.dim == 3
 
 
@@ -335,8 +335,6 @@ def assert_rows_are_upper_triangle(basis):
         table = product_table(basis)
     [rows] = calls
     assert len(rows) == len(table) == len(basis.elements)
-    # the walk's keys come from the blocks, and only the masks are evaluated
-    assert basis.cone_keys == [basis.model.cone_key(x) for x in basis.elements]
     for i, (row, cells) in enumerate(zip(rows, table)):
         nonzero = {j: cls for j, cls in enumerate(cells[i:], i) if not cls.is_zero()}
         assert row.keys() == nonzero.keys(), i
@@ -440,8 +438,9 @@ def assert_normal_forms_read_the_columns(basis):
     zero = GradedClass.zero()
     census = list(model._codes)
     basis_vecs = {unit.terms[0][0] for unit in basis.units}
-    for block in basis.by_key.values():
-        assert set(block.units) | block.singles | set(block.pivots) == set(block._order)
+    for key, block in basis.by_key.items():
+        codes = model._codes[key]
+        assert set(block.units) | block.singles | set(block.pivots) == set(codes)
         for code, unit in block.units.items():
             assert block.normal_form(code) is unit
         for code in block.singles:
@@ -450,11 +449,11 @@ def assert_normal_forms_read_the_columns(basis):
             cls = block.normal_form(code)
             assert cls is zero or cls.degree == block.degree
             assert {vec for vec, _ in cls.terms} <= basis_vecs
-        at = census.index(block.key)
+        at = census.index(key)
         for other in census[max(at - 1, 0):at] + census[at + 1:at + 2]:
             with pytest.raises(KeyError):
                 block.normal_form(model._codes[other][0])
-        for vec, code in zip(block.monomials, block._order):
+        for vec, code in zip(model.decode(codes), codes):
             terms = block.normal_form(code).terms
             for k in (1, Fraction(-3, 2)):
                 assert block.reduce(vec, k) == {m: k * x for m, x in terms}, (vec, k)
@@ -481,20 +480,31 @@ def test_products_refuse_a_malformed_vector(square_basis, v):
             reduce_product(square_basis, other, v)
 
 
+def _block_rows(block):
+    """A block's reduced rows over the codes, ``{pivot code: row}``: the
+    rows of ``pivots`` and a unit row per singleton."""
+    rows = dict(block.pivots)
+    rows.update((code, {code: Fraction(1)}) for code in block.singles)
+    return rows
+
+
 def test_normal_forms_lie_on_the_basis_and_differ_by_relations(corpus):
     for entry in corpus[:12]:
-        basis = quotient_basis(entry.poly, entry.model)
-        for block in basis.by_key.values():
-            rank = len(block.rows)
-            for m in block.monomials:
+        model = entry.model
+        basis = quotient_basis(entry.poly, model)
+        for key, block in basis.by_key.items():
+            rows = list(_block_rows(block).values())
+            rank = len(rows)
+            block_basis = {unit.terms[0][0] for unit in block.units.values()}
+            codes = model._codes[key]
+            for m, code in zip(model.decode(codes), codes):
                 normal = block.reduce(m, 1)
-                assert set(normal) <= set(block.basis), (entry.poly, m)
-                diff = {block.index[m]: Fraction(1)}
+                assert set(normal) <= block_basis, (entry.poly, m)
+                diff = {code: Fraction(1)}
                 for vec, coeff in normal.items():
-                    col = block.index[vec]
+                    col = model.encode(vec)
                     diff[col] = diff.get(col, Fraction(0)) - coeff
-                stacked = list(block.rows.values()) + [diff]
-                assert len(linalg.rref(stacked)) == rank, (entry.poly, m)
+                assert len(linalg.rref(rows + [diff])) == rank, (entry.poly, m)
 
 
 def _reference_leading_terms(model, leading):
@@ -553,18 +563,23 @@ def _reference_koszul(p, model):
 
 def _assert_blocks_equal_reference(p, model, basis, hint=None):
     """Each block's columns and reduced rows equal those of the reference
-    rows reduced by ``linalg.rref``, with the hint last if one is given."""
+    rows reduced by ``linalg.rref``, with the hint last if one is given,
+    mapped from column indices to codes: the pivots' rows and a unit row
+    per singleton, and the basis codes in column order."""
     leading = _reference_leading_terms(model, leading_classes(p, model))
     monomials = model.points_by_value(model.n)
     for block in basis.by_key.values():
         degree = block.degree
         block_hint = None if hint is None else [
             m for m in hint if model.newton_value(m) == degree]
-        ordered, index, rows = _reference_relation_rows(
+        ordered, _, rows = _reference_relation_rows(
             model, leading, monomials[degree], monomials.get(degree - 1, []), block_hint)
-        assert block.monomials == ordered, (p, degree)
-        assert block.index == index, (p, degree)
-        assert block.rows == linalg.rref(rows), (p, degree)
+        code = [model.encode(m) for m in ordered]
+        assert set(code) == set(block.units) | block.singles | set(block.pivots), (p, degree)
+        reduced = {code[c]: {code[j]: x for j, x in row.items()}
+                   for c, row in linalg.rref(rows).items()}
+        assert _block_rows(block) == reduced, (p, degree)
+        assert list(block.units) == [c for c in code if c not in reduced], (p, degree)
 
 
 def _assert_koszul_equals_reference(p):
@@ -746,9 +761,9 @@ def test_blocks_eliminate_only_rows_left_by_the_peeling(monkeypatch, corpus):
         leading = graded._leading_terms(entry.poly, model)
         groups = model._codes
         scale = model.value_scale
-        for block in basis.by_key.values():
+        for key in basis.by_key:
             _, rows = graded._relation_rows(
-                leading, set(groups[block.key]), groups.get(block.key - scale, ()))
+                leading, set(groups[key]), groups.get(key - scale, ()))
             surviving += bool(rows)
             blocks += 1
     monkeypatch.undo()

@@ -610,7 +610,8 @@ def _reference_scan_region(model, height):
 def _assert_walks_match_point_census(p):
     """At every height 0..n+1: the decoded codes of a walk equal the
     reference scan, groups, key order and product order included, and so
-    do the model's census codes up to n; the count-only walk, the
+    do the model's census codes up to n under ``decode``, which ``encode``
+    inverts, code by code; the count-only walk, the
     interval lengths and the lattice counts and histograms read off the
     census, whether its histogram counts the codes or a count-only walk
     built it, equal the reference's group sizes."""
@@ -627,9 +628,13 @@ def _assert_walks_match_point_census(p):
         groups = fresh._walk(h, polytope._code_weights(n, radix))
         assert [(key, polytope._decode(codes, n, radix)) for key, codes in groups.items()] == want, (p, h)
         if h <= n:
-            decoded = [(key, polytope._decode(group, n, radix))
+            # the model's code map at its census radix, which is the walk's here
+            decoded = [(key, stored.decode(group))
                        for key, group in stored_codes.items() if key <= h * stored.value_scale]
             assert decoded == want, (p, h)
+            for (_, group), (_, points) in zip(stored_codes.items(), decoded):
+                assert list(map(stored.encode, points)) == group, (p, h)
+                assert [stored.decode([code])[0] for code in group] == points, (p, h)
         assert fresh._walk(h) == counts, (p, h)
         assert fresh._number(h) == sum(counts.values()), (p, h)
         for model in (counted, stored):
