@@ -66,9 +66,9 @@ def _build_parser() -> _ArgumentParser:
 
 
 def _load_text(arg: str) -> str:
-    """The text of the file ``arg`` names, else ``arg`` itself.  Only a
-    failed path test (an over-long name, a NUL byte) falls back to the
-    text; a file that cannot be read or decoded is an ``InputError``."""
+    """The text of the file ``arg`` names, else ``arg`` itself when it
+    names no file or the path test fails (an over-long name, a NUL byte).
+    A file that cannot be read or decoded is an ``InputError``."""
     path = Path(arg)
     try:
         if not path.is_file():
