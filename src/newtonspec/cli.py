@@ -67,11 +67,12 @@ def _build_parser() -> _ArgumentParser:
 
 def _load_text(arg: str) -> str:
     """The text of the file ``arg`` names, else ``arg`` itself when it
-    names no file or the path test fails (an over-long name, a NUL byte).
-    A file that cannot be read or decoded is an ``InputError``."""
+    names neither a file nor a directory or the path test fails (an
+    over-long name, a NUL byte).  A directory, or a file that cannot be
+    read or decoded, is an ``InputError``."""
     path = Path(arg)
     try:
-        if not path.is_file():
+        if not path.is_file() and not path.is_dir():
             return arg
     except (OSError, ValueError):
         return arg

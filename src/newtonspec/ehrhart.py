@@ -118,9 +118,6 @@ class EhrhartPolynomial:
             if ell + n - k >= 0
         )
 
-    def __call__(self, ell: int) -> int:
-        return self.evaluate(ell)
-
     def __str__(self) -> str:
         n = self.n
         parts = []

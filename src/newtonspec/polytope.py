@@ -48,7 +48,10 @@ The lattice census (the points with nu(v) <= T, grouped by value) walks
 only that region, not a bounding box: with one integer partial sum per
 scaled form, each coordinate in turn ranges over the interval that the
 forms leave it, the last two as whole ranges, one ``map`` chain per
-form.  Points leave the walk as integer monomial codes
+form.  Both modes take one rule: the forms' bounds on a coordinate are
+joined by the pick that nu does not take, so the region is the
+intersection of their half-spaces globally and their union locally.
+Points leave the walk as integer monomial codes
 (:func:`_code_weights`), grouped by the integers nu(v) * L, as the box
 points' values are; ``Fraction`` values and exponent tuples are built
 only by the public views and the graded quotient's bases.  Outside the
@@ -278,11 +281,14 @@ class PolytopeModel:
 
     def __init__(self, mode, n, vertices, value_scale, scaled_forms, facet_masks, walls):
         self.mode = mode
+        # nu is the max of the facet forms globally and their min locally;
+        # the other pick joins the forms' bounds in the census (_span)
+        self._pick, self._copick = (max, min) if mode == GLOBAL else (min, max)
         self.n = n
         self.vertices: Tuple[Vec, ...] = vertices
         # L, the lcm of the form denominators, and the forms scaled by it:
-        # nu(v) * L is the max (global) or min (local) of their integer dot
-        # products with v, and evaluation reads nothing else
+        # nu(v) * L is the _pick of their integer dot products with v, and
+        # evaluation reads nothing else
         self.value_scale: int = value_scale
         self._scaled_forms: List[Vec] = scaled_forms
         self._facet_masks: Tuple[int, ...] = facet_masks
@@ -372,8 +378,7 @@ class PolytopeModel:
 
     def _scaled_value(self, v: Sequence[int]) -> int:
         """nu(v) * value_scale, an integer."""
-        pick = max if self.mode == GLOBAL else min
-        return pick(sum(map(mul, w, v)) for w in self._scaled_forms)
+        return self._pick(sum(map(mul, w, v)) for w in self._scaled_forms)
 
     def _exponent(self, v: Sequence[int]) -> Vec:
         """v as a tuple, checked to be a point of N^n."""
@@ -405,7 +410,7 @@ class PolytopeModel:
         if not any(v):
             return 0, -1
         values = [sum(map(mul, w, v)) for w in self._scaled_forms]
-        key = max(values) if self.mode == GLOBAL else min(values)
+        key = self._pick(values)
         mask = 0
         for i, x in enumerate(values):
             if x == key:
@@ -689,41 +694,34 @@ class PolytopeModel:
         """``(H, cap, rests)`` of the region nu(v) <= height: H = height * L,
         cap = height * max_coord bounds every coordinate, and rests[k][F]
         is the least that the coordinates after k can add to form F, the
-        sum of min(0, S_Fj) * cap over j > k (0 in local mode)."""
+        sum of min(0, S_Fj) * cap over j > k.  A local form is positive
+        (:func:`build_model` refuses any other), so its rests are 0."""
         n = self.n
         cap = height * self._max_coord
         rests = [[0] * len(self._scaled_forms) for _ in range(n)]
-        if self.mode == GLOBAL:
-            for k in range(n - 2, -1, -1):
-                rests[k] = [r + min(0, a) * cap for r, a in zip(rests[k + 1], self._columns[k + 1])]
+        for k in range(n - 2, -1, -1):
+            rests[k] = [r + min(0, a) * cap for r, a in zip(rests[k + 1], self._columns[k + 1])]
         return height * self.value_scale, cap, rests
 
     def _span(self, sums: Sequence[int], k: int, limits) -> Tuple[int, int]:
         """The interval lo..hi of coordinate k at a prefix of the region
-        with the forms' partial sums ``sums``, in the integers nu(v) * L =
-        max (global) or min (local) of the scaled forms <S_F, v>:
-
-        * global: x is kept while some completion can keep every form at
-          or below H, i.e. s_F + S_Fk * x + r_F <= H for all F, with r_F
-          from ``rests``;
-        * local: x is kept while some form with s_F <= H stays at or
-          below H, which bounds x above only, as every S_Fk > 0.
+        with the forms' partial sums ``sums``, in the integers nu(v) * L.
+        Form F keeps x while s_F + S_Fk * x + r_F <= H, r_F from
+        ``rests``: a lower bound if S_Fk < 0, an upper one if S_Fk > 0, and
+        every x or none if S_Fk = 0.  The span runs from the max of 0 and
+        the lower bounds to the min of the cap and the ``_copick`` of the
+        upper bounds: every form's half-space globally, some form's
+        locally, where every S_Fk > 0.
         """
         top, cap, rests = limits
-        column = self._columns[k]
-        if self.mode != GLOBAL:
-            return 0, min(cap, max(
-                ((top - s) // a for s, a in zip(sums, column) if s <= top), default=-1))
-        lo, hi = 0, cap
-        for s, a, r in zip(sums, column, rests[k]):
+        lo, his = 0, []
+        for s, a, r in zip(sums, self._columns[k], rests[k]):
             room = top - s - r
-            if a > 0:
-                hi = min(hi, room // a)
-            elif a < 0:
+            if a < 0:
                 lo = max(lo, -(room // -a))
-            elif room < 0:
-                hi = -1
-        return lo, hi
+            else:
+                his.append(room // a if a else cap if room >= 0 else -1)
+        return lo, min(cap, self._copick(his, default=cap))
 
     def _nodes(self, limits, weights: Sequence[int]):
         """The region's prefixes of coordinates 0..n-3 (the empty one if
@@ -746,10 +744,11 @@ class PolytopeModel:
         ``(lo2, width, nlos, his)``, x = lo2 .. lo2 + width - 1 and the
         last coordinate -nlo .. hi.  Each form's room H - s_F - a_F * x
         is a ``range`` over the span, and room // b_F bounds the last
-        coordinate above if b_F > 0 and, negated, below if b_F < 0
-        (global); locally the bound is the max over the forms, as a form
-        with s_F > H has a negative room.  A global form with b_F = 0
-        bounds nothing: the span keeps its room >= 0."""
+        coordinate above if b_F > 0 and, negated, below if b_F < 0, joined
+        as in :meth:`_span`: the min of 0 and the negated lower bounds,
+        the min of the cap and the ``_copick`` of the upper bounds.  A
+        form with b_F = 0 bounds nothing: the span keeps its room >= 0,
+        and there is none locally."""
         n = self.n
         top, cap, _ = limits
         last = self._columns[-1]
@@ -766,14 +765,12 @@ class PolytopeModel:
              else repeat(top - s, width), b)
             for s, a, b in zip(sums, column, last)
         ]
+        his = [map(floordiv, room, repeat(b)) for room, b in rooms if b > 0]
+        nlos = [map(floordiv, room, repeat(-b)) for room, b in rooms if b < 0]
         caps = repeat(cap, width)
-        if self.mode == GLOBAL:
-            his = [map(floordiv, room, repeat(b)) for room, b in rooms if b > 0]
-            nlos = [map(floordiv, room, repeat(-b)) for room, b in rooms if b < 0]
-            return (lo2, width, map(min, repeat(0, width), *nlos) if nlos else repeat(0, width),
-                    map(min, caps, *his) if his else caps)
-        his = [map(floordiv, room, repeat(b)) for room, b in rooms]
-        return lo2, width, repeat(0, width), map(min, caps, map(max, *his) if len(his) > 1 else his[0])
+        if his:
+            caps = map(min, caps, map(self._copick, *his) if len(his) > 1 else his[0])
+        return lo2, width, map(min, repeat(0, width), *nlos) if nlos else repeat(0, width), caps
 
     def _walk(self, height: int, weights: Optional[Sequence[int]] = None) -> dict:
         """The points with nu(v) <= height from one walk of the region, as
@@ -781,10 +778,10 @@ class PolytopeModel:
         ``itertools.product`` order) or without ``weights`` as
         {nu * L: count}, keys ascending.  Along an interval of
         :meth:`_intervals` each form is a ``range``, and so are the codes;
-        a value is the forms' max (global) or min (local)."""
+        a value is the forms' ``_pick``."""
         n = self.n
         limits = self._limits(height)
-        pick = max if self.mode == GLOBAL else min
+        pick = self._pick
         last = self._columns[-1]
         column = self._columns[n - 2] if n > 1 else (0,) * len(last)
         w2, w1 = (weights[n - 2] if n > 1 else 0, weights[-1]) if weights else (0, 0)

@@ -197,6 +197,14 @@ def test_unreadable_file_input_is_named(tmp_path, capsys):
     assert "can't decode byte 0xff" in err and "Traceback" not in err
 
 
+def test_directory_input_is_named(tmp_path, capsys):
+    # a path that names a directory is refused, not parsed as its name
+    code, out, err = run_cli(capsys, "spectrum", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot read the polynomial file {str(tmp_path)!r}: ")
+    assert "Traceback" not in err
+
+
 def test_vars_flag_pins_order(capsys):
     code, out, _ = run_cli(
         capsys, "spectrum", "--json", "--vars", "u,v", "v^2 + u^2*v^2 + u^2"

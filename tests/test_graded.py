@@ -376,6 +376,79 @@ def test_product_rows_are_the_nonzero_upper_triangle_on_random_supports(seed, n,
     assert_rows_are_upper_triangle(basis)
 
 
+def _structure_constants(basis):
+    """The symmetric table of ``product_rows``: row i is ``{j: {l: c}}``,
+    b_i * b_j = sum of c * b_l, with no zero cell and no zero c."""
+    index = {vec: l for l, vec in enumerate(basis.elements)}
+    table = [{} for _ in basis.elements]
+    for i, row in enumerate(product_rows(basis)):
+        for j, cls in row.items():
+            table[i][j] = table[j][i] = {index[vec]: c for vec, c in cls.terms}
+    return table
+
+
+def _times(table, x, k):
+    """x * b_k for x = ``{m: c}``, expanded over the table's cells."""
+    out = {}
+    for m, c in x.items():
+        for l, d in table[m].get(k, {}).items():
+            out[l] = out.get(l, Fraction(0)) + c * d
+    return {l: c for l, c in out.items() if c}
+
+
+def assert_table_is_associative(basis, rng, sample=2000):
+    """(b_i b_j) b_k = b_i (b_j b_k) for all i <= j and all k, or for
+    ``sample`` seeded draws when the basis has more than 60 elements;
+    b_i (b_j b_k) is read as (b_j b_k) b_i, the table being symmetric.
+    Both sides are 0 unless b_i b_j or b_j b_k is a nonzero cell, so only
+    the triples that hold one are taken, and each draw picks such a cell."""
+    table = _structure_constants(basis)
+    size = len(table)
+    cells = [(i, j) for i, row in enumerate(table) for j in row]
+    if size <= 60:
+        triples = {(min(i, j), max(i, j), k) for i, j in cells for k in range(size)}
+        triples.update((i, j, k) for j, k in cells for i in range(j + 1))
+    else:
+        triples = set()
+        for _ in range(sample):
+            i, j = rng.choice(cells)
+            triples.add((min(i, j), max(i, j), rng.randrange(size)))
+            j, k = rng.choice(cells)
+            triples.add((rng.randrange(j + 1), j, k))
+    for i, j, k in sorted(triples):
+        assert _times(table, table[i].get(j, {}), k) == _times(table, table[j].get(k, {}), i), (
+            basis.elements[i], basis.elements[j], basis.elements[k])
+
+
+def test_product_table_is_associative_on_corpus(corpus):
+    rng = random.Random(5)
+    for entry in corpus:
+        assert_table_is_associative(quotient_basis(entry.poly, entry.model), rng)
+
+
+def test_product_table_is_associative_on_worked_examples(square_basis, square_model,
+                                                         square_poly, threed_poly):
+    rng = random.Random(5)
+    assert_table_is_associative(square_basis, rng)
+    assert_table_is_associative(quotient_basis(square_poly, square_model), rng)
+    assert_table_is_associative(quotient_basis(threed_poly, build_model(threed_poly)), rng)
+
+
+@pytest.mark.parametrize("text", LOCAL_GERMS)
+def test_product_table_is_associative_on_local_germs(text):
+    p = parse_polynomial(text, mode=LOCAL)
+    assert_table_is_associative(quotient_basis(p, build_model(p)), random.Random(5))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("mode", [GLOBAL, LOCAL])
+def test_product_table_is_associative_on_seeded_supports(seed, mode):
+    rng = random.Random(seed)
+    p = random_convenient_poly(rng, 2 + seed % 2)
+    p = Poly(names=p.names, terms=p.terms, mode=mode)
+    assert_table_is_associative(quotient_basis(p, build_model(p)), rng)
+
+
 def _reference_render(cls, names):
     """``GradedClass.render`` as it was written with ``Fraction``
     arithmetic: ``str`` of each magnitude and a sign test on the

@@ -653,6 +653,15 @@ NEGATIVE_FORM_POLYS = [
 ]
 
 
+# local germs in four variables, so that the census takes the local span
+# at two prefix coordinates before the last two
+FOUR_VARIABLE_GERMS = [
+    "x^3 + y^3 + z^3 + w^3 + x*y*z*w",
+    "x^4 + y^3 + z^3 + w^2 + x*y*z",
+    "x^2*y + x^3 + y^4 + z^3 + w^3 + y*z*w",
+]
+
+
 def _census_inputs():
     polys = [parse_polynomial(t, mode=LOCAL) for t in LOCAL_GERMS]
     polys += [parse_polynomial(t) for t in FOUR_VARIABLE_POLYS + NEGATIVE_FORM_POLYS]
@@ -662,6 +671,7 @@ def _census_inputs():
             for mode in (GLOBAL, LOCAL):
                 p = random_convenient_poly(rng, n)
                 polys.append(Poly(names=p.names, terms=p.terms, mode=mode))
+    polys += [parse_polynomial(t, mode=LOCAL) for t in FOUR_VARIABLE_GERMS]
     return polys
 
 
